@@ -3,8 +3,8 @@
 The package simulates a spin measurement at desk scale along two rival
 routes (exact propagation of a particle-detector state averaged over
 random detectors, and a stochastic interaction Hamiltonian averaged over
-energy uncertainties), and provides the supporting machinery: an adiabatic
-Exact Cover encoding with brute-force certification and a grid-based
+energy uncertainties), and provides the supporting machinery: a
+matrix-free adiabatic Exact Cover encoding and a grid-based
 energy-threshold decision problem with a cheap eigenpair verifier.
 """
 

@@ -1,9 +1,9 @@
 """Complex linear algebra and unitary dynamics kernel.
 
-Everything downstream (measurement models, adiabatic sweeps, grid
-eigenproblems) goes through the state/operator types defined here. Values
-are immutable after construction and all operations are pure functions,
-so callers may share them freely across threads.
+Measurement models and adiabatic sweeps go through the state types and
+the integrator defined here; dense and diagonal operators live here too.
+Values are immutable after construction and all operations are pure
+functions, so callers may share them freely across threads.
 """
 from __future__ import annotations
 
@@ -115,7 +115,7 @@ class HermitianOperator:
 
     __slots__ = ("_dense", "_diag", "dim")
 
-    def __init__(self, *, dense=None, diagonal=None, check: bool = True):
+    def __init__(self, *, dense=None, diagonal=None):
         if (dense is None) == (diagonal is None):
             raise ValueError("provide exactly one of dense= or diagonal=")
         if diagonal is not None:
@@ -127,21 +127,20 @@ class HermitianOperator:
             object.__setattr__(self, "_dense", None)
             object.__setattr__(self, "dim", d.size)
         else:
-            m = np.array(dense, copy=True) if check else np.asarray(dense)
+            m = np.array(dense, copy=True)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"dense operator must be square, got shape {m.shape}")
-            if check:
-                if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
-                    raise ValueError("operator contains non-finite entries")
-                scale = max(1.0, float(np.abs(m).max()))
-                defect = float(np.abs(m - m.conj().T).max())
-                if defect > HERMITICITY_ATOL * scale:
-                    raise ValueError(
-                        f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} "
-                        f"exceeds {HERMITICITY_ATOL * scale:.1e}"
-                    )
-                m = m.astype(np.complex128) if np.iscomplexobj(m) else m.astype(np.float64)
-                m.setflags(write=False)
+            if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
+                raise ValueError("operator contains non-finite entries")
+            scale = max(1.0, float(np.abs(m).max()))
+            defect = float(np.abs(m - m.conj().T).max())
+            if defect > HERMITICITY_ATOL * scale:
+                raise ValueError(
+                    f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} "
+                    f"exceeds {HERMITICITY_ATOL * scale:.1e}"
+                )
+            m = m.astype(np.complex128) if np.iscomplexobj(m) else m.astype(np.float64)
+            m.setflags(write=False)
             object.__setattr__(self, "_dense", m)
             object.__setattr__(self, "_diag", None)
             object.__setattr__(self, "dim", m.shape[0])
@@ -150,11 +149,8 @@ class HermitianOperator:
         raise AttributeError("HermitianOperator is immutable")
 
     @classmethod
-    def from_dense(cls, matrix, check: bool = True) -> "HermitianOperator":
-        """Wrap a dense matrix; ``check=False`` skips the Hermiticity scan
-        and copy for callers that construct guaranteed-Hermitian matrices
-        (e.g. convex combinations of already validated operators)."""
-        return cls(dense=matrix, check=check)
+    def from_dense(cls, matrix) -> "HermitianOperator":
+        return cls(dense=matrix)
 
     @classmethod
     def from_diagonal(cls, diagonal) -> "HermitianOperator":
@@ -331,8 +327,8 @@ class TdseResult:
     steps: int
 
 
-def _expm_apply(hmat: np.ndarray, amps: np.ndarray, scale: complex, theta: float) -> np.ndarray:
-    """exp(scale * H) @ amps via a scaled Taylor series.
+def _expm_apply(apply_h, amps: np.ndarray, scale: complex, theta: float) -> np.ndarray:
+    """exp(scale * H) @ amps via a scaled Taylor series; ``apply_h(v)`` returns H v.
 
     ``theta`` must bound |scale| * ||H||. Substeps keep each series
     argument <= 1, where 24 terms leave a remainder below 1e-23, so the
@@ -345,7 +341,7 @@ def _expm_apply(hmat: np.ndarray, amps: np.ndarray, scale: complex, theta: float
         term = out
         acc = out.copy()
         for k in range(1, 25):
-            term = (s / k) * (hmat @ term)
+            term = (s / k) * apply_h(term)
             acc += term
             if np.abs(term).max() <= 1e-16 * np.abs(acc).max():
                 break
@@ -354,12 +350,12 @@ def _expm_apply(hmat: np.ndarray, amps: np.ndarray, scale: complex, theta: float
 
 
 def integrate_tdse(
-    h_of_t,
+    apply_h,
     psi0: StateVector,
     t_final: float,
     steps: int,
+    spectral_bound: float,
     c: PhysicalConstants = NATURAL_UNITS,
-    max_energy: float | None = None,
 ) -> TdseResult:
     """Midpoint-exponential integrator for i hbar d/dt psi = H(t) psi.
 
@@ -369,9 +365,9 @@ def integrate_tdse(
     pre-renormalization drift |norm - 1| is reported, with a warning above
     1e-6 suggesting more steps.
 
-    ``h_of_t`` maps a time to a HermitianOperator of fixed dimension.
-    ``max_energy``, when given, must bound the spectral norm of every
-    H(t); it saves the per-step Gershgorin estimate.
+    ``apply_h(t, v)`` returns H(t) v for a vector of the state's
+    dimension; ``spectral_bound`` must bound the spectral norm of every
+    H(t).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -379,20 +375,11 @@ def integrate_tdse(
     dt = t_final / steps
     amps = psi0.amps.copy()
     drift = 0.0
-    hbar = c.hbar
+    scale = -1j * dt / c.hbar
+    theta = abs(dt / c.hbar) * spectral_bound
     for j in range(steps):
-        h = h_of_t((j + 0.5) * dt)
-        if h.dim != amps.size:
-            raise ValueError(f"H(t) dim {h.dim} does not match state dim {amps.size}")
-        if h.is_diagonal:
-            amps = np.exp((-1j * dt / hbar) * h.diagonal) * amps
-        else:
-            # Exponential action on the state: the same exp(-i dt H/hbar)
-            # map as expm_propagator, evaluated without a full eigh per step.
-            hmat = h.dense()
-            bound = max_energy if max_energy is not None else float(np.abs(hmat).sum(axis=1).max())
-            theta = abs(dt / hbar) * bound
-            amps = _expm_apply(hmat, amps, -1j * dt / hbar, theta)
+        t = (j + 0.5) * dt
+        amps = _expm_apply(lambda v: apply_h(t, v), amps, scale, theta)
         drift = max(drift, abs(float(np.linalg.norm(amps)) - 1.0))
     if drift > DRIFT_WARN_THRESHOLD:
         warnings.warn(

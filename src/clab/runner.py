@@ -27,18 +27,14 @@ from .decoherence import decohered_probability
 from .montecarlo import derive_seed
 from .qcore import PhysicalConstants
 from .reduction import (
-    AdiabaticSchedule,
+    EVOLUTION_MAX_BITS,
     SpectralDecisionInstance,
-    adiabatic_run,
     bitstring_satisfies,
-    brute_force_exact_cover,
-    build_begin_hamiltonian,
-    build_cost_hamiltonian,
     ground_energy,
     load_instance,
     most_probable_bitstring,
-    recommended_steps,
     reduce_energy_decision,
+    success_sweep,
 )
 from .stochastic import (
     SAMPLING_MODES,
@@ -190,14 +186,14 @@ def _validate_adiabatic(params: dict) -> dict:
     _reject_unknown(schedule, {"T_min", "doublings", "target"}, "params.schedule")
     if "T_min" not in schedule:
         raise ConfigError("params.schedule.T_min", "missing required key")
-    return {
-        "instance_path": params["instance_path"],
-        "schedule": {
-            "T_min": _as_float(schedule["T_min"], "params.schedule.T_min", strict_positive=True),
-            "doublings": _as_int(schedule.get("doublings", 6), "params.schedule.doublings", minimum=0, maximum=16),
-            "target": _as_float(schedule.get("target", 0.9), "params.schedule.target", minimum=0.0),
-        },
+    normalized = {
+        "T_min": _as_float(schedule["T_min"], "params.schedule.T_min", strict_positive=True),
+        "doublings": _as_int(schedule.get("doublings", 6), "params.schedule.doublings", minimum=0, maximum=16),
+        "target": _as_float(schedule.get("target", 0.9), "params.schedule.target", minimum=0.0),
     }
+    if normalized["target"] > 1.0:
+        raise ConfigError("params.schedule.target", f"must be <= 1 (a probability), got {normalized['target']}")
+    return {"instance_path": params["instance_path"], "schedule": normalized}
 
 
 def _validate_spectral(params: dict) -> dict:
@@ -254,6 +250,14 @@ _VALIDATORS = {
 }
 
 
+def _require_finite_spans(scales, taus, hbar: float, path: str) -> None:
+    """Reject any scale * tau / hbar (the dimensionless phase span) that overflows."""
+    for scale in scales:
+        for tau in taus:
+            if not (math.isfinite(scale * tau / hbar) and math.isfinite(tau / hbar)):
+                raise ConfigError(path, f"phase span {scale:g} * tau={tau:g} / hbar={hbar:g} is not finite")
+
+
 def validate_config(raw: dict) -> dict:
     """Normalize a raw config dict, rejecting unknown keys and bad ranges."""
     if not isinstance(raw, dict):
@@ -269,12 +273,14 @@ def validate_config(raw: dict) -> dict:
     params = raw.get("params")
     if not isinstance(params, dict):
         raise ConfigError("params", "missing or not an object")
-    return {
-        "experiment": experiment,
-        "seed": seed,
-        "hbar": hbar,
-        "params": _VALIDATORS[experiment](params),
-    }
+    params = _VALIDATORS[experiment](params)
+    if experiment == "stochastic":
+        _require_finite_spans([params["A_tilde"] + params["B_tilde"]], params["tau"], hbar, "params.tau")
+    elif experiment == "decohere":
+        _require_finite_spans([params["energy_scale"]], params["tau"], hbar, "params.tau")
+    elif experiment == "compare":
+        _require_finite_spans(params["energy_scale"], [params["tau"]], hbar, "params.energy_scale")
+    return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": params}
 
 
 # ---------------------------------------------------------------------------
@@ -405,30 +411,15 @@ def _run_adiabatic(config: dict) -> dict:
         inst = load_instance(p["instance_path"])
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError("params.instance_path", f"cannot load instance: {exc}") from exc
-    schedule_cfg = p["schedule"]
-    h0 = build_begin_hamiltonian(inst)
-    hc = build_cost_hamiltonian(inst)
-    max_energy = max(h0.max_eigenvalue(), float(hc.energies.max(initial=0)))
-    satisfying = brute_force_exact_cover(inst)
-
-    rows = []
-    last = None
-    total_time = schedule_cfg["T_min"]
-    for _ in range(schedule_cfg["doublings"] + 1):
-        schedule = AdiabaticSchedule(total_time=total_time, steps=recommended_steps(max_energy, total_time, c))
-        last = adiabatic_run(inst, schedule, c)
-        rows.append(
-            {
-                "T": last.total_time,
-                "steps": last.steps,
-                "success_probability": last.success_probability,
-                "norm_drift": last.norm_drift,
-            }
+    if inst.n > EVOLUTION_MAX_BITS:
+        raise ConfigError(
+            "params.instance_path", f"instance has n={inst.n} bits; evolution is capped at n <= {EVOLUTION_MAX_BITS}"
         )
-        if last.success_probability >= schedule_cfg["target"]:
-            break
-        total_time *= 2.0
-    best_bits = most_probable_bitstring(last.state, inst.n)
+    schedule_cfg = p["schedule"]
+    total_times = [schedule_cfg["T_min"] * 2.0**k for k in range(schedule_cfg["doublings"] + 1)]
+    sweep = success_sweep(inst, total_times, c, target=schedule_cfg["target"])
+    rows = sweep.rows
+    best_bits = most_probable_bitstring(sweep.state, inst.n)
     chart = {
         "x": "T",
         "ys": ["success_probability"],
@@ -443,7 +434,7 @@ def _run_adiabatic(config: dict) -> dict:
             "instance_path": p["instance_path"],
             "n": inst.n,
             "clause_count": len(inst.clauses),
-            "satisfying_count": len(satisfying),
+            "satisfying_count": sweep.satisfying_count,
             "target": schedule_cfg["target"],
             "target_reached": rows[-1]["success_probability"] >= schedule_cfg["target"],
             "most_probable_bitstring": best_bits,

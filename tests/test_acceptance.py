@@ -184,7 +184,7 @@ def test_criterion_8_verifier_over_randomized_hamiltonians():
             grid_points=n, box_length=length, mass=float(rng.uniform(0.5, 2.0)), potential=v, threshold=0.0
         )
         h, _ = reduce_energy_decision(inst)
-        w, vecs = np.linalg.eigh(h.matrix)
+        w, vecs = np.linalg.eigh(h.dense())
         norm = float(np.abs(w).max())
         for idx in (0, n // 2, n - 1):
             assert verify_eigenpair(h, vecs[:, idx], w[idx], tol=tol), f"trial {trial}: rejected exact pair"

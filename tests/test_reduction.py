@@ -18,7 +18,7 @@ from clab.reduction import (
     build_cost_hamiltonian,
     decide_energy_threshold,
     ground_energy,
-    interpolate,
+    interpolation_matvec,
     load_instance,
     most_probable_bitstring,
     recommended_steps,
@@ -30,6 +30,51 @@ from clab.reduction import (
 )
 
 UNSAT_N4 = ExactCoverInstance(n=4, clauses=((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+
+# n = 1..6; from n = 4 on, bit n is in no clause.
+MATVEC_INSTANCES = [
+    ExactCoverInstance(n=1, clauses=()),
+    ExactCoverInstance(n=2, clauses=()),
+    ExactCoverInstance(n=3, clauses=((1, 2, 3),)),
+    ExactCoverInstance(n=4, clauses=((1, 2, 3),)),
+    ExactCoverInstance(n=5, clauses=((1, 2, 4), (2, 3, 4), (1, 3, 4))),
+    ExactCoverInstance(n=6, clauses=((1, 2, 3), (1, 4, 5), (2, 4, 5), (3, 4, 5))),
+]
+
+
+def kron_begin_matrix(inst):
+    """Dense reference sum_i d_i (1 - X_i)/2, one Kronecker product per bit."""
+    half = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    matrix = np.zeros((1 << inst.n, 1 << inst.n))
+    for site in range(inst.n):
+        d = sum(site + 1 in clause for clause in inst.clauses)
+        matrix += d * np.kron(np.kron(np.eye(1 << site), half), np.eye(1 << (inst.n - site - 1)))
+    return matrix
+
+
+def violated_clause_counts(inst):
+    """Reference cost diagonal, counted clause by clause on bitstrings."""
+    counts = []
+    for z in range(1 << inst.n):
+        bits = format(z, f"0{inst.n}b")
+        counts.append(sum(int(bits[i - 1]) + int(bits[j - 1]) + int(bits[k - 1]) != 1 for i, j, k in inst.clauses))
+    return np.array(counts, dtype=float)
+
+
+def operator_columns(apply, s, dim):
+    """The matrix of the matrix-free operator at s, one basis vector at a time."""
+    return np.column_stack([apply(s, e) for e in np.eye(dim, dtype=complex)])
+
+
+def dense_grid_matrix(inst, c=PhysicalConstants()):
+    """Reference grid operator -hbar^2/(2m) D2 + diag(V), built entry by entry."""
+    n = inst.grid_points
+    dx = inst.box_length / (n + 1)
+    t = c.hbar**2 / (2.0 * inst.mass * dx * dx)
+    matrix = np.diag(2.0 * t + inst.potential)
+    for i in range(n - 1):
+        matrix[i, i + 1] = matrix[i + 1, i] = -t
+    return matrix
 
 
 def harmonic_instance(grid_points=512, box_length=20.0, mass=1.0, omega=1.0, threshold=1.0):
@@ -108,51 +153,50 @@ class TestCostHamiltonian:
 
 
 class TestBeginHamiltonian:
+    def begin_operator(self, inst):
+        return interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+
     def test_no_clauses_zero_operator(self):
-        h0 = build_begin_hamiltonian(ExactCoverInstance(n=2, clauses=()))
-        assert np.abs(h0.matrix).max() == 0.0
+        apply = self.begin_operator(ExactCoverInstance(n=2, clauses=()))
+        v = np.random.default_rng(1).standard_normal(4) + 0j
+        assert np.abs(apply(0.0, v)).max() == 0.0
 
     def test_membership_counts_and_ground_state(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        h0 = build_begin_hamiltonian(inst)
-        np.testing.assert_array_equal(h0.d, [1, 1, 1])
-        residual = h0.matrix @ uniform_superposition(3).amps
+        np.testing.assert_array_equal(build_begin_hamiltonian(inst).d, [1, 1, 1])
+        residual = self.begin_operator(inst)(0.0, uniform_superposition(3).amps)
         assert np.abs(residual).max() <= 1e-12
 
     def test_hermitian(self):
         inst = ExactCoverInstance(n=4, clauses=((1, 2, 3), (2, 3, 4)))
-        m = build_begin_hamiltonian(inst).matrix
-        assert np.abs(m - m.T).max() <= 1e-12
+        m = operator_columns(self.begin_operator(inst), 0.37, 16)
+        assert np.abs(m - m.conj().T).max() <= 1e-12
 
     def test_max_eigenvalue_is_membership_sum(self):
         inst = ExactCoverInstance(n=4, clauses=((1, 2, 3), (2, 3, 4), (1, 2, 4)))
-        h0 = build_begin_hamiltonian(inst)
-        top = np.linalg.eigvalsh(h0.matrix)[-1]
-        assert top == pytest.approx(h0.max_eigenvalue(), abs=1e-9)
+        top = np.linalg.eigvalsh(operator_columns(self.begin_operator(inst), 0.0, 16))[-1]
+        assert top == pytest.approx(build_begin_hamiltonian(inst).max_eigenvalue(), abs=1e-9)
 
 
 class TestInterpolate:
-    def setup_method(self):
-        self.inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        self.h0 = build_begin_hamiltonian(self.inst)
-        self.hc = build_cost_hamiltonian(self.inst)
-
     def test_endpoints_exact(self):
-        start = interpolate(self.h0, self.hc, 0.0, 7.0).dense()
-        end = interpolate(self.h0, self.hc, 7.0, 7.0).dense()
-        assert np.array_equal(start, self.h0.matrix.astype(complex))
-        assert np.array_equal(end, np.diag(self.hc.energies.astype(complex)))
+        inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
+        hc = build_cost_hamiltonian(inst)
+        apply = interpolation_matvec(build_begin_hamiltonian(inst), hc)
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        assert np.array_equal(apply(1.0, v), hc.energies * v)
+        np.testing.assert_allclose(apply(0.0, v), kron_begin_matrix(inst) @ v, rtol=0, atol=1e-13)
 
-    def test_midpoint_entrywise_mean(self):
-        mid = interpolate(self.h0, self.hc, 3.5, 7.0).dense()
-        expected = (self.h0.matrix + np.diag(self.hc.energies.astype(float))) / 2.0
-        np.testing.assert_allclose(mid, expected, atol=1e-15)
-
-    def test_rejects_time_outside_schedule(self):
-        with pytest.raises(ValueError, match="outside"):
-            interpolate(self.h0, self.hc, -0.1, 7.0)
-        with pytest.raises(ValueError, match="outside"):
-            interpolate(self.h0, self.hc, 7.1, 7.0)
+    @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("inst", MATVEC_INSTANCES, ids=lambda inst: f"n{inst.n}")
+    def test_matvec_matches_kronecker_reference(self, inst, s):
+        dim = 1 << inst.n
+        reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst))
+        apply = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+        rng = np.random.default_rng(inst.n)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        np.testing.assert_allclose(apply(s, v), reference @ v, rtol=0, atol=1e-13)
 
 
 class TestAdiabaticRun:
@@ -163,12 +207,12 @@ class TestAdiabaticRun:
 
     def test_single_clause_sweep_reaches_target(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        rows = success_sweep(inst, [1, 2, 4, 8, 16, 32], target=0.9)
+        rows = success_sweep(inst, [1, 2, 4, 8, 16, 32], target=0.9).rows
         assert rows[-1]["success_probability"] >= 0.9
 
     def test_success_grows_with_time(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        rows = success_sweep(inst, [0.25, 16.0])
+        rows = success_sweep(inst, [0.25, 16.0]).rows
         assert rows[-1]["success_probability"] >= rows[0]["success_probability"]
 
     def test_norm_drift_bounded(self):
@@ -187,6 +231,22 @@ class TestAdiabaticRun:
         bits = most_probable_bitstring(result.state, 3)
         assert bitstring_satisfies(inst, bits)
 
+    @pytest.mark.parametrize("name", ["ec_n3_single.json", "ec_n6_unique.json"])
+    def test_success_matches_brute_force_set(self, name):
+        inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
+        steps = recommended_steps(3.0 * len(inst.clauses), 2.0)  # sum_i d_i = 3 * clauses bounds H(s)
+        result = adiabatic_run(inst, AdiabaticSchedule(total_time=2.0, steps=steps))
+        probs = result.state.probabilities()
+        oracle = sum(probs[int(bits, 2)] for bits in brute_force_exact_cover(inst))
+        assert result.success_probability == pytest.approx(oracle, abs=1e-15)
+
+    def test_sweep_builds_operators_once_and_reports_solutions(self):
+        inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
+        sweep = success_sweep(inst, [1.0, 2.0])
+        assert [row["T"] for row in sweep.rows] == [1.0, 2.0]
+        assert sweep.satisfying_count == len(brute_force_exact_cover(inst))
+        assert sweep.state.dim == 8
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="total_time"):
             AdiabaticSchedule(total_time=0.0, steps=10)
@@ -202,7 +262,7 @@ class TestGridHamiltonian:
         h, threshold = reduce_energy_decision(inst)
         t = 1.0 / (2.0 * 2.0 * 1.0**2)
         expected = 2.0 * t * np.eye(5) - t * np.eye(5, k=1) - t * np.eye(5, k=-1)
-        np.testing.assert_allclose(h.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(h.dense(), expected, atol=1e-15)
         assert threshold == 0.0
 
     def test_symmetry(self):
@@ -211,7 +271,31 @@ class TestGridHamiltonian:
             grid_points=64, box_length=5.0, mass=1.0, potential=rng.uniform(0, 3, 64), threshold=1.0
         )
         h, _ = reduce_energy_decision(inst)
-        assert np.abs(h.matrix - h.matrix.T).max() <= 1e-12
+        u, v = rng.standard_normal((2, 64))
+        assert abs(u @ h.matvec(v) - h.matvec(u) @ v) <= 1e-12 * np.abs(h.dense()).max()
+
+    @pytest.mark.filterwarnings("error")  # an inverse-iteration fallback would hide the cross-check
+    @pytest.mark.parametrize("grid_points", [3, 40, 257, 512])
+    def test_matches_dense_reference(self, grid_points):
+        rng = np.random.default_rng(grid_points)
+        x = np.linspace(0.0, 1.0, grid_points)
+        # smooth random potential: a few Fourier modes (on rough ones inverse iteration can stall)
+        potential = sum(rng.uniform(-5, 5) * np.sin((m + 1) * math.pi * x + rng.uniform(0, 6.3)) for m in range(4))
+        inst = SpectralDecisionInstance(
+            grid_points=grid_points,
+            box_length=float(rng.uniform(2.0, 10.0)),
+            mass=float(rng.uniform(0.5, 2.0)),
+            potential=potential,
+            threshold=0.0,
+        )
+        h, _ = reduce_energy_decision(inst)
+        reference = dense_grid_matrix(inst)
+        v = rng.standard_normal(grid_points)
+        np.testing.assert_allclose(h.matvec(v), reference @ v, rtol=0, atol=1e-12 * np.abs(reference).max())
+        np.testing.assert_array_equal(h.dense(), reference)
+        exact = np.linalg.eigvalsh(reference)[0]
+        for method in ("dense", "inverse"):
+            assert abs(ground_energy(h, method=method) - exact) <= 1e-10 * max(1.0, abs(exact))
 
     def test_grid_refinement_converges(self):
         coarse = ground_energy(reduce_energy_decision(harmonic_instance(grid_points=256))[0])
@@ -270,7 +354,7 @@ class TestGridHamiltonian:
         for _ in range(100):
             phi = rng.standard_normal(128)
             phi /= np.linalg.norm(phi)
-            assert e0 <= phi @ (h.matrix @ phi) + 1e-9
+            assert e0 <= phi @ h.matvec(phi) + 1e-9
 
     def test_hbar_scaling(self):
         c = PhysicalConstants(hbar=3.0)
@@ -297,13 +381,13 @@ class TestDecision:
 class TestVerifyEigenpair:
     def test_accepts_solver_pairs(self):
         h, _ = reduce_energy_decision(harmonic_instance(grid_points=128))
-        w, v = np.linalg.eigh(h.matrix)
+        w, v = np.linalg.eigh(h.dense())
         for idx in (0, 1, 64, 127):
             assert verify_eigenpair(h, v[:, idx], w[idx], tol=1e-8)
 
     def test_rejects_perturbed_energy(self):
         h, _ = reduce_energy_decision(harmonic_instance(grid_points=128))
-        w, v = np.linalg.eigh(h.matrix)
+        w, v = np.linalg.eigh(h.dense())
         tol = 1e-8
         norm = np.abs(w).max()
         assert not verify_eigenpair(h, v[:, 0], w[0] + 10.0 * tol * norm, tol=tol)
@@ -319,12 +403,12 @@ class TestVerifyEigenpair:
     def test_soundness_margin(self):
         # Anything with residual beyond 2 tol must be rejected.
         h, _ = reduce_energy_decision(harmonic_instance(grid_points=64))
-        w, v = np.linalg.eigh(h.matrix)
+        w, v = np.linalg.eigh(h.dense())
         tol = 1e-8
         vec = v[:, 0].copy()
         vec[0] += 1e-5
         vec /= np.linalg.norm(vec)
-        residual = np.linalg.norm(h.matrix @ vec - w[0] * vec)
+        residual = np.linalg.norm(h.dense() @ vec - w[0] * vec)
         assert residual > 2 * tol
         assert not verify_eigenpair(h, vec, w[0], tol=tol)
 

@@ -294,6 +294,33 @@ class TestCli:
         assert code == 3
         assert "synthetic blowup" in capsys.readouterr().err
 
+    def test_oversized_instance_exit_two(self, tmp_path, capsys):
+        instance = tmp_path / "n13.json"
+        instance.write_text(json.dumps({"n": 13, "clauses": [[1, 2, 3]]}))
+        config = self._write_config(
+            tmp_path, {"params": {"instance_path": str(instance), "schedule": {"T_min": 1.0}}}
+        )
+        code = cli.main(["adiabatic", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "params.instance_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment,params,path",
+        [
+            ("adiabatic", {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
+                           "schedule": {"T_min": 1.0, "target": 1.5}}, "params.schedule.target"),
+            ("stochastic", {"A_tilde": 1e308, "B_tilde": 1e308, "tau": 10.0, "n": 100}, "params.tau"),
+            ("decohere", {"K": 4, "energy_scale": 1e308, "tau": [1.0, 1e10], "trials": 2}, "params.tau"),
+            ("compare", {"K": 4, "energy_scale": 1e308, "tau": 1e10, "trials": 2, "n": 100}, "params.energy_scale"),
+        ],
+        ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow"],
+    )
+    def test_out_of_range_config_exit_two(self, tmp_path, capsys, experiment, params, path):
+        config = self._write_config(tmp_path, {"params": params})
+        code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
     def test_bad_format_exit_two(self, tmp_path, capsys):
         config = self._write_config(
             tmp_path, {"params": {"K": 10, "energy_scale": 10.0, "tau": 1.0, "trials": 5}}
