@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_mean, sample_uniform, standard_normal
+from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_estimate, sample_uniform, standard_normal
 from .qcore import (
     NATURAL_UNITS,
     HermitianOperator,
@@ -42,6 +42,7 @@ __all__ = [
     "prob_full_propagation",
     "sample_random_detector",
     "decohered_probability",
+    "decohered_probability_sweep",
 ]
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -197,6 +198,75 @@ def sample_random_detector(K: int, energy_scale: float, seed: int) -> DetectorMo
     return DetectorModel(a, e0, e1)
 
 
+# Trials are drawn in chunks of about this many detector configurations
+# (trials x K elements), so a sweep's memory does not grow with its trials.
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _draw_detectors(K: int, energy_scale: float, trial_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights |a_k|^2 and energy gaps A_k - B_k of one detector per trial seed.
+
+    Row i is ``sample_random_detector(K, energy_scale, trial_seeds[i])``,
+    bit for bit, with the same normalisation check as ``DetectorModel``.
+    """
+    seeds = trial_seeds[:, None]
+    idx = np.arange(K, dtype=np.uint64)
+    a = standard_normal(derive_seed(seeds, "amp_re"), idx) + 1j * standard_normal(derive_seed(seeds, "amp_im"), idx)
+    for row in a:
+        # One norm per row: np.linalg.norm(row) rounds like the scalar draw, norm(axis=1) does not.
+        nrm = np.linalg.norm(row)
+        if nrm == 0.0:
+            row[:] = 0.0
+            row[0] = 1.0
+        else:
+            row /= nrm
+    weights = np.abs(a) ** 2
+    totals = np.sum(weights, axis=1)
+    bad = ~(np.abs(totals - 1.0) <= 1e-10)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"configuration amplitudes must satisfy sum |a_k|^2 = 1, got {totals[bad][0]!r}")
+    interval = UniformInterval(0.0, energy_scale)
+    e0 = sample_uniform(interval, derive_seed(seeds, "energy_0"), idx)
+    e1 = sample_uniform(interval, derive_seed(seeds, "energy_1"), idx)
+    return weights, e0 - e1
+
+
+def decohered_probability_sweep(
+    K: int,
+    energy_scale: float,
+    taus,
+    c: PhysicalConstants = NATURAL_UNITS,
+    seed: int = 0,
+    trials: int = 100,
+) -> list[MonteCarloEstimate]:
+    """``decohered_probability`` for every tau in ``taus``, on one set of detectors.
+
+    Trial i's detector is ``sample_random_detector(K, energy_scale,
+    derive_seed(seed, "detector", i))``. All detectors are drawn once, as
+    arrays, and every tau is evaluated on them, so each estimate equals the
+    single-tau call bit for bit.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    if not (np.isfinite(energy_scale) and energy_scale > 0):
+        raise ValueError(f"energy_scale must be positive, got {energy_scale}")
+    for tau in taus:
+        if tau < 0:
+            raise ValueError(f"tau must be >= 0, got {tau}")
+    scales = [tau / (2.0 * c.hbar) for tau in taus]
+    probs = np.empty((len(scales), trials))
+    rows = max(1, _CHUNK_ELEMENTS // K)
+    for lo in range(0, trials, rows):
+        hi = min(lo + rows, trials)
+        weights, gaps = _draw_detectors(K, energy_scale, derive_seed(seed, "detector", np.arange(lo, hi, dtype=np.uint64)))
+        for out, scale in zip(probs, scales):
+            out[lo:hi] = np.sum(weights * np.cos(gaps * scale) ** 2, axis=1)
+    np.minimum(probs, 1.0 + 1e-12, out=probs)
+    return [mc_estimate(p) for p in probs]
+
+
 def decohered_probability(
     K: int,
     energy_scale: float,
@@ -208,20 +278,7 @@ def decohered_probability(
     """Average the closed-form probability over randomly drawn detectors.
 
     As energy_scale * tau / hbar grows, the per-detector cosine weights
-    oscillate incoherently and the average settles at 1/2.
+    oscillate incoherently and the average settles at 1/2. A single trial
+    reports stderr 0.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials == 1:
-        d = sample_random_detector(K, energy_scale, derive_seed(seed, "detector", 0))
-        p = prob_closed_form(d, tau, c).p_sx_plus
-        return MonteCarloEstimate(mean=p, stderr=0.0, n=1)
-
-    def one_trial(indices, base_seed):
-        out = np.empty(indices.size, dtype=np.float64)
-        for pos, i in enumerate(indices):
-            d = sample_random_detector(K, energy_scale, derive_seed(base_seed, "detector", int(i)))
-            out[pos] = prob_closed_form(d, tau, c).p_sx_plus
-        return out
-
-    return mc_mean(one_trial, trials, seed)
+    return decohered_probability_sweep(K, energy_scale, [tau], c, seed, trials)[0]

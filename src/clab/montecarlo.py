@@ -3,7 +3,13 @@
 Draws are stateless and counter-keyed: the value at (seed, index) never
 depends on other draws, so trials can be evaluated in any order, in
 parallel, or in chunks with bit-identical results. The mixing function is
-the splitmix64 finalizer applied twice, vectorized over index arrays.
+the splitmix64 finalizer applied twice, vectorized over index arrays and
+over seed arrays: a ``(trials, 1)`` column of trial seeds against a
+``(1, K)`` row of indices draws every trial in one call.
+
+A Monte Carlo sweep uses this to draw its random numbers once and evaluate
+every tau on the same draws, reducing each tau's per-trial values with
+``mc_estimate``.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ __all__ = [
     "sample_uniform",
     "standard_normal",
     "mc_mean",
+    "mc_estimate",
 ]
 
 _U64 = np.uint64
@@ -36,15 +43,24 @@ def _mix64(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> _U64(31))
 
 
-def _key(seed: int) -> np.uint64:
-    return _mix64(_U64(int(seed) & _MASK64) ^ _U64(0xA3EC4E93C0A4F205))
+def _u64(value):
+    """An int as np.uint64 (modulo 2^64), or an integer array as a uint64 array."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.uint64, copy=False)
+    return _U64(int(value) & _MASK64)
 
 
-def derive_seed(seed: int, *salts) -> int:
+def _key(seed):
+    return _mix64(_u64(seed) ^ _U64(0xA3EC4E93C0A4F205))
+
+
+def derive_seed(seed, *salts):
     """Deterministic sub-seed for an independent named stream.
 
     Salts may be ints or short strings; the same (seed, salts) always maps
-    to the same sub-seed.
+    to the same sub-seed. The seed or any int salt may also be a uint64
+    array: the result is then the array of sub-seeds, element by element
+    equal to the scalar calls. Scalar calls return an int.
     """
     acc = _key(seed)
     for salt in salts:
@@ -52,12 +68,15 @@ def derive_seed(seed: int, *salts) -> int:
             for byte in salt.encode("utf-8"):
                 acc = _mix64(acc ^ _U64(byte))
         else:
-            acc = _mix64(acc ^ _U64(int(salt) & _MASK64))
-    return int(acc)
+            acc = _mix64(acc ^ _u64(salt))
+    return acc if isinstance(acc, np.ndarray) else int(acc)
 
 
-def uniform01(seed: int, index) -> np.ndarray | float:
-    """Uniform draw(s) on [0, 1) keyed purely by (seed, index)."""
+def uniform01(seed, index) -> np.ndarray | float:
+    """Uniform draw(s) on [0, 1) keyed purely by (seed, index).
+
+    ``seed`` may be a uint64 array; it broadcasts against ``index``.
+    """
     idx = np.asarray(index, dtype=np.uint64)
     key = _key(seed)
     with np.errstate(over="ignore"):
@@ -80,13 +99,13 @@ class UniformInterval:
             raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
 
 
-def sample_uniform(interval: UniformInterval, seed: int, index) -> np.ndarray | float:
+def sample_uniform(interval: UniformInterval, seed, index) -> np.ndarray | float:
     """Uniform draw(s) on [lo, hi]; degenerate intervals return lo exactly."""
     u = uniform01(seed, index)
     return interval.lo + (interval.hi - interval.lo) * u
 
 
-def standard_normal(seed: int, index) -> np.ndarray | float:
+def standard_normal(seed, index) -> np.ndarray | float:
     """Standard normal draw(s) via Box-Muller on two sub-draws per index."""
     idx = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -129,10 +148,23 @@ def mc_mean(f, n: int, seed: int) -> MonteCarloEstimate:
     vals = np.asarray(f(idx, seed), dtype=np.float64).reshape(-1)
     if vals.size != n:
         raise ValueError(f"f returned {vals.size} values for {n} indices")
+    return mc_estimate(vals)
+
+
+def mc_estimate(values) -> MonteCarloEstimate:
+    """Mean and standard error of per-trial values, in trial order.
+
+    This is ``mc_mean``'s reduction on values already drawn; a sweep calls
+    it once per tau on the same draws. A single value has stderr 0.
+    """
+    vals = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = vals.size
+    if n < 1:
+        raise ValueError("mc_estimate needs at least one value")
     finite = np.isfinite(vals)
     if not finite.all():
         bad = int(np.nonzero(~finite)[0][0])
-        raise ValueError(f"f returned a non-finite value at trial index {bad}: {vals[bad]}")
+        raise ValueError(f"non-finite value at trial index {bad}: {vals[bad]}")
     mean = float(np.sum(vals) / n)
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MonteCarloEstimate(mean=mean, stderr=stderr, n=n)

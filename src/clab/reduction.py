@@ -58,6 +58,7 @@ __all__ = [
     "interpolation_matvec",
     "uniform_superposition",
     "recommended_steps",
+    "projected_steps",
     "SweepResult",
     "adiabatic_run",
     "success_sweep",
@@ -71,6 +72,8 @@ __all__ = [
 BRUTE_FORCE_MAX_BITS = 24
 EVOLUTION_MAX_BITS = 12
 STEPS_PER_ENERGY_TIME = 10.0
+# Limit on a sweep's projected integration steps; the n=8 criterion-6 sweep projects 84,150.
+SWEEP_MAX_STEPS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +259,17 @@ class AdiabaticSchedule:
 def recommended_steps(max_energy: float, total_time: float, c: PhysicalConstants = NATURAL_UNITS) -> int:
     """Step count keeping the per-step phase below 0.1 rad: 10 T E_max / hbar."""
     return max(1, math.ceil(STEPS_PER_ENERGY_TIME * total_time * max_energy / c.hbar))
+
+
+def projected_steps(inst: ExactCoverInstance, total_times, c: PhysicalConstants = NATURAL_UNITS) -> float:
+    """Integration steps of a sweep that runs every total time, known before any operator is built.
+
+    The sum over T of 10 T E_max / hbar, with E_max = sum_i d_i = 3 * clauses
+    (the begin operator's top eigenvalue, which also bounds the number of
+    violated clauses). Inf or NaN when a term is not finite.
+    """
+    max_energy = 3.0 * len(inst.clauses)
+    return sum(STEPS_PER_ENERGY_TIME * t * max_energy / c.hbar for t in total_times)
 
 
 @dataclass(frozen=True)
@@ -451,23 +465,31 @@ def _ground_energy_direct(h: GridHamiltonian) -> float:
     return float(scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0])
 
 
-def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int = 200) -> float | None:
-    """Smallest eigenvalue by shifted inverse iteration; None if not converged.
+def _eigenvalues_below(h: GridHamiltonian, x: float) -> int:
+    """Sturm count: how many eigenvalues of the tridiagonal operator lie below x.
 
-    The shift sits just below the Gershgorin lower bound, and each solve
-    reuses one tridiagonal LU factorization (LAPACK gttrf/gttrs), O(N).
+    Counts the negative pivots of the LDL^T factorization of H - x, O(N).
     """
-    dim = h.dim
-    off = np.abs(h.offdiag)
-    radii = np.zeros(dim)
-    radii[:-1] += off
-    radii[1:] += off
-    scale = max(1.0, float(np.abs(h.diag).max()), float(off.max(initial=0.0)))
-    shift = float((h.diag - radii).min()) - 1e-6 * scale
+    count, pivot = 0, 1.0
+    off2 = [0.0, *(h.offdiag**2).tolist()]
+    for a, b2 in zip(h.diag.tolist(), off2):
+        pivot = a - x - b2 / pivot
+        if pivot == 0.0:
+            pivot = -1e-300  # x is (to rounding) an eigenvalue; count it as below
+        count += pivot < 0.0
+    return count
+
+
+def _inverse_iteration(
+    h: GridHamiltonian, shift: float, v: np.ndarray, scale: float, tol: float, max_iter: int
+) -> tuple[float | None, np.ndarray]:
+    """Inverse iteration at a fixed shift from v: (eigenvalue, or None if not converged; last vector).
+
+    Each solve reuses one tridiagonal LU factorization (LAPACK gttrf/gttrs), O(N).
+    """
     dl, d, du, du2, ipiv, info = scipy.linalg.lapack.dgttrf(h.offdiag, h.diag - shift, h.offdiag)
     if info != 0:
-        return None
-    v = np.full(dim, dim**-0.5)
+        return None, v
     lam_old = None
     for _ in range(max_iter):
         v = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, v)[0]
@@ -477,8 +499,41 @@ def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int
         if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
             residual = np.linalg.norm(hv - lam * v)
             if residual <= 1e-8 * scale:
-                return lam
+                return lam, v
         lam_old = lam
+    return None, v
+
+
+def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int = 200) -> float | None:
+    """Smallest eigenvalue by shifted inverse iteration; None if not converged.
+
+    The shift sits just below the Gershgorin lower bound. It converges at
+    the rate (E0 - shift)/(E1 - shift), which is close to 1 when the gap
+    E1 - E0 is small against the spectrum's width (a rough potential). If
+    it stalls, Sturm counts bisect the spectrum until an interval [lo, hi]
+    holds E0 alone and E1 lies at least hi - lo above it; iteration from
+    the interval's midpoint then converges at a rate of at most 1/3.
+    """
+    dim = h.dim
+    off = np.abs(h.offdiag)
+    radii = np.zeros(dim)
+    radii[:-1] += off
+    radii[1:] += off
+    scale = max(1.0, float(np.abs(h.diag).max()), float(off.max(initial=0.0)))
+    shift = float((h.diag - radii).min()) - 1e-6 * scale
+    lam, v = _inverse_iteration(h, shift, np.full(dim, dim**-0.5), scale, tol, max_iter)
+    if lam is not None:
+        return lam
+    lo, hi, below_hi = shift, float((h.diag + radii).max()) + 1e-6 * scale, dim
+    for _ in range(max_iter):
+        if below_hi == 1 and _eigenvalues_below(h, 2.0 * hi - lo) == 1:
+            return _inverse_iteration(h, 0.5 * (lo + hi), v, scale, tol, max_iter)[0]
+        mid = 0.5 * (lo + hi)
+        below = _eigenvalues_below(h, mid)
+        if below == 0:
+            lo = mid
+        else:
+            hi, below_hi = mid, below
     return None
 
 

@@ -23,16 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decoherence import decohered_probability
+from .decoherence import decohered_probability, decohered_probability_sweep
 from .montecarlo import derive_seed
 from .qcore import PhysicalConstants
 from .reduction import (
     EVOLUTION_MAX_BITS,
+    SWEEP_MAX_STEPS,
     SpectralDecisionInstance,
     bitstring_satisfies,
     ground_energy,
     load_instance,
     most_probable_bitstring,
+    projected_steps,
     reduce_energy_decision,
     success_sweep,
 )
@@ -41,6 +43,7 @@ from .stochastic import (
     StochasticInteraction,
     analytic_mean_probability,
     mc_probability,
+    mc_probability_sweep,
     phase_span,
 )
 from .svgplot import Series, line_chart
@@ -290,11 +293,11 @@ def validate_config(raw: dict) -> dict:
 def _run_decohere(config: dict) -> dict:
     p = config["params"]
     c = PhysicalConstants(hbar=config["hbar"])
+    estimates = decohered_probability_sweep(
+        p["K"], p["energy_scale"], p["tau"], c, seed=config["seed"], trials=p["trials"]
+    )
     rows = []
-    for tau in p["tau"]:
-        est = decohered_probability(
-            p["K"], p["energy_scale"], tau, c, seed=config["seed"], trials=p["trials"]
-        )
+    for tau, est in zip(p["tau"], estimates):
         rows.append(
             {
                 "tau": tau,
@@ -324,9 +327,9 @@ def _run_stochastic(config: dict) -> dict:
     p = config["params"]
     c = PhysicalConstants(hbar=config["hbar"])
     interaction = StochasticInteraction(a_tilde=p["A_tilde"], b_tilde=p["B_tilde"], mode=p["mode"])
+    estimates = mc_probability_sweep(interaction, p["tau"], c, seed=config["seed"], n=p["n"])
     rows = []
-    for tau in p["tau"]:
-        est = mc_probability(interaction, tau, c, seed=config["seed"], n=p["n"])
+    for tau, est in zip(p["tau"], estimates):
         rows.append(
             {
                 "tau": tau,
@@ -417,6 +420,13 @@ def _run_adiabatic(config: dict) -> dict:
         )
     schedule_cfg = p["schedule"]
     total_times = [schedule_cfg["T_min"] * 2.0**k for k in range(schedule_cfg["doublings"] + 1)]
+    projected = projected_steps(inst, total_times, c)
+    if not projected <= SWEEP_MAX_STEPS:  # also rejects inf and NaN
+        raise ConfigError(
+            "params.schedule.T_min",
+            f"the sweep projects {projected:.3g} integration steps (10 T E_max / hbar summed over T); "
+            f"at most {SWEEP_MAX_STEPS:,} are allowed",
+        )
     sweep = success_sweep(inst, total_times, c, target=schedule_cfg["target"])
     rows = sweep.rows
     best_bits = most_probable_bitstring(sweep.state, inst.n)

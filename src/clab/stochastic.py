@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_mean, sample_uniform
+from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_estimate, sample_uniform
 from .qcore import NATURAL_UNITS, HermitianOperator, PhysicalConstants, StateVector
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "mean_cos_uniform",
     "analytic_mean_probability",
     "mc_probability",
+    "mc_probability_sweep",
 ]
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -189,6 +190,24 @@ def analytic_mean_probability(s: StochasticInteraction, tau: float, c: PhysicalC
     return 0.5 + 0.5 * math.cos(d_angle) * envelope
 
 
+def mc_probability_sweep(
+    s: StochasticInteraction,
+    taus,
+    c: PhysicalConstants = NATURAL_UNITS,
+    seed: int = 0,
+    n: int = 100_000,
+) -> list[MonteCarloEstimate]:
+    """``mc_probability`` for every tau in ``taus``, on one draw of n instances.
+
+    The energies are sampled once and every tau is evaluated on them, so
+    each estimate equals the single-tau call bit for bit.
+    """
+    if n < 2:
+        raise ValueError(f"mc_probability needs n >= 2, got {n}")
+    sample = sample_energies(s, seed, np.arange(n, dtype=np.uint64))
+    return [mc_estimate(overlap_probability(s, sample, tau, c)) for tau in taus]
+
+
 def mc_probability(
     s: StochasticInteraction,
     tau: float,
@@ -197,9 +216,4 @@ def mc_probability(
     n: int = 100_000,
 ) -> MonteCarloEstimate:
     """Monte Carlo mean of the per-instance probability over n instances."""
-
-    def batch(indices, base_seed):
-        sample = sample_energies(s, base_seed, indices)
-        return overlap_probability(s, sample, tau, c)
-
-    return mc_mean(batch, n, seed)
+    return mc_probability_sweep(s, [tau], c, seed, n)[0]

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import clab.decoherence as decoherence
 from clab.decoherence import (
     DetectorModel,
     MeasurementResult,
     build_interaction,
     decohered_probability,
+    decohered_probability_sweep,
     initial_product_state,
     initial_superposition,
     prob_closed_form,
@@ -16,6 +18,7 @@ from clab.decoherence import (
     propagate_exact,
     sample_random_detector,
 )
+from clab.montecarlo import derive_seed
 from clab.qcore import PhysicalConstants, StateVector, inner_product
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -203,3 +206,75 @@ class TestDecoheredProbability:
         a = decohered_probability(K=20, energy_scale=10.0, tau=0.5, seed=5, trials=8)
         b = decohered_probability(K=20, energy_scale=10.0, tau=0.5, seed=5, trials=8)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+
+def scalar_sweep(K, energy_scale, taus, c, seed, trials):
+    """(mean, stderr) per tau from one scalar draw and closed form per trial."""
+    detectors = [sample_random_detector(K, energy_scale, derive_seed(seed, "detector", i)) for i in range(trials)]
+    out = []
+    for tau in taus:
+        vals = np.array([prob_closed_form(d, tau, c).p_sx_plus for d in detectors])
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        out.append((float(np.sum(vals) / trials), stderr))
+    return out
+
+
+TAUS = [0.0, 1e-3, 0.37, 1.0, 25.0]
+
+
+class TestDecoheredProbabilitySweep:
+    @pytest.mark.parametrize("K", [1, 8, 1000])
+    @pytest.mark.parametrize("trials", [1, 2, 100])
+    def test_matches_scalar_oracle_bit_for_bit(self, K, trials):
+        c = PhysicalConstants(hbar=0.7)
+        sweep = decohered_probability_sweep(K, 40.0, TAUS, c, seed=2**64 - 1, trials=trials)
+        expected = scalar_sweep(K, 40.0, TAUS, c, 2**64 - 1, trials)
+        assert [(e.mean, e.stderr) for e in sweep] == expected
+        assert all(e.n == trials for e in sweep)
+
+    def test_tau_list_matches_single_tau_calls(self):
+        sweep = decohered_probability_sweep(30, 12.0, TAUS, seed=44, trials=17)
+        for tau, est in zip(TAUS, sweep):
+            assert est == decohered_probability(30, 12.0, tau, seed=44, trials=17)
+
+    def test_chunk_boundaries_do_not_change_results(self, monkeypatch):
+        whole = decohered_probability_sweep(8, 5.0, TAUS, seed=3, trials=23)
+        monkeypatch.setattr(decoherence, "_CHUNK_ELEMENTS", 5 * 8 + 3)  # chunks of 5 trials, the last of 3
+        chunked = decohered_probability_sweep(8, 5.0, TAUS, seed=3, trials=23)
+        assert chunked == whole
+        assert [(e.mean, e.stderr) for e in chunked] == scalar_sweep(8, 5.0, TAUS, PhysicalConstants(), 3, 23)
+
+    def test_draw_size_bounded_by_chunk(self, monkeypatch):
+        monkeypatch.setattr(decoherence, "_CHUNK_ELEMENTS", 1000)
+        sizes = []
+        draw = decoherence._draw_detectors
+
+        def recording(K, energy_scale, trial_seeds):
+            sizes.append(trial_seeds.size * K)
+            return draw(K, energy_scale, trial_seeds)
+
+        monkeypatch.setattr(decoherence, "_draw_detectors", recording)
+        decohered_probability_sweep(64, 5.0, [1.0], seed=0, trials=100)
+        assert sum(sizes) == 100 * 64 and max(sizes) <= 1000
+        sizes.clear()
+        decohered_probability_sweep(5000, 5.0, [1.0], seed=0, trials=3)  # K above the chunk: one trial at a time
+        assert sizes == [5000, 5000, 5000]
+
+    def test_normalisation_check_kept(self, monkeypatch):
+        # Amplitudes whose norm overflows normalise to all-zero weights.
+        def huge(seed, idx):
+            return np.full(np.broadcast(seed, idx).shape, 1e200)
+
+        monkeypatch.setattr(decoherence, "standard_normal", huge)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="sum"):
+            decohered_probability_sweep(4, 1.0, [1.0], seed=0, trials=3)
+
+    def test_rejects_negative_tau_and_bad_sizes(self):
+        with pytest.raises(ValueError, match="tau"):
+            decohered_probability_sweep(4, 1.0, [1.0, -0.5], seed=0, trials=3)
+        with pytest.raises(ValueError, match="trials"):
+            decohered_probability_sweep(4, 1.0, [1.0], trials=0)
+        with pytest.raises(ValueError, match="K"):
+            decohered_probability_sweep(0, 1.0, [1.0])
+        with pytest.raises(ValueError, match="energy_scale"):
+            decohered_probability_sweep(4, 0.0, [1.0])

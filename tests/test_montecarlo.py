@@ -7,7 +7,9 @@ import pytest
 from clab.montecarlo import (
     MonteCarloEstimate,
     UniformInterval,
+    _key,
     derive_seed,
+    mc_estimate,
     mc_mean,
     sample_uniform,
     standard_normal,
@@ -67,6 +69,44 @@ class TestDeriveSeed:
 
     def test_pure_function(self):
         assert derive_seed(5, "trial", 12) == derive_seed(5, "trial", 12)
+
+
+# Includes the largest seed, 2**64 - 1, and values with the top bit set.
+EDGE_SEEDS = np.array([0, 1, 12345, 2**63, 2**63 + 7, 2**64 - 1], dtype=np.uint64)
+
+
+class TestArraySeeds:
+    def test_key_matches_scalar_loop(self):
+        keys = _key(EDGE_SEEDS)
+        assert keys.dtype == np.uint64 and keys.shape == EDGE_SEEDS.shape
+        assert [int(k) for k in keys] == [int(_key(int(s))) for s in EDGE_SEEDS]
+
+    def test_derive_seed_array_seed_matches_scalar_loop(self):
+        derived = derive_seed(EDGE_SEEDS, "detector", 7, "amp_re")
+        assert isinstance(derived, np.ndarray) and derived.dtype == np.uint64
+        assert [int(d) for d in derived] == [derive_seed(int(s), "detector", 7, "amp_re") for s in EDGE_SEEDS]
+
+    def test_derive_seed_array_salt_matches_scalar_loop(self):
+        salts = np.concatenate([np.arange(50, dtype=np.uint64), EDGE_SEEDS])
+        for seed in (0, 2**64 - 1):
+            derived = derive_seed(seed, "detector", salts)
+            assert [int(d) for d in derived] == [derive_seed(seed, "detector", int(i)) for i in salts]
+
+    def test_scalar_calls_return_int(self):
+        assert type(derive_seed(2**64 - 1, "x", 3)) is int
+        assert type(derive_seed(np.uint64(5), "x")) is int
+
+    @pytest.mark.parametrize(
+        "draw",
+        [uniform01, standard_normal, lambda seed, idx: sample_uniform(UniformInterval(-2.0, 3.0), seed, idx)],
+        ids=["uniform01", "standard_normal", "sample_uniform"],
+    )
+    def test_seed_column_broadcasts_against_index_row(self, draw):
+        idx = np.arange(37, dtype=np.uint64)
+        table = draw(EDGE_SEEDS[:, None], idx[None, :])
+        assert table.shape == (EDGE_SEEDS.size, idx.size)
+        for row, seed in zip(table, EDGE_SEEDS):
+            np.testing.assert_array_equal(row, draw(int(seed), idx))
 
 
 class TestMcMean:
@@ -130,6 +170,24 @@ class TestMcMean:
         for chunk in np.array_split(order, 7):
             vals[chunk] = f(chunk.astype(np.uint64), 5)
         assert float(np.sum(vals) / 4096) == est.mean
+
+    def test_estimate_of_drawn_values_matches_mc_mean(self):
+        def f(idx, seed):
+            return np.cos(uniform01(seed, idx))
+
+        est = mc_mean(f, 3001, seed=9)
+        again = mc_estimate(f(np.arange(3001, dtype=np.uint64), 9))
+        assert (again.mean, again.stderr, again.n) == (est.mean, est.stderr, est.n)
+
+    def test_estimate_of_one_value_has_zero_stderr(self):
+        est = mc_estimate([0.25])
+        assert (est.mean, est.stderr, est.n) == (0.25, 0.0, 1)
+
+    def test_estimate_rejects_empty_and_non_finite(self):
+        with pytest.raises(ValueError, match="at least one"):
+            mc_estimate([])
+        with pytest.raises(ValueError, match="index 1"):
+            mc_estimate([0.5, math.inf])
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):

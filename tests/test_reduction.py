@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import clab.reduction as reduction
 from clab.qcore import PhysicalConstants, StateVector
 from clab.reduction import (
     AdiabaticSchedule,
@@ -21,6 +23,7 @@ from clab.reduction import (
     interpolation_matvec,
     load_instance,
     most_probable_bitstring,
+    projected_steps,
     recommended_steps,
     reduce_energy_decision,
     save_instance,
@@ -247,6 +250,14 @@ class TestAdiabaticRun:
         assert sweep.satisfying_count == len(brute_force_exact_cover(inst))
         assert sweep.state.dim == 8
 
+    def test_projected_steps_match_the_sweep(self):
+        inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / "ec_n8_unique.json")
+        times = [2.0**k for k in range(8)]  # the criterion-6 sweep
+        max_energy = build_begin_hamiltonian(inst).max_eigenvalue()
+        assert max_energy == 3 * len(inst.clauses) >= build_cost_hamiltonian(inst).energies.max()
+        assert projected_steps(inst, times) == sum(recommended_steps(max_energy, t) for t in times) == 84_150
+        assert projected_steps(inst, [1e308, 2e308]) == math.inf
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="total_time"):
             AdiabaticSchedule(total_time=0.0, steps=10)
@@ -279,7 +290,7 @@ class TestGridHamiltonian:
     def test_matches_dense_reference(self, grid_points):
         rng = np.random.default_rng(grid_points)
         x = np.linspace(0.0, 1.0, grid_points)
-        # smooth random potential: a few Fourier modes (on rough ones inverse iteration can stall)
+        # smooth random potential: a few Fourier modes (rough ones: test_inverse_converges_on_rough_potential)
         potential = sum(rng.uniform(-5, 5) * np.sin((m + 1) * math.pi * x + rng.uniform(0, 6.3)) for m in range(4))
         inst = SpectralDecisionInstance(
             grid_points=grid_points,
@@ -296,6 +307,37 @@ class TestGridHamiltonian:
         exact = np.linalg.eigvalsh(reference)[0]
         for method in ("dense", "inverse"):
             assert abs(ground_energy(h, method=method) - exact) <= 1e-10 * max(1.0, abs(exact))
+
+    @pytest.mark.filterwarnings("error")  # the fallback to the direct solver would hide the cross-check
+    @pytest.mark.parametrize("grid_points,box_length,seed", [(257, 10.0, 257), (4096, 30.0, 2), (4096, 100.0, 1)])
+    def test_inverse_converges_on_rough_potential(self, monkeypatch, grid_points, box_length, seed):
+        # An iid potential leaves a gap E1 - E0 far below the spectrum's width, where the Gershgorin shift stalls.
+        rng = np.random.default_rng(seed)
+        inst = SpectralDecisionInstance(
+            grid_points=grid_points,
+            box_length=box_length,
+            mass=1.0,
+            potential=rng.uniform(-5.0, 5.0, grid_points),
+            threshold=0.0,
+        )
+        h, _ = reduce_energy_decision(inst)
+        counts = []
+        sturm = reduction._eigenvalues_below
+        monkeypatch.setattr(reduction, "_eigenvalues_below", lambda h, x: counts.append(x) or sturm(h, x))
+        direct = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0]
+        assert abs(ground_energy(h, method="inverse") - direct) <= 1e-9 * max(1.0, abs(direct))
+        assert counts, "the Gershgorin-shift iteration converged; the case no longer reaches the fallback"
+
+    def test_sturm_count_matches_spectrum(self):
+        rng = np.random.default_rng(5)
+        inst = SpectralDecisionInstance(
+            grid_points=60, box_length=4.0, mass=1.0, potential=rng.uniform(-5.0, 5.0, 60), threshold=0.0
+        )
+        h, _ = reduce_energy_decision(inst)
+        spectrum = np.linalg.eigvalsh(h.dense())
+        gaps = np.diff(spectrum)
+        for x in [spectrum[0] - 1.0, *(spectrum[:-1] + 0.5 * gaps), spectrum[-1] + 1.0]:
+            assert reduction._eigenvalues_below(h, x) == int(np.sum(spectrum < x))
 
     def test_grid_refinement_converges(self):
         coarse = ground_energy(reduce_energy_decision(harmonic_instance(grid_points=256))[0])

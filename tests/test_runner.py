@@ -138,6 +138,17 @@ class TestRun:
         assert echoed["params"]["K"] == 50
         assert echoed["params"]["trials"] == 10
 
+    @pytest.mark.parametrize("experiment,params", [
+        ("decohere", {"K": 40, "energy_scale": 30.0, "trials": 25}),
+        ("stochastic", {"A_tilde": 4.0, "B_tilde": 1.0, "mode": "independent_uniform", "n": 3000}),
+    ])
+    def test_tau_sweep_rows_match_single_tau_runs(self, experiment, params):
+        taus = [0.0, 0.01, 0.3, 2.0, 50.0]
+        sweep = run({"experiment": experiment, "seed": 2**64 - 1, "hbar": 0.9, "params": {**params, "tau": taus}})
+        for tau, row in zip(taus, sweep.outputs["rows"], strict=True):
+            single = run({"experiment": experiment, "seed": 2**64 - 1, "hbar": 0.9, "params": {**params, "tau": tau}})
+            assert single.outputs["rows"] == [row]
+
     def test_compare_classical_regime(self):
         record = run(
             {
@@ -312,8 +323,13 @@ class TestCli:
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 1e308, "tau": 10.0, "n": 100}, "params.tau"),
             ("decohere", {"K": 4, "energy_scale": 1e308, "tau": [1.0, 1e10], "trials": 2}, "params.tau"),
             ("compare", {"K": 4, "energy_scale": 1e308, "tau": 1e10, "trials": 2, "n": 100}, "params.energy_scale"),
+            ("adiabatic", {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
+                           "schedule": {"T_min": 1e308}}, "params.schedule.T_min"),
+            ("adiabatic", {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
+                           "schedule": {"T_min": 1e7}}, "params.schedule.T_min"),
         ],
-        ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow"],
+        ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow",
+             "t_min_steps_overflow", "t_min_steps_over_limit"],
     )
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, experiment, params, path):
         config = self._write_config(tmp_path, {"params": params})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clab.montecarlo import mc_mean
 from clab.qcore import PhysicalConstants, expm_propagator
 from clab.stochastic import (
     EnergySample,
@@ -13,6 +14,7 @@ from clab.stochastic import (
     analytic_mean_probability,
     evolve_stochastic,
     mc_probability,
+    mc_probability_sweep,
     mean_cos_uniform,
     overlap_probability,
     phase_span,
@@ -250,3 +252,28 @@ class TestMcProbability:
         a = mc_probability(s, tau=1.0, seed=6, n=1000)
         b = mc_probability(s, tau=1.0, seed=6, n=1000)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+
+class TestMcProbabilitySweep:
+    @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
+    def test_tau_list_matches_single_tau_calls(self, mode):
+        s = StochasticInteraction(a_tilde=3.0, b_tilde=1.25, mode=mode)
+        c = PhysicalConstants(hbar=0.8)
+        taus = [0.0, 1e-3, 0.5, 2.0, 40.0]
+        sweep = mc_probability_sweep(s, taus, c, seed=2**64 - 1, n=5000)
+        assert sweep == [mc_probability(s, tau, c, seed=2**64 - 1, n=5000) for tau in taus]
+        # The per-tau reference: a fresh draw for each tau through mc_mean.
+        for tau, est in zip(taus, sweep):
+
+            def per_tau(idx, seed, tau=tau):
+                return overlap_probability(s, sample_energies(s, seed, idx), tau, c)
+
+            assert est == mc_mean(per_tau, 5000, 2**64 - 1)
+        assert sweep[0].mean == 1.0 and sweep[0].stderr == 0.0
+
+    def test_rejects_small_n_and_negative_tau(self):
+        s = StochasticInteraction(a_tilde=1.0, b_tilde=1.0)
+        with pytest.raises(ValueError, match="n >= 2"):
+            mc_probability_sweep(s, [1.0], n=1)
+        with pytest.raises(ValueError, match="tau"):
+            mc_probability_sweep(s, [1.0, -1.0], n=10)
