@@ -22,8 +22,6 @@ __all__ = [
     "inner_product",
     "tensor_product",
     "expm_propagator",
-    "first_order_propagator",
-    "first_order_amplification",
     "integrate_tdse",
 ]
 
@@ -294,30 +292,6 @@ def expm_propagator(
     return UnitaryPropagator(matrix=u)
 
 
-def first_order_propagator(
-    h: HermitianOperator, dt: float, c: PhysicalConstants = NATURAL_UNITS
-) -> np.ndarray:
-    """Truncated propagator I - i dt H / hbar, returned verbatim.
-
-    This map is not unitary for any finite dt: every eigenvalue E of H
-    contributes an amplification |1 - i dt E/hbar| = sqrt(1 + (dt E/hbar)^2).
-    Use ``first_order_amplification`` to quantify the norm growth; the
-    exact exponential (``expm_propagator``) is the canonical propagator.
-    """
-    return np.eye(h.dim, dtype=np.complex128) + (-1j * dt / c.hbar) * h.dense()
-
-
-def first_order_amplification(
-    h: HermitianOperator, dt: float, c: PhysicalConstants = NATURAL_UNITS
-) -> float:
-    """Largest singular value of the first-order propagator (>= 1)."""
-    if h.is_diagonal:
-        lam_max = float(np.abs(h.diagonal).max())
-    else:
-        lam_max = float(np.abs(np.linalg.eigvalsh(h.dense())).max())
-    return float(np.sqrt(1.0 + (dt * lam_max / c.hbar) ** 2))
-
-
 @dataclass(frozen=True)
 class TdseResult:
     """Final state plus the worst norm drift observed before renormalization."""
@@ -327,8 +301,8 @@ class TdseResult:
     steps: int
 
 
-def _expm_apply(apply_h, amps: np.ndarray, scale: complex, theta: float) -> np.ndarray:
-    """exp(scale * H) @ amps via a scaled Taylor series; ``apply_h(v)`` returns H v.
+def _expm_apply(matvec, amps: np.ndarray, scale: complex, theta: float) -> np.ndarray:
+    """exp(scale * H) @ amps via a scaled Taylor series; ``matvec(v)`` returns H v.
 
     ``theta`` must bound |scale| * ||H||. Substeps keep each series
     argument <= 1, where 24 terms leave a remainder below 1e-23, so the
@@ -341,7 +315,7 @@ def _expm_apply(apply_h, amps: np.ndarray, scale: complex, theta: float) -> np.n
         term = out
         acc = out.copy()
         for k in range(1, 25):
-            term = (s / k) * apply_h(term)
+            term = (s / k) * matvec(term)
             acc += term
             if np.abs(term).max() <= 1e-16 * np.abs(acc).max():
                 break
@@ -350,7 +324,7 @@ def _expm_apply(apply_h, amps: np.ndarray, scale: complex, theta: float) -> np.n
 
 
 def integrate_tdse(
-    apply_h,
+    h_at,
     psi0: StateVector,
     t_final: float,
     steps: int,
@@ -365,9 +339,9 @@ def integrate_tdse(
     pre-renormalization drift |norm - 1| is reported, with a warning above
     1e-6 suggesting more steps.
 
-    ``apply_h(t, v)`` returns H(t) v for a vector of the state's
-    dimension; ``spectral_bound`` must bound the spectral norm of every
-    H(t).
+    ``h_at(t)`` returns the matvec ``v -> H(t) v`` for vectors of the
+    state's dimension; it is called once per step. ``spectral_bound`` must
+    bound the spectral norm of every H(t).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -378,8 +352,7 @@ def integrate_tdse(
     scale = -1j * dt / c.hbar
     theta = abs(dt / c.hbar) * spectral_bound
     for j in range(steps):
-        t = (j + 0.5) * dt
-        amps = _expm_apply(lambda v: apply_h(t, v), amps, scale, theta)
+        amps = _expm_apply(h_at((j + 0.5) * dt), amps, scale, theta)
         drift = max(drift, abs(float(np.linalg.norm(amps)) - 1.0))
     if drift > DRIFT_WARN_THRESHOLD:
         warnings.warn(

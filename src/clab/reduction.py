@@ -45,8 +45,6 @@ __all__ = [
     "ExactCoverInstance",
     "CostHamiltonian",
     "BeginHamiltonian",
-    "AdiabaticSchedule",
-    "AdiabaticResult",
     "SpectralDecisionInstance",
     "GridHamiltonian",
     "load_instance",
@@ -60,7 +58,6 @@ __all__ = [
     "recommended_steps",
     "projected_steps",
     "SweepResult",
-    "adiabatic_run",
     "success_sweep",
     "most_probable_bitstring",
     "reduce_energy_decision",
@@ -109,10 +106,25 @@ class ExactCoverInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExactCoverInstance":
+        """Parse the JSON form; ``n`` and every index must be JSON integers, not floats, strings or bools."""
+        if not isinstance(data, dict):
+            raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
         extra = set(data) - {"n", "clauses"}
         if extra:
             raise ValueError(f"unknown instance keys: {sorted(extra)}")
-        return cls(n=int(data["n"]), clauses=tuple(tuple(c) for c in data["clauses"]))
+        n, clauses = data.get("n"), data.get("clauses")
+        if not _is_json_int(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if not isinstance(clauses, list):
+            raise ValueError(f"clauses must be a list of [i, j, k] lists, got {clauses!r}")
+        for clause in clauses:
+            if not (isinstance(clause, list) and len(clause) == 3 and all(map(_is_json_int, clause))):
+                raise ValueError(f"clause {clause!r} must be a list of 3 integers")
+        return cls(n=n, clauses=tuple(tuple(c) for c in clauses))
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_instance(path) -> ExactCoverInstance:
@@ -207,14 +219,13 @@ def build_begin_hamiltonian(inst: ExactCoverInstance) -> BeginHamiltonian:
 
 
 def interpolation_matvec(h0: BeginHamiltonian, hc: CostHamiltonian):
-    """Matrix-free H(s) v for the linear schedule (1 - s) H_begin + s H_cost.
+    """Matrix-free H(s) for the linear schedule (1 - s) H_begin + s H_cost.
 
     With w_i = d_i/2 and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i],
     so H(s) v = ((1 - s) W + s E) v - (1 - s) sum_i w_i v[z XOR bit_i].
     The flip-index table (one row per bit in some clause) is built here,
-    once; the returned ``apply(s, v)`` costs O(n 2^n). The s-dependent
-    coefficients are kept for the last s, because an integrator applies
-    H(s) several times at each s.
+    once; the returned ``at(s)`` assembles the s-dependent coefficients and
+    returns the matvec ``v -> H(s) v``, which costs O(n 2^n).
     """
     sites = np.flatnonzero(h0.d)
     flips = np.arange(1 << h0.n)[None, :] ^ np.left_shift(1, h0.n - 1 - sites)[:, None]
@@ -222,16 +233,12 @@ def interpolation_matvec(h0: BeginHamiltonian, hc: CostHamiltonian):
     w_total = float(w.sum())
     w = w.astype(np.complex128)  # complex weights save a cast per product with the state
     energies = hc.energies.astype(np.float64)
-    cached = [(None, None, None)]  # (s, (1 - s) W + s E, (1 - s) w), swapped whole so threads see one s
 
-    def apply(s: float, v: np.ndarray) -> np.ndarray:
-        last_s, diag, scaled_w = cached[0]
-        if s != last_s:
-            diag, scaled_w = (1.0 - s) * w_total + s * energies, (1.0 - s) * w
-            cached[0] = s, diag, scaled_w
-        return diag * v - scaled_w @ v[flips]
+    def at(s: float):
+        diag, scaled_w = (1.0 - s) * w_total + s * energies, (1.0 - s) * w
+        return lambda v: diag * v - scaled_w @ v[flips]
 
-    return apply
+    return at
 
 
 def uniform_superposition(n: int) -> StateVector:
@@ -242,45 +249,27 @@ def uniform_superposition(n: int) -> StateVector:
 # Adiabatic sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdiabaticSchedule:
-    """Total time T and step count for one interpolation run."""
-
-    total_time: float
-    steps: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.total_time) and self.total_time > 0):
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-
-
 def recommended_steps(max_energy: float, total_time: float, c: PhysicalConstants = NATURAL_UNITS) -> int:
     """Step count keeping the per-step phase below 0.1 rad: 10 T E_max / hbar."""
     return max(1, math.ceil(STEPS_PER_ENERGY_TIME * total_time * max_energy / c.hbar))
 
 
+def _max_energy(inst: ExactCoverInstance) -> float:
+    """E_max = sum_i d_i = 3 * clauses, a bound on the spectral norm of every H(s).
+
+    It is the begin operator's top eigenvalue and also bounds the number of
+    violated clauses.
+    """
+    return 3.0 * len(inst.clauses)
+
+
 def projected_steps(inst: ExactCoverInstance, total_times, c: PhysicalConstants = NATURAL_UNITS) -> float:
     """Integration steps of a sweep that runs every total time, known before any operator is built.
 
-    The sum over T of 10 T E_max / hbar, with E_max = sum_i d_i = 3 * clauses
-    (the begin operator's top eigenvalue, which also bounds the number of
-    violated clauses). Inf or NaN when a term is not finite.
+    The sum over T of 10 T E_max / hbar; inf or NaN when a term is not finite.
     """
-    max_energy = 3.0 * len(inst.clauses)
-    return sum(STEPS_PER_ENERGY_TIME * t * max_energy / c.hbar for t in total_times)
-
-
-@dataclass(frozen=True)
-class AdiabaticResult:
-    """Final state of one run plus the weight on satisfying assignments."""
-
-    state: StateVector
-    success_probability: float
-    norm_drift: float
-    total_time: float
-    steps: int
+    e_max = _max_energy(inst)
+    return sum(STEPS_PER_ENERGY_TIME * t * e_max / c.hbar for t in total_times)
 
 
 @dataclass(frozen=True)
@@ -292,87 +281,40 @@ class SweepResult:
     satisfying_count: int
 
 
-class _Evolution:
-    """The operators of one instance, built once and shared by every run of a sweep."""
-
-    def __init__(self, inst: ExactCoverInstance):
-        if inst.n > EVOLUTION_MAX_BITS:
-            raise ValueError(f"evolution capped at n <= {EVOLUTION_MAX_BITS}, got {inst.n}")
-        h0 = build_begin_hamiltonian(inst)
-        hc = build_cost_hamiltonian(inst)
-        self.n = inst.n
-        self.apply = interpolation_matvec(h0, hc)
-        self.solutions = hc.energies == 0
-        self.max_energy = max(h0.max_eigenvalue(), float(hc.energies.max(initial=0)))
-
-    def run(self, schedule: AdiabaticSchedule, c: PhysicalConstants) -> AdiabaticResult:
-        rec = recommended_steps(self.max_energy, schedule.total_time, c)
-        if schedule.steps < rec:
-            warnings.warn(
-                f"schedule has {schedule.steps} steps; {rec} recommended for "
-                f"T={schedule.total_time} at max energy {self.max_energy}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        apply, total = self.apply, schedule.total_time
-        result = integrate_tdse(
-            lambda t, v: apply(t / total, v), uniform_superposition(self.n), total, schedule.steps, self.max_energy, c
-        )
-        success = float(result.state.probabilities()[self.solutions].sum())
-        return AdiabaticResult(
-            state=result.state,
-            success_probability=success,
-            norm_drift=result.norm_drift,
-            total_time=schedule.total_time,
-            steps=schedule.steps,
-        )
-
-
-def adiabatic_run(
-    inst: ExactCoverInstance,
-    schedule: AdiabaticSchedule,
-    c: PhysicalConstants = NATURAL_UNITS,
-) -> AdiabaticResult:
-    """Integrate the interpolated Hamiltonian from the uniform superposition.
-
-    Success probability is the total final weight on the zero set of the
-    cost operator, i.e. on the satisfying assignments.
-    """
-    return _Evolution(inst).run(schedule, c)
-
-
 def success_sweep(
     inst: ExactCoverInstance,
     total_times,
     c: PhysicalConstants = NATURAL_UNITS,
     target: float | None = None,
 ) -> SweepResult:
-    """Run the schedule at each total time, stopping early once ``target`` is hit.
+    """Integrate the interpolation from the uniform superposition at each total time.
 
-    The operators are built once for the whole sweep. Step counts follow
-    the recommendation for each T. Each row holds T, steps, success
-    probability, and norm drift.
+    The operators are built once for the whole sweep; each run takes
+    ``recommended_steps(E_max, T)`` steps, and the sweep stops early once
+    ``target`` is hit. Success is the final weight on the zero set of the
+    cost operator, i.e. on the satisfying assignments. Each row holds T,
+    steps, success probability, and norm drift.
     """
-    evolution = _Evolution(inst)
+    if inst.n > EVOLUTION_MAX_BITS:
+        raise ValueError(f"evolution capped at n <= {EVOLUTION_MAX_BITS}, got {inst.n}")
+    total_times = [float(t) for t in total_times]
+    if not total_times or not all(math.isfinite(t) and t > 0 for t in total_times):
+        raise ValueError(f"need one or more finite, positive total times, got {total_times}")
+    hc = build_cost_hamiltonian(inst)
+    at = interpolation_matvec(build_begin_hamiltonian(inst), hc)
+    solutions = hc.energies == 0
+    e_max = _max_energy(inst)
     rows = []
-    last = None
     for total_time in total_times:
-        schedule = AdiabaticSchedule(
-            total_time=float(total_time),
-            steps=recommended_steps(evolution.max_energy, float(total_time), c),
+        steps = recommended_steps(e_max, total_time, c)
+        result = integrate_tdse(
+            lambda t: at(t / total_time), uniform_superposition(inst.n), total_time, steps, e_max, c
         )
-        last = evolution.run(schedule, c)
-        rows.append(
-            {
-                "T": last.total_time,
-                "steps": last.steps,
-                "success_probability": last.success_probability,
-                "norm_drift": last.norm_drift,
-            }
-        )
-        if target is not None and last.success_probability >= target:
+        success = float(result.state.probabilities()[solutions].sum())
+        rows.append({"T": total_time, "steps": steps, "success_probability": success, "norm_drift": result.norm_drift})
+        if target is not None and success >= target:
             break
-    return SweepResult(rows=rows, state=last.state, satisfying_count=int(evolution.solutions.sum()))
+    return SweepResult(rows=rows, state=result.state, satisfying_count=int(solutions.sum()))
 
 
 def most_probable_bitstring(state: StateVector, n: int) -> str:

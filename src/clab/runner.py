@@ -290,6 +290,14 @@ def validate_config(raw: dict) -> dict:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
+def _chart(rows: list, x: str, ys: list, title: str, xlabel: str, ylabel: str) -> dict | None:
+    """The chart block of a sweep's payload; None for a single row. Log x when every x is positive."""
+    if len(rows) < 2:
+        return None
+    logx = all(row[x] > 0 for row in rows)
+    return {"x": x, "ys": ys, "title": title, "xlabel": xlabel, "ylabel": ylabel, "logx": logx}
+
+
 def _run_decohere(config: dict) -> dict:
     p = config["params"]
     c = PhysicalConstants(hbar=config["hbar"])
@@ -306,20 +314,12 @@ def _run_decohere(config: dict) -> dict:
                 "p_stderr": est.stderr,
             }
         )
-    chart = None
-    if len(rows) > 1:
-        chart = {
-            "x": "tau",
-            "ys": ["p_mean"],
-            "title": "Averaged return probability vs interaction time",
-            "xlabel": "tau",
-            "ylabel": "probability",
-            "logx": all(r["tau"] > 0 for r in rows),
-        }
     return {
         "rows": rows,
         "summary": {"K": p["K"], "energy_scale": p["energy_scale"], "trials": p["trials"], "final_p_mean": rows[-1]["p_mean"]},
-        "chart": chart,
+        "chart": _chart(
+            rows, "tau", ["p_mean"], "Averaged return probability vs interaction time", "tau", "probability"
+        ),
     }
 
 
@@ -339,20 +339,12 @@ def _run_stochastic(config: dict) -> dict:
                 "p_analytic": analytic_mean_probability(interaction, tau, c),
             }
         )
-    chart = None
-    if len(rows) > 1:
-        chart = {
-            "x": "tau",
-            "ys": ["p_mean", "p_analytic"],
-            "title": "Stochastic return probability vs interaction time",
-            "xlabel": "tau",
-            "ylabel": "probability",
-            "logx": all(r["tau"] > 0 for r in rows),
-        }
     return {
         "rows": rows,
         "summary": {"mode": p["mode"], "n": p["n"], "final_p_mean": rows[-1]["p_mean"]},
-        "chart": chart,
+        "chart": _chart(
+            rows, "tau", ["p_mean", "p_analytic"], "Stochastic return probability vs interaction time", "tau", "probability"
+        ),
     }
 
 
@@ -384,16 +376,6 @@ def _run_compare(config: dict) -> dict:
                 "abs_difference": abs(dec.mean - sto.mean),
             }
         )
-    chart = None
-    if len(rows) > 1:
-        chart = {
-            "x": "spread",
-            "ys": ["p_decohered", "p_stochastic"],
-            "title": "Two classical limits on matched parameters",
-            "xlabel": "dimensionless spread",
-            "ylabel": "probability",
-            "logx": all(r["spread"] > 0 for r in rows),
-        }
     last = rows[-1]
     return {
         "rows": rows,
@@ -403,7 +385,10 @@ def _run_compare(config: dict) -> dict:
             "final_p_decohered": last["p_decohered"],
             "final_p_stochastic": last["p_stochastic"],
         },
-        "chart": chart,
+        "chart": _chart(
+            rows, "spread", ["p_decohered", "p_stochastic"], "Two classical limits on matched parameters",
+            "dimensionless spread", "probability",
+        ),
     }
 
 
@@ -412,7 +397,7 @@ def _run_adiabatic(config: dict) -> dict:
     c = PhysicalConstants(hbar=config["hbar"])
     try:
         inst = load_instance(p["instance_path"])
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("params.instance_path", f"cannot load instance: {exc}") from exc
     if inst.n > EVOLUTION_MAX_BITS:
         raise ConfigError(
@@ -430,14 +415,6 @@ def _run_adiabatic(config: dict) -> dict:
     sweep = success_sweep(inst, total_times, c, target=schedule_cfg["target"])
     rows = sweep.rows
     best_bits = most_probable_bitstring(sweep.state, inst.n)
-    chart = {
-        "x": "T",
-        "ys": ["success_probability"],
-        "title": "Success probability vs total schedule time",
-        "xlabel": "T",
-        "ylabel": "success probability",
-        "logx": True,
-    } if len(rows) > 1 else None
     return {
         "rows": rows,
         "summary": {
@@ -451,7 +428,9 @@ def _run_adiabatic(config: dict) -> dict:
             "most_probable_satisfies": bitstring_satisfies(inst, best_bits),
             "threshold_note": "success target and doubling sweep are implementation choices",
         },
-        "chart": chart,
+        "chart": _chart(
+            rows, "T", ["success_probability"], "Success probability vs total schedule time", "T", "success probability"
+        ),
     }
 
 
@@ -534,7 +513,12 @@ def run(config: dict) -> ResultRecord:
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outputs = _RUNNERS[normalized["experiment"]](normalized)
+        try:
+            outputs = _RUNNERS[normalized["experiment"]](normalized)
+        except ConfigError:
+            raise
+        except (ValueError, ArithmeticError) as exc:  # np.linalg.LinAlgError is a ValueError
+            raise NumericalFailure(f"{normalized['experiment']}: {type(exc).__name__}: {exc}") from exc
     _check_finite(outputs, "outputs")
     return ResultRecord(
         experiment=normalized["experiment"],

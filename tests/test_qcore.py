@@ -12,8 +12,6 @@ from clab.qcore import (
     StateVector,
     UnitaryPropagator,
     expm_propagator,
-    first_order_amplification,
-    first_order_propagator,
     inner_product,
     integrate_tdse,
     tensor_product,
@@ -187,32 +185,10 @@ class TestExpmPropagator:
         assert abs(u.apply(psi).norm() - 1.0) <= 1e-10
 
 
-class TestFirstOrderPropagator:
-    def test_zero_generator(self):
-        h = HermitianOperator.from_diagonal([0.0, 0.0])
-        np.testing.assert_allclose(first_order_propagator(h, 2.0), np.eye(2))
-
-    def test_diagonal_entry_and_amplification(self):
-        h = HermitianOperator.from_diagonal([4.0])
-        dt = 0.5
-        m = first_order_propagator(h, dt)
-        assert m[0, 0] == pytest.approx(1.0 - 2.0j, abs=1e-15)
-        growth = abs(m[0, 0]) ** 2
-        assert growth == pytest.approx(1.0 + (dt * 4.0) ** 2, abs=1e-12)
-        assert first_order_amplification(h, dt) == pytest.approx(math.sqrt(5.0), abs=1e-12)
-
-    def test_non_unitary_for_finite_step(self):
-        h = HermitianOperator.from_diagonal([1.0, 2.0])
-        m = first_order_propagator(h, 0.3)
+class TestUnitaryPropagator:
+    def test_rejects_non_unitary_matrix(self):
         with pytest.raises(ValueError, match="not unitary"):
-            UnitaryPropagator(matrix=m)
-
-    def test_agrees_with_exponential_at_tiny_step(self):
-        h = HermitianOperator.from_diagonal([1.0])
-        dt = 1e-8
-        exact = expm_propagator(h, dt).matrix[0, 0]
-        approx = first_order_propagator(h, dt)[0, 0]
-        assert abs(exact - approx) <= 1e-15
+            UnitaryPropagator(matrix=[[1.0, 0.0], [0.0, 2.0]])
 
 
 class TestIntegrateTdse:
@@ -220,7 +196,7 @@ class TestIntegrateTdse:
         h = random_hermitian(24, seed=31, scale=1.5)
         psi0 = random_state(24, seed=32)
         direct = expm_propagator(h, 2.0).apply(psi0)
-        stepped = integrate_tdse(lambda t, v: h.matvec(v), psi0, 2.0, steps=64, spectral_bound=h.spectral_bound()).state
+        stepped = integrate_tdse(lambda t: h.matvec, psi0, 2.0, steps=64, spectral_bound=h.spectral_bound()).state
         overlap = abs(inner_product(direct, stepped))
         assert overlap == pytest.approx(1.0, abs=1e-10)
         assert np.abs(direct.amps - stepped.amps).max() <= 1e-10
@@ -228,7 +204,7 @@ class TestIntegrateTdse:
     def test_zero_hamiltonian_is_identity(self):
         psi0 = random_state(8, seed=41)
         zero = HermitianOperator.from_diagonal(np.zeros(8))
-        out = integrate_tdse(lambda t, v: zero.matvec(v), psi0, 5.0, steps=7, spectral_bound=0.0)
+        out = integrate_tdse(lambda t: zero.matvec, psi0, 5.0, steps=7, spectral_bound=0.0)
         np.testing.assert_allclose(out.state.amps, psi0.amps, atol=1e-15)
         assert out.norm_drift <= 1e-15
 
@@ -237,25 +213,36 @@ class TestIntegrateTdse:
         h1 = random_hermitian(8, seed=52)
         total = 3.0
 
-        def apply_h(t, v):
+        def h_at(t):
             s = t / total
-            return (1 - s) * h0.matvec(v) + s * h1.matvec(v)
+            return lambda v: (1 - s) * h0.matvec(v) + s * h1.matvec(v)
 
         bound = max(h0.spectral_bound(), h1.spectral_bound())
         psi0 = random_state(8, seed=53)
-        coarse = integrate_tdse(apply_h, psi0, total, steps=600, spectral_bound=bound).state
-        fine = integrate_tdse(apply_h, psi0, total, steps=1200, spectral_bound=bound).state
+        coarse = integrate_tdse(h_at, psi0, total, steps=600, spectral_bound=bound).state
+        fine = integrate_tdse(h_at, psi0, total, steps=1200, spectral_bound=bound).state
         assert 1.0 - abs(inner_product(coarse, fine)) <= 1e-6
 
     def test_reports_small_drift_on_exact_path(self):
         h = random_hermitian(16, seed=61)
         res = integrate_tdse(
-            lambda t, v: h.matvec(v), random_state(16, seed=62), 1.0, steps=50, spectral_bound=h.spectral_bound()
+            lambda t: h.matvec, random_state(16, seed=62), 1.0, steps=50, spectral_bound=h.spectral_bound()
         )
         assert res.norm_drift <= 1e-8
         assert abs(res.state.norm() - 1.0) <= 1e-12
 
+    def test_assembles_hamiltonian_once_per_step_at_midpoints(self):
+        h = random_hermitian(8, seed=71)
+        times = []
+
+        def h_at(t):
+            times.append(t)
+            return h.matvec
+
+        integrate_tdse(h_at, random_state(8, seed=72), 2.0, steps=5, spectral_bound=h.spectral_bound())
+        np.testing.assert_allclose(times, [0.2, 0.6, 1.0, 1.4, 1.8], rtol=0, atol=1e-15)
+
     def test_rejects_bad_steps(self):
         h = HermitianOperator.from_diagonal([1.0])
         with pytest.raises(ValueError, match="steps"):
-            integrate_tdse(lambda t, v: h.matvec(v), StateVector([1.0]), 1.0, steps=0, spectral_bound=1.0)
+            integrate_tdse(lambda t: h.matvec, StateVector([1.0]), 1.0, steps=0, spectral_bound=1.0)

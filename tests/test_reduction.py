@@ -10,10 +10,8 @@ import scipy.linalg
 import clab.reduction as reduction
 from clab.qcore import PhysicalConstants, StateVector
 from clab.reduction import (
-    AdiabaticSchedule,
     ExactCoverInstance,
     SpectralDecisionInstance,
-    adiabatic_run,
     bitstring_satisfies,
     brute_force_exact_cover,
     build_begin_hamiltonian,
@@ -64,9 +62,10 @@ def violated_clause_counts(inst):
     return np.array(counts, dtype=float)
 
 
-def operator_columns(apply, s, dim):
+def operator_columns(at, s, dim):
     """The matrix of the matrix-free operator at s, one basis vector at a time."""
-    return np.column_stack([apply(s, e) for e in np.eye(dim, dtype=complex)])
+    matvec = at(s)
+    return np.column_stack([matvec(e) for e in np.eye(dim, dtype=complex)])
 
 
 def dense_grid_matrix(inst, c=PhysicalConstants()):
@@ -108,6 +107,20 @@ class TestExactCoverInstance:
         path.write_text(json.dumps({"n": 3, "clauses": [[1, 2, 3]], "comment": "hi"}))
         with pytest.raises(ValueError, match="unknown instance keys"):
             load_instance(path)
+
+    @pytest.mark.parametrize("data", [
+        [],
+        {"n": 3},
+        {"n": True, "clauses": []},
+        {"n": 3.0, "clauses": []},
+        {"n": 3, "clauses": [[1, 2, 3.0]]},
+        {"n": 3, "clauses": [[1, 2, "3"]]},
+        {"n": 3, "clauses": [[True, 2, 3]]},
+        {"n": 4, "clauses": [[1, 2, 3, 4]]},
+    ])
+    def test_from_dict_requires_json_integers(self, data):
+        with pytest.raises(ValueError):
+            ExactCoverInstance.from_dict(data)
 
 
 class TestBruteForce:
@@ -160,14 +173,14 @@ class TestBeginHamiltonian:
         return interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
 
     def test_no_clauses_zero_operator(self):
-        apply = self.begin_operator(ExactCoverInstance(n=2, clauses=()))
+        at = self.begin_operator(ExactCoverInstance(n=2, clauses=()))
         v = np.random.default_rng(1).standard_normal(4) + 0j
-        assert np.abs(apply(0.0, v)).max() == 0.0
+        assert np.abs(at(0.0)(v)).max() == 0.0
 
     def test_membership_counts_and_ground_state(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         np.testing.assert_array_equal(build_begin_hamiltonian(inst).d, [1, 1, 1])
-        residual = self.begin_operator(inst)(0.0, uniform_superposition(3).amps)
+        residual = self.begin_operator(inst)(0.0)(uniform_superposition(3).amps)
         assert np.abs(residual).max() <= 1e-12
 
     def test_hermitian(self):
@@ -185,33 +198,35 @@ class TestInterpolate:
     def test_endpoints_exact(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         hc = build_cost_hamiltonian(inst)
-        apply = interpolation_matvec(build_begin_hamiltonian(inst), hc)
+        at = interpolation_matvec(build_begin_hamiltonian(inst), hc)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.array_equal(apply(1.0, v), hc.energies * v)
-        np.testing.assert_allclose(apply(0.0, v), kron_begin_matrix(inst) @ v, rtol=0, atol=1e-13)
+        assert np.array_equal(at(1.0)(v), hc.energies * v)
+        np.testing.assert_allclose(at(0.0)(v), kron_begin_matrix(inst) @ v, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("inst", MATVEC_INSTANCES, ids=lambda inst: f"n{inst.n}")
     def test_matvec_matches_kronecker_reference(self, inst, s):
         dim = 1 << inst.n
         reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst))
-        apply = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
         rng = np.random.default_rng(inst.n)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        np.testing.assert_allclose(apply(s, v), reference @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(at(s)(v), reference @ v, rtol=0, atol=1e-13)
 
 
 class TestAdiabaticRun:
     def test_tiny_time_stays_uniform(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        result = adiabatic_run(inst, AdiabaticSchedule(total_time=1e-8, steps=1))
-        assert result.success_probability == pytest.approx(3.0 / 8.0, abs=1e-6)
+        row = success_sweep(inst, [1e-8]).rows[0]
+        assert row["steps"] == 1
+        assert row["success_probability"] == pytest.approx(3.0 / 8.0, abs=1e-6)
 
     def test_single_clause_sweep_reaches_target(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         rows = success_sweep(inst, [1, 2, 4, 8, 16, 32], target=0.9).rows
         assert rows[-1]["success_probability"] >= 0.9
+        assert len(rows) < 6  # stopped at the target
 
     def test_success_grows_with_time(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
@@ -220,28 +235,22 @@ class TestAdiabaticRun:
 
     def test_norm_drift_bounded(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        result = adiabatic_run(inst, AdiabaticSchedule(total_time=4.0, steps=recommended_steps(3.0, 4.0)))
-        assert result.norm_drift <= 1e-6
-
-    def test_warns_on_coarse_schedule(self):
-        inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        with pytest.warns(RuntimeWarning, match="recommended"):
-            adiabatic_run(inst, AdiabaticSchedule(total_time=8.0, steps=3))
+        row = success_sweep(inst, [4.0]).rows[0]
+        assert row["steps"] == recommended_steps(3.0, 4.0)
+        assert row["norm_drift"] <= 1e-6
 
     def test_most_probable_bitstring_satisfies(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        result = adiabatic_run(inst, AdiabaticSchedule(total_time=16.0, steps=recommended_steps(3.0, 16.0)))
-        bits = most_probable_bitstring(result.state, 3)
+        bits = most_probable_bitstring(success_sweep(inst, [16.0]).state, 3)
         assert bitstring_satisfies(inst, bits)
 
     @pytest.mark.parametrize("name", ["ec_n3_single.json", "ec_n6_unique.json"])
     def test_success_matches_brute_force_set(self, name):
         inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
-        steps = recommended_steps(3.0 * len(inst.clauses), 2.0)  # sum_i d_i = 3 * clauses bounds H(s)
-        result = adiabatic_run(inst, AdiabaticSchedule(total_time=2.0, steps=steps))
-        probs = result.state.probabilities()
+        sweep = success_sweep(inst, [2.0])
+        probs = sweep.state.probabilities()
         oracle = sum(probs[int(bits, 2)] for bits in brute_force_exact_cover(inst))
-        assert result.success_probability == pytest.approx(oracle, abs=1e-15)
+        assert sweep.rows[0]["success_probability"] == pytest.approx(oracle, abs=1e-15)
 
     def test_sweep_builds_operators_once_and_reports_solutions(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
@@ -257,12 +266,17 @@ class TestAdiabaticRun:
         assert max_energy == 3 * len(inst.clauses) >= build_cost_hamiltonian(inst).energies.max()
         assert projected_steps(inst, times) == sum(recommended_steps(max_energy, t) for t in times) == 84_150
         assert projected_steps(inst, [1e308, 2e308]) == math.inf
+        small = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
+        rows = success_sweep(small, [1.0, 2.0, 4.0]).rows
+        assert sum(row["steps"] for row in rows) == projected_steps(small, [1.0, 2.0, 4.0]) == 210
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError, match="total_time"):
-            AdiabaticSchedule(total_time=0.0, steps=10)
-        with pytest.raises(ValueError, match="steps"):
-            AdiabaticSchedule(total_time=1.0, steps=0)
+        inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
+        for bad in ([0.0], [1.0, -2.0], [math.inf], [math.nan], []):
+            with pytest.raises(ValueError, match="total times"):
+                success_sweep(inst, bad)
+        with pytest.raises(ValueError, match="n <= 12"):
+            success_sweep(ExactCoverInstance(n=13, clauses=()), [1.0])
 
 
 class TestGridHamiltonian:

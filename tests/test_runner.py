@@ -337,6 +337,45 @@ class TestCli:
         assert code == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"n": 3, "clauses": 5},
+            {"n": 3, "clauses": [5]},
+            {"n": None, "clauses": []},
+            {"n": 3.7, "clauses": [[1.5, 2, 3]]},
+            {"n": "3", "clauses": [[1, 2, 3]]},
+        ],
+        ids=["clauses_not_list", "clause_not_list", "n_null", "float_indices", "n_string"],
+    )
+    def test_malformed_instance_exit_two(self, tmp_path, capsys, instance):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        config = self._write_config(tmp_path, {"params": {"instance_path": str(path), "schedule": {"T_min": 1.0}}})
+        code = cli.main(["adiabatic", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "params.instance_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment,params",
+        [
+            ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "uniform_argument"}),
+            ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "independent_uniform"}),
+            ("compare", {"K": 4, "energy_scale": [1e308], "tau": 1e-300, "trials": 2, "n": 100}),
+            ("spectral", {"grid": {"grid_points": 16, "box_length": 1e-300, "mass": 1e-300,
+                                   "potential": {"kind": "zero"}}, "E_B": 1.0}),
+            ("spectral", {"grid": {"grid_points": 16, "box_length": 1e300, "mass": 1e300,
+                                   "potential": {"kind": "harmonic", "omega": 1e300}}, "E_B": 1.0}),
+        ],
+        ids=["stochastic_uniform_nan", "stochastic_independent_nan", "compare_nan", "spectral_zero_division",
+             "spectral_overflow"],
+    )
+    def test_library_error_exit_three(self, tmp_path, capsys, experiment, params):
+        config = self._write_config(tmp_path, {"params": params})
+        code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_bad_format_exit_two(self, tmp_path, capsys):
         config = self._write_config(
             tmp_path, {"params": {"K": 10, "energy_scale": 10.0, "tau": 1.0, "trials": 5}}
