@@ -18,7 +18,6 @@ from .qcore import (
     StateVector,
     UnitaryPropagator,
     expm_propagator,
-    inner_product,
     integrate_tdse,
     tensor_product,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "StateVector",
     "UnitaryPropagator",
     "expm_propagator",
-    "inner_product",
     "integrate_tdse",
     "tensor_product",
 ]

@@ -58,7 +58,7 @@ def main(argv=None) -> int:
             config = json.load(fh)
     except OSError as exc:
         return _fail(f"cannot read config {args.config}: {exc}", 2)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         return _fail(f"config {args.config} is not valid JSON: {exc}", 2)
     if not isinstance(config, dict):
         return _fail(f"config {args.config} must contain a JSON object", 2)

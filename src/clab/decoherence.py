@@ -47,8 +47,6 @@ __all__ = [
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-MEASUREMENT_METHODS = ("closed_form", "full_propagation", "averaged")
-
 
 @dataclass(frozen=True)
 class QubitState:
@@ -71,11 +69,8 @@ class MeasurementResult:
     """Return probability for the initially prepared spin state."""
 
     p_sx_plus: float
-    method: str
 
     def __post_init__(self):
-        if self.method not in MEASUREMENT_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         if not (-1e-12 <= self.p_sx_plus <= 1.0 + 1e-12):
             raise ValueError(f"probability out of range: {self.p_sx_plus!r}")
 
@@ -153,7 +148,7 @@ def prob_closed_form(d: DetectorModel, tau: float, c: PhysicalConstants = NATURA
         raise ValueError(f"tau must be >= 0, got {tau}")
     half_angles = (d.energies_0 - d.energies_1) * (tau / (2.0 * c.hbar))
     p = float(np.sum(np.abs(d.a) ** 2 * np.cos(half_angles) ** 2))
-    return MeasurementResult(p_sx_plus=min(p, 1.0 + 1e-12), method="closed_form")
+    return MeasurementResult(p_sx_plus=min(p, 1.0 + 1e-12))
 
 
 def prob_full_propagation(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> MeasurementResult:
@@ -168,7 +163,7 @@ def prob_full_propagation(d: DetectorModel, tau: float, c: PhysicalConstants = N
     # <psi0 (x) eps_k | Psi_f> = (psi_f[0,k] + psi_f[1,k]) / sqrt(2)
     overlaps = _SQRT_HALF * (psi_f[:k] + psi_f[k:])
     p = float(np.sum(np.abs(overlaps) ** 2))
-    return MeasurementResult(p_sx_plus=min(p, 1.0 + 1e-12), method="full_propagation")
+    return MeasurementResult(p_sx_plus=min(p, 1.0 + 1e-12))
 
 
 def sample_random_detector(K: int, energy_scale: float, seed: int) -> DetectorModel:

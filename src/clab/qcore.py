@@ -19,7 +19,6 @@ __all__ = [
     "HermitianOperator",
     "UnitaryPropagator",
     "TdseResult",
-    "inner_product",
     "tensor_product",
     "expm_propagator",
     "integrate_tdse",
@@ -174,25 +173,6 @@ class HermitianOperator:
             return self._diag * vec
         return self._dense @ vec
 
-    def eigensystem(self):
-        """Eigenvalues and eigenvectors; trivial for the diagonal repr."""
-        if self._diag is not None:
-            return self._diag.copy(), np.eye(self.dim, dtype=np.complex128)
-        try:
-            w, v = np.linalg.eigh(self._dense)
-        except np.linalg.LinAlgError as exc:
-            cond = float(np.abs(self._dense).max())
-            raise np.linalg.LinAlgError(
-                f"eigendecomposition failed for dim {self.dim}, max entry {cond:.3e}: {exc}"
-            ) from exc
-        return w, v.astype(np.complex128, copy=False)
-
-    def spectral_bound(self) -> float:
-        """Cheap upper bound on max |eigenvalue| (Gershgorin row sums)."""
-        if self._diag is not None:
-            return float(np.abs(self._diag).max())
-        return float(np.abs(self._dense).sum(axis=1).max())
-
     def __repr__(self):
         kind = "diagonal" if self.is_diagonal else "dense"
         return f"HermitianOperator(dim={self.dim}, {kind})"
@@ -247,26 +227,15 @@ class UnitaryPropagator:
         u = self._matrix
         return float(np.abs(u.conj().T @ u - np.eye(self.dim)).max())
 
-    def apply_raw(self, amps: np.ndarray) -> np.ndarray:
-        if self._phases is not None:
-            return self._phases * amps
-        return self._matrix @ amps
-
     def apply(self, psi: StateVector) -> StateVector:
         if psi.dim != self.dim:
             raise ValueError(f"dimension mismatch: propagator dim {self.dim}, state dim {psi.dim}")
-        return StateVector(self.apply_raw(psi.amps), psi.basis_label)
+        amps = self._phases * psi.amps if self._phases is not None else self._matrix @ psi.amps
+        return StateVector(amps, psi.basis_label)
 
     def __repr__(self):
         kind = "phases" if self._phases is not None else "dense"
         return f"UnitaryPropagator(dim={self.dim}, {kind})"
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product <a|b> = sum_i conj(a_i) b_i."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: <a| has dim {a.dim}, |b> has dim {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
@@ -287,7 +256,7 @@ def expm_propagator(
     angle = -1j * dt / c.hbar
     if h.is_diagonal:
         return UnitaryPropagator(phases=np.exp(angle * h.diagonal))
-    w, v = h.eigensystem()
+    w, v = np.linalg.eigh(h._dense)
     u = (v * np.exp(angle * w)) @ v.conj().T
     return UnitaryPropagator(matrix=u)
 
@@ -298,7 +267,6 @@ class TdseResult:
 
     state: StateVector
     norm_drift: float
-    steps: int
 
 
 def _expm_apply(matvec, amps: np.ndarray, scale: complex, theta: float) -> np.ndarray:
@@ -362,4 +330,4 @@ def integrate_tdse(
             stacklevel=2,
         )
     final = StateVector(amps, psi0.basis_label, normalize=True)
-    return TdseResult(state=final, norm_drift=drift, steps=steps)
+    return TdseResult(state=final, norm_drift=drift)

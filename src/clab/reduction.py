@@ -28,18 +28,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from .qcore import (
-    NATURAL_UNITS,
-    HermitianOperator,
-    PhysicalConstants,
-    StateVector,
-    integrate_tdse,
-)
+from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, integrate_tdse
 
 __all__ = [
     "ExactCoverInstance",
@@ -48,7 +41,6 @@ __all__ = [
     "SpectralDecisionInstance",
     "GridHamiltonian",
     "load_instance",
-    "save_instance",
     "bitstring_satisfies",
     "brute_force_exact_cover",
     "build_cost_hamiltonian",
@@ -62,6 +54,7 @@ __all__ = [
     "most_probable_bitstring",
     "reduce_energy_decision",
     "ground_energy",
+    "below_threshold",
     "decide_energy_threshold",
     "verify_eigenpair",
 ]
@@ -101,9 +94,6 @@ class ExactCoverInstance:
             norm.append((i, j, k))
         object.__setattr__(self, "clauses", tuple(norm))
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "clauses": [list(c) for c in self.clauses]}
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExactCoverInstance":
         """Parse the JSON form; ``n`` and every index must be JSON integers, not floats, strings or bools."""
@@ -131,12 +121,6 @@ def load_instance(path) -> ExactCoverInstance:
     """Read an instance from the JSON file format {"n": ..., "clauses": [[i,j,k], ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
         return ExactCoverInstance.from_dict(json.load(fh))
-
-
-def save_instance(inst: ExactCoverInstance, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(inst.to_dict(), indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def bitstring_satisfies(inst: ExactCoverInstance, bits: str) -> bool:
@@ -186,9 +170,6 @@ class BeginHamiltonian:
 
     n: int
     d: np.ndarray
-
-    def max_eigenvalue(self) -> float:
-        return float(self.d.sum())
 
 
 def _assignment_bits(n: int) -> np.ndarray:
@@ -355,11 +336,6 @@ class SpectralDecisionInstance:
         v.setflags(write=False)
         object.__setattr__(self, "potential", v)
 
-    def grid(self) -> np.ndarray:
-        """Interior grid points; the walls sit at 0 and box_length."""
-        dx = self.box_length / (self.grid_points + 1)
-        return dx * np.arange(1, self.grid_points + 1)
-
 
 @dataclass(frozen=True)
 class GridHamiltonian:
@@ -367,7 +343,6 @@ class GridHamiltonian:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    dx: float
 
     @property
     def dim(self) -> int:
@@ -400,7 +375,7 @@ def reduce_energy_decision(
     offdiag = np.full(n - 1, -t)
     diag.setflags(write=False)
     offdiag.setflags(write=False)
-    return GridHamiltonian(diag=diag, offdiag=offdiag, dx=dx), float(inst.threshold)
+    return GridHamiltonian(diag=diag, offdiag=offdiag), float(inst.threshold)
 
 
 def _ground_energy_direct(h: GridHamiltonian) -> float:
@@ -498,42 +473,33 @@ def ground_energy(h: GridHamiltonian, method: str = "dense") -> float:
     raise ValueError(f"unknown method {method!r}, expected 'dense' or 'inverse'")
 
 
-def decide_energy_threshold(inst: SpectralDecisionInstance, c: PhysicalConstants = NATURAL_UNITS) -> bool:
-    """Is the ground energy at most the threshold? Ties resolve to yes.
+def below_threshold(energy: float, threshold: float) -> bool:
+    """Is ``energy`` at most ``threshold``? Ties resolve to yes.
 
     The comparison allows an absolute slack of 1e-9 * max(1, |threshold|)
     so that exact-tie inputs are not lost to rounding.
     """
+    return energy <= threshold + 1e-9 * max(1.0, abs(threshold))
+
+
+def decide_energy_threshold(inst: SpectralDecisionInstance, c: PhysicalConstants = NATURAL_UNITS) -> bool:
+    """Is the ground energy at most the threshold? Ties resolve to yes (see ``below_threshold``)."""
     h, threshold = reduce_energy_decision(inst, c)
-    slack = 1e-9 * max(1.0, abs(threshold))
-    return ground_energy(h) <= threshold + slack
+    return below_threshold(ground_energy(h), threshold)
 
 
-def verify_eigenpair(h, psi, energy: float, tol: float) -> bool:
-    """Residual check ||H psi - E psi||_2 <= tol.
+def verify_eigenpair(h: GridHamiltonian, psi: np.ndarray, energy: float, tol: float) -> bool:
+    """Residual check ||H psi - E psi||_2 <= tol for a 1-D array psi.
 
-    Costs one matrix-vector product (O(N) for the tridiagonal grid
-    operator), so a claimed eigenpair is checkable far more cheaply than it
-    is findable. Accepts GridHamiltonian, HermitianOperator, or a plain
-    square array.
+    Costs one O(N) matrix-vector product with the tridiagonal grid
+    operator, so a claimed eigenpair is checkable far more cheaply than it
+    is findable.
     """
-    if isinstance(h, GridHamiltonian):
-        apply_h = h.matvec
-        dim = h.dim
-    elif isinstance(h, HermitianOperator):
-        apply_h = h.matvec
-        dim = h.dim
-    else:
-        m = np.asarray(h)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        apply_h = m.__matmul__
-        dim = m.shape[0]
-    vec = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
-    if vec.size != dim:
-        raise ValueError(f"dimension mismatch: operator dim {dim}, vector dim {vec.size}")
-    nrm = np.linalg.norm(vec)
+    psi = np.asarray(psi)
+    if psi.size != h.dim:
+        raise ValueError(f"dimension mismatch: operator dim {h.dim}, vector dim {psi.size}")
+    nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"eigenvector must be normalized, |norm - 1| = {abs(nrm - 1.0):.3e}")
-    residual = float(np.linalg.norm(apply_h(vec) - energy * vec))
+    residual = float(np.linalg.norm(h.matvec(psi) - energy * psi))
     return residual <= tol

@@ -30,6 +30,7 @@ from .reduction import (
     EVOLUTION_MAX_BITS,
     SWEEP_MAX_STEPS,
     SpectralDecisionInstance,
+    below_threshold,
     bitstring_satisfies,
     ground_energy,
     load_instance,
@@ -57,12 +58,15 @@ __all__ = [
     "run",
     "emit",
     "record_to_json",
-    "record_from_json",
 ]
 
 EXPERIMENTS = ("decohere", "stochastic", "compare", "adiabatic", "spectral")
 
 EMIT_FORMATS = ("json", "csv", "svg")
+
+# Limit on the Monte Carlo draws of one sweep: K * trials detector entries, or n
+# energy instances. At the limit a decohere run with K = 10^7 peaks near 750 MiB RSS.
+MAX_DRAWS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -93,10 +97,15 @@ class ResultRecord:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _reject_unknown(mapping: dict, allowed, path: str) -> None:
-    extra = sorted(set(mapping) - set(allowed))
+def _check_keys(mapping: dict, path: str, required, optional=()) -> None:
+    """Reject the first unknown key, then the first absent one of ``required``."""
+    allowed = {*required, *optional}
+    extra = sorted(set(mapping) - allowed)
     if extra:
         raise ConfigError(f"{path}.{extra[0]}", f"unknown key (allowed: {sorted(allowed)})")
+    for key in required:
+        if key not in mapping:
+            raise ConfigError(f"{path}.{key}", "missing required key")
 
 
 def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
@@ -133,10 +142,7 @@ def _as_float_list(value, path: str, minimum: float | None = None, strict_positi
 
 
 def _validate_decohere(params: dict) -> dict:
-    _reject_unknown(params, {"K", "energy_scale", "tau", "trials"}, "params")
-    for key in ("K", "energy_scale", "tau", "trials"):
-        if key not in params:
-            raise ConfigError(f"params.{key}", "missing required key")
+    _check_keys(params, "params", ("K", "energy_scale", "tau", "trials"))
     return {
         "K": _as_int(params["K"], "params.K", minimum=1),
         "energy_scale": _as_float(params["energy_scale"], "params.energy_scale", strict_positive=True),
@@ -146,10 +152,7 @@ def _validate_decohere(params: dict) -> dict:
 
 
 def _validate_stochastic(params: dict) -> dict:
-    _reject_unknown(params, {"A_tilde", "B_tilde", "mode", "tau", "n"}, "params")
-    for key in ("A_tilde", "B_tilde", "tau", "n"):
-        if key not in params:
-            raise ConfigError(f"params.{key}", "missing required key")
+    _check_keys(params, "params", ("A_tilde", "B_tilde", "tau", "n"), ("mode",))
     mode = params.get("mode", "uniform_argument")
     if mode not in SAMPLING_MODES:
         raise ConfigError("params.mode", f"must be one of {list(SAMPLING_MODES)}, got {mode!r}")
@@ -163,10 +166,7 @@ def _validate_stochastic(params: dict) -> dict:
 
 
 def _validate_compare(params: dict) -> dict:
-    _reject_unknown(params, {"K", "energy_scale", "tau", "trials", "n"}, "params")
-    for key in ("K", "energy_scale", "tau", "trials", "n"):
-        if key not in params:
-            raise ConfigError(f"params.{key}", "missing required key")
+    _check_keys(params, "params", ("K", "energy_scale", "tau", "trials", "n"))
     return {
         "K": _as_int(params["K"], "params.K", minimum=1),
         "energy_scale": _as_float_list(params["energy_scale"], "params.energy_scale", strict_positive=True),
@@ -177,18 +177,13 @@ def _validate_compare(params: dict) -> dict:
 
 
 def _validate_adiabatic(params: dict) -> dict:
-    _reject_unknown(params, {"instance_path", "schedule"}, "params")
-    for key in ("instance_path", "schedule"):
-        if key not in params:
-            raise ConfigError(f"params.{key}", "missing required key")
+    _check_keys(params, "params", ("instance_path", "schedule"))
     if not isinstance(params["instance_path"], str):
         raise ConfigError("params.instance_path", f"expected a path string, got {params['instance_path']!r}")
     schedule = params["schedule"]
     if not isinstance(schedule, dict):
         raise ConfigError("params.schedule", "expected an object with T_min/doublings/target")
-    _reject_unknown(schedule, {"T_min", "doublings", "target"}, "params.schedule")
-    if "T_min" not in schedule:
-        raise ConfigError("params.schedule.T_min", "missing required key")
+    _check_keys(schedule, "params.schedule", ("T_min",), ("doublings", "target"))
     normalized = {
         "T_min": _as_float(schedule["T_min"], "params.schedule.T_min", strict_positive=True),
         "doublings": _as_int(schedule.get("doublings", 6), "params.schedule.doublings", minimum=0, maximum=16),
@@ -200,31 +195,23 @@ def _validate_adiabatic(params: dict) -> dict:
 
 
 def _validate_spectral(params: dict) -> dict:
-    _reject_unknown(params, {"grid", "E_B"}, "params")
-    for key in ("grid", "E_B"):
-        if key not in params:
-            raise ConfigError(f"params.{key}", "missing required key")
+    _check_keys(params, "params", ("grid", "E_B"))
     grid = params["grid"]
     if not isinstance(grid, dict):
         raise ConfigError("params.grid", "expected an object")
-    _reject_unknown(grid, {"grid_points", "box_length", "mass", "potential"}, "params.grid")
-    for key in ("grid_points", "box_length", "mass", "potential"):
-        if key not in grid:
-            raise ConfigError(f"params.grid.{key}", "missing required key")
+    _check_keys(grid, "params.grid", ("grid_points", "box_length", "mass", "potential"))
     potential = grid["potential"]
     if not isinstance(potential, dict) or "kind" not in potential:
         raise ConfigError("params.grid.potential", "expected an object with a 'kind' key")
     kind = potential["kind"]
     if kind == "zero":
-        _reject_unknown(potential, {"kind"}, "params.grid.potential")
+        _check_keys(potential, "params.grid.potential", ("kind",))
         pot = {"kind": "zero"}
     elif kind == "harmonic":
-        _reject_unknown(potential, {"kind", "omega"}, "params.grid.potential")
-        if "omega" not in potential:
-            raise ConfigError("params.grid.potential.omega", "missing required key")
+        _check_keys(potential, "params.grid.potential", ("kind", "omega"))
         pot = {"kind": "harmonic", "omega": _as_float(potential["omega"], "params.grid.potential.omega", strict_positive=True)}
     elif kind == "values":
-        _reject_unknown(potential, {"kind", "values"}, "params.grid.potential")
+        _check_keys(potential, "params.grid.potential", ("kind",), ("values",))
         if "values" not in potential or not isinstance(potential["values"], list):
             raise ConfigError("params.grid.potential.values", "missing or not a list")
         pot = {
@@ -261,11 +248,41 @@ def _require_finite_spans(scales, taus, hbar: float, path: str) -> None:
                 raise ConfigError(path, f"phase span {scale:g} * tau={tau:g} / hbar={hbar:g} is not finite")
 
 
+def _require_draws(count: int, path: str, what: str) -> None:
+    if count > MAX_DRAWS:
+        raise ConfigError(path, f"{what} = {count:,} Monte Carlo draws; at most {MAX_DRAWS:,} are allowed")
+
+
+def _require_finite_grid(grid: dict, hbar: float) -> None:
+    """Reject a grid whose operator diagonal, 2 hbar^2/(2 m dx^2) + V, is not finite.
+
+    Computed in numpy, which returns inf or NaN where the run's float arithmetic raises.
+    """
+    dx = grid["box_length"] / (grid["grid_points"] + 1)
+    potential = grid["potential"]
+    with np.errstate(all="ignore"):
+        kinetic = 2.0 * (np.float64(hbar) ** 2 / (2.0 * grid["mass"] * dx * dx))
+        if potential["kind"] == "harmonic":
+            half_box = np.float64(grid["box_length"]) / 2.0
+            peak = 0.5 * grid["mass"] * np.float64(potential["omega"]) ** 2 * half_box**2
+        else:
+            peak = max(map(abs, potential.get("values", [])), default=0.0)
+        diagonal = kinetic + peak
+    if not np.isfinite(kinetic):
+        raise ConfigError(
+            "params.grid.box_length",
+            f"kinetic term is not finite for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}",
+        )
+    if not np.isfinite(diagonal):
+        field = "omega" if potential["kind"] == "harmonic" else "values"
+        raise ConfigError(f"params.grid.potential.{field}", f"potential peak {peak:g} overflows the operator diagonal")
+
+
 def validate_config(raw: dict) -> dict:
     """Normalize a raw config dict, rejecting unknown keys and bad ranges."""
     if not isinstance(raw, dict):
         raise ConfigError("$", f"config must be an object, got {type(raw).__name__}")
-    _reject_unknown(raw, {"experiment", "seed", "hbar", "params"}, "$")
+    _check_keys(raw, "$", (), ("experiment", "seed", "hbar", "params"))
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {list(EXPERIMENTS)}, got {experiment!r}")
@@ -279,10 +296,16 @@ def validate_config(raw: dict) -> dict:
     params = _VALIDATORS[experiment](params)
     if experiment == "stochastic":
         _require_finite_spans([params["A_tilde"] + params["B_tilde"]], params["tau"], hbar, "params.tau")
+        _require_draws(params["n"], "params.n", "n")
     elif experiment == "decohere":
         _require_finite_spans([params["energy_scale"]], params["tau"], hbar, "params.tau")
+        _require_draws(params["K"] * params["trials"], "params.K", "K * trials")
     elif experiment == "compare":
         _require_finite_spans(params["energy_scale"], [params["tau"]], hbar, "params.energy_scale")
+        _require_draws(params["K"] * params["trials"], "params.K", "K * trials")
+        _require_draws(params["n"], "params.n", "n")
+    elif experiment == "spectral":
+        _require_finite_grid(params["grid"], hbar)
     return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": params}
 
 
@@ -397,7 +420,7 @@ def _run_adiabatic(config: dict) -> dict:
     c = PhysicalConstants(hbar=config["hbar"])
     try:
         inst = load_instance(p["instance_path"])
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError("params.instance_path", f"cannot load instance: {exc}") from exc
     if inst.n > EVOLUTION_MAX_BITS:
         raise ConfigError(
@@ -463,8 +486,7 @@ def _run_spectral(config: dict) -> dict:
     h, threshold = reduce_energy_decision(inst, c)
     e_dense = ground_energy(h, method="dense")
     e_inverse = ground_energy(h, method="inverse")
-    slack = 1e-9 * max(1.0, abs(threshold))
-    decision = bool(e_dense <= threshold + slack)
+    decision = below_threshold(e_dense, threshold)
     rows = [
         {
             "grid_points": p["grid"]["grid_points"],
@@ -536,18 +558,6 @@ def run(config: dict) -> ResultRecord:
 
 def record_to_json(record: ResultRecord) -> str:
     return json.dumps(dataclasses.asdict(record), indent=2, sort_keys=True) + "\n"
-
-
-def record_from_json(text: str) -> ResultRecord:
-    data = json.loads(text)
-    return ResultRecord(
-        experiment=data["experiment"],
-        config=data["config"],
-        outputs=data["outputs"],
-        warnings=data["warnings"],
-        wall_clock_s=data["wall_clock_s"],
-        version=data["version"],
-    )
 
 
 def _write_csv(rows: list[dict], path: Path) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_estimate, sample_uniform
-from .qcore import NATURAL_UNITS, HermitianOperator, PhysicalConstants, StateVector
+from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector
 
 __all__ = [
     "SAMPLING_MODES",
@@ -36,7 +36,6 @@ __all__ = [
     "EnergySample",
     "StochasticSolution",
     "sample_energies",
-    "stochastic_hamiltonian",
     "evolve_stochastic",
     "overlap_probability",
     "phase_span",
@@ -103,17 +102,6 @@ def sample_energies(s: StochasticInteraction, seed: int, index) -> EnergySample:
     span = s.a_tilde + s.b_tilde
     delta = sample_uniform(UniformInterval(-span, span), derive_seed(seed, "delta"), index)
     return EnergySample(alpha=delta, beta=np.zeros_like(delta) if np.ndim(delta) else 0.0)
-
-
-def stochastic_hamiltonian(s: StochasticInteraction, sample: EnergySample) -> HermitianOperator:
-    """2x2 diagonal interaction diag(A_tilde + alpha, B_tilde + beta).
-
-    The detector factor is the identity and is dropped, so the dynamics
-    live entirely in the particle's two-dimensional space.
-    """
-    return HermitianOperator.from_diagonal(
-        [s.a_tilde + float(sample.alpha), s.b_tilde + float(sample.beta)]
-    )
 
 
 def evolve_stochastic(

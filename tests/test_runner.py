@@ -1,17 +1,21 @@
 """Config validation, dispatch, emission formats, and the CLI surface."""
 import dataclasses
 import json
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clab.cli as cli
+import clab.runner as runner
 from clab.runner import (
+    EXPERIMENTS,
     ConfigError,
     NumericalFailure,
     emit,
-    record_from_json,
     run,
     validate_config,
 )
@@ -41,6 +45,12 @@ def adiabatic_config(**schedule):
     }
 
 
+SPECTRAL_PARAMS = {
+    "grid": {"grid_points": 8, "box_length": 1.0, "mass": 1.0, "potential": {"kind": "harmonic", "omega": 1.0}},
+    "E_B": 1.0,
+}
+
+
 class TestValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError) as err:
@@ -60,6 +70,48 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(config)
         assert err.value.path == "params.tau"
+
+    @pytest.mark.parametrize(
+        "experiment,params,drops,path",
+        [
+            ("decohere", {"K": 2, "energy_scale": 1.0, "tau": 1.0, "trials": 2}, [["trials"]], "params.trials"),
+            ("stochastic", {"A_tilde": 1.0, "B_tilde": 1.0, "tau": 1.0, "n": 2}, [["B_tilde"]], "params.B_tilde"),
+            ("stochastic", {"A_tilde": 1.0, "B_tilde": 1.0, "tau": 1.0, "n": 2}, [["tau"], ["n"]], "params.tau"),
+            ("compare", {"K": 2, "energy_scale": 1.0, "tau": 1.0, "trials": 2, "n": 2}, [["n"]], "params.n"),
+            ("adiabatic", adiabatic_config()["params"], [["schedule"]], "params.schedule"),
+            ("adiabatic", adiabatic_config()["params"], [["schedule", "T_min"]], "params.schedule.T_min"),
+            ("spectral", SPECTRAL_PARAMS, [["E_B"]], "params.E_B"),
+            ("spectral", SPECTRAL_PARAMS, [["grid", "mass"]], "params.grid.mass"),
+            ("spectral", SPECTRAL_PARAMS, [["grid", "potential", "omega"]], "params.grid.potential.omega"),
+        ],
+    )
+    def test_missing_key_names_its_path(self, experiment, params, drops, path):
+        """The first absent key in the order the config table lists them is named."""
+        params = json.loads(json.dumps(params))
+        for drop in drops:
+            node = params
+            for key in drop[:-1]:
+                node = node[key]
+            del node[drop[-1]]
+        with pytest.raises(ConfigError, match="missing required key") as err:
+            validate_config({"experiment": experiment, "params": params})
+        assert err.value.path == path
+
+    def test_draw_limit_boundary(self):
+        limit = runner.MAX_DRAWS
+        decohere = decohere_config()
+        decohere["params"].update(K=limit // 4, trials=4)
+        validate_config(decohere)
+        decohere["params"]["K"] += 1
+        with pytest.raises(ConfigError, match="K \\* trials") as err:
+            validate_config(decohere)
+        assert err.value.path == "params.K"
+        stochastic = {"experiment": "stochastic", "params": {"A_tilde": 1.0, "B_tilde": 1.0, "tau": 1.0, "n": limit}}
+        validate_config(stochastic)
+        stochastic["params"]["n"] += 1
+        with pytest.raises(ConfigError) as err:
+            validate_config(stochastic)
+        assert err.value.path == "params.n"
 
     def test_bad_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
@@ -200,8 +252,7 @@ class TestEmit:
     def test_json_roundtrip(self, tmp_path):
         record = run(decohere_config())
         (path,) = emit(record, ["json"], tmp_path)
-        loaded = record_from_json(path.read_text())
-        assert dataclasses.asdict(loaded) == dataclasses.asdict(record)
+        assert json.loads(path.read_text()) == dataclasses.asdict(record)
 
     def test_csv_row_count_matches_sweep(self, tmp_path):
         config = decohere_config()
@@ -289,8 +340,8 @@ class TestCli:
         )
         out_dir = tmp_path / "out"
         assert cli.main(["decohere", "--config", str(config), "--seed", "99", "--out", str(out_dir)]) == 0
-        record = record_from_json((out_dir / "decohere_result.json").read_text())
-        assert record.config["seed"] == 99
+        record = json.loads((out_dir / "decohere_result.json").read_text())
+        assert record["config"]["seed"] == 99
 
     def test_numerical_failure_exit_three(self, tmp_path, monkeypatch, capsys):
         config = self._write_config(
@@ -327,9 +378,17 @@ class TestCli:
                            "schedule": {"T_min": 1e308}}, "params.schedule.T_min"),
             ("adiabatic", {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
                            "schedule": {"T_min": 1e7}}, "params.schedule.T_min"),
+            ("spectral", {"grid": {"grid_points": 16, "box_length": 1e-300, "mass": 1e-300,
+                                   "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
+            ("spectral", {"grid": {"grid_points": 16, "box_length": 1e-200, "mass": 1.0,
+                                   "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
+            ("spectral", {"grid": {"grid_points": 16, "box_length": 1e300, "mass": 1e300,
+                                   "potential": {"kind": "harmonic", "omega": 1e300}}, "E_B": 1.0},
+             "params.grid.potential.omega"),
         ],
         ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow",
-             "t_min_steps_overflow", "t_min_steps_over_limit"],
+             "t_min_steps_overflow", "t_min_steps_over_limit", "spectral_zero_division", "spectral_dx_underflow",
+             "spectral_overflow"],
     )
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, experiment, params, path):
         config = self._write_config(tmp_path, {"params": params})
@@ -362,13 +421,8 @@ class TestCli:
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "uniform_argument"}),
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "independent_uniform"}),
             ("compare", {"K": 4, "energy_scale": [1e308], "tau": 1e-300, "trials": 2, "n": 100}),
-            ("spectral", {"grid": {"grid_points": 16, "box_length": 1e-300, "mass": 1e-300,
-                                   "potential": {"kind": "zero"}}, "E_B": 1.0}),
-            ("spectral", {"grid": {"grid_points": 16, "box_length": 1e300, "mass": 1e300,
-                                   "potential": {"kind": "harmonic", "omega": 1e300}}, "E_B": 1.0}),
         ],
-        ids=["stochastic_uniform_nan", "stochastic_independent_nan", "compare_nan", "spectral_zero_division",
-             "spectral_overflow"],
+        ids=["stochastic_uniform_nan", "stochastic_independent_nan", "compare_nan"],
     )
     def test_library_error_exit_three(self, tmp_path, capsys, experiment, params):
         config = self._write_config(tmp_path, {"params": params})
@@ -376,9 +430,117 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment,params,path",
+        [
+            ("decohere", {"K": 10**15, "energy_scale": 1.0, "tau": 1.0, "trials": 1}, "params.K"),
+            ("decohere", {"K": 10**4, "energy_scale": 1.0, "tau": 1.0, "trials": 10**4}, "params.K"),
+            ("stochastic", {"A_tilde": 1.0, "B_tilde": 1.0, "tau": 1.0, "n": 10**15}, "params.n"),
+            ("compare", {"K": 10**15, "energy_scale": 1.0, "tau": 1.0, "trials": 1, "n": 100}, "params.K"),
+            ("compare", {"K": 4, "energy_scale": 1.0, "tau": 1.0, "trials": 2, "n": 10**15}, "params.n"),
+        ],
+        ids=["decohere_k", "decohere_k_times_trials", "stochastic_n", "compare_k", "compare_n"],
+    )
+    def test_monte_carlo_size_exit_two(self, tmp_path, capsys, monkeypatch, experiment, params, path):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a Monte Carlo sweep started")
+
+        for name in ("decohered_probability", "decohered_probability_sweep", "mc_probability", "mc_probability_sweep"):
+            monkeypatch.setattr(runner, name, no_draws)
+        config = self._write_config(tmp_path, {"params": params})
+        code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, raw):
+        config = tmp_path / "config.json"
+        config.write_bytes(raw)
+        assert cli.main(["decohere", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_instance_exit_two(self, tmp_path, capsys, raw):
+        instance = tmp_path / "instance.json"
+        instance.write_bytes(raw)
+        config = self._write_config(tmp_path, {"params": {"instance_path": str(instance), "schedule": {"T_min": 1.0}}})
+        assert cli.main(["adiabatic", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "params.instance_path" in capsys.readouterr().err
+
     def test_bad_format_exit_two(self, tmp_path, capsys):
         config = self._write_config(
             tmp_path, {"params": {"K": 10, "energy_scale": 10.0, "tau": 1.0, "trials": 5}}
         )
         code = cli.main(["decohere", "--config", str(config), "--format", "json,yaml", "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+# Small valid configs for the fuzz test to start from, so that accepted configs
+# run in milliseconds, and the values it writes into their fields.
+FUZZ_BASES = {
+    "decohere": [{"K": 3, "energy_scale": 2.0, "tau": [0.0, 1.0], "trials": 4}],
+    "stochastic": [{"A_tilde": 1.0, "B_tilde": 0.5, "mode": "independent_uniform", "tau": [0.5, 1.0], "n": 8}],
+    "compare": [{"K": 3, "energy_scale": [1.0, 2.0], "tau": 1.0, "trials": 4, "n": 8}],
+    "adiabatic": [{"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
+                   "schedule": {"T_min": 0.5, "doublings": 2, "target": 0.9}}],
+    "spectral": [
+        {"grid": {"grid_points": 8, "box_length": 1.0, "mass": 1.0, "potential": {"kind": "harmonic", "omega": 1.0}},
+         "E_B": 1.0},
+        {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
+                  "potential": {"kind": "values", "values": [0.0, 1.0, 2.0]}}, "E_B": 1.0},
+    ],
+}
+EDGE_VALUES = [0, -1, 1e-300, 1e300, 10**30, float("nan"), None, True, "x", [1.0, 2.0]]
+FUZZ_VALUES = [*EDGE_VALUES, 1, 2, 4, 0.5, 4.0, "zero", "harmonic", "values", "uniform_argument"]
+DELETE = object()
+
+
+def field_paths(node, prefix=()):
+    """Every key path in a nested config, plus one unknown key inside each object."""
+    yield prefix + ("unknown",)
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+@st.composite
+def fuzzed_configs(draw, experiment):
+    """A base config with up to three fields set to a fuzz value or deleted."""
+    config = {"seed": 1, "hbar": 1.0, "params": json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES[experiment]))))}
+    targets = list(field_paths(config))
+    for _ in range(draw(st.integers(0, 3))):
+        *parents, key = draw(st.sampled_from(targets))
+        value = draw(st.sampled_from([*FUZZ_VALUES, DELETE]))
+        node = config
+        for parent in parents:
+            node = node.get(parent) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            if value is DELETE:
+                node.pop(key, None)
+            else:
+                node[key] = value
+    return config
+
+
+def run_cli(experiment, raw: bytes) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_bytes(raw)
+        return cli.main([experiment, "--config", str(config), "--out", tmp, "--format", "json,csv,svg"])
+
+
+class TestRunContract:
+    """Every input ends in exit code 0, 2 or 3, never in an uncaught exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(EXPERIMENTS), st.binary(max_size=40))
+    def test_arbitrary_config_bytes(self, experiment, raw):
+        assert run_cli(experiment, raw) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_config_objects(self, data):
+        experiment = data.draw(st.sampled_from(EXPERIMENTS))
+        config = data.draw(fuzzed_configs(experiment))
+        assert run_cli(experiment, json.dumps(config).encode()) in (0, 2, 3)

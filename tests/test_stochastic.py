@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clab.montecarlo import mc_mean
-from clab.qcore import PhysicalConstants, expm_propagator
+from clab.qcore import HermitianOperator, PhysicalConstants, StateVector, expm_propagator
 from clab.stochastic import (
     EnergySample,
     StochasticInteraction,
@@ -19,7 +19,6 @@ from clab.stochastic import (
     overlap_probability,
     phase_span,
     sample_energies,
-    stochastic_hamiltonian,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -76,23 +75,6 @@ class TestSampleEnergies:
         assert (a.alpha, a.beta) == (b.alpha, b.beta)
 
 
-class TestStochasticHamiltonian:
-    def test_zero_case(self):
-        s = StochasticInteraction(a_tilde=0.0, b_tilde=0.0)
-        h = stochastic_hamiltonian(s, EnergySample(alpha=0.0, beta=0.0))
-        assert np.abs(h.dense()).max() == 0.0
-
-    def test_direct_construction(self):
-        s = StochasticInteraction(a_tilde=5.0, b_tilde=3.0, mode="independent_uniform")
-        h = stochastic_hamiltonian(s, EnergySample(alpha=1.0, beta=-1.0))
-        np.testing.assert_allclose(h.dense(), np.diag([6.0, 2.0]))
-
-    def test_hermitian_by_construction(self):
-        s = StochasticInteraction(a_tilde=2.0, b_tilde=1.0)
-        h = stochastic_hamiltonian(s, sample_energies(s, seed=5, index=0)).dense()
-        assert np.abs(h - h.conj().T).max() == 0.0
-
-
 class TestEvolveStochastic:
     def test_zero_time_is_initial_state(self):
         s = StochasticInteraction(a_tilde=4.0, b_tilde=2.0)
@@ -113,9 +95,9 @@ class TestEvolveStochastic:
         sample = sample_energies(s, seed=6, index=11)
         tau = 0.9
         sol = evolve_stochastic(s, sample, tau)
-        u = expm_propagator(stochastic_hamiltonian(s, sample), tau)
-        expected = u.apply_raw(np.array([SQRT_HALF, SQRT_HALF], dtype=complex))
-        np.testing.assert_allclose(sol.state().amps, expected, atol=1e-12)
+        h = HermitianOperator.from_diagonal([s.a_tilde + sample.alpha, s.b_tilde + sample.beta])
+        expected = expm_propagator(h, tau).apply(StateVector([SQRT_HALF, SQRT_HALF], "qubit"))
+        np.testing.assert_allclose(sol.state().amps, expected.amps, atol=1e-12)
 
     def test_norm_is_one(self):
         s = StochasticInteraction(a_tilde=9.0, b_tilde=4.0)
