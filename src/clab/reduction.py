@@ -47,7 +47,6 @@ __all__ = [
     "build_begin_hamiltonian",
     "interpolation_matvec",
     "uniform_superposition",
-    "recommended_steps",
     "projected_steps",
     "SweepResult",
     "success_sweep",
@@ -61,8 +60,13 @@ __all__ = [
 
 BRUTE_FORCE_MAX_BITS = 24
 EVOLUTION_MAX_BITS = 12
-STEPS_PER_ENERGY_TIME = 10.0
-# Limit on a sweep's projected integration steps; the n=8 criterion-6 sweep projects 84,150.
+# The step-doubling loop of success_sweep. The first run's steps span a phase dt E_max / hbar
+# of at most START_PHASE rad: of 4, 6, 8, 12 and 16 rad, 6 took the fewest matvecs on the
+# criterion-6 sweeps (137k, against 162k at 4 and 149k at 8).
+START_PHASE = 6.0
+MAX_DOUBLINGS = 5
+STEP_ERROR_TOL = 1e-6
+# Limit on a sweep's projected integration steps; the n=8 criterion-6 sweep projects 88,389.
 SWEEP_MAX_STEPS = 10_000_000
 
 
@@ -199,21 +203,22 @@ def build_begin_hamiltonian(inst: ExactCoverInstance) -> BeginHamiltonian:
     return BeginHamiltonian(n=inst.n, d=d)
 
 
-def interpolation_matvec(h0: BeginHamiltonian, hc: CostHamiltonian):
-    """Matrix-free H(s) for the linear schedule (1 - s) H_begin + s H_cost.
+def interpolation_matvec(h0: BeginHamiltonian, hc: CostHamiltonian, shift: float = 0.0):
+    """Matrix-free H(s) - shift for the linear schedule H(s) = (1 - s) H_begin + s H_cost.
 
     With w_i = d_i/2 and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i],
     so H(s) v = ((1 - s) W + s E) v - (1 - s) sum_i w_i v[z XOR bit_i].
     The flip-index table (one row per bit in some clause) is built here,
-    once; the returned ``at(s)`` assembles the s-dependent coefficients and
-    returns the matvec ``v -> H(s) v``, which costs O(n 2^n).
+    once, and the shift is folded into W and E; the returned ``at(s)``
+    assembles the s-dependent coefficients and returns the matvec
+    ``v -> (H(s) - shift) v``, which costs O(n 2^n).
     """
     sites = np.flatnonzero(h0.d)
     flips = np.arange(1 << h0.n)[None, :] ^ np.left_shift(1, h0.n - 1 - sites)[:, None]
     w = h0.d[sites] / 2.0
-    w_total = float(w.sum())
+    w_total = float(w.sum()) - shift
     w = w.astype(np.complex128)  # complex weights save a cast per product with the state
-    energies = hc.energies.astype(np.float64)
+    energies = hc.energies - shift
 
     def at(s: float):
         diag, scaled_w = (1.0 - s) * w_total + s * energies, (1.0 - s) * w
@@ -230,11 +235,6 @@ def uniform_superposition(n: int) -> StateVector:
 # Adiabatic sweep
 # ---------------------------------------------------------------------------
 
-def recommended_steps(max_energy: float, total_time: float, c: PhysicalConstants = NATURAL_UNITS) -> int:
-    """Step count keeping the per-step phase below 0.1 rad: 10 T E_max / hbar."""
-    return max(1, math.ceil(STEPS_PER_ENERGY_TIME * total_time * max_energy / c.hbar))
-
-
 def _max_energy(inst: ExactCoverInstance) -> float:
     """E_max = sum_i d_i = 3 * clauses, a bound on the spectral norm of every H(s).
 
@@ -244,13 +244,21 @@ def _max_energy(inst: ExactCoverInstance) -> float:
     return 3.0 * len(inst.clauses)
 
 
-def projected_steps(inst: ExactCoverInstance, total_times, c: PhysicalConstants = NATURAL_UNITS) -> float:
-    """Integration steps of a sweep that runs every total time, known before any operator is built.
+def _first_steps(total_time: float, e_max: float, c: PhysicalConstants) -> float:
+    """Steps of the first run at total time T: max(1, ceil(T E_max / (hbar START_PHASE))); inf and NaN pass through."""
+    return max(float(np.ceil(total_time * e_max / (c.hbar * START_PHASE))), 1.0)
 
-    The sum over T of 10 T E_max / hbar; inf or NaN when a term is not finite.
+
+def projected_steps(inst: ExactCoverInstance, total_times, c: PhysicalConstants = NATURAL_UNITS) -> float:
+    """Bound on the integration steps a sweep over ``total_times`` takes, known before any operator is built.
+
+    At each T the step-doubling loop of ``success_sweep`` runs N, 2N, ...,
+    at most 2^MAX_DOUBLINGS N steps, with N the first run's steps, so it
+    takes at most (2^(MAX_DOUBLINGS + 1) - 1) N steps in all. The bound
+    sums that over T; it is inf or NaN when a term is not finite.
     """
     e_max = _max_energy(inst)
-    return sum(STEPS_PER_ENERGY_TIME * t * e_max / c.hbar for t in total_times)
+    return sum((2 ** (MAX_DOUBLINGS + 1) - 1) * _first_steps(t, e_max, c) for t in total_times)
 
 
 @dataclass(frozen=True)
@@ -270,11 +278,17 @@ def success_sweep(
 ) -> SweepResult:
     """Integrate the interpolation from the uniform superposition at each total time.
 
-    The operators are built once for the whole sweep; each run takes
-    ``recommended_steps(E_max, T)`` steps, and the sweep stops early once
-    ``target`` is hit. Success is the final weight on the zero set of the
+    The operators are built once for the whole sweep, and the sweep stops
+    early once ``target`` is hit. At each T, ``integrate_tdse`` runs with
+    N, 2N, 4N, ... steps, N = max(1, ceil(T E_max / (hbar START_PHASE))),
+    until the step-doubling (Richardson) estimate of the fourth-order
+    error of the finer run, step_error = ||psi_2N - psi_N|| / 15, is at
+    most STEP_ERROR_TOL, or the step count has doubled MAX_DOUBLINGS
+    times. H(s) is passed shifted by -E_max/2 with the bound E_max/2: its
+    spectrum lies in [0, E_max], and the shift changes only the global
+    phase. Success is the finer run's final weight on the zero set of the
     cost operator, i.e. on the satisfying assignments. Each row holds T,
-    steps, success probability, and norm drift.
+    the finer run's steps, its success probability, and its step_error.
     """
     if inst.n > EVOLUTION_MAX_BITS:
         raise ValueError(f"evolution capped at n <= {EVOLUTION_MAX_BITS}, got {inst.n}")
@@ -282,20 +296,30 @@ def success_sweep(
     if not total_times or not all(math.isfinite(t) and t > 0 for t in total_times):
         raise ValueError(f"need one or more finite, positive total times, got {total_times}")
     hc = build_cost_hamiltonian(inst)
-    at = interpolation_matvec(build_begin_hamiltonian(inst), hc)
-    solutions = hc.energies == 0
     e_max = _max_energy(inst)
+    at = interpolation_matvec(build_begin_hamiltonian(inst), hc, shift=e_max / 2.0)
+    psi0 = uniform_superposition(inst.n)
+    solutions = hc.energies == 0
     rows = []
     for total_time in total_times:
-        steps = recommended_steps(e_max, total_time, c)
-        result = integrate_tdse(
-            lambda t: at(t / total_time), uniform_superposition(inst.n), total_time, steps, e_max, c
-        )
-        success = float(result.state.probabilities()[solutions].sum())
-        rows.append({"T": total_time, "steps": steps, "success_probability": success, "norm_drift": result.norm_drift})
+
+        def run(steps):
+            return integrate_tdse(lambda t: at(t / total_time), psi0, total_time, steps, e_max / 2.0, c).state
+
+        steps = int(_first_steps(total_time, e_max, c))
+        coarse = run(steps)
+        for _ in range(MAX_DOUBLINGS):
+            steps *= 2
+            state = run(steps)
+            step_error = float(np.linalg.norm(state.amps - coarse.amps)) / 15.0
+            if step_error <= STEP_ERROR_TOL:
+                break
+            coarse = state
+        success = float(state.probabilities()[solutions].sum())
+        rows.append({"T": total_time, "steps": steps, "success_probability": success, "step_error": step_error})
         if target is not None and success >= target:
             break
-    return SweepResult(rows=rows, state=result.state, satisfying_count=int(solutions.sum()))
+    return SweepResult(rows=rows, state=state, satisfying_count=int(solutions.sum()))
 
 
 def most_probable_bitstring(state: StateVector, n: int) -> str:

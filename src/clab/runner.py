@@ -68,6 +68,10 @@ EMIT_FORMATS = ("json", "csv", "svg")
 # energy instances. At the limit a decohere run with K = 10^7 peaks near 750 MiB RSS.
 MAX_DRAWS = 10_000_000
 
+# Limit on the grid operator's kinetic term hbar^2 / (m dx^2): LAPACK's tridiagonal
+# eigensolver stops converging once the off-diagonal passes about 1.3e154, sqrt(float max).
+MAX_KINETIC = 1e150
+
 
 class ConfigError(ValueError):
     """Invalid configuration; ``path`` names the offending field."""
@@ -254,9 +258,11 @@ def _require_draws(count: int, path: str, what: str) -> None:
 
 
 def _require_finite_grid(grid: dict, hbar: float) -> None:
-    """Reject a grid whose operator diagonal, 2 hbar^2/(2 m dx^2) + V, is not finite.
+    """Reject a grid whose kinetic term hbar^2/(m dx^2) exceeds MAX_KINETIC or whose diagonal is not finite.
 
-    Computed in numpy, which returns inf or NaN where the run's float arithmetic raises.
+    The diagonal is the kinetic term plus V; a huge finite potential alone is
+    accepted. Computed in numpy, which returns inf or NaN where the run's
+    float arithmetic raises.
     """
     dx = grid["box_length"] / (grid["grid_points"] + 1)
     potential = grid["potential"]
@@ -268,10 +274,11 @@ def _require_finite_grid(grid: dict, hbar: float) -> None:
         else:
             peak = max(map(abs, potential.get("values", [])), default=0.0)
         diagonal = kinetic + peak
-    if not np.isfinite(kinetic):
+    if not kinetic <= MAX_KINETIC:  # also rejects inf and NaN
         raise ConfigError(
             "params.grid.box_length",
-            f"kinetic term is not finite for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}",
+            f"kinetic term {kinetic:g} exceeds {MAX_KINETIC:g} "
+            f"for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}",
         )
     if not np.isfinite(diagonal):
         field = "omega" if potential["kind"] == "harmonic" else "values"
@@ -432,7 +439,8 @@ def _run_adiabatic(config: dict) -> dict:
     if not projected <= SWEEP_MAX_STEPS:  # also rejects inf and NaN
         raise ConfigError(
             "params.schedule.T_min",
-            f"the sweep projects {projected:.3g} integration steps (10 T E_max / hbar summed over T); "
+            f"the sweep projects {projected:.3g} integration steps "
+            f"(a bound proportional to T E_max / hbar, summed over T); "
             f"at most {SWEEP_MAX_STEPS:,} are allowed",
         )
     sweep = success_sweep(inst, total_times, c, target=schedule_cfg["target"])

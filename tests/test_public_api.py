@@ -1,6 +1,10 @@
-"""Every name a clab module lists in ``__all__`` exists."""
+"""Every name a clab module lists in ``__all__`` exists, and the CLI imports no more than it needs."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +18,10 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_cli_import_leaves_out_scipy_special():
+    """scipy.special adds tens of ms to every CLI start; qcore computes its Bessel coefficients itself."""
+    code = "import sys, clab.cli; sys.exit('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(clab.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

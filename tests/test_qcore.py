@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from clab.qcore import (
     HermitianOperator,
@@ -10,6 +11,7 @@ from clab.qcore import (
     StateVector,
     UnitaryPropagator,
     expm_propagator,
+    _bessel_series,
     integrate_tdse,
     tensor_product,
 )
@@ -174,7 +176,6 @@ class TestIntegrateTdse:
         zero = HermitianOperator.from_diagonal(np.zeros(8))
         out = integrate_tdse(lambda t: zero.matvec, psi0, 5.0, steps=7, spectral_bound=0.0)
         np.testing.assert_allclose(out.state.amps, psi0.amps, atol=1e-15)
-        assert out.norm_drift <= 1e-15
 
     def test_step_doubling_converges_on_smooth_schedule(self):
         h0 = random_hermitian(8, seed=51)
@@ -191,15 +192,16 @@ class TestIntegrateTdse:
         fine = integrate_tdse(h_at, psi0, total, steps=1200, spectral_bound=bound).state
         assert 1.0 - abs(np.vdot(coarse.amps, fine.amps)) <= 1e-6
 
-    def test_reports_small_drift_on_exact_path(self):
+    def test_large_constant_step_matches_exponential(self):
         h = random_hermitian(16, seed=61)
-        res = integrate_tdse(
-            lambda t: h.matvec, random_state(16, seed=62), 1.0, steps=50, spectral_bound=gershgorin_bound(h)
-        )
-        assert res.norm_drift <= 1e-8
-        assert abs(res.state.norm() - 1.0) <= 1e-12
+        bound = gershgorin_bound(h)
+        total = 50.0 / bound  # one step with dt * bound / hbar = 50
+        psi0 = random_state(16, seed=62)
+        direct = expm_propagator(h, total).apply(psi0)
+        stepped = integrate_tdse(lambda t: h.matvec, psi0, total, steps=1, spectral_bound=bound).state
+        assert np.abs(direct.amps - stepped.amps).max() <= 1e-12
 
-    def test_assembles_hamiltonian_once_per_step_at_midpoints(self):
+    def test_assembles_hamiltonian_at_cf4_nodes(self):
         h = random_hermitian(8, seed=71)
         times = []
 
@@ -208,7 +210,34 @@ class TestIntegrateTdse:
             return h.matvec
 
         integrate_tdse(h_at, random_state(8, seed=72), 2.0, steps=5, spectral_bound=gershgorin_bound(h))
-        np.testing.assert_allclose(times, [0.2, 0.6, 1.0, 1.4, 1.8], rtol=0, atol=1e-15)
+        expected = [0.4 * (j + node) for j in range(5) for node in (1.0 / 6.0, 5.0 / 6.0)]
+        np.testing.assert_allclose(times, expected, rtol=0, atol=1e-15)
+
+    def test_fourth_order_on_linear_schedule(self):
+        h0 = random_hermitian(8, seed=81)
+        h1 = random_hermitian(8, seed=82)
+        total = 2.0
+
+        def h_at(t):
+            s = t / total
+            return lambda v: (1 - s) * h0.matvec(v) + s * h1.matvec(v)
+
+        bound = gershgorin_bound(h0) + gershgorin_bound(h1)
+        psi0 = random_state(8, seed=83)
+
+        def run(steps):
+            return integrate_tdse(h_at, psi0, total, steps=steps, spectral_bound=bound).state.amps
+
+        reference = run(2048)
+        coarse, fine = (np.linalg.norm(run(steps) - reference) for steps in (16, 32))
+        assert coarse >= 12.0 * fine  # fourth order gives 16x; a second-order step gives 4x
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-7, 0.5, 1.0, 4.0, 50.0, 1000.0])
+    def test_bessel_series_matches_scipy(self, x):
+        j = _bessel_series(x)
+        atol = 1e-13 if x > 100.0 else 1e-15  # about 1000 terms of roundoff at x = 1000
+        np.testing.assert_allclose(j, scipy.special.jv(np.arange(j.size), x), rtol=0, atol=atol)
+        assert abs(scipy.special.jv(j.size, x)) <= 1e-17  # the first term left out is negligible
 
     def test_rejects_bad_steps(self):
         h = HermitianOperator.from_diagonal([1.0])

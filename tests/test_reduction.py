@@ -23,7 +23,6 @@ from clab.reduction import (
     load_instance,
     most_probable_bitstring,
     projected_steps,
-    recommended_steps,
     reduce_energy_decision,
     success_sweep,
     uniform_superposition,
@@ -220,7 +219,7 @@ class TestAdiabaticRun:
     def test_tiny_time_stays_uniform(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         row = success_sweep(inst, [1e-8]).rows[0]
-        assert row["steps"] == 1
+        assert row["steps"] == 2  # the loop's minimum: one step, then two
         assert row["success_probability"] == pytest.approx(3.0 / 8.0, abs=1e-6)
 
     def test_single_clause_sweep_reaches_target(self):
@@ -234,11 +233,32 @@ class TestAdiabaticRun:
         rows = success_sweep(inst, [0.25, 16.0]).rows
         assert rows[-1]["success_probability"] >= rows[0]["success_probability"]
 
-    def test_norm_drift_bounded(self):
+    def test_step_error_within_tolerance(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         row = success_sweep(inst, [4.0]).rows[0]
-        assert row["steps"] == recommended_steps(3.0, 4.0)
-        assert row["norm_drift"] <= 1e-6
+        assert 0.0 < row["step_error"] <= reduction.STEP_ERROR_TOL
+        assert set(row) == {"T", "steps", "success_probability", "step_error"}
+
+    def test_zero_clause_instance_succeeds(self):
+        row = success_sweep(ExactCoverInstance(n=3, clauses=()), [1.0, 2.0]).rows[-1]
+        assert row["success_probability"] == pytest.approx(1.0, abs=1e-12)
+        assert row["step_error"] == 0.0
+
+    @pytest.mark.parametrize("name", ["ec_n6_unique.json", "ec_n8_unique.json"])
+    def test_step_error_bounds_gap_to_finer_run(self, name):
+        inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
+        rows = success_sweep(inst, [2.0**k for k in range(8)], target=0.9).rows  # the criterion-6 sweep
+        e_max = 3.0 * len(inst.clauses)
+        hc = build_cost_hamiltonian(inst)
+        at = interpolation_matvec(build_begin_hamiltonian(inst), hc, shift=e_max / 2.0)
+        for row in rows:
+            total = row["T"]
+            reference = reduction.integrate_tdse(
+                lambda t: at(t / total), uniform_superposition(inst.n), total, 8 * row["steps"], e_max / 2.0
+            ).state
+            p_ref = reference.probabilities()[hc.energies == 0].sum()
+            assert row["step_error"] <= reduction.STEP_ERROR_TOL
+            assert abs(row["success_probability"] - p_ref) <= row["step_error"] + 1e-9, row
 
     def test_most_probable_bitstring_satisfies(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
@@ -260,16 +280,24 @@ class TestAdiabaticRun:
         assert sweep.satisfying_count == len(brute_force_exact_cover(inst))
         assert sweep.state.dim == 8
 
-    def test_projected_steps_match_the_sweep(self):
-        inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / "ec_n8_unique.json")
-        times = [2.0**k for k in range(8)]  # the criterion-6 sweep
-        max_energy = float(build_begin_hamiltonian(inst).d.sum())
-        assert max_energy == 3 * len(inst.clauses) >= build_cost_hamiltonian(inst).energies.max()
-        assert projected_steps(inst, times) == sum(recommended_steps(max_energy, t) for t in times) == 84_150
+    @pytest.mark.parametrize("tol", [1e-6, 0.0], ids=["default", "never_met"])
+    def test_projected_steps_bound_the_sweep(self, monkeypatch, tol):
+        taken, integrate_tdse = [], reduction.integrate_tdse
+
+        def counting(h_at, psi0, t_final, steps, spectral_bound, c):
+            taken.append(steps)
+            return integrate_tdse(h_at, psi0, t_final, steps, spectral_bound, c)
+
+        monkeypatch.setattr(reduction, "integrate_tdse", counting)
+        monkeypatch.setattr(reduction, "STEP_ERROR_TOL", tol)
+        inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / "ec_n6_unique.json")
+        times = [0.1, 1.0, 3.0]
+        bound = projected_steps(inst, times)
+        success_sweep(inst, times)
+        assert 0 < sum(taken) <= bound
+        if tol == 0.0:  # every T doubles to the cap, which the bound sums exactly
+            assert sum(taken) == bound
         assert projected_steps(inst, [1e308, 2e308]) == math.inf
-        small = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        rows = success_sweep(small, [1.0, 2.0, 4.0]).rows
-        assert sum(row["steps"] for row in rows) == projected_steps(small, [1.0, 2.0, 4.0]) == 210
 
     def test_schedule_validation(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))

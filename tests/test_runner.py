@@ -385,16 +385,30 @@ class TestCli:
             ("spectral", {"grid": {"grid_points": 16, "box_length": 1e300, "mass": 1e300,
                                    "potential": {"kind": "harmonic", "omega": 1e300}}, "E_B": 1.0},
              "params.grid.potential.omega"),
+            ("spectral", {"grid": {"grid_points": 8, "box_length": 1.0, "mass": 1e-153,
+                                   "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
+            ("spectral", {"grid": {"grid_points": 8, "box_length": 1.0, "mass": 1e-200,
+                                   "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
         ],
         ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow",
              "t_min_steps_overflow", "t_min_steps_over_limit", "spectral_zero_division", "spectral_dx_underflow",
-             "spectral_overflow"],
+             "spectral_overflow", "spectral_kinetic_1e-153", "spectral_kinetic_1e-200"],
     )
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, experiment, params, path):
         config = self._write_config(tmp_path, {"params": params})
         code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mass,potential",
+        [(1e-148, {"kind": "zero"}), (1.0, {"kind": "values", "values": [1e200] + [0.0] * 7})],
+        ids=["kinetic_1e-148", "huge_values"],
+    )
+    def test_large_finite_grid_entries_run(self, tmp_path, mass, potential):
+        grid = {"grid_points": 8, "box_length": 1.0, "mass": mass, "potential": potential}
+        config = self._write_config(tmp_path, {"params": {"grid": grid, "E_B": 1.0}})
+        assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "instance",
@@ -530,6 +544,42 @@ def run_cli(experiment, raw: bytes) -> int:
         return cli.main([experiment, "--config", str(config), "--out", tmp, "--format", "json,csv,svg"])
 
 
+# Values the instance fuzz test writes for n and for clause indices, next to valid ones (n <= 6).
+INSTANCE_VALUES = [0, -1, 1, 13, 10**30, 1.5, None, True, "x", [1, 2]]
+
+
+@st.composite
+def mutated_instances(draw):
+    """A valid instance with 3 <= n <= 6, then up to three mutations: n or a clause index set to a fuzz
+    value, an empty clause added, or a clause duplicated."""
+    n = draw(st.integers(3, 6))
+    triple = st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True).map(sorted)
+    clauses = draw(st.lists(triple, max_size=6, unique_by=tuple))
+    count, instance = len(clauses), {"n": n, "clauses": clauses}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["n", "index", "empty", "duplicate"]))
+        value = draw(st.sampled_from(INSTANCE_VALUES))
+        if kind == "n":
+            instance["n"] = value
+        elif kind == "index" and count:
+            clauses[draw(st.integers(0, count - 1))][draw(st.integers(0, 2))] = value
+        elif kind == "empty":
+            clauses.append([])
+        elif clauses:
+            clauses.append(list(clauses[0]))
+    return instance
+
+
+def run_adiabatic_instance(raw: bytes) -> int:
+    """Exit code of one short adiabatic run (T = 1 only) on an instance file holding ``raw``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, config = Path(tmp) / "instance.json", Path(tmp) / "config.json"
+        instance.write_bytes(raw)
+        params = {"instance_path": str(instance), "schedule": {"T_min": 1.0, "doublings": 0}}
+        config.write_text(json.dumps({"params": params}))
+        return cli.main(["adiabatic", "--config", str(config), "--out", tmp])
+
+
 class TestRunContract:
     """Every input ends in exit code 0, 2 or 3, never in an uncaught exception."""
 
@@ -544,3 +594,13 @@ class TestRunContract:
         experiment = data.draw(st.sampled_from(EXPERIMENTS))
         config = data.draw(fuzzed_configs(experiment))
         assert run_cli(experiment, json.dumps(config).encode()) in (0, 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=40))
+    def test_arbitrary_instance_bytes(self, raw):
+        assert run_adiabatic_instance(raw) in (0, 2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_instances())
+    def test_mutated_instance_objects(self, instance):
+        assert run_adiabatic_instance(json.dumps(instance).encode()) in (0, 2, 3)
