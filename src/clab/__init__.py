@@ -19,7 +19,6 @@ from .qcore import (
     UnitaryPropagator,
     expm_propagator,
     integrate_tdse,
-    tensor_product,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "UnitaryPropagator",
     "expm_propagator",
     "integrate_tdse",
-    "tensor_product",
 ]

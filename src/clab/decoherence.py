@@ -21,20 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_estimate, sample_uniform, standard_normal
-from .qcore import (
-    NATURAL_UNITS,
-    HermitianOperator,
-    PhysicalConstants,
-    StateVector,
-    expm_propagator,
-    tensor_product,
-)
+from .qcore import NATURAL_UNITS, HermitianOperator, PhysicalConstants, StateVector, expm_propagator
 
 __all__ = [
-    "QubitState",
     "DetectorModel",
     "MeasurementResult",
-    "initial_superposition",
     "build_interaction",
     "initial_product_state",
     "propagate_exact",
@@ -49,22 +40,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class QubitState:
-    """Two amplitudes on the z-basis states |0> and |1>."""
-
-    c0: complex
-    c1: complex
-
-    def __post_init__(self):
-        nrm2 = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if not np.isfinite(nrm2) or abs(nrm2 - 1.0) > 1e-12:
-            raise ValueError(f"qubit amplitudes must be normalized, got |c0|^2+|c1|^2 = {nrm2!r}")
-
-    def as_state_vector(self) -> StateVector:
-        return StateVector([self.c0, self.c1], "qubit")
-
-
-@dataclass(frozen=True)
 class MeasurementResult:
     """Return probability for the initially prepared spin state."""
 
@@ -73,11 +48,6 @@ class MeasurementResult:
     def __post_init__(self):
         if not (-1e-12 <= self.p_sx_plus <= 1.0 + 1e-12):
             raise ValueError(f"probability out of range: {self.p_sx_plus!r}")
-
-
-def initial_superposition() -> QubitState:
-    """Equal superposition (|0> + |1>)/sqrt(2) the particle starts in."""
-    return QubitState(_SQRT_HALF, _SQRT_HALF)
 
 
 class DetectorModel:
@@ -113,9 +83,6 @@ class DetectorModel:
     def K(self) -> int:
         return self.a.size
 
-    def initial_state(self) -> StateVector:
-        return StateVector(self.a, "detector")
-
     def __repr__(self):
         return f"DetectorModel(K={self.K})"
 
@@ -130,8 +97,8 @@ def build_interaction(d: DetectorModel) -> HermitianOperator:
 
 
 def initial_product_state(d: DetectorModel) -> StateVector:
-    """Joint particle (x) detector state before the interaction."""
-    return tensor_product(initial_superposition().as_state_vector(), d.initial_state())
+    """Joint state (|0> + |1>)/sqrt(2) (x) sum_k a_k |k> before the interaction, particle index major."""
+    return StateVector(np.kron([_SQRT_HALF, _SQRT_HALF], d.a))
 
 
 def propagate_exact(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> StateVector:
@@ -177,20 +144,8 @@ def sample_random_detector(K: int, energy_scale: float, seed: int) -> DetectorMo
         raise ValueError(f"K must be >= 1, got {K}")
     if not (np.isfinite(energy_scale) and energy_scale > 0):
         raise ValueError(f"energy_scale must be positive, got {energy_scale}")
-    idx = np.arange(K, dtype=np.uint64)
-    re = standard_normal(derive_seed(seed, "amp_re"), idx)
-    im = standard_normal(derive_seed(seed, "amp_im"), idx)
-    a = re + 1j * im
-    nrm = np.linalg.norm(a)
-    if nrm == 0.0:  # astronomically unlikely, but the draw must stay total
-        a = np.zeros(K, dtype=np.complex128)
-        a[0] = 1.0
-    else:
-        a = a / nrm
-    interval = UniformInterval(0.0, energy_scale)
-    e0 = sample_uniform(interval, derive_seed(seed, "energy_0"), idx)
-    e1 = sample_uniform(interval, derive_seed(seed, "energy_1"), idx)
-    return DetectorModel(a, e0, e1)
+    a, e0, e1 = _draw_detectors(K, energy_scale, np.array([int(seed) % (1 << 64)], dtype=np.uint64))
+    return DetectorModel(a[0], e0[0], e1[0])
 
 
 # Trials are drawn in chunks of about this many detector configurations
@@ -198,31 +153,36 @@ def sample_random_detector(K: int, energy_scale: float, seed: int) -> DetectorMo
 _CHUNK_ELEMENTS = 1 << 18
 
 
-def _draw_detectors(K: int, energy_scale: float, trial_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights |a_k|^2 and energy gaps A_k - B_k of one detector per trial seed.
+def _draw_detectors(K: int, energy_scale: float, trial_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes a and branch energies A, B of one detector per trial seed (uint64), one row each.
 
-    Row i is ``sample_random_detector(K, energy_scale, trial_seeds[i])``,
-    bit for bit, with the same normalisation check as ``DetectorModel``.
+    Each row is normalised on its own, and rounds the same whatever the
+    number of rows, so a one-row draw equals that row of any batch.
     """
     seeds = trial_seeds[:, None]
     idx = np.arange(K, dtype=np.uint64)
     a = standard_normal(derive_seed(seeds, "amp_re"), idx) + 1j * standard_normal(derive_seed(seeds, "amp_im"), idx)
-    for row in a:
-        # One norm per row: np.linalg.norm(row) rounds like the scalar draw, norm(axis=1) does not.
-        nrm = np.linalg.norm(row)
-        if nrm == 0.0:
-            row[:] = 0.0
-            row[0] = 1.0
-        else:
-            row /= nrm
+    v = a.view(np.float64)
+    # A sum along the contiguous axis rounds a row alike at any batch size; einsum does not.
+    nrm = np.sqrt(np.sum(v * v, axis=1))
+    zero = nrm == 0.0  # astronomically unlikely, but the draw must stay total
+    a[zero, 0] = 1.0
+    nrm[zero] = 1.0
+    v /= nrm[:, None]
+    interval = UniformInterval(0.0, energy_scale)
+    e0 = sample_uniform(interval, derive_seed(seeds, "energy_0"), idx)
+    e1 = sample_uniform(interval, derive_seed(seeds, "energy_1"), idx)
+    return a, e0, e1
+
+
+def _weights_and_gaps(K: int, energy_scale: float, trial_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights |a_k|^2 and gaps A_k - B_k of ``_draw_detectors``, with the normalisation check of ``DetectorModel``."""
+    a, e0, e1 = _draw_detectors(K, energy_scale, trial_seeds)
     weights = np.abs(a) ** 2
     totals = np.sum(weights, axis=1)
     bad = ~(np.abs(totals - 1.0) <= 1e-10)  # NaN fails too
     if bad.any():
         raise ValueError(f"configuration amplitudes must satisfy sum |a_k|^2 = 1, got {totals[bad][0]!r}")
-    interval = UniformInterval(0.0, energy_scale)
-    e0 = sample_uniform(interval, derive_seed(seeds, "energy_0"), idx)
-    e1 = sample_uniform(interval, derive_seed(seeds, "energy_1"), idx)
     return weights, e0 - e1
 
 
@@ -255,7 +215,7 @@ def decohered_probability_sweep(
     rows = max(1, _CHUNK_ELEMENTS // K)
     for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)
-        weights, gaps = _draw_detectors(K, energy_scale, derive_seed(seed, "detector", np.arange(lo, hi, dtype=np.uint64)))
+        weights, gaps = _weights_and_gaps(K, energy_scale, derive_seed(seed, "detector", np.arange(lo, hi, dtype=np.uint64)))
         for out, scale in zip(probs, scales):
             out[lo:hi] = np.sum(weights * np.cos(gaps * scale) ** 2, axis=1)
     np.minimum(probs, 1.0 + 1e-12, out=probs)

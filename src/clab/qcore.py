@@ -17,8 +17,6 @@ __all__ = [
     "StateVector",
     "HermitianOperator",
     "UnitaryPropagator",
-    "TdseResult",
-    "tensor_product",
     "expm_propagator",
     "integrate_tdse",
 ]
@@ -29,8 +27,6 @@ HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 # Chebyshev series of a step's exponential end after the last Bessel coefficient above this.
 CHEBYSHEV_CUTOFF = 1e-17
-
-BASIS_LABELS = ("qubit", "detector", "product", "bitstring", "grid")
 
 
 @dataclass(frozen=True)
@@ -48,25 +44,21 @@ NATURAL_UNITS = PhysicalConstants()
 
 
 class StateVector:
-    """Complex amplitude vector over a finite labeled basis.
+    """Complex amplitude vector over a finite basis.
 
     Amplitudes are stored as a read-only complex128 array. Construction
-    checks finiteness; normalization is explicit via ``normalized()`` or
-    the ``normalize=True`` flag.
+    checks finiteness; normalization is explicit via the ``normalize=True``
+    flag.
     """
 
-    __slots__ = ("amps", "basis_label")
+    __slots__ = ("amps",)
 
-    def __init__(self, amps, basis_label: str = "product", normalize: bool = False):
+    def __init__(self, amps, normalize: bool = False):
         arr = np.array(amps, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size < 1:
             raise ValueError("state vector needs at least one amplitude")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("state vector contains non-finite amplitudes")
-        if basis_label not in BASIS_LABELS:
-            raise ValueError(f"unknown basis label {basis_label!r}, expected one of {BASIS_LABELS}")
-        if basis_label == "qubit" and arr.size != 2:
-            raise ValueError(f"qubit basis requires dim 2, got {arr.size}")
         if normalize:
             nrm = np.linalg.norm(arr)
             if nrm == 0.0:
@@ -74,7 +66,6 @@ class StateVector:
             arr = arr / nrm
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
-        object.__setattr__(self, "basis_label", basis_label)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
@@ -86,9 +77,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "StateVector":
-        return StateVector(self.amps, self.basis_label, normalize=True)
-
     def require_normalized(self, atol: float = NORM_ATOL) -> None:
         defect = abs(self.norm() - 1.0)
         if defect > atol:
@@ -98,7 +86,7 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
     def __repr__(self):
-        return f"StateVector(dim={self.dim}, basis={self.basis_label!r})"
+        return f"StateVector(dim={self.dim})"
 
 
 class HermitianOperator:
@@ -191,7 +179,7 @@ class UnitaryPropagator:
         if (matrix is None) == (phases is None):
             raise ValueError("provide exactly one of matrix= or phases=")
         if phases is not None:
-            p = np.asarray(phases, dtype=np.complex128).reshape(-1)
+            p = np.array(phases, dtype=np.complex128, copy=True).reshape(-1)
             defect = float(np.abs(np.abs(p) - 1.0).max())
             if defect > UNITARITY_ATOL:
                 raise ValueError(f"diagonal propagator has non-unit phases (defect {defect:.3e})")
@@ -231,18 +219,11 @@ class UnitaryPropagator:
         if psi.dim != self.dim:
             raise ValueError(f"dimension mismatch: propagator dim {self.dim}, state dim {psi.dim}")
         amps = self._phases * psi.amps if self._phases is not None else self._matrix @ psi.amps
-        return StateVector(amps, psi.basis_label)
+        return StateVector(amps)
 
     def __repr__(self):
         kind = "phases" if self._phases is not None else "dense"
         return f"UnitaryPropagator(dim={self.dim}, {kind})"
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product with a's index major: amp[(i, j)] = a_i * b_j."""
-    a.require_normalized()
-    b.require_normalized()
-    return StateVector(np.kron(a.amps, b.amps), "product")
 
 
 def expm_propagator(
@@ -259,13 +240,6 @@ def expm_propagator(
     w, v = np.linalg.eigh(h._dense)
     u = (v * np.exp(angle * w)) @ v.conj().T
     return UnitaryPropagator(matrix=u)
-
-
-@dataclass(frozen=True)
-class TdseResult:
-    """Final state of an integration, renormalized."""
-
-    state: StateVector
 
 
 def _bessel_series(x: float) -> np.ndarray:
@@ -313,7 +287,7 @@ def integrate_tdse(
     steps: int,
     spectral_bound: float,
     c: PhysicalConstants = NATURAL_UNITS,
-) -> TdseResult:
+) -> StateVector:
     """Commutator-free Magnus (CF4) integrator for i hbar d/dt psi = H(t) psi.
 
     Each step is the two-exponential CF4 step of Blanes & Moan, Appl.
@@ -346,4 +320,4 @@ def integrate_tdse(
     for step in range(steps):
         amps = _chebyshev_apply(h_at((step + 1.0 / 6.0) * dt), amps, coeffs, spectral_bound)
         amps = _chebyshev_apply(h_at((step + 5.0 / 6.0) * dt), amps, coeffs, spectral_bound)
-    return TdseResult(state=StateVector(amps, psi0.basis_label, normalize=True))
+    return StateVector(amps, normalize=True)

@@ -228,7 +228,7 @@ def interpolation_matvec(h0: BeginHamiltonian, hc: CostHamiltonian, shift: float
 
 
 def uniform_superposition(n: int) -> StateVector:
-    return StateVector(np.full(1 << n, (1 << n) ** -0.5, dtype=np.complex128), "bitstring")
+    return StateVector(np.full(1 << n, (1 << n) ** -0.5, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def success_sweep(
     for total_time in total_times:
 
         def run(steps):
-            return integrate_tdse(lambda t: at(t / total_time), psi0, total_time, steps, e_max / 2.0, c).state
+            return integrate_tdse(lambda t: at(t / total_time), psi0, total_time, steps, e_max / 2.0, c)
 
         steps = int(_first_steps(total_time, e_max, c))
         coarse = run(steps)

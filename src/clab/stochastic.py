@@ -87,10 +87,7 @@ class StochasticSolution:
     c1_phase: float
 
     def state(self) -> StateVector:
-        return StateVector(
-            [_SQRT_HALF * np.exp(1j * self.c0_phase), _SQRT_HALF * np.exp(1j * self.c1_phase)],
-            "qubit",
-        )
+        return StateVector([_SQRT_HALF * np.exp(1j * self.c0_phase), _SQRT_HALF * np.exp(1j * self.c1_phase)])
 
 
 def sample_energies(s: StochasticInteraction, seed: int, index) -> EnergySample:
@@ -101,7 +98,7 @@ def sample_energies(s: StochasticInteraction, seed: int, index) -> EnergySample:
         return EnergySample(alpha=alpha, beta=beta)
     span = s.a_tilde + s.b_tilde
     delta = sample_uniform(UniformInterval(-span, span), derive_seed(seed, "delta"), index)
-    return EnergySample(alpha=delta, beta=np.zeros_like(delta) if np.ndim(delta) else 0.0)
+    return EnergySample(alpha=delta, beta=0.0)
 
 
 def evolve_stochastic(

@@ -12,31 +12,29 @@ from clab.decoherence import (
     decohered_probability,
     decohered_probability_sweep,
     initial_product_state,
-    initial_superposition,
     prob_closed_form,
     prob_full_propagation,
     propagate_exact,
     sample_random_detector,
 )
 from clab.montecarlo import derive_seed
-from clab.qcore import PhysicalConstants, StateVector
+from clab.qcore import PhysicalConstants
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-class TestInitialSuperposition:
-    def test_equal_amplitudes(self):
-        psi = initial_superposition()
-        assert psi.c0 == pytest.approx(SQRT_HALF, abs=1e-16)
-        assert psi.c1 == pytest.approx(SQRT_HALF, abs=1e-16)
-
-    def test_normalized(self):
-        assert initial_superposition().as_state_vector().norm() == pytest.approx(1.0, abs=1e-15)
-
-    def test_overlap_with_zero_ket(self):
-        psi = initial_superposition().as_state_vector()
-        ket0 = StateVector([1.0, 0.0], "qubit")
-        assert np.vdot(ket0.amps, psi.amps) == pytest.approx(SQRT_HALF, abs=1e-16)
+class TestInitialProductState:
+    def test_superposition_times_detector_pattern(self):
+        # (|0> + |1>)/sqrt(2) (x) sum_k a_k |k>: amplitude a_k/sqrt(2)
+        # in slot (0, k) and slot (1, k), particle-major ordering.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        a /= np.linalg.norm(a)
+        psi = initial_product_state(DetectorModel(a, np.zeros(4), np.zeros(4)))
+        assert psi.dim == 8
+        np.testing.assert_allclose(psi.amps[:4], a * SQRT_HALF, atol=1e-16)
+        np.testing.assert_allclose(psi.amps[4:], a * SQRT_HALF, atol=1e-16)
+        assert psi.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestDetectorModel:
@@ -180,6 +178,18 @@ class TestSampleRandomDetector:
         np.testing.assert_array_equal(d1.energies_0, d2.energies_0)
         np.testing.assert_array_equal(d1.energies_1, d2.energies_1)
 
+    def test_all_zero_draw_falls_back_to_first_configuration(self, monkeypatch):
+        monkeypatch.setattr(decoherence, "standard_normal", lambda seed, idx: np.zeros(np.broadcast(seed, idx).shape))
+        np.testing.assert_array_equal(sample_random_detector(4, 1.0, seed=0).a, [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64 + 5, 5)])
+    def test_seed_taken_modulo_2_to_the_64(self, seed, same):
+        d1 = sample_random_detector(16, 3.0, seed=seed)
+        d2 = sample_random_detector(16, 3.0, seed=same)
+        np.testing.assert_array_equal(d1.a, d2.a)
+        np.testing.assert_array_equal(d1.energies_0, d2.energies_0)
+        np.testing.assert_array_equal(d1.energies_1, d2.energies_1)
+
 
 class TestDecoheredProbability:
     def test_zero_spread_is_exactly_one(self):
@@ -221,8 +231,11 @@ TAUS = [0.0, 1e-3, 0.37, 1.0, 25.0]
 
 
 class TestDecoheredProbabilitySweep:
-    @pytest.mark.parametrize("K", [1, 8, 1000])
-    @pytest.mark.parametrize("trials", [1, 2, 100])
+    @pytest.mark.parametrize(
+        "trials, K",
+        # K = 10,000 rows are longer than numpy's 8,192-element buffer, and 4096 one-configuration rows are many.
+        [(trials, K) for K in (1, 8, 1000) for trials in (1, 2, 100)] + [(1, 10_000), (2, 10_000), (7, 10_000), (4096, 1)],
+    )
     def test_matches_scalar_oracle_bit_for_bit(self, K, trials):
         c = PhysicalConstants(hbar=0.7)
         sweep = decohered_probability_sweep(K, 40.0, TAUS, c, seed=2**64 - 1, trials=trials)

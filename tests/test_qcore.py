@@ -13,16 +13,13 @@ from clab.qcore import (
     expm_propagator,
     _bessel_series,
     integrate_tdse,
-    tensor_product,
 )
 
-SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-
-def random_state(dim, seed, basis="product"):
+def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(amps, basis, normalize=True)
+    return StateVector(amps, normalize=True)
 
 
 def random_hermitian(dim, seed, scale=1.0):
@@ -38,7 +35,7 @@ def gershgorin_bound(h):
 
 class TestStateVector:
     def test_normalize_and_invariant(self):
-        psi = StateVector([3.0, 4.0], "qubit", normalize=True)
+        psi = StateVector([3.0, 4.0], normalize=True)
         assert abs(psi.norm() - 1.0) < 1e-15
         assert psi.amps[0] == pytest.approx(0.6)
 
@@ -50,51 +47,12 @@ class TestStateVector:
         with pytest.raises(ValueError, match="zero vector"):
             StateVector([0.0, 0.0], normalize=True)
 
-    def test_rejects_bad_basis(self):
-        with pytest.raises(ValueError, match="basis"):
-            StateVector([1.0], "momentum")
-        with pytest.raises(ValueError, match="dim 2"):
-            StateVector([1.0, 0.0, 0.0], "qubit")
-
     def test_immutable(self):
-        psi = StateVector([1.0, 0.0], "qubit")
+        psi = StateVector([1.0, 0.0])
         with pytest.raises((AttributeError, ValueError)):
             psi.amps = np.array([0.0, 1.0])
         with pytest.raises(ValueError):
             psi.amps[0] = 5.0
-
-
-class TestTensorProduct:
-    def test_unit_vectors(self):
-        ket0 = StateVector([1.0, 0.0], "qubit")
-        e0 = StateVector([1.0, 0.0, 0.0], "detector")
-        out = tensor_product(ket0, e0)
-        assert out.dim == 6
-        expected = np.zeros(6)
-        expected[0] = 1.0
-        np.testing.assert_allclose(out.amps, expected)
-
-    def test_superposition_times_detector_pattern(self):
-        # (|0> + |1>)/sqrt(2) (x) sum_k a_k |e_k>: amplitude a_k/sqrt(2)
-        # in slot (0, k) and slot (1, k), a-major ordering.
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        a /= np.linalg.norm(a)
-        plus = StateVector([SQRT_HALF, SQRT_HALF], "qubit")
-        detector = StateVector(a, "detector")
-        out = tensor_product(plus, detector)
-        np.testing.assert_allclose(out.amps[:4], a * SQRT_HALF, atol=1e-15)
-        np.testing.assert_allclose(out.amps[4:], a * SQRT_HALF, atol=1e-15)
-
-    def test_norm_multiplicative(self):
-        out = tensor_product(random_state(3, 7), random_state(5, 8))
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_unnormalized(self):
-        bad = StateVector([1.0, 1.0])
-        good = StateVector([1.0, 0.0])
-        with pytest.raises(ValueError, match="not normalized"):
-            tensor_product(bad, good)
 
 
 class TestHermitianOperator:
@@ -160,13 +118,22 @@ class TestUnitaryPropagator:
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryPropagator(matrix=[[1.0, 0.0], [0.0, 2.0]])
 
+    @pytest.mark.parametrize("form", ["phases", "matrix"])
+    def test_later_writes_to_the_input_leave_it_unchanged(self, form):
+        p = np.exp(1j * np.array([0.1, 0.2]))
+        source = p if form == "phases" else np.diag(p)
+        u = UnitaryPropagator(**{form: source})
+        source[0] = 5.0
+        assert u.unitarity_defect() <= 1e-15
+        np.testing.assert_array_equal(u.matrix, np.diag(np.exp(1j * np.array([0.1, 0.2]))))
+
 
 class TestIntegrateTdse:
     def test_constant_hamiltonian_matches_single_exponential(self):
         h = random_hermitian(24, seed=31, scale=1.5)
         psi0 = random_state(24, seed=32)
         direct = expm_propagator(h, 2.0).apply(psi0)
-        stepped = integrate_tdse(lambda t: h.matvec, psi0, 2.0, steps=64, spectral_bound=gershgorin_bound(h)).state
+        stepped = integrate_tdse(lambda t: h.matvec, psi0, 2.0, steps=64, spectral_bound=gershgorin_bound(h))
         overlap = abs(np.vdot(direct.amps, stepped.amps))
         assert overlap == pytest.approx(1.0, abs=1e-10)
         assert np.abs(direct.amps - stepped.amps).max() <= 1e-10
@@ -175,7 +142,7 @@ class TestIntegrateTdse:
         psi0 = random_state(8, seed=41)
         zero = HermitianOperator.from_diagonal(np.zeros(8))
         out = integrate_tdse(lambda t: zero.matvec, psi0, 5.0, steps=7, spectral_bound=0.0)
-        np.testing.assert_allclose(out.state.amps, psi0.amps, atol=1e-15)
+        np.testing.assert_allclose(out.amps, psi0.amps, atol=1e-15)
 
     def test_step_doubling_converges_on_smooth_schedule(self):
         h0 = random_hermitian(8, seed=51)
@@ -188,8 +155,8 @@ class TestIntegrateTdse:
 
         bound = max(gershgorin_bound(h0), gershgorin_bound(h1))
         psi0 = random_state(8, seed=53)
-        coarse = integrate_tdse(h_at, psi0, total, steps=600, spectral_bound=bound).state
-        fine = integrate_tdse(h_at, psi0, total, steps=1200, spectral_bound=bound).state
+        coarse = integrate_tdse(h_at, psi0, total, steps=600, spectral_bound=bound)
+        fine = integrate_tdse(h_at, psi0, total, steps=1200, spectral_bound=bound)
         assert 1.0 - abs(np.vdot(coarse.amps, fine.amps)) <= 1e-6
 
     def test_large_constant_step_matches_exponential(self):
@@ -198,7 +165,7 @@ class TestIntegrateTdse:
         total = 50.0 / bound  # one step with dt * bound / hbar = 50
         psi0 = random_state(16, seed=62)
         direct = expm_propagator(h, total).apply(psi0)
-        stepped = integrate_tdse(lambda t: h.matvec, psi0, total, steps=1, spectral_bound=bound).state
+        stepped = integrate_tdse(lambda t: h.matvec, psi0, total, steps=1, spectral_bound=bound)
         assert np.abs(direct.amps - stepped.amps).max() <= 1e-12
 
     def test_assembles_hamiltonian_at_cf4_nodes(self):
@@ -226,7 +193,7 @@ class TestIntegrateTdse:
         psi0 = random_state(8, seed=83)
 
         def run(steps):
-            return integrate_tdse(h_at, psi0, total, steps=steps, spectral_bound=bound).state.amps
+            return integrate_tdse(h_at, psi0, total, steps=steps, spectral_bound=bound).amps
 
         reference = run(2048)
         coarse, fine = (np.linalg.norm(run(steps) - reference) for steps in (16, 32))

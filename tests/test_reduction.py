@@ -255,7 +255,7 @@ class TestAdiabaticRun:
             total = row["T"]
             reference = reduction.integrate_tdse(
                 lambda t: at(t / total), uniform_superposition(inst.n), total, 8 * row["steps"], e_max / 2.0
-            ).state
+            )
             p_ref = reference.probabilities()[hc.energies == 0].sum()
             assert row["step_error"] <= reduction.STEP_ERROR_TOL
             assert abs(row["success_probability"] - p_ref) <= row["step_error"] + 1e-9, row

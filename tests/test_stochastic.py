@@ -96,7 +96,7 @@ class TestEvolveStochastic:
         tau = 0.9
         sol = evolve_stochastic(s, sample, tau)
         h = HermitianOperator.from_diagonal([s.a_tilde + sample.alpha, s.b_tilde + sample.beta])
-        expected = expm_propagator(h, tau).apply(StateVector([SQRT_HALF, SQRT_HALF], "qubit"))
+        expected = expm_propagator(h, tau).apply(StateVector([SQRT_HALF, SQRT_HALF]))
         np.testing.assert_allclose(sol.state().amps, expected.amps, atol=1e-12)
 
     def test_norm_is_one(self):
