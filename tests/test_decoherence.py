@@ -23,18 +23,24 @@ from clab.qcore import PhysicalConstants
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-class TestInitialProductState:
-    def test_superposition_times_detector_pattern(self):
-        # (|0> + |1>)/sqrt(2) (x) sum_k a_k |k>: amplitude a_k/sqrt(2)
-        # in slot (0, k) and slot (1, k), particle-major ordering.
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        a /= np.linalg.norm(a)
-        psi = initial_product_state(DetectorModel(a, np.zeros(4), np.zeros(4)))
-        assert psi.dim == 8
-        np.testing.assert_allclose(psi.amps[:4], a * SQRT_HALF, atol=1e-16)
-        np.testing.assert_allclose(psi.amps[4:], a * SQRT_HALF, atol=1e-16)
+class TestInitialSuperposition:
+    """The particle factor (|0> + |1>)/sqrt(2) of the initial product state."""
+
+    def test_equal_amplitudes(self):
+        # A one-configuration detector leaves the particle amplitudes bare.
+        psi = initial_product_state(DetectorModel([1.0], [0.0], [0.0]))
+        np.testing.assert_allclose(psi.amps, [SQRT_HALF, SQRT_HALF], atol=1e-16)
+
+    def test_normalized(self):
+        psi = initial_product_state(sample_random_detector(6, 5.0, seed=3))
         assert psi.norm() == pytest.approx(1.0, abs=1e-15)
+
+    def test_overlap_with_zero_ket(self):
+        # <0| (x) <a| applied to the product state leaves 1/sqrt(2).
+        d = sample_random_detector(5, 5.0, seed=4)
+        ket0_a = np.kron([1.0, 0.0], d.a)
+        psi = initial_product_state(d)
+        assert np.vdot(ket0_a, psi.amps) == pytest.approx(SQRT_HALF, abs=1e-15)
 
 
 class TestDetectorModel:

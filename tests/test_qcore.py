@@ -14,6 +14,9 @@ from clab.qcore import (
     _bessel_series,
     integrate_tdse,
 )
+from clab.decoherence import DetectorModel, initial_product_state
+
+SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def random_state(dim, seed):
@@ -53,6 +56,20 @@ class TestStateVector:
             psi.amps = np.array([0.0, 1.0])
         with pytest.raises(ValueError):
             psi.amps[0] = 5.0
+
+
+class TestTensorProduct:
+    def test_superposition_times_detector_pattern(self):
+        # (|0> + |1>)/sqrt(2) (x) sum_k a_k |k>: amplitude a_k/sqrt(2)
+        # in slot (0, k) and slot (1, k), particle-major ordering.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        a /= np.linalg.norm(a)
+        psi = initial_product_state(DetectorModel(a, np.zeros(4), np.zeros(4)))
+        assert psi.dim == 8
+        np.testing.assert_allclose(psi.amps[:4], a * SQRT_HALF, atol=1e-16)
+        np.testing.assert_allclose(psi.amps[4:], a * SQRT_HALF, atol=1e-16)
+        assert psi.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestHermitianOperator:
