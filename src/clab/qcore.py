@@ -1,7 +1,9 @@
 """Complex linear algebra and unitary dynamics kernel.
 
 Measurement models and adiabatic sweeps go through the state types and
-the integrator defined here; dense and diagonal operators live here too.
+the integrator defined here. Dense Hermitian operators and their exact
+exponentials are the reference that the integrator, and the detector
+model's phase propagation, are checked against.
 Values are immutable after construction and all operations are pure
 functions, so callers may share them freely across threads.
 """
@@ -90,45 +92,32 @@ class StateVector:
 
 
 class HermitianOperator:
-    """Finite-dimensional Hermitian operator, dense or diagonal.
+    """Finite-dimensional Hermitian operator, stored as a dense read-only matrix.
 
-    The diagonal representation stores a real vector and is exact by
-    construction. Dense input is rejected at construction if it deviates
-    from M = M^dagger beyond an entrywise tolerance scaled by the largest
-    entry magnitude.
+    Input is rejected at construction if it deviates from M = M^dagger
+    beyond an entrywise tolerance scaled by the largest entry magnitude.
+    Real input stays real.
     """
 
-    __slots__ = ("_dense", "_diag", "dim")
+    __slots__ = ("matrix", "dim")
 
-    def __init__(self, *, dense=None, diagonal=None):
-        if (dense is None) == (diagonal is None):
-            raise ValueError("provide exactly one of dense= or diagonal=")
-        if diagonal is not None:
-            d = np.array(diagonal, dtype=np.float64, copy=True).reshape(-1)
-            if d.size < 1 or not np.all(np.isfinite(d)):
-                raise ValueError("diagonal must be a finite, non-empty real vector")
-            d.setflags(write=False)
-            object.__setattr__(self, "_diag", d)
-            object.__setattr__(self, "_dense", None)
-            object.__setattr__(self, "dim", d.size)
-        else:
-            m = np.array(dense, copy=True)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"dense operator must be square, got shape {m.shape}")
-            if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
-                raise ValueError("operator contains non-finite entries")
-            scale = max(1.0, float(np.abs(m).max()))
-            defect = float(np.abs(m - m.conj().T).max())
-            if defect > HERMITICITY_ATOL * scale:
-                raise ValueError(
-                    f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} "
-                    f"exceeds {HERMITICITY_ATOL * scale:.1e}"
-                )
-            m = m.astype(np.complex128) if np.iscomplexobj(m) else m.astype(np.float64)
-            m.setflags(write=False)
-            object.__setattr__(self, "_dense", m)
-            object.__setattr__(self, "_diag", None)
-            object.__setattr__(self, "dim", m.shape[0])
+    def __init__(self, *, dense):
+        m = np.array(dense, copy=True)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"dense operator must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
+            raise ValueError("operator contains non-finite entries")
+        scale = max(1.0, float(np.abs(m).max()))
+        defect = float(np.abs(m - m.conj().T).max())
+        if defect > HERMITICITY_ATOL * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} "
+                f"exceeds {HERMITICITY_ATOL * scale:.1e}"
+            )
+        m = m.astype(np.complex128) if np.iscomplexobj(m) else m.astype(np.float64)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dim", m.shape[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
@@ -137,109 +126,48 @@ class HermitianOperator:
     def from_dense(cls, matrix) -> "HermitianOperator":
         return cls(dense=matrix)
 
-    @classmethod
-    def from_diagonal(cls, diagonal) -> "HermitianOperator":
-        return cls(diagonal=diagonal)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self._diag is not None
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        if self._diag is None:
-            raise ValueError("operator is stored dense; use dense()")
-        return self._diag
-
-    def dense(self) -> np.ndarray:
-        if self._diag is not None:
-            return np.diag(self._diag.astype(np.complex128))
-        return self._dense.astype(np.complex128, copy=False)
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        if self._diag is not None:
-            return self._diag * vec
-        return self._dense @ vec
-
     def __repr__(self):
-        kind = "diagonal" if self.is_diagonal else "dense"
-        return f"HermitianOperator(dim={self.dim}, {kind})"
+        return f"HermitianOperator(dim={self.dim})"
 
 
 class UnitaryPropagator:
-    """Unitary map, stored dense or as diagonal phases.
+    """Dense unitary map; construction verifies max |U^dagger U - I| <= UNITARITY_ATOL."""
 
-    Construction verifies unitarity: max-norm of U^dagger U - I for the
-    dense form, |phase| = 1 entrywise for the diagonal form.
-    """
+    __slots__ = ("matrix", "dim")
 
-    __slots__ = ("_matrix", "_phases", "dim")
-
-    def __init__(self, *, matrix=None, phases=None):
-        if (matrix is None) == (phases is None):
-            raise ValueError("provide exactly one of matrix= or phases=")
-        if phases is not None:
-            p = np.array(phases, dtype=np.complex128, copy=True).reshape(-1)
-            defect = float(np.abs(np.abs(p) - 1.0).max())
-            if defect > UNITARITY_ATOL:
-                raise ValueError(f"diagonal propagator has non-unit phases (defect {defect:.3e})")
-            p.setflags(write=False)
-            object.__setattr__(self, "_phases", p)
-            object.__setattr__(self, "_matrix", None)
-            object.__setattr__(self, "dim", p.size)
-        else:
-            u = np.asarray(matrix, dtype=np.complex128)
-            if u.ndim != 2 or u.shape[0] != u.shape[1]:
-                raise ValueError(f"propagator must be square, got shape {u.shape}")
-            gram_defect = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-            if gram_defect > UNITARITY_ATOL:
-                raise ValueError(f"matrix is not unitary: max |U^dagger U - I| = {gram_defect:.3e}")
-            u = u.copy()
-            u.setflags(write=False)
-            object.__setattr__(self, "_matrix", u)
-            object.__setattr__(self, "_phases", None)
-            object.__setattr__(self, "dim", u.shape[0])
+    def __init__(self, *, matrix):
+        u = np.array(matrix, dtype=np.complex128, copy=True)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise ValueError(f"propagator must be square, got shape {u.shape}")
+        u.setflags(write=False)
+        object.__setattr__(self, "matrix", u)
+        object.__setattr__(self, "dim", u.shape[0])
+        gram_defect = self.unitarity_defect()
+        if gram_defect > UNITARITY_ATOL:
+            raise ValueError(f"matrix is not unitary: max |U^dagger U - I| = {gram_defect:.3e}")
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryPropagator is immutable")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._phases is not None:
-            return np.diag(self._phases)
-        return self._matrix
-
     def unitarity_defect(self) -> float:
-        if self._phases is not None:
-            return float(np.abs(np.abs(self._phases) - 1.0).max())
-        u = self._matrix
+        u = self.matrix
         return float(np.abs(u.conj().T @ u - np.eye(self.dim)).max())
 
     def apply(self, psi: StateVector) -> StateVector:
         if psi.dim != self.dim:
             raise ValueError(f"dimension mismatch: propagator dim {self.dim}, state dim {psi.dim}")
-        amps = self._phases * psi.amps if self._phases is not None else self._matrix @ psi.amps
-        return StateVector(amps)
+        return StateVector(self.matrix @ psi.amps)
 
     def __repr__(self):
-        kind = "phases" if self._phases is not None else "dense"
-        return f"UnitaryPropagator(dim={self.dim}, {kind})"
+        return f"UnitaryPropagator(dim={self.dim})"
 
 
 def expm_propagator(
     h: HermitianOperator, dt: float, c: PhysicalConstants = NATURAL_UNITS
 ) -> UnitaryPropagator:
-    """Exact propagator exp(-i dt H / hbar).
-
-    Diagonal operators exponentiate entrywise; dense ones go through the
-    eigendecomposition H = Q L Q^dagger.
-    """
-    angle = -1j * dt / c.hbar
-    if h.is_diagonal:
-        return UnitaryPropagator(phases=np.exp(angle * h.diagonal))
-    w, v = np.linalg.eigh(h._dense)
-    u = (v * np.exp(angle * w)) @ v.conj().T
-    return UnitaryPropagator(matrix=u)
+    """Exact propagator exp(-i dt H / hbar), through the eigendecomposition H = Q L Q^dagger."""
+    w, v = np.linalg.eigh(h.matrix)
+    return UnitaryPropagator(matrix=(v * np.exp(-1j * dt / c.hbar * w)) @ v.conj().T)
 
 
 def _bessel_series(x: float) -> np.ndarray:

@@ -403,7 +403,9 @@ def reduce_energy_decision(
 
 
 def _ground_energy_direct(h: GridHamiltonian) -> float:
-    return float(scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0])
+    # tol=0 lets LAPACK stebz stop at a width of eps * ||H||_1, far wider than E0 if one entry of V is huge.
+    tiny = 2.0 * np.finfo(float).tiny
+    return float(scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0), tol=tiny)[0])
 
 
 def _eigenvalues_below(h: GridHamiltonian, x: float) -> int:
@@ -461,7 +463,9 @@ def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int
     radii[:-1] += off
     radii[1:] += off
     scale = max(1.0, float(np.abs(h.diag).max()), float(off.max(initial=0.0)))
-    shift = float((h.diag - radii).min()) - 1e-6 * scale
+    # A margin scaled by the largest diagonal entry would put the shift far below E0 under one huge V entry.
+    low = float((h.diag - radii).min())
+    shift = low - 1e-6 * max(1.0, abs(low), float(off.max(initial=0.0)))
     lam, v = _inverse_iteration(h, shift, np.full(dim, dim**-0.5), scale, tol, max_iter)
     if lam is not None:
         return lam
@@ -481,10 +485,11 @@ def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int
 def ground_energy(h: GridHamiltonian, method: str = "dense") -> float:
     """Smallest eigenvalue of the grid operator.
 
-    ``dense`` (the name the payloads carry) calls LAPACK's direct
-    tridiagonal eigensolver for the lowest eigenvalue only; ``inverse``
-    runs shifted inverse iteration as an independent cross-check and falls
-    back to the direct route (with a notice) if it stalls.
+    ``dense`` (the name the payloads carry) bisects the lowest eigenvalue
+    only, to full precision, with LAPACK's direct tridiagonal eigensolver;
+    ``inverse`` runs shifted inverse iteration as an independent
+    cross-check and falls back to the direct route (with a notice) if it
+    stalls.
     """
     if method == "dense":
         return _ground_energy_direct(h)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decoherence import decohered_probability, decohered_probability_sweep
+from .decoherence import decohered_probability_sweep
 from .montecarlo import derive_seed
 from .qcore import PhysicalConstants
 from .reduction import (
@@ -43,7 +43,6 @@ from .stochastic import (
     SAMPLING_MODES,
     StochasticInteraction,
     analytic_mean_probability,
-    mc_probability,
     mc_probability_sweep,
     phase_span,
 )
@@ -384,17 +383,21 @@ def _run_compare(config: dict) -> dict:
     The detector-averaging route draws branch energies uniform on
     [0, energy_scale], so the energy difference spans energy_scale; the
     stochastic route matches it with A_tilde = B_tilde = energy_scale / 2,
-    making both phase arguments range over the same span.
+    making both phase arguments range over the same span. Both laws depend
+    on energy_scale and tau only through their product, so each route draws
+    its samples once, at unit energy scale, and sweeps the times
+    energy_scale * tau.
     """
     p = config["params"]
     c = PhysicalConstants(hbar=config["hbar"])
+    times = [energy_scale * p["tau"] for energy_scale in p["energy_scale"]]
+    decohered = decohered_probability_sweep(
+        p["K"], 1.0, times, c, seed=derive_seed(config["seed"], "decohere"), trials=p["trials"]
+    )
+    unit = StochasticInteraction(a_tilde=0.5, b_tilde=0.5)
+    stochastic = mc_probability_sweep(unit, times, c, seed=derive_seed(config["seed"], "stochastic"), n=p["n"])
     rows = []
-    for energy_scale in p["energy_scale"]:
-        interaction = StochasticInteraction(a_tilde=energy_scale / 2.0, b_tilde=energy_scale / 2.0)
-        dec = decohered_probability(
-            p["K"], energy_scale, p["tau"], c, seed=derive_seed(config["seed"], "decohere"), trials=p["trials"]
-        )
-        sto = mc_probability(interaction, p["tau"], c, seed=derive_seed(config["seed"], "stochastic"), n=p["n"])
+    for energy_scale, dec, sto in zip(p["energy_scale"], decohered, stochastic):
         rows.append(
             {
                 "energy_scale": energy_scale,

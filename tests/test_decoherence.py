@@ -18,7 +18,7 @@ from clab.decoherence import (
     sample_random_detector,
 )
 from clab.montecarlo import derive_seed
-from clab.qcore import PhysicalConstants
+from clab.qcore import HermitianOperator, PhysicalConstants, expm_propagator
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -60,17 +60,17 @@ class TestDetectorModel:
 class TestBuildInteraction:
     def test_single_configuration(self):
         d = DetectorModel([1.0], [2.0], [3.0])
-        h = build_interaction(d)
-        np.testing.assert_allclose(h.dense(), np.diag([2.0, 3.0]))
+        np.testing.assert_array_equal(build_interaction(d), [2.0, 3.0])
 
     def test_zero_energies_zero_operator(self):
         d = DetectorModel([SQRT_HALF, SQRT_HALF], [0.0, 0.0], [0.0, 0.0])
-        assert np.abs(build_interaction(d).dense()).max() == 0.0
+        assert np.abs(build_interaction(d)).max() == 0.0
 
     def test_real_diagonal_is_hermitian(self):
         d = sample_random_detector(8, 5.0, seed=1)
-        h = build_interaction(d).dense()
-        assert np.abs(h - h.conj().T).max() <= 1e-12
+        energies = build_interaction(d)
+        assert energies.dtype == np.float64  # real energies on the diagonal make the operator Hermitian
+        assert HermitianOperator.from_dense(np.diag(energies)).dim == 16
 
 
 class TestPropagateExact:
@@ -92,6 +92,16 @@ class TestPropagateExact:
     def test_norm_preserved(self):
         d = sample_random_detector(32, 10.0, seed=3)
         assert propagate_exact(d, 2.5).norm() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("K", [1, 8, 64])
+    def test_matches_kernel_exponential(self, K):
+        # The phase vector is the exact exponential of the interaction operator.
+        d = sample_random_detector(K, 7.0, seed=K)
+        c = PhysicalConstants(hbar=0.7)
+        tau = 1.3
+        h = HermitianOperator.from_dense(np.diag(build_interaction(d)))
+        expected = expm_propagator(h, tau, c).apply(initial_product_state(d))
+        np.testing.assert_allclose(propagate_exact(d, tau, c).amps, expected.amps, rtol=0, atol=1e-12)
 
     def test_rejects_negative_tau(self):
         d = DetectorModel([1.0], [0.0], [0.0])

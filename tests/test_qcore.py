@@ -33,7 +33,12 @@ def random_hermitian(dim, seed, scale=1.0):
 
 def gershgorin_bound(h):
     """Largest absolute row sum, a bound on the spectral norm."""
-    return float(np.abs(h.dense()).sum(axis=1).max())
+    return float(np.abs(h.matrix).sum(axis=1).max())
+
+
+def constant(h):
+    """``h_at`` for integrate_tdse with the time-independent H = h."""
+    return lambda t: lambda v: h.matrix @ v
 
 
 class TestStateVector:
@@ -80,12 +85,7 @@ class TestHermitianOperator:
 
     def test_rejects_non_finite_diagonal(self):
         with pytest.raises(ValueError, match="finite"):
-            HermitianOperator.from_diagonal([1.0, np.inf])
-
-    def test_diagonal_roundtrip(self):
-        h = HermitianOperator.from_diagonal([2.0, 3.0])
-        assert h.is_diagonal
-        np.testing.assert_allclose(h.dense(), np.diag([2.0, 3.0]))
+            HermitianOperator.from_dense(np.diag([1.0, np.inf]))
 
 
 class TestExpmPropagator:
@@ -95,7 +95,7 @@ class TestExpmPropagator:
 
     def test_half_period_phase(self):
         # diagonal entry E with dt E / hbar = pi picks up phase -1
-        h = HermitianOperator.from_diagonal([2.0])
+        h = HermitianOperator.from_dense([[2.0]])
         u = expm_propagator(h, math.pi / 2.0)
         assert u.matrix[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
@@ -120,7 +120,7 @@ class TestExpmPropagator:
         assert np.abs(u1 @ u2 - u12).max() <= 1e-9
 
     def test_hbar_scaling(self):
-        h = HermitianOperator.from_diagonal([3.0])
+        h = HermitianOperator.from_dense([[3.0]])
         u = expm_propagator(h, 1.0, PhysicalConstants(hbar=2.0))
         assert u.matrix[0, 0] == pytest.approx(np.exp(-1.5j), abs=1e-14)
 
@@ -135,14 +135,21 @@ class TestUnitaryPropagator:
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryPropagator(matrix=[[1.0, 0.0], [0.0, 2.0]])
 
-    @pytest.mark.parametrize("form", ["phases", "matrix"])
+    @pytest.mark.parametrize("form", ["matrix", "dense"])
     def test_later_writes_to_the_input_leave_it_unchanged(self, form):
-        p = np.exp(1j * np.array([0.1, 0.2]))
-        source = p if form == "phases" else np.diag(p)
-        u = UnitaryPropagator(**{form: source})
-        source[0] = 5.0
-        assert u.unitarity_defect() <= 1e-15
-        np.testing.assert_array_equal(u.matrix, np.diag(np.exp(1j * np.array([0.1, 0.2]))))
+        # matrix= builds a UnitaryPropagator, dense= a HermitianOperator; each keeps a read-only copy.
+        if form == "matrix":
+            expected = np.diag(np.exp(1j * np.array([0.1, 0.2])))
+            source = expected.copy()
+            op = UnitaryPropagator(matrix=source)
+        else:
+            expected = np.array([[1.0, 2.0], [2.0, 3.0]])
+            source = expected.copy()
+            op = HermitianOperator(dense=source)
+        source[0, 0] = 5.0
+        np.testing.assert_array_equal(op.matrix, expected)
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 5.0
 
 
 class TestIntegrateTdse:
@@ -150,15 +157,15 @@ class TestIntegrateTdse:
         h = random_hermitian(24, seed=31, scale=1.5)
         psi0 = random_state(24, seed=32)
         direct = expm_propagator(h, 2.0).apply(psi0)
-        stepped = integrate_tdse(lambda t: h.matvec, psi0, 2.0, steps=64, spectral_bound=gershgorin_bound(h))
+        stepped = integrate_tdse(constant(h), psi0, 2.0, steps=64, spectral_bound=gershgorin_bound(h))
         overlap = abs(np.vdot(direct.amps, stepped.amps))
         assert overlap == pytest.approx(1.0, abs=1e-10)
         assert np.abs(direct.amps - stepped.amps).max() <= 1e-10
 
     def test_zero_hamiltonian_is_identity(self):
         psi0 = random_state(8, seed=41)
-        zero = HermitianOperator.from_diagonal(np.zeros(8))
-        out = integrate_tdse(lambda t: zero.matvec, psi0, 5.0, steps=7, spectral_bound=0.0)
+        zero = HermitianOperator.from_dense(np.zeros((8, 8)))
+        out = integrate_tdse(constant(zero), psi0, 5.0, steps=7, spectral_bound=0.0)
         np.testing.assert_allclose(out.amps, psi0.amps, atol=1e-15)
 
     def test_step_doubling_converges_on_smooth_schedule(self):
@@ -168,7 +175,7 @@ class TestIntegrateTdse:
 
         def h_at(t):
             s = t / total
-            return lambda v: (1 - s) * h0.matvec(v) + s * h1.matvec(v)
+            return lambda v: (1 - s) * (h0.matrix @ v) + s * (h1.matrix @ v)
 
         bound = max(gershgorin_bound(h0), gershgorin_bound(h1))
         psi0 = random_state(8, seed=53)
@@ -182,7 +189,7 @@ class TestIntegrateTdse:
         total = 50.0 / bound  # one step with dt * bound / hbar = 50
         psi0 = random_state(16, seed=62)
         direct = expm_propagator(h, total).apply(psi0)
-        stepped = integrate_tdse(lambda t: h.matvec, psi0, total, steps=1, spectral_bound=bound)
+        stepped = integrate_tdse(constant(h), psi0, total, steps=1, spectral_bound=bound)
         assert np.abs(direct.amps - stepped.amps).max() <= 1e-12
 
     def test_assembles_hamiltonian_at_cf4_nodes(self):
@@ -191,7 +198,7 @@ class TestIntegrateTdse:
 
         def h_at(t):
             times.append(t)
-            return h.matvec
+            return lambda v: h.matrix @ v
 
         integrate_tdse(h_at, random_state(8, seed=72), 2.0, steps=5, spectral_bound=gershgorin_bound(h))
         expected = [0.4 * (j + node) for j in range(5) for node in (1.0 / 6.0, 5.0 / 6.0)]
@@ -204,7 +211,7 @@ class TestIntegrateTdse:
 
         def h_at(t):
             s = t / total
-            return lambda v: (1 - s) * h0.matvec(v) + s * h1.matvec(v)
+            return lambda v: (1 - s) * (h0.matrix @ v) + s * (h1.matrix @ v)
 
         bound = gershgorin_bound(h0) + gershgorin_bound(h1)
         psi0 = random_state(8, seed=83)
@@ -224,6 +231,6 @@ class TestIntegrateTdse:
         assert abs(scipy.special.jv(j.size, x)) <= 1e-17  # the first term left out is negligible
 
     def test_rejects_bad_steps(self):
-        h = HermitianOperator.from_diagonal([1.0])
+        h = HermitianOperator.from_dense([[1.0]])
         with pytest.raises(ValueError, match="steps"):
-            integrate_tdse(lambda t: h.matvec, StateVector([1.0]), 1.0, steps=0, spectral_bound=1.0)
+            integrate_tdse(constant(h), StateVector([1.0]), 1.0, steps=0, spectral_bound=1.0)

@@ -371,6 +371,23 @@ class TestGridHamiltonian:
         assert abs(ground_energy(h, method="inverse") - direct) <= 1e-9 * max(1.0, abs(direct))
         assert counts, "the Gershgorin-shift iteration converged; the case no longer reaches the fallback"
 
+    @pytest.mark.filterwarnings("error")  # the fallback to the direct solver would hide the cross-check
+    @pytest.mark.parametrize("grid_points", [8, 64, 512, 4096])
+    @pytest.mark.parametrize("spike", [1e20, 1e100, 1e200])
+    def test_single_huge_potential_entry_acts_as_a_wall(self, grid_points, spike):
+        # V[0] far above the spectrum leaves N - 1 free sites between walls: E0 = 2t (1 - cos(pi / N)).
+        potential = np.zeros(grid_points)
+        potential[0] = spike
+        inst = SpectralDecisionInstance(
+            grid_points=grid_points, box_length=1.0, mass=1.0, potential=potential, threshold=0.0
+        )
+        h, _ = reduce_energy_decision(inst)
+        t = (grid_points + 1) ** 2 / 2.0
+        wall = 2.0 * t * (1.0 - math.cos(math.pi / grid_points))
+        for method in ("dense", "inverse"):
+            assert abs(ground_energy(h, method=method) - wall) <= 1e-10 * wall
+        assert decide_energy_threshold(inst) is False
+
     def test_sturm_count_matches_spectrum(self):
         rng = np.random.default_rng(5)
         inst = SpectralDecisionInstance(

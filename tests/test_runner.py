@@ -5,12 +5,16 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clab.cli as cli
 import clab.runner as runner
+from clab.decoherence import decohered_probability
+from clab.montecarlo import derive_seed
+from clab.qcore import PhysicalConstants
 from clab.runner import (
     EXPERIMENTS,
     ConfigError,
@@ -19,6 +23,7 @@ from clab.runner import (
     run,
     validate_config,
 )
+from clab.stochastic import StochasticInteraction, mc_probability
 from clab.svgplot import Series, line_chart
 
 REPO = Path(__file__).resolve().parents[1]
@@ -213,6 +218,19 @@ class TestRun:
         assert abs(row["p_decohered"] - 0.5) <= 0.02
         assert abs(row["p_stochastic"] - 0.5) <= 0.02
         assert row["abs_difference"] <= 0.02
+
+    def test_compare_rows_match_per_scale_laws(self):
+        # Compare sweeps energy_scale * tau at unit scale; each row must equal that scale's own draw.
+        scales = [1e-3, 0.02, 1.0, 7.5, 300.0, 1e4]
+        params = {"K": 16, "energy_scale": scales, "tau": 0.9, "trials": 40, "n": 2000}
+        rows = run({"experiment": "compare", "seed": 8, "hbar": 0.7, "params": params}).outputs["rows"]
+        c = PhysicalConstants(hbar=0.7)
+        for scale, row in zip(scales, rows, strict=True):
+            dec = decohered_probability(16, scale, 0.9, c, seed=derive_seed(8, "decohere"), trials=40)
+            interaction = StochasticInteraction(a_tilde=scale / 2.0, b_tilde=scale / 2.0)
+            sto = mc_probability(interaction, 0.9, c, seed=derive_seed(8, "stochastic"), n=2000)
+            got = [row["p_decohered"], row["p_decohered_stderr"], row["p_stochastic"], row["p_stochastic_stderr"]]
+            np.testing.assert_allclose(got, [dec.mean, dec.stderr, sto.mean, sto.stderr], rtol=0, atol=1e-12)
 
     def test_adiabatic_bundled_instance(self):
         record = run(adiabatic_config())
@@ -434,15 +452,23 @@ class TestCli:
         [
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "uniform_argument"}),
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "independent_uniform"}),
-            ("compare", {"K": 4, "energy_scale": [1e308], "tau": 1e-300, "trials": 2, "n": 100}),
         ],
-        ids=["stochastic_uniform_nan", "stochastic_independent_nan", "compare_nan"],
+        ids=["stochastic_uniform_nan", "stochastic_independent_nan"],
     )
     def test_library_error_exit_three(self, tmp_path, capsys, experiment, params):
         config = self._write_config(tmp_path, {"params": params})
         code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_compare_huge_scale_at_tiny_tau_exit_zero(self, tmp_path):
+        # Compare samples on the unit interval and scales time instead, so energy_scale = 1e308 cannot overflow it.
+        params = {"K": 4, "energy_scale": [1e308], "tau": 1e-300, "trials": 2, "n": 100}
+        config = self._write_config(tmp_path, {"params": params})
+        assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        row = json.loads((tmp_path / "out" / "compare_result.json").read_text())["outputs"]["rows"][0]
+        assert row["spread"] == pytest.approx(1e8)
+        assert 0.0 <= row["p_decohered"] <= 1.0 and 0.0 <= row["p_stochastic"] <= 1.0
 
     @pytest.mark.parametrize(
         "experiment,params,path",
@@ -459,7 +485,7 @@ class TestCli:
         def no_draws(*args, **kwargs):
             raise AssertionError("a Monte Carlo sweep started")
 
-        for name in ("decohered_probability", "decohered_probability_sweep", "mc_probability", "mc_probability_sweep"):
+        for name in ("decohered_probability_sweep", "mc_probability_sweep"):
             monkeypatch.setattr(runner, name, no_draws)
         config = self._write_config(tmp_path, {"params": params})
         code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])

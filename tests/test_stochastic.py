@@ -95,7 +95,7 @@ class TestEvolveStochastic:
         sample = sample_energies(s, seed=6, index=11)
         tau = 0.9
         sol = evolve_stochastic(s, sample, tau)
-        h = HermitianOperator.from_diagonal([s.a_tilde + sample.alpha, s.b_tilde + sample.beta])
+        h = HermitianOperator.from_dense(np.diag([s.a_tilde + sample.alpha, s.b_tilde + sample.beta]))
         expected = expm_propagator(h, tau).apply(StateVector([SQRT_HALF, SQRT_HALF]))
         np.testing.assert_allclose(sol.state().amps, expected.amps, atol=1e-12)
 
