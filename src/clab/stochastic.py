@@ -4,15 +4,22 @@ Instead of tracking detector microstates, the interaction energies carry
 bounded random uncertainties: per experiment instance the |0> branch sees
 A_tilde + alpha and the |1> branch sees B_tilde + beta, each drawn once
 and constant over the interaction window. The solution is a pure phase on
-each branch, the per-instance return probability expands into
+each branch, and the per-instance return probability depends only on the
+relative phase of the two branches:
+
+    cos^2((D + delta) tau / 2 hbar),
+
+with D = A_tilde - B_tilde and delta = alpha - beta; this is the law of one
+detector configuration in the decoherence route. It expands into
 
     1/2 + (1/2) cos(D tau/hbar) cos(delta tau/hbar)
         - (1/2) sin(D tau/hbar) sin(delta tau/hbar),
 
-with D = A_tilde - B_tilde and delta = alpha - beta, and averaging over a
-uniformly distributed phase argument multiplies the oscillatory part by
-sin(xi)/xi where xi = (A_tilde + B_tilde) tau / hbar. Large xi kills the
-oscillation and leaves the classical value 1/2.
+and averaging over a uniformly distributed phase argument multiplies the
+oscillatory part by sin(xi)/xi where xi = (A_tilde + B_tilde) tau / hbar.
+Large xi kills the oscillation and leaves the classical value 1/2. The
+samples are evaluated in the cos^2 form: one cosine per instance, and its
+half angle cannot overflow where the phase span xi is finite.
 
 Two sampling modes exist because the bounds constrain alpha and beta
 separately while the averaging rule treats the *difference* as uniform:
@@ -127,16 +134,18 @@ def overlap_probability(
     tau: float,
     c: PhysicalConstants = NATURAL_UNITS,
 ):
-    """Per-instance return probability |<initial|evolved>|^2.
+    """Per-instance return probability |<initial|evolved>|^2 = cos^2((D + delta) tau / 2 hbar).
 
-    Evaluates the trigonometric expansion in the module docstring; accepts
-    scalar samples or arrays (vectorized over instances).
+    One cosine per instance; accepts scalar samples or arrays (vectorized
+    over instances). The half angle is summed from two terms, each at most
+    (A_tilde + B_tilde) tau / 2 hbar, so it stays finite whenever the phase
+    span does; the full angle (D + delta) tau / hbar can overflow there.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    d_angle = (s.a_tilde - s.b_tilde) * tau / c.hbar
-    delta_angle = (np.asarray(sample.alpha) - np.asarray(sample.beta)) * tau / c.hbar
-    p = 0.5 + 0.5 * np.cos(d_angle) * np.cos(delta_angle) - 0.5 * np.sin(d_angle) * np.sin(delta_angle)
+    scale = 0.5 * tau / c.hbar
+    half = (s.a_tilde - s.b_tilde) * scale + (np.asarray(sample.alpha) - np.asarray(sample.beta)) * scale
+    p = np.cos(half) ** 2
     return p if np.ndim(p) else float(p)
 
 
@@ -167,6 +176,8 @@ def analytic_mean_probability(s: StochasticInteraction, tau: float, c: PhysicalC
     independent_uniform: the cosine average factorizes into
     sinc(A_tilde tau/hbar) * sinc(B_tilde tau/hbar).
     """
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     d_angle = (s.a_tilde - s.b_tilde) * tau / c.hbar
     if s.mode == "independent_uniform":
         envelope = mean_cos_uniform(s.a_tilde * tau / c.hbar) * mean_cos_uniform(s.b_tilde * tau / c.hbar)

@@ -461,6 +461,15 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
+    def test_stochastic_largest_finite_span_exit_zero(self, tmp_path, mode):
+        # Span 1.79e308 is finite; the full angle (A_tilde + delta) tau / hbar would reach 2 * 1.79e308.
+        params = {"A_tilde": 1e5, "B_tilde": 0.0, "tau": [1.79e303], "n": 100, "mode": mode}
+        config = self._write_config(tmp_path, {"params": params})
+        assert cli.main(["stochastic", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "stochastic_result.json").read_text())["outputs"]["summary"]
+        assert 0.0 <= summary["final_p_mean"] <= 1.0
+
     def test_compare_huge_scale_at_tiny_tau_exit_zero(self, tmp_path):
         # Compare samples on the unit interval and scales time instead, so energy_scale = 1e308 cannot overflow it.
         params = {"K": 4, "energy_scale": [1e308], "tau": 1e-300, "trials": 2, "n": 100}

@@ -119,9 +119,22 @@ class TestOverlapProbability:
         s = StochasticInteraction(a_tilde=2.0, b_tilde=1.0, mode="independent_uniform")
         sample = sample_energies(s, seed=9, index=np.arange(10_000))
         tau = 1.7
-        expansion = overlap_probability(s, sample, tau)
+        p = overlap_probability(s, sample, tau)
         direct = direct_overlap_probability(s, sample, tau)
-        assert np.abs(expansion - direct).max() <= 1e-12
+        assert np.abs(p - direct).max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
+    def test_matches_paper_expansion(self, mode):
+        # The cos^2 law against the module docstring's expansion, written out here.
+        s = StochasticInteraction(a_tilde=2.5, b_tilde=0.75, mode=mode)
+        hbar = 0.7
+        sample = sample_energies(s, seed=12, index=np.arange(10_000))
+        for tau in (0.0, 0.3, 1.7, 25.0):
+            d = (s.a_tilde - s.b_tilde) * tau / hbar
+            delta = (sample.alpha - sample.beta) * tau / hbar
+            expansion = 0.5 + 0.5 * np.cos(d) * np.cos(delta) - 0.5 * np.sin(d) * np.sin(delta)
+            p = overlap_probability(s, sample, tau, PhysicalConstants(hbar=hbar))
+            assert np.abs(p - expansion).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -134,7 +147,7 @@ class TestOverlapProbability:
         s = StochasticInteraction(a_tilde=a_tilde, b_tilde=b_tilde)
         sample = sample_energies(s, seed=seed, index=np.arange(64))
         p = overlap_probability(s, sample, tau)
-        assert np.all(p >= -1e-12) and np.all(p <= 1.0 + 1e-12)
+        assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
 
 class TestPhaseSpan:
@@ -177,6 +190,15 @@ class TestMeanCosUniform:
         for xi in (0.3, 2.0, 7.7):
             integral, _ = quad(math.cos, -xi, xi)
             assert mean_cos_uniform(xi) == pytest.approx(integral / (2 * xi), abs=1e-12)
+
+
+class TestAnalyticMeanProbability:
+    @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
+    @pytest.mark.parametrize("a_tilde", [0.0, 2.0])
+    def test_rejects_negative_tau(self, mode, a_tilde):
+        s = StochasticInteraction(a_tilde=a_tilde, b_tilde=0.0, mode=mode)
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            analytic_mean_probability(s, -1.0)
 
 
 class TestMcProbability:
