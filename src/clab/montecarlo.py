@@ -161,10 +161,12 @@ def mc_estimate(values) -> MonteCarloEstimate:
     n = vals.size
     if n < 1:
         raise ValueError("mc_estimate needs at least one value")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = int(np.nonzero(~finite)[0][0])
-        raise ValueError(f"non-finite value at trial index {bad}: {vals[bad]}")
-    mean = float(np.sum(vals) / n)
+    total = float(np.sum(vals))
+    if not math.isfinite(total):  # a finite sum has only finite terms; the index is searched for on failure
+        finite = np.isfinite(vals)
+        if not finite.all():
+            bad = int(np.nonzero(~finite)[0][0])
+            raise ValueError(f"non-finite value at trial index {bad}: {vals[bad]}")
+    mean = total / n
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MonteCarloEstimate(mean=mean, stderr=stderr, n=n)

@@ -29,6 +29,8 @@ HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 # Chebyshev series of a step's exponential end after the last Bessel coefficient above this.
 CHEBYSHEV_CUTOFF = 1e-17
+# Rows of the block that holds a series' terms before one product sums them; bounds its memory.
+CHEBYSHEV_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -196,15 +198,34 @@ def _bessel_series(x: float) -> np.ndarray:
     return j[: np.flatnonzero(np.abs(j) > CHEBYSHEV_CUTOFF)[-1] + 1]
 
 
-def _chebyshev_apply(matvec, amps: np.ndarray, coeffs: list, bound: float) -> np.ndarray:
-    """sum_k coeffs[k] T_k(H / bound) amps, where ``matvec(v)`` returns H v; one matvec per k >= 1."""
-    acc = coeffs[0] * amps
-    if len(coeffs) > 1:
-        prev, cur = amps, matvec(amps) / bound
-        acc += coeffs[1] * cur
-        for ck in coeffs[2:]:
-            prev, cur = cur, (2.0 / bound) * matvec(cur) - prev
-            acc += ck * cur
+def _chebyshev_apply(matvec, amps: np.ndarray, coeffs: np.ndarray, block: np.ndarray, rows: list) -> np.ndarray:
+    """sum_k coeffs[k] T_k(A) amps, where ``matvec(v, out)`` writes 2 A v into ``out``; one matvec per k >= 1.
+
+    The terms T_k(A) amps are written into the rows of ``block`` (``rows``
+    lists their views) by T_k = 2 A T_{k-1} - T_{k-2}, and one product with
+    the matching ``coeffs`` sums each filled block. A block that fills
+    before the series ends keeps its last two terms as its first two rows,
+    so the block's fixed row count bounds the memory at any series length.
+    The result is a new array.
+    """
+    size = len(rows)
+    np.copyto(rows[0], amps)
+    if coeffs.size > 1:
+        matvec(amps, rows[1])
+        rows[1] *= 0.5
+    stop = min(coeffs.size, size)
+    for j in range(2, stop):
+        matvec(rows[j - 1], rows[j])
+        rows[j] -= rows[j - 2]
+    acc = coeffs[:stop] @ block[:stop]
+    while stop < coeffs.size:
+        block[:2] = block[-2:]
+        fill = min(coeffs.size - stop, size - 2) + 2
+        for j in range(2, fill):
+            matvec(rows[j - 1], rows[j])
+            rows[j] -= rows[j - 2]
+        acc += coeffs[stop : stop + fill - 2] @ block[2:fill]
+        stop += fill - 2
     return acc
 
 
@@ -227,14 +248,19 @@ def integrate_tdse(
     is the Chebyshev series of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
     (1984), in H / spectral_bound with Bessel coefficients J_k(dt
     spectral_bound / (2 hbar)) computed once per call; it is exact to
-    roundoff, and it costs about that argument plus O(log) matvecs.
+    roundoff, and it costs about that argument plus O(log) matvecs. The
+    series' terms fill a preallocated block of at most CHEBYSHEV_BLOCK
+    rows, and one product with the coefficients sums them.
 
-    ``h_at(t)`` returns the matvec ``v -> H(t) v`` for vectors of the
-    state's dimension; it is called twice per step. ``spectral_bound`` must
-    bound the spectral norm of every H(t), or the series diverges; shifting
-    H by a constant to centre its spectrum changes only the global phase
-    and halves the bound a non-negative H needs. The returned state is
-    renormalized.
+    ``h_at(t, scale)`` returns a matvec ``matvec(v, out=None)`` that writes
+    ``scale * H(t) v`` into ``out`` (a new array when ``out`` is None) and
+    returns it, for vectors of the state's dimension. It is called twice
+    per step, with ``scale = 2 / spectral_bound`` (0 when the bound is 0,
+    where the series is the identity and the matvec goes unused).
+    ``spectral_bound`` must bound the spectral norm of every H(t), or the
+    series diverges; shifting H by a constant to centre its spectrum
+    changes only the global phase and halves the bound a non-negative H
+    needs. The returned state is renormalized.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -243,9 +269,12 @@ def integrate_tdse(
     # Jacobi-Anger: exp(-i x A) = J_0(x) + 2 sum_k (-i)^k J_k(x) T_k(A) for A = H / spectral_bound.
     j = _bessel_series(abs(dt) * spectral_bound / (2.0 * c.hbar))
     k = np.arange(j.size)
-    coeffs = (np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(dt)) ** k * j).tolist()
+    coeffs = np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(dt)) ** k * j
+    scale = 2.0 / spectral_bound if spectral_bound else 0.0
+    block = np.empty((min(coeffs.size, CHEBYSHEV_BLOCK), psi0.dim), dtype=np.complex128)
+    rows = list(block)  # indexing a list of row views is cheaper than indexing the block
     amps = psi0.amps
     for step in range(steps):
-        amps = _chebyshev_apply(h_at((step + 1.0 / 6.0) * dt), amps, coeffs, spectral_bound)
-        amps = _chebyshev_apply(h_at((step + 5.0 / 6.0) * dt), amps, coeffs, spectral_bound)
+        amps = _chebyshev_apply(h_at((step + 1.0 / 6.0) * dt, scale), amps, coeffs, block, rows)
+        amps = _chebyshev_apply(h_at((step + 5.0 / 6.0) * dt, scale), amps, coeffs, block, rows)
     return StateVector(amps, normalize=True)

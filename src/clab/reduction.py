@@ -209,20 +209,33 @@ def interpolation_matvec(h0: BeginHamiltonian, hc: CostHamiltonian, shift: float
     With w_i = d_i/2 and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i],
     so H(s) v = ((1 - s) W + s E) v - (1 - s) sum_i w_i v[z XOR bit_i].
     The flip-index table (one row per bit in some clause) is built here,
-    once, and the shift is folded into W and E; the returned ``at(s)``
-    assembles the s-dependent coefficients and returns the matvec
-    ``v -> (H(s) - shift) v``, which costs O(n 2^n).
+    once, and the shift is folded into W and E. The returned
+    ``at(s, scale=1.0)`` folds ``scale`` into the s-dependent coefficients,
+    (scale (1 - s)) W + (scale s) E and (scale (1 - s)) w, and returns the
+    matvec ``matvec(v, out=None)``, which writes scale (H(s) - shift) v
+    into ``out`` (a new array when ``out`` is None; it must not overlap
+    ``v``) and returns it, at a cost of O(n 2^n). Each matvec reuses one
+    scratch vector of its own, so it must not run on two threads at once.
     """
     sites = np.flatnonzero(h0.d)
     flips = np.arange(1 << h0.n)[None, :] ^ np.left_shift(1, h0.n - 1 - sites)[:, None]
     w = h0.d[sites] / 2.0
     w_total = float(w.sum()) - shift
-    w = w.astype(np.complex128)  # complex weights save a cast per product with the state
-    energies = hc.energies - shift
+    # Complex weights and energies save a cast per product with the state.
+    w = w.astype(np.complex128)
+    energies = (hc.energies - shift).astype(np.complex128)
 
-    def at(s: float):
-        diag, scaled_w = (1.0 - s) * w_total + s * energies, (1.0 - s) * w
-        return lambda v: diag * v - scaled_w @ v[flips]
+    def at(s: float, scale: float = 1.0):
+        begin, cost = scale * (1.0 - s), scale * s
+        diag, scaled_w = begin * w_total + cost * energies, begin * w
+        gathered = np.empty(energies.size, dtype=np.complex128)
+
+        def matvec(v, out=None):
+            out = np.multiply(diag, v, out=out)
+            out -= np.matmul(scaled_w, v[flips], out=gathered)
+            return out
+
+        return matvec
 
     return at
 
@@ -304,7 +317,7 @@ def success_sweep(
     for total_time in total_times:
 
         def run(steps):
-            return integrate_tdse(lambda t: at(t / total_time), psi0, total_time, steps, e_max / 2.0, c)
+            return integrate_tdse(lambda t, scale: at(t / total_time, scale), psi0, total_time, steps, e_max / 2.0, c)
 
         steps = int(_first_steps(total_time, e_max, c))
         coarse = run(steps)

@@ -144,8 +144,12 @@ def overlap_probability(
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     scale = 0.5 * tau / c.hbar
-    half = (s.a_tilde - s.b_tilde) * scale + (np.asarray(sample.alpha) - np.asarray(sample.beta)) * scale
-    p = np.cos(half) ** 2
+    # One buffer, written in place: the same roundings as D scale + (alpha - beta) scale, then cos, then square.
+    p = np.asarray(np.subtract(sample.alpha, sample.beta), dtype=np.float64)
+    p *= scale
+    p += (s.a_tilde - s.b_tilde) * scale
+    np.cos(p, out=p)
+    np.square(p, out=p)
     return p if np.ndim(p) else float(p)
 
 

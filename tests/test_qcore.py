@@ -11,7 +11,9 @@ from clab.qcore import (
     StateVector,
     UnitaryPropagator,
     expm_propagator,
+    CHEBYSHEV_BLOCK,
     _bessel_series,
+    _chebyshev_apply,
     integrate_tdse,
 )
 from clab.decoherence import DetectorModel, initial_product_state
@@ -36,9 +38,19 @@ def gershgorin_bound(h):
     return float(np.abs(h.matrix).sum(axis=1).max())
 
 
+def scaled_matvec(matrix, scale):
+    """``matvec(v, out=None)`` writing scale * matrix @ v into ``out``, as integrate_tdse's ``h_at`` returns."""
+    return lambda v, out=None: np.multiply(scale, matrix @ v, out=out)
+
+
 def constant(h):
     """``h_at`` for integrate_tdse with the time-independent H = h."""
-    return lambda t: lambda v: h.matrix @ v
+    return lambda t, scale: scaled_matvec(h.matrix, scale)
+
+
+def linear(h0, h1, total):
+    """``h_at`` for integrate_tdse on the schedule H(t) = (1 - t/total) h0 + (t/total) h1."""
+    return lambda t, scale: scaled_matvec((1 - t / total) * h0.matrix + (t / total) * h1.matrix, scale)
 
 
 class TestStateVector:
@@ -164,23 +176,25 @@ class TestIntegrateTdse:
 
     def test_zero_hamiltonian_is_identity(self):
         psi0 = random_state(8, seed=41)
-        zero = HermitianOperator.from_dense(np.zeros((8, 8)))
-        out = integrate_tdse(constant(zero), psi0, 5.0, steps=7, spectral_bound=0.0)
+        scales = []
+
+        def h_at(t, scale):
+            scales.append(scale)
+            return lambda v, out=None: pytest.fail("a zero bound needs no matvec")
+
+        out = integrate_tdse(h_at, psi0, 5.0, steps=7, spectral_bound=0.0)
         np.testing.assert_allclose(out.amps, psi0.amps, atol=1e-15)
+        assert scales == [0.0] * 14  # still assembled twice per step, without dividing by the zero bound
 
     def test_step_doubling_converges_on_smooth_schedule(self):
         h0 = random_hermitian(8, seed=51)
         h1 = random_hermitian(8, seed=52)
         total = 3.0
 
-        def h_at(t):
-            s = t / total
-            return lambda v: (1 - s) * (h0.matrix @ v) + s * (h1.matrix @ v)
-
         bound = max(gershgorin_bound(h0), gershgorin_bound(h1))
         psi0 = random_state(8, seed=53)
-        coarse = integrate_tdse(h_at, psi0, total, steps=600, spectral_bound=bound)
-        fine = integrate_tdse(h_at, psi0, total, steps=1200, spectral_bound=bound)
+        coarse = integrate_tdse(linear(h0, h1, total), psi0, total, steps=600, spectral_bound=bound)
+        fine = integrate_tdse(linear(h0, h1, total), psi0, total, steps=1200, spectral_bound=bound)
         assert 1.0 - abs(np.vdot(coarse.amps, fine.amps)) <= 1e-6
 
     def test_large_constant_step_matches_exponential(self):
@@ -194,30 +208,83 @@ class TestIntegrateTdse:
 
     def test_assembles_hamiltonian_at_cf4_nodes(self):
         h = random_hermitian(8, seed=71)
-        times = []
+        bound = gershgorin_bound(h)
+        times, scales = [], []
 
-        def h_at(t):
+        def h_at(t, scale):
             times.append(t)
-            return lambda v: h.matrix @ v
+            scales.append(scale)
+            return scaled_matvec(h.matrix, scale)
 
-        integrate_tdse(h_at, random_state(8, seed=72), 2.0, steps=5, spectral_bound=gershgorin_bound(h))
+        integrate_tdse(h_at, random_state(8, seed=72), 2.0, steps=5, spectral_bound=bound)
         expected = [0.4 * (j + node) for j in range(5) for node in (1.0 / 6.0, 5.0 / 6.0)]
         np.testing.assert_allclose(times, expected, rtol=0, atol=1e-15)
+        assert scales == [2.0 / bound] * 10
+
+    def test_series_longer_than_block_reuses_its_rows(self):
+        h = random_hermitian(16, seed=63)
+        bound = gershgorin_bound(h)
+        total = 200.0 / bound  # one step with dt * bound / hbar = 200: each series is several blocks long
+        psi0 = random_state(16, seed=64)
+        written, calls = set(), []
+
+        def h_at(t, scale):
+            def matvec(v, out=None):
+                written.add(out.__array_interface__["data"][0])
+                calls.append(t)
+                return np.multiply(scale, h.matrix @ v, out=out)
+
+            return matvec
+
+        stepped = integrate_tdse(h_at, psi0, total, steps=1, spectral_bound=bound)
+        terms = _bessel_series(total * bound / 2.0).size  # each exponential spans dt / 2
+        assert len(calls) == 2 * (terms - 1) and terms > 3 * CHEBYSHEV_BLOCK
+        assert len(written) <= CHEBYSHEV_BLOCK - 1  # rows 1.. of one block; row 0 holds the copied input
+        direct = expm_propagator(h, total).apply(psi0)
+        assert np.abs(direct.amps - stepped.amps).max() <= 1e-12
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 31, 32, 33, 34, 62, 63, 64, 100])
+    def test_chebyshev_block_sum_matches_plain_recurrence(self, terms):
+        a = random_hermitian(12, seed=91).matrix
+        a = a / np.abs(np.linalg.eigvalsh(a)).max()
+        amps = random_state(12, seed=92).amps
+        coeffs = np.random.default_rng(terms).standard_normal(terms) + 0j
+        block = np.empty((min(terms, CHEBYSHEV_BLOCK), 12), dtype=np.complex128)
+        got = _chebyshev_apply(scaled_matvec(a, 2.0), amps, coeffs, block, list(block))
+        prev, cur, expected = amps, a @ amps, coeffs[0] * amps
+        for k in range(1, terms):
+            expected = expected + coeffs[k] * cur
+            prev, cur = cur, 2.0 * (a @ cur) - prev
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert not np.shares_memory(got, block)
+
+    def test_results_do_not_alias_the_block(self):
+        h = random_hermitian(8, seed=93)
+        bound = gershgorin_bound(h)
+        psi0 = random_state(8, seed=94)
+        before = psi0.amps.copy()
+        first = integrate_tdse(constant(h), psi0, 1.0, steps=3, spectral_bound=bound)
+        kept = first.amps.copy()
+        integrate_tdse(constant(h), first, 1.0, steps=3, spectral_bound=bound)
+        np.testing.assert_array_equal(first.amps, kept)
+        np.testing.assert_array_equal(psi0.amps, before)
+        coeffs = np.array([0.5, 0.25j, -0.125])
+        block = np.empty((3, 8), dtype=np.complex128)
+        earlier = _chebyshev_apply(scaled_matvec(h.matrix / bound, 2.0), psi0.amps, coeffs, block, list(block))
+        copy = earlier.copy()
+        _chebyshev_apply(scaled_matvec(h.matrix / bound, 2.0), first.amps, coeffs, block, list(block))
+        np.testing.assert_array_equal(earlier, copy)
 
     def test_fourth_order_on_linear_schedule(self):
         h0 = random_hermitian(8, seed=81)
         h1 = random_hermitian(8, seed=82)
         total = 2.0
 
-        def h_at(t):
-            s = t / total
-            return lambda v: (1 - s) * (h0.matrix @ v) + s * (h1.matrix @ v)
-
         bound = gershgorin_bound(h0) + gershgorin_bound(h1)
         psi0 = random_state(8, seed=83)
 
         def run(steps):
-            return integrate_tdse(h_at, psi0, total, steps=steps, spectral_bound=bound).amps
+            return integrate_tdse(linear(h0, h1, total), psi0, total, steps=steps, spectral_bound=bound).amps
 
         reference = run(2048)
         coarse, fine = (np.linalg.norm(run(steps) - reference) for steps in (16, 32))

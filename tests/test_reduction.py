@@ -214,6 +214,23 @@ class TestInterpolate:
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         np.testing.assert_allclose(at(s)(v), reference @ v, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
+    def test_scaled_matvec_writes_into_out(self, s):
+        inst = MATVEC_INSTANCES[-1]
+        dim, scale, shift = 1 << inst.n, 0.3, 1.5
+        reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst)) - shift * np.eye(dim)
+        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst), shift=shift)
+        rng = np.random.default_rng(inst.n + 1)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        kept, out = v.copy(), np.full(dim, np.nan, dtype=np.complex128)
+        matvec = at(s, scale)
+        assert matvec(v, out) is out
+        np.testing.assert_allclose(out, scale * (reference @ v), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(v, kept)
+        again = matvec(v)  # a second call allocates its own result and leaves the first unchanged
+        np.testing.assert_array_equal(again, out)
+        assert not np.shares_memory(again, out)
+
 
 class TestAdiabaticRun:
     def test_tiny_time_stays_uniform(self):
@@ -254,7 +271,7 @@ class TestAdiabaticRun:
         for row in rows:
             total = row["T"]
             reference = reduction.integrate_tdse(
-                lambda t: at(t / total), uniform_superposition(inst.n), total, 8 * row["steps"], e_max / 2.0
+                lambda t, scale: at(t / total, scale), uniform_superposition(inst.n), total, 8 * row["steps"], e_max / 2.0
             )
             p_ref = reference.probabilities()[hc.energies == 0].sum()
             assert row["step_error"] <= reduction.STEP_ERROR_TOL
