@@ -13,6 +13,10 @@ initial particle state gives the closed-form return probability
 which decays to the classical value 1/2 once the dimensionless energy
 spread (A_k - B_k) tau / hbar is large and random across configurations.
 Averaging over randomly drawn detectors realizes that limit numerically.
+Each cos^2 term is ``qcore.cos_squared`` of its half angle, the kernel the
+stochastic route uses for the same law, in the closed form and in the
+sweep alike, so the sweep equals the closed form of each detector bit for
+bit.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_estimate, sample_uniform, standard_normal
-from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector
+from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, cos_squared
 
 __all__ = [
     "DetectorModel",
@@ -114,7 +118,7 @@ def prob_closed_form(d: DetectorModel, tau: float, c: PhysicalConstants = NATURA
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     half_angles = (d.energies_0 - d.energies_1) * (tau / (2.0 * c.hbar))
-    p = float(np.sum(np.abs(d.a) ** 2 * np.cos(half_angles) ** 2))
+    p = float(np.sum(np.abs(d.a) ** 2 * cos_squared(half_angles, out=half_angles)))
     return MeasurementResult(p_sx_plus=min(p, 1.0 + 1e-12))
 
 
@@ -216,8 +220,12 @@ def decohered_probability_sweep(
     for lo in range(0, trials, rows):
         hi = min(lo + rows, trials)
         weights, gaps = _weights_and_gaps(K, energy_scale, derive_seed(seed, "detector", np.arange(lo, hi, dtype=np.uint64)))
+        terms = np.empty_like(gaps)
         for out, scale in zip(probs, scales):
-            out[lo:hi] = np.sum(weights * np.cos(gaps * scale) ** 2, axis=1)
+            np.multiply(gaps, scale, out=terms)
+            cos_squared(terms, out=terms)
+            terms *= weights
+            out[lo:hi] = np.sum(terms, axis=1)
     np.minimum(probs, 1.0 + 1e-12, out=probs)
     return [mc_estimate(p) for p in probs]
 

@@ -34,8 +34,23 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # Modular 64-bit wraparound is the point; silence numpy's overflow warning.
+def _mix64(z):
+    """splitmix64 finalizer of z + golden gamma.
+
+    An array argument is overwritten with the result and returned, so callers
+    pass a fresh temporary; uint64 array arithmetic wraps without a warning.
+    A scalar gives a new scalar.
+    """
+    if isinstance(z, np.ndarray):
+        z += _U64(_GOLDEN)
+        t = np.right_shift(z, _U64(30))
+        z ^= t
+        z *= _U64(0xBF58476D1CE4E5B9)
+        z ^= np.right_shift(z, _U64(27), out=t)
+        z *= _U64(0x94D049BB133111EB)
+        z ^= np.right_shift(z, _U64(31), out=t)
+        return z
+    # Modular 64-bit wraparound is the point; silence numpy's scalar overflow warning.
     with np.errstate(over="ignore"):
         z = z + _U64(_GOLDEN)
         z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
@@ -80,9 +95,15 @@ def uniform01(seed, index) -> np.ndarray | float:
     idx = np.asarray(index, dtype=np.uint64)
     key = _key(seed)
     with np.errstate(over="ignore"):
-        bits = _mix64(_mix64(idx + key) ^ key)
-    out = (bits >> _U64(11)).astype(np.float64) * (1.0 / (1 << 53))
-    return out if out.ndim else float(out)
+        bits = _mix64(idx + key)  # idx + key is a fresh array of the broadcast shape, or a scalar
+    if isinstance(bits, np.ndarray):
+        bits ^= key
+        bits = _mix64(bits)
+        bits >>= _U64(11)
+        out = bits.astype(np.float64)
+        out *= 1.0 / (1 << 53)
+        return out
+    return float(_mix64(bits ^ key) >> _U64(11)) * (1.0 / (1 << 53))
 
 
 @dataclass(frozen=True)

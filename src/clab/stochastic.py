@@ -18,8 +18,8 @@ detector configuration in the decoherence route. It expands into
 and averaging over a uniformly distributed phase argument multiplies the
 oscillatory part by sin(xi)/xi where xi = (A_tilde + B_tilde) tau / hbar.
 Large xi kills the oscillation and leaves the classical value 1/2. The
-samples are evaluated in the cos^2 form: one cosine per instance, and its
-half angle cannot overflow where the phase span xi is finite.
+samples are evaluated in the cos^2 form, by ``qcore.cos_squared`` on the
+half angle, which cannot overflow where the phase span xi is finite.
 
 Two sampling modes exist because the bounds constrain alpha and beta
 separately while the averaging rule treats the *difference* as uniform:
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_estimate, sample_uniform
-from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector
+from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, cos_squared
 
 __all__ = [
     "SAMPLING_MODES",
@@ -136,20 +136,20 @@ def overlap_probability(
 ):
     """Per-instance return probability |<initial|evolved>|^2 = cos^2((D + delta) tau / 2 hbar).
 
-    One cosine per instance; accepts scalar samples or arrays (vectorized
-    over instances). The half angle is summed from two terms, each at most
-    (A_tilde + B_tilde) tau / 2 hbar, so it stays finite whenever the phase
-    span does; the full angle (D + delta) tau / hbar can overflow there.
+    Accepts scalar samples or arrays (vectorized over instances). The half
+    angle is summed from two terms, each at most (A_tilde + B_tilde) tau /
+    2 hbar, so it stays finite whenever the phase span does; the full angle
+    (D + delta) tau / hbar can overflow there. The half angles fill one new
+    buffer, and ``qcore.cos_squared`` turns it into the probabilities in
+    place.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     scale = 0.5 * tau / c.hbar
-    # One buffer, written in place: the same roundings as D scale + (alpha - beta) scale, then cos, then square.
     p = np.asarray(np.subtract(sample.alpha, sample.beta), dtype=np.float64)
     p *= scale
     p += (s.a_tilde - s.b_tilde) * scale
-    np.cos(p, out=p)
-    np.square(p, out=p)
+    cos_squared(p, out=p)
     return p if np.ndim(p) else float(p)
 
 

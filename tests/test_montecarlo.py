@@ -109,6 +109,49 @@ class TestArraySeeds:
             np.testing.assert_array_equal(row, draw(int(seed), idx))
 
 
+class TestPinnedStreams:
+    """Exact stream values: a change to the mixer or its vectorized form must reproduce every stored run."""
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            ((0,), 13117734496055819114),
+            ((1, "detector", 3), 17201993198600770236),
+            ((2**64 - 1, "delta"), 15593932876730868963),
+            ((12345, "amp_re", 7), 5500212547518961616),
+        ],
+    )
+    def test_derive_seed_scalar(self, args, expected):
+        assert derive_seed(*args) == expected
+
+    def test_derive_seed_arrays(self):
+        seeds = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+        assert derive_seed(seeds, "energy_0").tolist() == [5551317959559935262, 6286981584400384354, 10235721322347737344]
+        salts = np.arange(3, dtype=np.uint64)
+        assert derive_seed(7, "detector", salts).tolist() == [10521281150022899058, 16762102535234117723, 15742796351109411959]
+
+    @pytest.mark.parametrize(
+        "seed, index, expected",
+        [
+            (0, 0, 0.365470181351918),
+            (1, 1, 0.5454683183968744),
+            (2**64 - 1, 12345, 0.4372687922363546),
+            (42, 2**64 - 1, 0.0838714256213563),
+        ],
+    )
+    def test_uniform01_scalar(self, seed, index, expected):
+        assert uniform01(seed, index) == expected
+
+    def test_uniform01_arrays(self):
+        row = uniform01(9, np.array([0, 1, 2, 2**40], dtype=np.uint64))
+        assert row.tolist() == [0.10457029722171107, 0.6784085374892697, 0.054475555490164806, 0.021722256408135632]
+        table = uniform01(np.array([[3], [2**63]], dtype=np.uint64), np.arange(3, dtype=np.uint64))
+        assert table.tolist() == [
+            [0.9252604783138934, 0.5677527202261143, 0.01885950917113044],
+            [0.7753840046290777, 0.4679613388857624, 0.4490809961760889],
+        ]
+
+
 class TestMcMean:
     def test_constant_function(self):
         est = mc_mean(lambda idx, seed: np.full(idx.size, 0.5), 100, seed=0)

@@ -1,5 +1,6 @@
-"""Kernel tests: states, operators, propagators, and the integrator."""
+"""Kernel tests: states, operators, propagators, the integrator, and the cos^2 kernel."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from clab.qcore import (
     UnitaryPropagator,
     expm_propagator,
     CHEBYSHEV_BLOCK,
+    COS_SQUARED_CHUNK,
     _bessel_series,
     _chebyshev_apply,
+    cos_squared,
     integrate_tdse,
 )
 from clab.decoherence import DetectorModel, initial_product_state
@@ -301,3 +304,95 @@ class TestIntegrateTdse:
         h = HermitianOperator.from_dense([[1.0]])
         with pytest.raises(ValueError, match="steps"):
             integrate_tdse(constant(h), StateVector([1.0]), 1.0, steps=0, spectral_bound=1.0)
+
+
+# The kernel reduces exactly for |k| <= 2^19 with k = rint(half / pi); half = j pi/2 at j = 2^20 sits on that limit.
+REDUCTION_EDGE_J = 1 << 20
+
+
+def libm_cos_squared(half):
+    return np.cos(half) ** 2
+
+
+class TestCosSquared:
+    def test_matches_numpy_from_tiny_to_past_the_reduction_limit(self):
+        rng = np.random.default_rng(7)
+        half = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), 200_000)) * rng.choice([-1.0, 1.0], 200_000)
+        got = cos_squared(half)
+        assert np.abs(got - libm_cos_squared(half)).max() <= 1e-15
+        assert got.min() >= 0.0 and got.max() <= 1.0
+
+    def test_multiples_of_half_pi_and_their_neighbours(self):
+        # Zeros and maxima of cos^2, and the rounding edges of k, each at +-1 ulp, on both sides of the limit.
+        rng = np.random.default_rng(8)
+        edge = np.arange(REDUCTION_EDGE_J - 4, REDUCTION_EDGE_J + 5)
+        j = np.concatenate([np.arange(0, 200), edge, rng.integers(0, 1 << 22, 2000)]).astype(np.float64)
+        points = j * (np.pi / 2)
+        half = np.concatenate([points, np.nextafter(points, np.inf), np.nextafter(points, -np.inf)])
+        half = np.concatenate([half, -half])
+        got = cos_squared(half)
+        assert np.abs(got - libm_cos_squared(half)).max() <= 1e-15
+        assert got.min() >= 0.0 and got.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(), (1,), (5,), (3, 4), (0,), (0, 3), (COS_SQUARED_CHUNK - 1,), (COS_SQUARED_CHUNK,), (COS_SQUARED_CHUNK + 1,)],
+    )
+    def test_shapes_and_chunk_edges(self, shape):
+        half = np.random.default_rng(9).uniform(-500.0, 500.0, shape)
+        got = cos_squared(half)
+        assert isinstance(got, np.ndarray) and got.shape == half.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, libm_cos_squared(half), rtol=0, atol=1e-15)
+        for i in {0, half.size - 1} if half.size else ():  # each alone: a result depends on its own element only
+            assert got.flat[i] == cos_squared(half.flat[i])
+
+    def test_scalar_and_list_inputs(self):
+        assert cos_squared(0.0).shape == () and cos_squared(0.0) == 1.0
+        np.testing.assert_allclose(cos_squared([1.0, 2.0]), libm_cos_squared(np.array([1.0, 2.0])), rtol=0, atol=1e-15)
+
+    def test_in_place_equals_out_of_place(self):
+        half = np.random.default_rng(10).uniform(-1e4, 1e4, (7, COS_SQUARED_CHUNK // 3))
+        half[0, 0], half[6, -1] = 3e7, -1e300  # fallback elements must be read before they are overwritten
+        expected = cos_squared(half)
+        assert cos_squared(half, out=half) is half
+        np.testing.assert_array_equal(half, expected)
+
+    def test_rejects_an_out_it_cannot_fill(self):
+        half = np.ones((4, 6))
+        for out in (np.empty(24), np.empty((4, 6), dtype=np.float32), np.empty((6, 4)).T):
+            with pytest.raises(ValueError, match="out"):
+                cos_squared(half, out=out)
+
+    def test_fallback_chunk_is_exact_and_leaves_neighbours_alone(self):
+        half = np.random.default_rng(11).uniform(-10.0, 10.0, 3 * COS_SQUARED_CHUNK // 2)
+        wide = np.array([5e6, -2.0**60, 1.7976931348623157e308, -1e200, np.pi * (REDUCTION_EDGE_J + 2)])
+        where = np.array([0, 17, COS_SQUARED_CHUNK - 1, COS_SQUARED_CHUNK, half.size - 1])
+        half[where] = wide
+        got = cos_squared(half)
+        np.testing.assert_array_equal(got[where], libm_cos_squared(wide))
+        rest = np.setdiff1d(np.arange(half.size), where)
+        np.testing.assert_array_equal(got[rest], cos_squared(half[rest]))
+
+    def test_non_finite_inputs_behave_as_numpy_cos(self):
+        half = np.array([np.nan, 1.0, -np.inf, 2.0, np.inf])
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            got = cos_squared(half)
+        with warnings.catch_warnings(record=True) as numpys:
+            warnings.simplefilter("always")
+            expected = libm_cos_squared(half)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+        np.testing.assert_allclose(got[[1, 3]], expected[[1, 3]], rtol=0, atol=1e-15)
+        assert [(w.category, str(w.message)) for w in ours] == [(w.category, str(w.message)) for w in numpys]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(cos_squared(np.nan))
+
+    def test_no_warning_on_any_finite_input(self):
+        tiny = np.nextafter(0.0, 1.0)
+        half = np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1.0, 1e16, 1.7976931348623157e308])
+        half = np.concatenate([half, -half])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cos_squared(half)
+        np.testing.assert_allclose(got, libm_cos_squared(half), rtol=0, atol=1e-15)
