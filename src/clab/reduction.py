@@ -24,13 +24,17 @@ leftmost character and the most significant bit of the basis index, so
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, integrate_tdse
 
@@ -68,6 +72,27 @@ MAX_DOUBLINGS = 5
 STEP_ERROR_TOL = 1e-6
 # Limit on a sweep's projected integration steps; the n=8 criterion-6 sweep projects 88,389.
 SWEEP_MAX_STEPS = 10_000_000
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK module, loaded from its file without scipy.linalg's package init.
+
+    ``import scipy.linalg`` takes about 0.3 s, mostly in modules no LAPACK
+    call here needs; ``import scipy`` alone still loads scipy's bundled
+    BLAS/LAPACK library. The module stays out of ``sys.modules``, so a later
+    ``import scipy.linalg`` loads its own copy.
+    """
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [directory])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK module _flapack not found in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(spec.name, None)  # a single-phase extension module registers itself on load
+    return module
+
+
+_lapack = _load_lapack()
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +441,19 @@ def reduce_energy_decision(
 
 
 def _ground_energy_direct(h: GridHamiltonian) -> float:
-    # tol=0 lets LAPACK stebz stop at a width of eps * ||H||_1, far wider than E0 if one entry of V is huge.
+    """Lowest eigenvalue by LAPACK stebz, bisected to full precision; raises on non-finite entries or info != 0."""
+    if h.dim == 1:
+        return float(h.diag[0])
+    # stebz returns a finite number with info 0 for a NaN entry.
+    if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
+        raise ValueError("grid operator entries must be finite")
+    # tol=0 lets stebz stop at a width of eps * ||H||_1, far wider than E0 if one entry of V is huge.
     tiny = 2.0 * np.finfo(float).tiny
-    return float(scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0), tol=tiny)[0])
+    # Eigenvalues il=1 to iu=1 (range 2, by index), in order "E": what eigvalsh_tridiagonal(select="i") asks for.
+    _, w, _, _, info = _lapack.dstebz(h.diag, h.offdiag, 2, 0.0, 1.0, 1, 1, tiny, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info})")
+    return float(w[0])
 
 
 def _eigenvalues_below(h: GridHamiltonian, x: float) -> int:
@@ -443,12 +478,14 @@ def _inverse_iteration(
 
     Each solve reuses one tridiagonal LU factorization (LAPACK gttrf/gttrs), O(N).
     """
-    dl, d, du, du2, ipiv, info = scipy.linalg.lapack.dgttrf(h.offdiag, h.diag - shift, h.offdiag)
+    dl, d, du, du2, ipiv, info = _lapack.dgttrf(h.offdiag, h.diag - shift, h.offdiag)
     if info != 0:
         return None, v
     lam_old = None
     for _ in range(max_iter):
-        v = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, v)[0]
+        v, info = _lapack.dgttrs(dl, d, du, du2, ipiv, v)
+        if info != 0:
+            return None, v
         v /= np.linalg.norm(v)
         hv = h.matvec(v)
         lam = float(v @ hv)

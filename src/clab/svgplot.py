@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 __all__ = ["Series", "line_chart"]
 
@@ -52,6 +51,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
         ticks.append(0.0 if abs(value) < 1e-12 * span else value)
         value += step
     return ticks or [lo]
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as xml.sax.saxutils.escape does, without its import."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
@@ -106,7 +110,7 @@ def line_chart(
     ]
     if title:
         parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="15">{_escape(title)}</text>'
         )
 
     if logx:
@@ -134,13 +138,13 @@ def line_chart(
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 18}" text-anchor="middle">{escape(xlabel)}</text>'
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 18}" text-anchor="middle">{_escape(xlabel)}</text>'
         )
     if ylabel:
         y_mid = _MARGIN_TOP + plot_h / 2
         parts.append(
             f'<text x="20" y="{y_mid:.1f}" text-anchor="middle" transform="rotate(-90 20 {y_mid:.1f})">'
-            f"{escape(ylabel)}</text>"
+            f"{_escape(ylabel)}</text>"
         )
 
     for k, s in enumerate(series):
@@ -152,7 +156,7 @@ def line_chart(
             f'<line x1="{_MARGIN_LEFT + 10}" y1="{legend_y - 4}" x2="{_MARGIN_LEFT + 34}" '
             f'y2="{legend_y - 4}" stroke="{color}" stroke-width="1.8"/>'
         )
-        parts.append(f'<text x="{_MARGIN_LEFT + 40}" y="{legend_y}">{escape(s.label)}</text>')
+        parts.append(f'<text x="{_MARGIN_LEFT + 40}" y="{legend_y}">{_escape(s.label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -25,3 +25,22 @@ def test_cli_import_leaves_out_scipy_special():
     code = "import sys, clab.cli; sys.exit('scipy.special' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(clab.__file__).resolve().parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_network_modules():
+    """scipy.linalg's package init takes about 0.3 s and xml.sax.saxutils pulls in urllib.request and email.
+
+    The LAPACK module that reduction loads stays out of sys.modules, so a later
+    ``import scipy.linalg`` loads its own copy.
+    """
+    code = (
+        "import sys, clab.cli, clab.reduction\n"
+        "loaded = [m for m in ('scipy.linalg', 'urllib.request', 'xml.sax') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert not [m for m in sys.modules if m.endswith('_flapack')]\n"
+        "import scipy.linalg\n"
+        "assert scipy.linalg._flapack is not clab.reduction._lapack\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(clab.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

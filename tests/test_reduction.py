@@ -11,6 +11,7 @@ import clab.reduction as reduction
 from clab.qcore import PhysicalConstants
 from clab.reduction import (
     ExactCoverInstance,
+    GridHamiltonian,
     SpectralDecisionInstance,
     below_threshold,
     bitstring_satisfies,
@@ -481,6 +482,86 @@ class TestGridHamiltonian:
         e0 = ground_energy(reduce_energy_decision(inst, c)[0])
         # hbar omega / 2 with omega = 1
         assert abs(e0 - 1.5) / 1.5 < 0.01
+
+
+class TestDirectLapack:
+    """The stebz call on the directly loaded LAPACK module, against scipy.linalg's public wrapper."""
+
+    TINY = 2.0 * np.finfo(float).tiny
+
+    @staticmethod
+    def random_grid(rng, dim):
+        return GridHamiltonian(diag=rng.uniform(-5.0, 5.0, dim), offdiag=-rng.uniform(0.1, 10.0, dim - 1))
+
+    def assert_matches_scipy(self, h):
+        reference = scipy.linalg.eigvalsh_tridiagonal(
+            h.diag, h.offdiag, select="i", select_range=(0, 0), tol=self.TINY
+        )[0]
+        assert ground_energy(h) == reference
+
+    @pytest.mark.parametrize("dim", [2, 3, 257, 4096])
+    def test_random_tridiagonal_bit_identical(self, dim):
+        self.assert_matches_scipy(self.random_grid(np.random.default_rng(dim), dim))
+
+    @pytest.mark.parametrize("grid_points", [3, 257, 4096])
+    def test_harmonic_bit_identical(self, grid_points):
+        self.assert_matches_scipy(reduce_energy_decision(harmonic_instance(grid_points=grid_points))[0])
+
+    def test_rough_potential_bit_identical(self):
+        rng = np.random.default_rng(257)
+        inst = SpectralDecisionInstance(
+            grid_points=257, box_length=10.0, mass=1.0, potential=rng.uniform(-5.0, 5.0, 257), threshold=0.0
+        )
+        self.assert_matches_scipy(reduce_energy_decision(inst)[0])
+
+    def test_huge_potential_entry_repro(self):
+        potential = np.zeros(8)
+        potential[0] = 1e20
+        inst = SpectralDecisionInstance(grid_points=8, box_length=1.0, mass=1.0, potential=potential, threshold=0.0)
+        h, _ = reduce_energy_decision(inst)
+        self.assert_matches_scipy(h)
+        assert ground_energy(h) == 6.165757866585773
+        assert decide_energy_threshold(inst) is False
+
+    def test_one_point_returns_the_entry(self):
+        assert ground_energy(GridHamiltonian(diag=np.array([2.5]), offdiag=np.empty(0))) == 2.5
+
+    @pytest.mark.parametrize("where", ["diag", "offdiag"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, where, bad):
+        h = self.random_grid(np.random.default_rng(0), 5)
+        entries = {"diag": h.diag.copy(), "offdiag": h.offdiag.copy()}
+        entries[where][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ground_energy(GridHamiltonian(**entries))
+
+    def test_overflowing_grid_rejected(self):
+        # A finite potential can still overflow the diagonal 2t + V when the library is called directly
+        # (the CLI rejects such a config before any work).
+        inst = SpectralDecisionInstance(
+            grid_points=4, box_length=1e-153, mass=1.0, potential=np.full(4, 1.7e308), threshold=0.0
+        )
+        with np.errstate(over="ignore"):
+            h, _ = reduce_energy_decision(inst)
+        assert not np.isfinite(h.diag).all()
+        with pytest.raises(ValueError, match="finite"):
+            ground_energy(h)
+
+    def test_stebz_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(reduction._lapack, "dstebz", lambda *args: (0, np.zeros(3), None, None, 4))
+        with pytest.raises(np.linalg.LinAlgError, match="info=4"):
+            ground_energy(self.random_grid(np.random.default_rng(0), 3))
+
+    def test_singular_factorization_gives_no_eigenvalue(self):
+        # dgttrf reports the exact zero pivot of H - 1 with info = 1.
+        h = GridHamiltonian(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.zeros(2))
+        assert reduction._inverse_iteration(h, 1.0, np.ones(3), 1.0, 1e-12, 10)[0] is None
+
+    def test_solve_failure_gives_no_eigenvalue(self, monkeypatch):
+        # The faked solve returns an exact eigenvector, so only its info = -6 can stop the iteration.
+        monkeypatch.setattr(reduction._lapack, "dgttrs", lambda *args: (np.array([1.0, 0.0, 0.0]), -6))
+        h = GridHamiltonian(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.zeros(2))
+        assert reduction._inverse_iteration(h, 0.5, np.ones(3), 1.0, 1e-12, 10)[0] is None
 
 
 class TestDecision:

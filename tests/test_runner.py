@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import clab.cli as cli
 import clab.runner as runner
+import clab.svgplot as svgplot
 from clab.decoherence import decohered_probability
 from clab.montecarlo import derive_seed
 from clab.qcore import PhysicalConstants
@@ -312,9 +313,18 @@ class TestSvgPlot:
         with pytest.raises(ValueError, match="positive"):
             line_chart([Series(label="a", xs=(0.0, 1.0), ys=(1.0, 2.0))], logx=True)
 
-    def test_escapes_labels(self):
-        svg = line_chart([Series(label="a<b>&c", xs=(1.0, 2.0), ys=(0.0, 1.0))], title="t&t")
-        ET.fromstring(svg)  # well-formed XML despite hostile labels
+    def test_escapes_labels(self, monkeypatch):
+        from xml.sax.saxutils import escape
+
+        hostile = "a & b < c > d \" e ' f &amp;"
+        kwargs = dict(title=hostile, xlabel=hostile, ylabel=hostile)
+        series = [Series(label=hostile, xs=(1.0, 2.0), ys=(0.0, 1.0))]
+        svg = line_chart(series, **kwargs)
+        assert "a &amp; b &lt; c &gt; d \" e ' f &amp;amp;" in svg
+        root = ET.fromstring(svg)  # well-formed XML despite hostile labels
+        assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text") if t.text.startswith("a &")] == [hostile] * 4
+        monkeypatch.setattr(svgplot, "_escape", escape)  # byte-identical to the standard library's escape
+        assert line_chart(series, **kwargs) == svg
 
 
 class TestCli:
