@@ -2,8 +2,9 @@
 """The energy-threshold decision problem on a 1D grid.
 
 The grid operator is tridiagonal. Solving for the ground energy takes an
-eigen-solve (LAPACK's tridiagonal solver, cross-checked by inverse
-iteration), but checking a claimed eigenpair costs one O(N)
+eigen-solve: LAPACK's tridiagonal bisection, cross-checked by a route that
+never calls it, inverse iteration finished if it stalls by bisection on the
+inertia of H - x. Checking a claimed eigenpair costs one O(N)
 matrix-vector product. The demo
 shows both sides: grid convergence of the harmonic ground energy toward
 hbar omega / 2, threshold decisions around it, and the cheap verifier

@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -441,12 +440,7 @@ def reduce_energy_decision(
 
 
 def _ground_energy_direct(h: GridHamiltonian) -> float:
-    """Lowest eigenvalue by LAPACK stebz, bisected to full precision; raises on non-finite entries or info != 0."""
-    if h.dim == 1:
-        return float(h.diag[0])
-    # stebz returns a finite number with info 0 for a NaN entry.
-    if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
-        raise ValueError("grid operator entries must be finite")
+    """Lowest eigenvalue by LAPACK stebz, bisected to full precision; raises on info != 0."""
     # tol=0 lets stebz stop at a width of eps * ||H||_1, far wider than E0 if one entry of V is huge.
     tiny = 2.0 * np.finfo(float).tiny
     # Eigenvalues il=1 to iu=1 (range 2, by index), in order "E": what eigvalsh_tridiagonal(select="i") asks for.
@@ -456,56 +450,18 @@ def _ground_energy_direct(h: GridHamiltonian) -> float:
     return float(w[0])
 
 
-def _eigenvalues_below(h: GridHamiltonian, x: float) -> int:
-    """Sturm count: how many eigenvalues of the tridiagonal operator lie below x.
+def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Smallest eigenvalue by shifted inverse iteration, else by bisection on the inertia of H - x.
 
-    Counts the negative pivots of the LDL^T factorization of H - x, O(N).
-    """
-    count, pivot = 0, 1.0
-    off2 = [0.0, *(h.offdiag**2).tolist()]
-    for a, b2 in zip(h.diag.tolist(), off2):
-        pivot = a - x - b2 / pivot
-        if pivot == 0.0:
-            pivot = -1e-300  # x is (to rounding) an eigenvalue; count it as below
-        count += pivot < 0.0
-    return count
-
-
-def _inverse_iteration(
-    h: GridHamiltonian, shift: float, v: np.ndarray, scale: float, tol: float, max_iter: int
-) -> tuple[float | None, np.ndarray]:
-    """Inverse iteration at a fixed shift from v: (eigenvalue, or None if not converged; last vector).
-
-    Each solve reuses one tridiagonal LU factorization (LAPACK gttrf/gttrs), O(N).
-    """
-    dl, d, du, du2, ipiv, info = _lapack.dgttrf(h.offdiag, h.diag - shift, h.offdiag)
-    if info != 0:
-        return None, v
-    lam_old = None
-    for _ in range(max_iter):
-        v, info = _lapack.dgttrs(dl, d, du, du2, ipiv, v)
-        if info != 0:
-            return None, v
-        v /= np.linalg.norm(v)
-        hv = h.matvec(v)
-        lam = float(v @ hv)
-        if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            residual = np.linalg.norm(hv - lam * v)
-            if residual <= 1e-8 * scale:
-                return lam, v
-        lam_old = lam
-    return None, v
-
-
-def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int = 200) -> float | None:
-    """Smallest eigenvalue by shifted inverse iteration; None if not converged.
-
-    The shift sits just below the Gershgorin lower bound. It converges at
-    the rate (E0 - shift)/(E1 - shift), which is close to 1 when the gap
-    E1 - E0 is small against the spectrum's width (a rough potential). If
-    it stalls, Sturm counts bisect the spectrum until an interval [lo, hi]
-    holds E0 alone and E1 lies at least hi - lo above it; iteration from
-    the interval's midpoint then converges at a rate of at most 1/3.
+    The shift sits just below the Gershgorin lower bound, and each solve
+    reuses one tridiagonal LU factorization (LAPACK gttrf/gttrs), O(N). It
+    converges at the rate (E0 - shift)/(E1 - shift), which is close to 1
+    when the gap E1 - E0 is small against the spectrum's width (a rough
+    potential). If it fails or stalls, bisection keeps E0 in (lo, hi]:
+    H - x is positive definite, i.e. E0 > x, exactly when LAPACK pttrf
+    factors it (Sylvester's law of inertia). It starts from the shift and
+    min(diag), a Rayleigh quotient and so an upper bound, and runs to
+    adjacent floats.
     """
     dim = h.dim
     off = np.abs(h.offdiag)
@@ -516,40 +472,46 @@ def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int
     # A margin scaled by the largest diagonal entry would put the shift far below E0 under one huge V entry.
     low = float((h.diag - radii).min())
     shift = low - 1e-6 * max(1.0, abs(low), float(off.max(initial=0.0)))
-    lam, v = _inverse_iteration(h, shift, np.full(dim, dim**-0.5), scale, tol, max_iter)
-    if lam is not None:
-        return lam
-    lo, hi, below_hi = shift, float((h.diag + radii).max()) + 1e-6 * scale, dim
-    for _ in range(max_iter):
-        if below_hi == 1 and _eigenvalues_below(h, 2.0 * hi - lo) == 1:
-            return _inverse_iteration(h, 0.5 * (lo + hi), v, scale, tol, max_iter)[0]
-        mid = 0.5 * (lo + hi)
-        below = _eigenvalues_below(h, mid)
-        if below == 0:
+    dl, d, du, du2, ipiv, info = _lapack.dgttrf(h.offdiag, h.diag - shift, h.offdiag)
+    if info == 0:
+        v, lam_old = np.full(dim, dim**-0.5), None
+        for _ in range(max_iter):
+            v, info = _lapack.dgttrs(dl, d, du, du2, ipiv, v)
+            if info != 0:
+                break
+            v /= np.linalg.norm(v)
+            hv = h.matvec(v)
+            lam = float(v @ hv)
+            if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
+                if np.linalg.norm(hv - lam * v) <= 1e-8 * scale:
+                    return lam
+            lam_old = lam
+    lo, hi = shift, float(h.diag.min())
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        if _lapack.dpttrf(h.diag - mid, h.offdiag)[2] == 0:
             lo = mid
         else:
-            hi, below_hi = mid, below
-    return None
+            hi = mid
+    return hi
 
 
 def ground_energy(h: GridHamiltonian, method: str = "dense") -> float:
-    """Smallest eigenvalue of the grid operator.
+    """Smallest eigenvalue of the grid operator; raises ValueError on a non-finite entry.
 
     ``dense`` (the name the payloads carry) bisects the lowest eigenvalue
     only, to full precision, with LAPACK's direct tridiagonal eigensolver;
-    ``inverse`` runs shifted inverse iteration as an independent
-    cross-check and falls back to the direct route (with a notice) if it
-    stalls.
+    ``inverse`` runs shifted inverse iteration, finished by inertia
+    bisection if it stalls, as a cross-check that never calls the direct
+    solver.
     """
-    if method == "dense":
-        return _ground_energy_direct(h)
-    if method == "inverse":
-        lam = _ground_energy_inverse(h)
-        if lam is None:
-            warnings.warn("inverse iteration did not converge; using dense solver", RuntimeWarning, stacklevel=2)
-            return _ground_energy_direct(h)
-        return lam
-    raise ValueError(f"unknown method {method!r}, expected 'dense' or 'inverse'")
+    if method not in ("dense", "inverse"):
+        raise ValueError(f"unknown method {method!r}, expected 'dense' or 'inverse'")
+    # stebz returns a finite number with info 0 for a NaN entry; inverse iteration returns NaN.
+    if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
+        raise ValueError("grid operator entries must be finite")
+    if h.dim == 1:
+        return float(h.diag[0])
+    return _ground_energy_direct(h) if method == "dense" else _ground_energy_inverse(h)
 
 
 def below_threshold(energy: float, threshold: float) -> bool:

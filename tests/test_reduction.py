@@ -88,6 +88,13 @@ def harmonic_instance(grid_points=512, box_length=20.0, mass=1.0, omega=1.0, thr
     )
 
 
+def count_pttrf_calls(monkeypatch) -> list:
+    """Record every LAPACK pttrf call; each is one step of the inverse path's inertia bisection."""
+    calls, pttrf = [], reduction._lapack.dpttrf
+    monkeypatch.setattr(reduction._lapack, "dpttrf", lambda d, e: calls.append(d) or pttrf(d, e))
+    return calls
+
+
 class TestExactCoverInstance:
     def test_validates_ranges_and_order(self):
         with pytest.raises(ValueError, match="1 <= i < j < k"):
@@ -346,7 +353,7 @@ class TestGridHamiltonian:
         u, v = rng.standard_normal((2, 64))
         assert abs(u @ h.matvec(v) - h.matvec(u) @ v) <= 1e-12 * np.abs(h.dense()).max()
 
-    @pytest.mark.filterwarnings("error")  # an inverse-iteration fallback would hide the cross-check
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points", [3, 40, 257, 512])
     def test_matches_dense_reference(self, grid_points):
         rng = np.random.default_rng(grid_points)
@@ -369,10 +376,11 @@ class TestGridHamiltonian:
         for method in ("dense", "inverse"):
             assert abs(ground_energy(h, method=method) - exact) <= 1e-10 * max(1.0, abs(exact))
 
-    @pytest.mark.filterwarnings("error")  # the fallback to the direct solver would hide the cross-check
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points,box_length,seed", [(257, 10.0, 257), (4096, 30.0, 2), (4096, 100.0, 1)])
     def test_inverse_converges_on_rough_potential(self, monkeypatch, grid_points, box_length, seed):
-        # An iid potential leaves a gap E1 - E0 far below the spectrum's width, where the Gershgorin shift stalls.
+        # An iid potential leaves a gap E1 - E0 far below the spectrum's width, where the Gershgorin shift
+        # stalls and the inertia bisection finishes the solve.
         rng = np.random.default_rng(seed)
         inst = SpectralDecisionInstance(
             grid_points=grid_points,
@@ -382,14 +390,12 @@ class TestGridHamiltonian:
             threshold=0.0,
         )
         h, _ = reduce_energy_decision(inst)
-        counts = []
-        sturm = reduction._eigenvalues_below
-        monkeypatch.setattr(reduction, "_eigenvalues_below", lambda h, x: counts.append(x) or sturm(h, x))
+        calls = count_pttrf_calls(monkeypatch)
         direct = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0]
         assert abs(ground_energy(h, method="inverse") - direct) <= 1e-9 * max(1.0, abs(direct))
-        assert counts, "the Gershgorin-shift iteration converged; the case no longer reaches the fallback"
+        assert calls, "the Gershgorin-shift iteration converged; the case no longer reaches the bisection"
 
-    @pytest.mark.filterwarnings("error")  # the fallback to the direct solver would hide the cross-check
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points", [8, 64, 512, 4096])
     @pytest.mark.parametrize("spike", [1e20, 1e100, 1e200])
     def test_single_huge_potential_entry_acts_as_a_wall(self, grid_points, spike):
@@ -405,17 +411,6 @@ class TestGridHamiltonian:
         for method in ("dense", "inverse"):
             assert abs(ground_energy(h, method=method) - wall) <= 1e-10 * wall
         assert decide_energy_threshold(inst) is False
-
-    def test_sturm_count_matches_spectrum(self):
-        rng = np.random.default_rng(5)
-        inst = SpectralDecisionInstance(
-            grid_points=60, box_length=4.0, mass=1.0, potential=rng.uniform(-5.0, 5.0, 60), threshold=0.0
-        )
-        h, _ = reduce_energy_decision(inst)
-        spectrum = np.linalg.eigvalsh(h.dense())
-        gaps = np.diff(spectrum)
-        for x in [spectrum[0] - 1.0, *(spectrum[:-1] + 0.5 * gaps), spectrum[-1] + 1.0]:
-            assert reduction._eigenvalues_below(h, x) == int(np.sum(spectrum < x))
 
     def test_grid_refinement_converges(self):
         coarse = ground_energy(reduce_energy_decision(harmonic_instance(grid_points=256))[0])
@@ -523,17 +518,20 @@ class TestDirectLapack:
         assert ground_energy(h) == 6.165757866585773
         assert decide_energy_threshold(inst) is False
 
-    def test_one_point_returns_the_entry(self):
-        assert ground_energy(GridHamiltonian(diag=np.array([2.5]), offdiag=np.empty(0))) == 2.5
+    @pytest.mark.parametrize("method", ["dense", "inverse"])
+    def test_one_point_returns_the_entry(self, method):
+        assert ground_energy(GridHamiltonian(diag=np.array([2.5]), offdiag=np.empty(0)), method) == 2.5
 
+    @pytest.mark.filterwarnings("error")  # the check must come before any arithmetic on the entries
+    @pytest.mark.parametrize("method", ["dense", "inverse"])
     @pytest.mark.parametrize("where", ["diag", "offdiag"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entries_rejected(self, where, bad):
+    def test_non_finite_entries_rejected(self, method, where, bad):
         h = self.random_grid(np.random.default_rng(0), 5)
         entries = {"diag": h.diag.copy(), "offdiag": h.offdiag.copy()}
         entries[where][1] = bad
         with pytest.raises(ValueError, match="finite"):
-            ground_energy(GridHamiltonian(**entries))
+            ground_energy(GridHamiltonian(**entries), method)
 
     def test_overflowing_grid_rejected(self):
         # A finite potential can still overflow the diagonal 2t + V when the library is called directly
@@ -552,16 +550,25 @@ class TestDirectLapack:
         with pytest.raises(np.linalg.LinAlgError, match="info=4"):
             ground_energy(self.random_grid(np.random.default_rng(0), 3))
 
-    def test_singular_factorization_gives_no_eigenvalue(self):
-        # dgttrf reports the exact zero pivot of H - 1 with info = 1.
-        h = GridHamiltonian(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.zeros(2))
-        assert reduction._inverse_iteration(h, 1.0, np.ones(3), 1.0, 1e-12, 10)[0] is None
+    @pytest.mark.filterwarnings("error")
+    def test_singular_factorization_leaves_it_to_the_bisection(self, monkeypatch):
+        # A faked info = 1 (a zero pivot) from the shifted LU must skip the iteration, not return garbage.
+        gttrf = reduction._lapack.dgttrf
+        monkeypatch.setattr(reduction._lapack, "dgttrf", lambda *args: (*gttrf(*args)[:-1], 1))
+        calls = count_pttrf_calls(monkeypatch)
+        h = self.random_grid(np.random.default_rng(3), 40)
+        exact = np.linalg.eigvalsh(h.dense())[0]
+        assert abs(ground_energy(h, "inverse") - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert calls
 
-    def test_solve_failure_gives_no_eigenvalue(self, monkeypatch):
+    @pytest.mark.filterwarnings("error")
+    def test_solve_failure_leaves_it_to_the_bisection(self, monkeypatch):
         # The faked solve returns an exact eigenvector, so only its info = -6 can stop the iteration.
         monkeypatch.setattr(reduction._lapack, "dgttrs", lambda *args: (np.array([1.0, 0.0, 0.0]), -6))
+        calls = count_pttrf_calls(monkeypatch)
         h = GridHamiltonian(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.zeros(2))
-        assert reduction._inverse_iteration(h, 0.5, np.ones(3), 1.0, 1e-12, 10)[0] is None
+        assert ground_energy(h, "inverse") == 1.0
+        assert calls
 
 
 class TestDecision:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clab.cli as cli
+import clab.reduction as reduction
 import clab.runner as runner
 import clab.svgplot as svgplot
 from clab.decoherence import decohered_probability
@@ -265,6 +266,38 @@ class TestRun:
         assert summary["decision"] is True
         assert abs(summary["ground_energy"] - 0.5) / 0.5 < 0.01
         assert record.outputs["rows"][0]["solver_relative_gap"] <= 1e-8
+
+    @staticmethod
+    def double_well_config(seed, box_length):
+        # A mirror-symmetric rough double well: its two lowest states are nearly degenerate, so inverse
+        # iteration from below the Gershgorin bound stalls.
+        n = 4096
+        half = np.random.default_rng(seed).uniform(-5.0, 5.0, n // 2)
+        values = np.concatenate([half, half[::-1]])
+        values[n // 2 - n // 8 : n // 2 + n // 8] += 50.0
+        grid = {"grid_points": n, "box_length": box_length, "mass": 1.0,
+                "potential": {"kind": "values", "values": values.tolist()}}
+        return {"experiment": "spectral", "params": {"grid": grid, "E_B": 0.0}}
+
+    @pytest.mark.parametrize("seed,box_length", [(1, 100.0), (2, 100.0), (2, 30.0)])
+    def test_double_well_reports_its_own_inverse_energy(self, monkeypatch, seed, box_length):
+        calls, pttrf = [], reduction._lapack.dpttrf
+        monkeypatch.setattr(reduction._lapack, "dpttrf", lambda d, e: calls.append(d) or pttrf(d, e))
+        record = run(self.double_well_config(seed, box_length))
+        assert record.warnings == []
+        assert record.outputs["rows"][0]["solver_relative_gap"] <= 1e-9
+        assert calls, "inverse iteration converged; the case no longer reaches the inertia bisection"
+
+    def test_inverse_energy_is_independent_of_the_direct_solver(self, monkeypatch):
+        config = self.double_well_config(1, 100.0)
+        before = run(config).outputs["rows"][0]
+        direct = reduction._ground_energy_direct
+        monkeypatch.setattr(reduction, "_ground_energy_direct", lambda h: direct(h) + 1.0)
+        after = run(config).outputs["rows"][0]
+        assert after["ground_energy_dense"] == before["ground_energy_dense"] + 1.0
+        assert after["ground_energy_inverse"] == before["ground_energy_inverse"]
+        gap = abs(after["ground_energy_dense"] - after["ground_energy_inverse"]) / max(1.0, abs(after["ground_energy_dense"]))
+        assert after["solver_relative_gap"] == gap >= 0.99
 
 
 class TestEmit:
