@@ -14,9 +14,9 @@ which decays to the classical value 1/2 once the dimensionless energy
 spread (A_k - B_k) tau / hbar is large and random across configurations.
 Averaging over randomly drawn detectors realizes that limit numerically.
 Each cos^2 term is ``qcore.cos_squared`` of its half angle, the kernel the
-stochastic route uses for the same law, in the closed form and in the
-sweep alike, so the sweep equals the closed form of each detector bit for
-bit.
+stochastic route uses for the same law, as the identity
+cos^2 = 1 / (1 + tan^2), in the closed form and in the sweep alike, so the
+sweep equals the closed form of each detector bit for bit.
 """
 from __future__ import annotations
 
@@ -108,15 +108,15 @@ def initial_product_state(d: DetectorModel) -> StateVector:
 
 def propagate_exact(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> StateVector:
     """Joint state after interacting for tau under the exact exponential, one phase per product amplitude."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     return StateVector(np.exp(-1j * tau / c.hbar * build_interaction(d)) * initial_product_state(d).amps)
 
 
 def prob_closed_form(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> MeasurementResult:
     """Return probability from the per-configuration cosine formula."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     half_angles = (d.energies_0 - d.energies_1) * (tau / (2.0 * c.hbar))
     p = float(np.sum(np.abs(d.a) ** 2 * cos_squared(half_angles, out=half_angles)))
     return MeasurementResult(p_sx_plus=min(p, 1.0 + 1e-12))
@@ -212,8 +212,8 @@ def decohered_probability_sweep(
     if not (np.isfinite(energy_scale) and energy_scale > 0):
         raise ValueError(f"energy_scale must be positive, got {energy_scale}")
     for tau in taus:
-        if tau < 0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
+        if not 0.0 <= tau < math.inf:  # NaN fails too
+            raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     scales = [tau / (2.0 * c.hbar) for tau in taus]
     probs = np.empty((len(scales), trials))
     rows = max(1, _CHUNK_ELEMENTS // K)

@@ -135,7 +135,13 @@ def standard_normal(seed, index) -> np.ndarray | float:
     u1 = uniform01(seed, even)
     u2 = uniform01(seed, odd)
     u1 = np.maximum(u1, 2.0 ** -53)  # guard the log at u1 = 0
-    out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    # cos(2 pi u2) = (1 - t^2) / (1 + t^2) with t = tan(pi u2): numpy's float64 tan is SIMD where its cos is libm.
+    t = np.asarray(np.pi * u2)  # a fresh array (0-d for a scalar index) that the passes below overwrite
+    np.square(np.tan(t, out=t), out=t)
+    out = 1.0 - t
+    t += 1.0
+    out /= t
+    out *= np.sqrt(-2.0 * np.log(u1))
     return out if out.ndim else float(out)
 
 
@@ -172,11 +178,16 @@ def mc_mean(f, n: int, seed: int) -> MonteCarloEstimate:
     return mc_estimate(vals)
 
 
-def mc_estimate(values) -> MonteCarloEstimate:
+def mc_estimate(values, overwrite: bool = False) -> MonteCarloEstimate:
     """Mean and standard error of per-trial values, in trial order.
 
     This is ``mc_mean``'s reduction on values already drawn; a sweep calls
-    it once per tau on the same draws. A single value has stderr 0.
+    it once per tau on the same draws. A single value has stderr 0. The
+    standard error takes the steps of ``np.std(values, ddof=1)`` in its
+    order (sum, mean, deviations, their squares, sum / (n - 1), sqrt), so it
+    equals ``np.std(values, ddof=1) / sqrt(n)`` bit for bit. With
+    ``overwrite=True`` a float64 array ``values`` holds the squared
+    deviations on return, so a sweep can reuse one buffer for every tau.
     """
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     n = vals.size
@@ -189,5 +200,9 @@ def mc_estimate(values) -> MonteCarloEstimate:
             bad = int(np.nonzero(~finite)[0][0])
             raise ValueError(f"non-finite value at trial index {bad}: {vals[bad]}")
     mean = total / n
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    stderr = 0.0
+    if n > 1:
+        dev = np.subtract(vals, mean, out=vals if overwrite else None)
+        np.square(dev, out=dev)
+        stderr = math.sqrt(float(np.sum(dev)) / (n - 1)) / math.sqrt(n)
     return MonteCarloEstimate(mean=mean, stderr=stderr, n=n)

@@ -4,8 +4,8 @@ Measurement models and adiabatic sweeps go through the state types and
 the integrator defined here. Dense Hermitian operators and their exact
 exponentials are the reference that the integrator, and the detector
 model's phase propagation, are checked against. ``cos_squared`` is the
-range-reduced kernel for cos^2 that both measurement routes evaluate their
-per-instance law with.
+kernel for cos^2 that both measurement routes evaluate their per-instance
+law with, as 1 / (1 + tan^2) on numpy's float64 tangent.
 Values are immutable after construction and all operations are pure
 functions, so callers may share them freely across threads.
 """
@@ -34,14 +34,6 @@ UNITARITY_ATOL = 1e-10
 CHEBYSHEV_CUTOFF = 1e-17
 # Rows of the block that holds a series' terms before one product sums them; bounds its memory.
 CHEBYSHEV_BLOCK = 32
-# cos_squared reduces its quarter angle by k pi/2 with pi/2 split in three parts (Cody & Waite 1980); the first two
-# have at most 32 significant bits, so k times either is exact for |k| <= 2^19.
-_PIO2_1 = float.fromhex("0x1.921fb54400000p+0")
-_PIO2_2 = float.fromhex("0x1.0b4611a600000p-34")
-_PIO2_3 = float.fromhex("0x1.3198a2e037073p-69")
-_REDUCTION_LIMIT = float(1 << 19)
-# Elements per cos_squared pass; its three chunk-sized buffers stay in L2 cache.
-COS_SQUARED_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -295,55 +287,30 @@ def cos_squared(half, out=None) -> np.ndarray:
     """cos(half)^2 elementwise, as a float64 array of half's shape, written into ``out`` when given.
 
     ``out`` may be ``half`` itself (a C-contiguous float64 array) to work in
-    place. cos^2 has period pi, so the quarter angle q = half / 2 (exact) is
-    reduced to y = q - k pi/2 with k = rint(half / pi) and the three-part
-    split of pi/2; then |y| <= pi/4 and cos(half)^2 = (2 cos(y)^2 - 1)^2,
-    within 1e-15 of ``np.cos(half) ** 2``. An element with |k| > 2^19
-    (|half| above about 1.6e6), or a non-finite one, gets
-    ``np.cos(half) ** 2`` itself, so each result depends on its own element
-    alone, and NaN and inf behave, warning included, as in ``np.cos``.
+    place. The kernel is the exact identity cos^2 = 1 / (1 + tan^2), in four
+    in-place passes; it is within 1e-15 of ``np.cos(half) ** 2`` and each
+    result depends on its own element alone. No finite input warns: |tan|
+    stays below about 2e18 on doubles, so its square cannot overflow. NaN
+    and inf give NaN, and inf raises the same floating-point error as in
+    ``np.cos``, under the caller's ``np.errstate``.
 
-    The reduction is for speed: numpy 2.4.6 evaluates float64 cos with the
-    scalar libm, whose fast path covers |y| <= pi/4. On 2 shared Xeon vCPUs
-    that took 5.1 ms per 10^6 elements, against 21.3 ms at |half| >= 3, and
-    this kernel took 11-12 ms in all, against 23 ms for np.cos(half) ** 2.
-    A numpy build with a SIMD float64 cos would not see the gain. The work runs in chunks of COS_SQUARED_CHUNK elements on two
-    chunk-sized scratch buffers and the output.
+    The identity is for speed: numpy 2.4.6 dispatches float64 tan to SIMD
+    (AVX-512 where the CPU has it) but evaluates cos with the scalar libm. On 2 shared Xeon
+    vCPUs this kernel took 3.7 ms per 10^6 elements, against 26 ms for
+    ``np.cos(half) ** 2`` at |half| of about 10^3. A numpy build whose
+    float64 tan is scalar libm gets the same accuracy, more slowly.
     """
     h = np.asarray(half, dtype=np.float64)
     if out is None:
         out = np.empty(h.shape)
     elif out.shape != h.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {h.shape}")
-    src = h.reshape(-1)
-    dst = out.reshape(-1)
-    k_buf = np.empty(min(src.size, COS_SQUARED_CHUNK))
-    y_buf = np.empty_like(k_buf)
-    for lo in range(0, src.size, COS_SQUARED_CHUNK):
-        x = src[lo : lo + COS_SQUARED_CHUNK]
-        o = dst[lo : lo + COS_SQUARED_CHUNK]
-        k = k_buf[: x.size]
-        y = y_buf[: x.size]
-        np.multiply(x, 0.5, out=y)
-        np.multiply(x, 1.0 / np.pi, out=k)
-        np.rint(k, out=k)
-        wide = None
-        if not (k.max() <= _REDUCTION_LIMIT and k.min() >= -_REDUCTION_LIMIT):  # NaN fails too
-            wide = ~(np.abs(k) <= _REDUCTION_LIMIT)
-            exact = np.cos(x[wide]) ** 2  # read before ``o``, which may be ``x``, is written
-            k[wide] = 0.0
-            y[wide] = 0.0
-        np.multiply(k, _PIO2_1, out=o)
-        y -= o
-        np.multiply(k, _PIO2_2, out=o)
-        y -= o
-        np.multiply(k, _PIO2_3, out=o)
-        y -= o
-        np.cos(y, out=o)
-        np.square(o, out=o)
-        o *= 2.0
-        o -= 1.0
-        np.square(o, out=o)
-        if wide is not None:
-            o[wide] = exact
+    flagged = []
+    with np.errstate(invalid="call", call=lambda *_: flagged.append(True)):
+        np.tan(h, out=out)  # flags invalid at +-inf only, where np.cos does too; ``h`` may be gone after this
+    np.square(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    if flagged:
+        np.cos(np.inf)  # numpy's own invalid-value report for cos, warning or error as the caller's errstate says
     return out

@@ -19,7 +19,10 @@ and averaging over a uniformly distributed phase argument multiplies the
 oscillatory part by sin(xi)/xi where xi = (A_tilde + B_tilde) tau / hbar.
 Large xi kills the oscillation and leaves the classical value 1/2. The
 samples are evaluated in the cos^2 form, by ``qcore.cos_squared`` on the
-half angle, which cannot overflow where the phase span xi is finite.
+half angle, which cannot overflow where the phase span xi is finite; that
+kernel is the identity cos^2 = 1 / (1 + tan^2) on numpy's float64 tangent.
+A tau sweep writes each tau's probabilities into one reused buffer and
+reduces them there.
 
 Two sampling modes exist because the bounds constrain alpha and beta
 separately while the averaging rule treats the *difference* as uniform:
@@ -120,8 +123,8 @@ def evolve_stochastic(
     branch: -tau (A_tilde + alpha)/hbar on |0> and -tau (B_tilde + beta)/hbar
     on |1>.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     return StochasticSolution(
         c0_phase=-tau * (s.a_tilde + float(sample.alpha)) / c.hbar,
         c1_phase=-tau * (s.b_tilde + float(sample.beta)) / c.hbar,
@@ -133,20 +136,22 @@ def overlap_probability(
     sample: EnergySample,
     tau: float,
     c: PhysicalConstants = NATURAL_UNITS,
+    out=None,
 ):
     """Per-instance return probability |<initial|evolved>|^2 = cos^2((D + delta) tau / 2 hbar).
 
     Accepts scalar samples or arrays (vectorized over instances). The half
     angle is summed from two terms, each at most (A_tilde + B_tilde) tau /
     2 hbar, so it stays finite whenever the phase span does; the full angle
-    (D + delta) tau / hbar can overflow there. The half angles fill one new
-    buffer, and ``qcore.cos_squared`` turns it into the probabilities in
+    (D + delta) tau / hbar can overflow there. The half angles fill one
+    buffer, ``out`` when given (a float64 array of the samples' shape), else
+    a new one, and ``qcore.cos_squared`` turns it into the probabilities in
     place.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     scale = 0.5 * tau / c.hbar
-    p = np.asarray(np.subtract(sample.alpha, sample.beta), dtype=np.float64)
+    p = np.asarray(np.subtract(sample.alpha, sample.beta, out=out), dtype=np.float64)
     p *= scale
     p += (s.a_tilde - s.b_tilde) * scale
     cos_squared(p, out=p)
@@ -155,8 +160,8 @@ def overlap_probability(
 
 def phase_span(s: StochasticInteraction, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> float:
     """Maximal dimensionless span (A_tilde + B_tilde) tau / hbar of the random phase."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     return (s.a_tilde + s.b_tilde) * tau / c.hbar
 
 
@@ -165,8 +170,8 @@ def mean_cos_uniform(xi: float) -> float:
 
     Small arguments use the series 1 - xi^2/6 to avoid the 0/0 corner.
     """
-    if xi < 0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
+    if not 0.0 <= xi < math.inf:  # NaN fails too
+        raise ValueError(f"xi must be >= 0 and finite, got {xi}")
     if xi < 1e-4:
         return 1.0 - xi * xi / 6.0
     return math.sin(xi) / xi
@@ -180,8 +185,8 @@ def analytic_mean_probability(s: StochasticInteraction, tau: float, c: PhysicalC
     independent_uniform: the cosine average factorizes into
     sinc(A_tilde tau/hbar) * sinc(B_tilde tau/hbar).
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     d_angle = (s.a_tilde - s.b_tilde) * tau / c.hbar
     if s.mode == "independent_uniform":
         envelope = mean_cos_uniform(s.a_tilde * tau / c.hbar) * mean_cos_uniform(s.b_tilde * tau / c.hbar)
@@ -200,12 +205,17 @@ def mc_probability_sweep(
     """``mc_probability`` for every tau in ``taus``, on one draw of n instances.
 
     The energies are sampled once and every tau is evaluated on them, so
-    each estimate equals the single-tau call bit for bit.
+    each estimate equals the single-tau call bit for bit. One n-element
+    buffer takes each tau's probabilities and then their reduction.
     """
     if n < 2:
         raise ValueError(f"mc_probability needs n >= 2, got {n}")
+    for tau in taus:
+        if not 0.0 <= tau < math.inf:  # NaN fails too
+            raise ValueError(f"tau must be >= 0 and finite, got {tau}")
     sample = sample_energies(s, seed, np.arange(n, dtype=np.uint64))
-    return [mc_estimate(overlap_probability(s, sample, tau, c)) for tau in taus]
+    buf = np.empty(n)
+    return [mc_estimate(overlap_probability(s, sample, tau, c, out=buf), overwrite=True) for tau in taus]
 
 
 def mc_probability(

@@ -1,5 +1,6 @@
 """Exact-propagation measurement model vs its closed form, and the averaged limit."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,20 @@ class TestDecoheredProbabilitySweep:
         monkeypatch.setattr(decoherence, "standard_normal", huge)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="sum"):
             decohered_probability_sweep(4, 1.0, [1.0], seed=0, trials=3)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_is_refused_by_name(self, tau):
+        d = DetectorModel([1.0], [0.0], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: decohered_probability_sweep(4, 1.0, [1.0, tau], seed=0, trials=3),
+                lambda: decohered_probability(4, 1.0, tau, seed=0, trials=3),
+                lambda: prob_closed_form(d, tau),
+                lambda: propagate_exact(d, tau),
+            ):
+                with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+                    call()
 
     def test_rejects_negative_tau_and_bad_sizes(self):
         with pytest.raises(ValueError, match="tau"):

@@ -222,6 +222,18 @@ class TestMcMean:
         again = mc_estimate(f(np.arange(3001, dtype=np.uint64), 9))
         assert (again.mean, again.stderr, again.n) == (est.mean, est.stderr, est.n)
 
+    @pytest.mark.parametrize("n", [2, 3, 1000, 8193, 100_001])
+    def test_estimate_equals_numpy_std_bit_for_bit_and_may_overwrite(self, n):
+        rng = np.random.default_rng(n)
+        for vals in (rng.uniform(0.0, 1.0, n), rng.standard_normal(n) * 1e-7 + 3e5, np.cos(rng.uniform(0.0, 1e4, n)) ** 2):
+            expected = (float(np.sum(vals)) / n, float(np.std(vals, ddof=1) / math.sqrt(n)), n)
+            est = mc_estimate(vals)
+            assert (est.mean, est.stderr, est.n) == expected
+            scratch = vals.copy()
+            est = mc_estimate(scratch, overwrite=True)
+            assert (est.mean, est.stderr, est.n) == expected
+            np.testing.assert_array_equal(scratch, (vals - expected[0]) ** 2)
+
     def test_estimate_of_one_value_has_zero_stderr(self):
         est = mc_estimate([0.25])
         assert (est.mean, est.stderr, est.n) == (0.25, 0.0, 1)

@@ -1,12 +1,13 @@
 """Stochastic interaction model: sampling, phases, expansion, averages."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clab.montecarlo import mc_mean
+from clab.montecarlo import mc_estimate, mc_mean
 from clab.qcore import HermitianOperator, PhysicalConstants, StateVector, expm_propagator
 from clab.stochastic import (
     EnergySample,
@@ -281,3 +282,46 @@ class TestMcProbabilitySweep:
             mc_probability_sweep(s, [1.0], n=1)
         with pytest.raises(ValueError, match="tau"):
             mc_probability_sweep(s, [1.0, -1.0], n=10)
+
+    @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
+    def test_reused_buffer_equals_fresh_probabilities_bit_for_bit(self, mode):
+        s = StochasticInteraction(a_tilde=5e3, b_tilde=2e3, mode=mode)
+        c = PhysicalConstants(hbar=1.1)
+        taus = [0.0, 1e-4, 3e-3, 0.7, 1.0]
+        n = 20_001
+        sample = sample_energies(s, 17, np.arange(n, dtype=np.uint64))
+        expected = [mc_estimate(overlap_probability(s, sample, tau, c)) for tau in taus]
+        assert mc_probability_sweep(s, taus, c, seed=17, n=n) == expected
+
+
+NON_FINITE = [math.nan, math.inf]
+
+
+class TestNonFiniteTau:
+    """A NaN or infinite tau (or xi) is refused up front, by name, without a numerical warning on the way."""
+
+    @pytest.mark.parametrize("tau", NON_FINITE)
+    @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
+    def test_every_entry_point_names_tau(self, tau, mode):
+        s = StochasticInteraction(a_tilde=2.0, b_tilde=1.0, mode=mode)
+        sample = sample_energies(s, 3, np.arange(4, dtype=np.uint64))
+        calls = [
+            lambda: mc_probability_sweep(s, [1.0, tau], n=10),
+            lambda: mc_probability(s, tau, n=10),
+            lambda: overlap_probability(s, sample, tau),
+            lambda: evolve_stochastic(s, EnergySample(alpha=0.1, beta=0.2), tau),
+            lambda: phase_span(s, tau),
+            lambda: analytic_mean_probability(s, tau),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+                    call()
+
+    @pytest.mark.parametrize("xi", NON_FINITE)
+    def test_mean_cos_uniform_names_xi(self, xi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="xi must be >= 0 and finite"):
+                mean_cos_uniform(xi)
