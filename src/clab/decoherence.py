@@ -13,10 +13,9 @@ initial particle state gives the closed-form return probability
 which decays to the classical value 1/2 once the dimensionless energy
 spread (A_k - B_k) tau / hbar is large and random across configurations.
 Averaging over randomly drawn detectors realizes that limit numerically.
-Each cos^2 term is ``qcore.cos_squared`` of its half angle, the kernel the
-stochastic route uses for the same law, as the identity
-cos^2 = 1 / (1 + tan^2), in the closed form and in the sweep alike, so the
-sweep equals the closed form of each detector bit for bit.
+Each cos^2 term is ``qcore.cos_squared`` of its half angle, in the closed
+form and in the sweep alike; the sweep is ``montecarlo.cos_squared_sweep``,
+the loop of the stochastic route, on chunks of detectors drawn as arrays.
 """
 from __future__ import annotations
 
@@ -25,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_estimate, sample_uniform, standard_normal
+from .montecarlo import (
+    MonteCarloEstimate, UniformInterval, cos_squared_sweep, derive_seed, require_tau, sample_uniform, standard_normal
+)
 from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, cos_squared
 
 __all__ = [
@@ -108,16 +109,13 @@ def initial_product_state(d: DetectorModel) -> StateVector:
 
 def propagate_exact(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> StateVector:
     """Joint state after interacting for tau under the exact exponential, one phase per product amplitude."""
-    if not 0.0 <= tau < math.inf:  # NaN fails too
-        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
+    require_tau(tau)
     return StateVector(np.exp(-1j * tau / c.hbar * build_interaction(d)) * initial_product_state(d).amps)
 
 
 def prob_closed_form(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> MeasurementResult:
     """Return probability from the per-configuration cosine formula."""
-    if not 0.0 <= tau < math.inf:  # NaN fails too
-        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
-    half_angles = (d.energies_0 - d.energies_1) * (tau / (2.0 * c.hbar))
+    half_angles = (d.energies_0 - d.energies_1) * (require_tau(tau) / (2.0 * c.hbar))
     p = float(np.sum(np.abs(d.a) ** 2 * cos_squared(half_angles, out=half_angles)))
     return MeasurementResult(p_sx_plus=min(p, 1.0 + 1e-12))
 
@@ -152,11 +150,6 @@ def sample_random_detector(K: int, energy_scale: float, seed: int) -> DetectorMo
     return DetectorModel(a[0], e0[0], e1[0])
 
 
-# Trials are drawn in chunks of about this many detector configurations
-# (trials x K elements), so a sweep's memory does not grow with its trials.
-_CHUNK_ELEMENTS = 1 << 18
-
-
 def _draw_detectors(K: int, energy_scale: float, trial_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes a and branch energies A, B of one detector per trial seed (uint64), one row each.
 
@@ -179,17 +172,6 @@ def _draw_detectors(K: int, energy_scale: float, trial_seeds: np.ndarray) -> tup
     return a, e0, e1
 
 
-def _weights_and_gaps(K: int, energy_scale: float, trial_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights |a_k|^2 and gaps A_k - B_k of ``_draw_detectors``, with the normalisation check of ``DetectorModel``."""
-    a, e0, e1 = _draw_detectors(K, energy_scale, trial_seeds)
-    weights = np.abs(a) ** 2
-    totals = np.sum(weights, axis=1)
-    bad = ~(np.abs(totals - 1.0) <= 1e-10)  # NaN fails too
-    if bad.any():
-        raise ValueError(f"configuration amplitudes must satisfy sum |a_k|^2 = 1, got {totals[bad][0]!r}")
-    return weights, e0 - e1
-
-
 def decohered_probability_sweep(
     K: int,
     energy_scale: float,
@@ -201,9 +183,8 @@ def decohered_probability_sweep(
     """``decohered_probability`` for every tau in ``taus``, on one set of detectors.
 
     Trial i's detector is ``sample_random_detector(K, energy_scale,
-    derive_seed(seed, "detector", i))``. All detectors are drawn once, as
-    arrays, and every tau is evaluated on them, so each estimate equals the
-    single-tau call bit for bit.
+    derive_seed(seed, "detector", i))``. Every tau is evaluated on each chunk
+    of detectors, so each estimate equals the single-tau call bit for bit.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -211,23 +192,17 @@ def decohered_probability_sweep(
         raise ValueError(f"K must be >= 1, got {K}")
     if not (np.isfinite(energy_scale) and energy_scale > 0):
         raise ValueError(f"energy_scale must be positive, got {energy_scale}")
-    for tau in taus:
-        if not 0.0 <= tau < math.inf:  # NaN fails too
-            raise ValueError(f"tau must be >= 0 and finite, got {tau}")
-    scales = [tau / (2.0 * c.hbar) for tau in taus]
-    probs = np.empty((len(scales), trials))
-    rows = max(1, _CHUNK_ELEMENTS // K)
-    for lo in range(0, trials, rows):
-        hi = min(lo + rows, trials)
-        weights, gaps = _weights_and_gaps(K, energy_scale, derive_seed(seed, "detector", np.arange(lo, hi, dtype=np.uint64)))
-        terms = np.empty_like(gaps)
-        for out, scale in zip(probs, scales):
-            np.multiply(gaps, scale, out=terms)
-            cos_squared(terms, out=terms)
-            terms *= weights
-            out[lo:hi] = np.sum(terms, axis=1)
-    np.minimum(probs, 1.0 + 1e-12, out=probs)
-    return [mc_estimate(p) for p in probs]
+
+    def draw(lo, hi):  # weights |a_k|^2 and gaps A_k - B_k, with the normalisation check of DetectorModel
+        a, e0, e1 = _draw_detectors(K, energy_scale, derive_seed(seed, "detector", np.arange(lo, hi, dtype=np.uint64)))
+        weights = np.abs(a) ** 2
+        totals = np.sum(weights, axis=1)
+        bad = ~(np.abs(totals - 1.0) <= 1e-10)  # NaN fails too
+        if bad.any():
+            raise ValueError(f"configuration amplitudes must satisfy sum |a_k|^2 = 1, got {totals[bad][0]!r}")
+        return weights, np.subtract(e0, e1, out=e0)
+
+    return cos_squared_sweep(draw, trials, K, taus, c.hbar)
 
 
 def decohered_probability(

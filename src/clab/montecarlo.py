@@ -7,9 +7,9 @@ the splitmix64 finalizer applied twice, vectorized over index arrays and
 over seed arrays: a ``(trials, 1)`` column of trial seeds against a
 ``(1, K)`` row of indices draws every trial in one call.
 
-A Monte Carlo sweep uses this to draw its random numbers once and evaluate
-every tau on the same draws, reducing each tau's per-trial values with
-``mc_estimate``.
+``cos_squared_sweep``, the sweep loop of both measurement routes, evaluates
+every tau on chunks of trials and merges the chunks' moments by the pairwise
+update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983).
 """
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .qcore import cos_squared
 
 __all__ = [
     "UniformInterval",
@@ -27,11 +29,15 @@ __all__ = [
     "standard_normal",
     "mc_mean",
     "mc_estimate",
+    "cos_squared_sweep",
 ]
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# cos^2 terms (trials x K) per chunk of a sweep, whose memory so grows with neither its trials nor its taus.
+SWEEP_CHUNK = 1 << 15
 
 
 def _mix64(z):
@@ -178,31 +184,68 @@ def mc_mean(f, n: int, seed: int) -> MonteCarloEstimate:
     return mc_estimate(vals)
 
 
-def mc_estimate(values, overwrite: bool = False) -> MonteCarloEstimate:
+def mc_estimate(values) -> MonteCarloEstimate:
     """Mean and standard error of per-trial values, in trial order.
 
-    This is ``mc_mean``'s reduction on values already drawn; a sweep calls
-    it once per tau on the same draws. A single value has stderr 0. The
-    standard error takes the steps of ``np.std(values, ddof=1)`` in its
-    order (sum, mean, deviations, their squares, sum / (n - 1), sqrt), so it
-    equals ``np.std(values, ddof=1) / sqrt(n)`` bit for bit. With
-    ``overwrite=True`` a float64 array ``values`` holds the squared
-    deviations on return, so a sweep can reuse one buffer for every tau.
+    A single value has stderr 0. The standard error takes the steps of
+    ``np.std(values, ddof=1) / sqrt(n)`` in its order (sum, mean, deviations,
+    their squares, sum / (n - 1), sqrt) and equals it bit for bit.
     """
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = vals.size
-    if n < 1:
+    if vals.size < 1:
         raise ValueError("mc_estimate needs at least one value")
+    return _estimate(_moments(vals))
+
+
+def _moments(vals: np.ndarray, first: int = 0) -> tuple[int, float, float]:
+    """Count, mean and sum of squared deviations of values whose first has trial index ``first``."""
     total = float(np.sum(vals))
     if not math.isfinite(total):  # a finite sum has only finite terms; the index is searched for on failure
         finite = np.isfinite(vals)
         if not finite.all():
             bad = int(np.nonzero(~finite)[0][0])
-            raise ValueError(f"non-finite value at trial index {bad}: {vals[bad]}")
-    mean = total / n
-    stderr = 0.0
-    if n > 1:
-        dev = np.subtract(vals, mean, out=vals if overwrite else None)
-        np.square(dev, out=dev)
-        stderr = math.sqrt(float(np.sum(dev)) / (n - 1)) / math.sqrt(n)
-    return MonteCarloEstimate(mean=mean, stderr=stderr, n=n)
+            raise ValueError(f"non-finite value at trial index {first + bad}: {vals[bad]}")
+    mean = total / vals.size
+    dev = vals - mean
+    return vals.size, mean, float(np.sum(np.square(dev, out=dev)))
+
+
+def _estimate(moments) -> MonteCarloEstimate:
+    n, mean, m2 = moments
+    return MonteCarloEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0, n=n)
+
+
+def require_tau(tau: float) -> float:
+    """``tau`` itself, or a ValueError unless it is >= 0 and finite; shared by every entry point taking a tau."""
+    if not 0.0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
+    return tau
+
+
+def cos_squared_sweep(draw, trials: int, K: int, taus, hbar: float, detuning: float = 0.0) -> list[MonteCarloEstimate]:
+    """Mean and standard error over ``trials`` trials of the cos^2 law, for every tau in ``taus``.
+
+    ``draw(lo, hi)`` returns trials lo..hi-1 as ``(weights, gaps)``: both of
+    shape (hi - lo, K), or gaps of shape (hi - lo,) and weights None. A
+    trial's value is cos^2((gap + detuning) tau / 2 hbar), or its weighted
+    row sum clipped at 1 + 1e-12. Trials are drawn once for all taus, in
+    chunks of max(1, SWEEP_CHUNK // K) whose moments merge by Chan's update,
+    so a sweep of one chunk equals ``mc_estimate`` bit for bit.
+    """
+    scales = [0.5 * require_tau(tau) / hbar for tau in taus]  # every tau is checked before any draw
+    moments = [(0, 0.0, 0.0)] * len(scales)
+    rows = max(1, SWEEP_CHUNK // K)
+    for lo in range(0, trials, rows):
+        weights, gaps = draw(lo, min(lo + rows, trials))
+        buf = np.empty_like(gaps)
+        for i, scale in enumerate(scales):
+            np.multiply(gaps, scale, out=buf)
+            buf += detuning * scale
+            p = cos_squared(buf, out=buf)
+            if weights is not None:  # cos^2 <= 1 holds exactly; only a weighted sum can round above it
+                p = np.minimum(np.sum(np.multiply(p, weights, out=p), axis=1), 1.0 + 1e-12)
+            nb, mean_b, m2_b = _moments(p, lo)
+            na, mean_a, m2_a = moments[i]
+            n, delta = na + nb, mean_b - mean_a  # Chan's update, which passes the first chunk (na = 0) exactly
+            moments[i] = n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+    return [_estimate(m) for m in moments]

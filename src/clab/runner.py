@@ -63,9 +63,10 @@ EXPERIMENTS = ("decohere", "stochastic", "compare", "adiabatic", "spectral")
 
 EMIT_FORMATS = ("json", "csv", "svg")
 
-# Limit on the Monte Carlo draws of one sweep: K * trials detector entries, or n
-# energy instances. At the limit a decohere run with K = 10^7 peaks near 750 MiB RSS.
+# Limits on one sweep's Monte Carlo draws (K * trials or n) and cos^2 evaluations (draws times taus),
+# checked before any work; at the draw limit a decohere run with K = 10^7 peaks near 800 MiB RSS.
 MAX_DRAWS = 10_000_000
+MAX_EVALUATIONS = 10**9
 
 # Limit on the grid operator's kinetic term hbar^2 / (m dx^2): LAPACK's tridiagonal
 # eigensolver stops converging once the off-diagonal passes about 1.3e154, sqrt(float max).
@@ -251,9 +252,9 @@ def _require_finite_spans(scales, taus, hbar: float, path: str) -> None:
                 raise ConfigError(path, f"phase span {scale:g} * tau={tau:g} / hbar={hbar:g} is not finite")
 
 
-def _require_draws(count: int, path: str, what: str) -> None:
-    if count > MAX_DRAWS:
-        raise ConfigError(path, f"{what} = {count:,} Monte Carlo draws; at most {MAX_DRAWS:,} are allowed")
+def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
+    if count > limit:
+        raise ConfigError(path, f"{count:,} {what}; at most {limit:,} are allowed")
 
 
 def _require_finite_grid(grid: dict, hbar: float) -> None:
@@ -302,14 +303,19 @@ def validate_config(raw: dict) -> dict:
     params = _VALIDATORS[experiment](params)
     if experiment == "stochastic":
         _require_finite_spans([params["A_tilde"] + params["B_tilde"]], params["tau"], hbar, "params.tau")
-        _require_draws(params["n"], "params.n", "n")
+        _require_at_most(MAX_DRAWS, params["n"], "params.n", "Monte Carlo draws (n)")
+        _require_at_most(MAX_EVALUATIONS, len(params["tau"]) * params["n"], "params.tau", "cos^2 evaluations")
     elif experiment == "decohere":
         _require_finite_spans([params["energy_scale"]], params["tau"], hbar, "params.tau")
-        _require_draws(params["K"] * params["trials"], "params.K", "K * trials")
+        draws = params["K"] * params["trials"]
+        _require_at_most(MAX_DRAWS, draws, "params.K", "Monte Carlo draws (K * trials)")
+        _require_at_most(MAX_EVALUATIONS, len(params["tau"]) * draws, "params.tau", "cos^2 evaluations")
     elif experiment == "compare":
         _require_finite_spans(params["energy_scale"], [params["tau"]], hbar, "params.energy_scale")
-        _require_draws(params["K"] * params["trials"], "params.K", "K * trials")
-        _require_draws(params["n"], "params.n", "n")
+        _require_at_most(MAX_DRAWS, params["K"] * params["trials"], "params.K", "Monte Carlo draws (K * trials)")
+        _require_at_most(MAX_DRAWS, params["n"], "params.n", "Monte Carlo draws (n)")
+        evaluations = len(params["energy_scale"]) * (params["K"] * params["trials"] + params["n"])
+        _require_at_most(MAX_EVALUATIONS, evaluations, "params.energy_scale", "cos^2 evaluations")
     elif experiment == "spectral":
         _require_finite_grid(params["grid"], hbar)
     return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": params}

@@ -21,8 +21,8 @@ Large xi kills the oscillation and leaves the classical value 1/2. The
 samples are evaluated in the cos^2 form, by ``qcore.cos_squared`` on the
 half angle, which cannot overflow where the phase span xi is finite; that
 kernel is the identity cos^2 = 1 / (1 + tan^2) on numpy's float64 tangent.
-A tau sweep writes each tau's probabilities into one reused buffer and
-reduces them there.
+A tau sweep is ``montecarlo.cos_squared_sweep``, the loop of the decoherence
+route, on the differences alpha - beta with D as its detuning.
 
 Two sampling modes exist because the bounds constrain alpha and beta
 separately while the averaging rule treats the *difference* as uniform:
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import MonteCarloEstimate, UniformInterval, derive_seed, mc_estimate, sample_uniform
+from .montecarlo import MonteCarloEstimate, UniformInterval, cos_squared_sweep, derive_seed, require_tau, sample_uniform
 from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, cos_squared
 
 __all__ = [
@@ -123,8 +123,7 @@ def evolve_stochastic(
     branch: -tau (A_tilde + alpha)/hbar on |0> and -tau (B_tilde + beta)/hbar
     on |1>.
     """
-    if not 0.0 <= tau < math.inf:  # NaN fails too
-        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
+    require_tau(tau)
     return StochasticSolution(
         c0_phase=-tau * (s.a_tilde + float(sample.alpha)) / c.hbar,
         c1_phase=-tau * (s.b_tilde + float(sample.beta)) / c.hbar,
@@ -136,22 +135,17 @@ def overlap_probability(
     sample: EnergySample,
     tau: float,
     c: PhysicalConstants = NATURAL_UNITS,
-    out=None,
 ):
     """Per-instance return probability |<initial|evolved>|^2 = cos^2((D + delta) tau / 2 hbar).
 
     Accepts scalar samples or arrays (vectorized over instances). The half
     angle is summed from two terms, each at most (A_tilde + B_tilde) tau /
     2 hbar, so it stays finite whenever the phase span does; the full angle
-    (D + delta) tau / hbar can overflow there. The half angles fill one
-    buffer, ``out`` when given (a float64 array of the samples' shape), else
-    a new one, and ``qcore.cos_squared`` turns it into the probabilities in
-    place.
+    (D + delta) tau / hbar can overflow there. ``qcore.cos_squared`` turns
+    the half angles into the probabilities in place.
     """
-    if not 0.0 <= tau < math.inf:  # NaN fails too
-        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
-    scale = 0.5 * tau / c.hbar
-    p = np.asarray(np.subtract(sample.alpha, sample.beta, out=out), dtype=np.float64)
+    scale = 0.5 * require_tau(tau) / c.hbar
+    p = np.asarray(np.subtract(sample.alpha, sample.beta), dtype=np.float64)
     p *= scale
     p += (s.a_tilde - s.b_tilde) * scale
     cos_squared(p, out=p)
@@ -160,9 +154,7 @@ def overlap_probability(
 
 def phase_span(s: StochasticInteraction, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> float:
     """Maximal dimensionless span (A_tilde + B_tilde) tau / hbar of the random phase."""
-    if not 0.0 <= tau < math.inf:  # NaN fails too
-        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
-    return (s.a_tilde + s.b_tilde) * tau / c.hbar
+    return (s.a_tilde + s.b_tilde) * require_tau(tau) / c.hbar
 
 
 def mean_cos_uniform(xi: float) -> float:
@@ -185,9 +177,7 @@ def analytic_mean_probability(s: StochasticInteraction, tau: float, c: PhysicalC
     independent_uniform: the cosine average factorizes into
     sinc(A_tilde tau/hbar) * sinc(B_tilde tau/hbar).
     """
-    if not 0.0 <= tau < math.inf:  # NaN fails too
-        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
-    d_angle = (s.a_tilde - s.b_tilde) * tau / c.hbar
+    d_angle = (s.a_tilde - s.b_tilde) * require_tau(tau) / c.hbar
     if s.mode == "independent_uniform":
         envelope = mean_cos_uniform(s.a_tilde * tau / c.hbar) * mean_cos_uniform(s.b_tilde * tau / c.hbar)
     else:
@@ -204,18 +194,17 @@ def mc_probability_sweep(
 ) -> list[MonteCarloEstimate]:
     """``mc_probability`` for every tau in ``taus``, on one draw of n instances.
 
-    The energies are sampled once and every tau is evaluated on them, so
-    each estimate equals the single-tau call bit for bit. One n-element
-    buffer takes each tau's probabilities and then their reduction.
+    Every tau is evaluated on each chunk of instances, so each estimate
+    equals the single-tau call bit for bit.
     """
     if n < 2:
         raise ValueError(f"mc_probability needs n >= 2, got {n}")
-    for tau in taus:
-        if not 0.0 <= tau < math.inf:  # NaN fails too
-            raise ValueError(f"tau must be >= 0 and finite, got {tau}")
-    sample = sample_energies(s, seed, np.arange(n, dtype=np.uint64))
-    buf = np.empty(n)
-    return [mc_estimate(overlap_probability(s, sample, tau, c, out=buf), overwrite=True) for tau in taus]
+
+    def draw(lo, hi):
+        sample = sample_energies(s, seed, np.arange(lo, hi, dtype=np.uint64))
+        return None, sample.alpha - sample.beta
+
+    return cos_squared_sweep(draw, n, 1, taus, c.hbar, s.a_tilde - s.b_tilde)
 
 
 def mc_probability(

@@ -1,11 +1,14 @@
 """Exact-propagation measurement model vs its closed form, and the averaged limit."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import clab.decoherence as decoherence
+import clab.montecarlo as montecarlo
+import clab.stochastic as stochastic
 from clab.decoherence import (
     DetectorModel,
     MeasurementResult,
@@ -18,7 +21,7 @@ from clab.decoherence import (
     propagate_exact,
     sample_random_detector,
 )
-from clab.montecarlo import derive_seed
+from clab.montecarlo import SWEEP_CHUNK, derive_seed
 from clab.qcore import HermitianOperator, PhysicalConstants, expm_propagator
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -257,7 +260,10 @@ class TestDecoheredProbabilitySweep:
         c = PhysicalConstants(hbar=0.7)
         sweep = decohered_probability_sweep(K, 40.0, TAUS, c, seed=2**64 - 1, trials=trials)
         expected = scalar_sweep(K, 40.0, TAUS, c, 2**64 - 1, trials)
-        assert [(e.mean, e.stderr) for e in sweep] == expected
+        if trials <= max(1, SWEEP_CHUNK // K):
+            assert [(e.mean, e.stderr) for e in sweep] == expected
+        else:  # several chunks, merged by Chan's update
+            np.testing.assert_allclose([(e.mean, e.stderr) for e in sweep], expected, rtol=0, atol=1e-15)
         assert all(e.n == trials for e in sweep)
 
     def test_tau_list_matches_single_tau_calls(self):
@@ -267,26 +273,54 @@ class TestDecoheredProbabilitySweep:
 
     def test_chunk_boundaries_do_not_change_results(self, monkeypatch):
         whole = decohered_probability_sweep(8, 5.0, TAUS, seed=3, trials=23)
-        monkeypatch.setattr(decoherence, "_CHUNK_ELEMENTS", 5 * 8 + 3)  # chunks of 5 trials, the last of 3
+        assert [(e.mean, e.stderr) for e in whole] == scalar_sweep(8, 5.0, TAUS, PhysicalConstants(), 3, 23)
+        monkeypatch.setattr(montecarlo, "SWEEP_CHUNK", 5 * 8 + 3)  # chunks of 5 trials, the last of 3
         chunked = decohered_probability_sweep(8, 5.0, TAUS, seed=3, trials=23)
-        assert chunked == whole
-        assert [(e.mean, e.stderr) for e in chunked] == scalar_sweep(8, 5.0, TAUS, PhysicalConstants(), 3, 23)
+        assert all(e.n == 23 for e in chunked)
+        moments = [[(e.mean, e.stderr) for e in sweep] for sweep in (chunked, whole)]
+        np.testing.assert_allclose(*moments, rtol=0, atol=1e-15)
 
     def test_draw_size_bounded_by_chunk(self, monkeypatch):
-        monkeypatch.setattr(decoherence, "_CHUNK_ELEMENTS", 1000)
-        sizes = []
-        draw = decoherence._draw_detectors
+        """Both routes draw every trial exactly once, in contiguous ranges of at most one chunk."""
+        monkeypatch.setattr(montecarlo, "SWEEP_CHUNK", 1000)
+        ranges = []
+        sweep = montecarlo.cos_squared_sweep
 
-        def recording(K, energy_scale, trial_seeds):
-            sizes.append(trial_seeds.size * K)
-            return draw(K, energy_scale, trial_seeds)
+        def recording(draw, trials, K, *args):
+            def draw_and_record(lo, hi):
+                weights, gaps = draw(lo, hi)
+                assert gaps.size == (hi - lo) * K and (weights is None or weights.shape == gaps.shape)
+                ranges.append((lo, hi))
+                return weights, gaps
 
-        monkeypatch.setattr(decoherence, "_draw_detectors", recording)
-        decohered_probability_sweep(64, 5.0, [1.0], seed=0, trials=100)
-        assert sum(sizes) == 100 * 64 and max(sizes) <= 1000
-        sizes.clear()
-        decohered_probability_sweep(5000, 5.0, [1.0], seed=0, trials=3)  # K above the chunk: one trial at a time
-        assert sizes == [5000, 5000, 5000]
+            return sweep(draw_and_record, trials, K, *args)
+
+        for module in (decoherence, stochastic):
+            monkeypatch.setattr(module, "cos_squared_sweep", recording)
+        s = stochastic.StochasticInteraction(1.0, 2.0)
+        routes = [
+            (lambda: decohered_probability_sweep(64, 5.0, [1.0, 2.0], seed=0, trials=100), 100, 64),
+            (lambda: decohered_probability_sweep(5000, 5.0, [1.0], seed=0, trials=3), 3, 5000),  # K above the chunk
+            (lambda: stochastic.mc_probability_sweep(s, [1.0, 2.0], n=2500), 2500, 1),
+        ]
+        for run, trials, K in routes:
+            ranges.clear()
+            run()
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]] and ranges[-1][1] == trials
+            assert all(lo < hi and ((hi - lo) * K <= 1000 or hi - lo == 1) for lo, hi in ranges)
+        assert ranges == [(0, 1000), (1000, 2000), (2000, 2500)]
+
+    def test_memory_does_not_grow_with_taus(self):
+        tracemalloc.start()
+        try:
+            decohered_probability_sweep(1, 30.0, [0.0], seed=7, trials=200_000)
+            one = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            decohered_probability_sweep(1, 30.0, np.linspace(0.0, 5.0, 48).tolist(), seed=7, trials=200_000)
+            many = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert many <= one + (1 << 20)
 
     def test_normalisation_check_kept(self, monkeypatch):
         # Amplitudes whose norm overflows normalise to all-zero weights.

@@ -6,8 +6,10 @@ import pytest
 
 from clab.montecarlo import (
     MonteCarloEstimate,
+    SWEEP_CHUNK,
     UniformInterval,
     _key,
+    cos_squared_sweep,
     derive_seed,
     mc_estimate,
     mc_mean,
@@ -15,6 +17,7 @@ from clab.montecarlo import (
     standard_normal,
     uniform01,
 )
+from clab.qcore import cos_squared
 
 
 class TestUniformDraws:
@@ -229,10 +232,6 @@ class TestMcMean:
             expected = (float(np.sum(vals)) / n, float(np.std(vals, ddof=1) / math.sqrt(n)), n)
             est = mc_estimate(vals)
             assert (est.mean, est.stderr, est.n) == expected
-            scratch = vals.copy()
-            est = mc_estimate(scratch, overwrite=True)
-            assert (est.mean, est.stderr, est.n) == expected
-            np.testing.assert_array_equal(scratch, (vals - expected[0]) ** 2)
 
     def test_estimate_of_one_value_has_zero_stderr(self):
         est = mc_estimate([0.25])
@@ -249,3 +248,66 @@ class TestMcMean:
             MonteCarloEstimate(mean=0.5, stderr=-1.0, n=10)
         with pytest.raises(ValueError):
             MonteCarloEstimate(mean=math.nan, stderr=0.0, n=10)
+
+
+def law(weights, gaps, tau, hbar, detuning):
+    """Per-trial values of the sweep's law, evaluated on all trials at once."""
+    scale = 0.5 * tau / hbar
+    p = cos_squared(gaps * scale + detuning * scale)
+    return p if weights is None else np.minimum(np.sum(p * weights, axis=1), 1.0 + 1e-12)
+
+
+class TestCosSquaredSweep:
+    @staticmethod
+    def drawer(K, weighted):
+        """draw(lo, hi) of fixed per-trial gaps (and weights summing to 1 per row), keyed by trial index."""
+
+        def draw(lo, hi):
+            idx = np.arange(lo * K, hi * K, dtype=np.uint64)
+            gaps = (uniform01(11, idx) - 0.5) * 40.0
+            if not weighted:
+                return None, gaps
+            w = uniform01(12, idx).reshape(hi - lo, K)
+            return w / np.sum(w, axis=1, keepdims=True), gaps.reshape(hi - lo, K)
+
+        return draw
+
+    @pytest.mark.parametrize("K, weighted", [(1, False), (1, True), (16, True)])
+    def test_one_chunk_equals_mc_estimate_bit_for_bit(self, K, weighted):
+        trials = SWEEP_CHUNK // K
+        draw = self.drawer(K, weighted)
+        taus = [0.0, 0.3, 7.0]
+        sweep = cos_squared_sweep(draw, trials, K, taus, 0.9, 0.25)
+        weights, gaps = draw(0, trials)
+        assert sweep == [mc_estimate(law(weights, gaps, tau, 0.9, 0.25)) for tau in taus]
+
+    @pytest.mark.parametrize("K, weighted", [(1, False), (16, True)])
+    def test_chunks_merge_within_1e_15(self, K, weighted):
+        trials = 3 * (SWEEP_CHUNK // K) + 5
+        draw = self.drawer(K, weighted)
+        taus = [0.0, 0.3, 7.0]
+        sweep = cos_squared_sweep(draw, trials, K, taus, 1.0)
+        weights, gaps = draw(0, trials)
+        for tau, est in zip(taus, sweep):
+            # The whole array in one chunk, reduced by mc_estimate.
+            whole = mc_estimate(law(weights, gaps, tau, 1.0, 0.0))
+            assert est.n == trials
+            assert abs(est.mean - whole.mean) <= 1e-15 and abs(est.stderr - whole.stderr) <= 1e-15
+
+    def test_non_finite_value_named_by_its_trial_index(self):
+        def draw(lo, hi):
+            gaps = np.zeros(hi - lo)
+            if lo <= SWEEP_CHUNK + 3 < hi:
+                gaps[SWEEP_CHUNK + 3 - lo] = np.nan
+            return None, gaps
+
+        with pytest.raises(ValueError, match=f"trial index {SWEEP_CHUNK + 3}"):
+            cos_squared_sweep(draw, 2 * SWEEP_CHUNK, 1, [1.0], 1.0)
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_bad_tau_refused_before_any_draw(self, tau):
+        def draw(lo, hi):
+            raise AssertionError("drew before checking the taus")
+
+        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+            cos_squared_sweep(draw, 10, 1, [1.0, tau], 1.0)

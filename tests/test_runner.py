@@ -120,6 +120,25 @@ class TestValidation:
             validate_config(stochastic)
         assert err.value.path == "params.n"
 
+    def test_evaluation_limit_boundary(self):
+        """cos^2 evaluations (draws times taus) are bounded before any work; the list multiplying the draws is named."""
+        limit, draws = runner.MAX_EVALUATIONS, runner.MAX_DRAWS
+        taus = [1.0] * (limit // draws)
+        decohere = decohere_config()
+        decohere["params"].update(K=1, trials=draws, tau=taus)
+        stochastic = {"experiment": "stochastic", "params": {"A_tilde": 1.0, "B_tilde": 1.0, "tau": taus, "n": draws}}
+        compare = {
+            "experiment": "compare",
+            "params": {"K": 1, "energy_scale": [1.0] * (limit // (2 * draws)), "tau": 1.0, "trials": draws, "n": draws},
+        }
+        cases = [(decohere, "tau"), (stochastic, "tau"), (compare, "energy_scale")]
+        for config, field in cases:
+            validate_config(config)
+            config["params"][field] = config["params"][field] + [1.0]
+            with pytest.raises(ConfigError, match="cos\\^2 evaluations") as err:
+                validate_config(config)
+            assert err.value.path == f"params.{field}"
+
     def test_bad_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
             validate_config(decohere_config(experiment="teleport"))

@@ -1,5 +1,6 @@
 """Stochastic interaction model: sampling, phases, expansion, averages."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -284,14 +285,24 @@ class TestMcProbabilitySweep:
             mc_probability_sweep(s, [1.0, -1.0], n=10)
 
     @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
-    def test_reused_buffer_equals_fresh_probabilities_bit_for_bit(self, mode):
+    def test_chunk_equals_fresh_probabilities_bit_for_bit(self, mode):
         s = StochasticInteraction(a_tilde=5e3, b_tilde=2e3, mode=mode)
         c = PhysicalConstants(hbar=1.1)
         taus = [0.0, 1e-4, 3e-3, 0.7, 1.0]
-        n = 20_001
+        n = 20_001  # one chunk
         sample = sample_energies(s, 17, np.arange(n, dtype=np.uint64))
         expected = [mc_estimate(overlap_probability(s, sample, tau, c)) for tau in taus]
         assert mc_probability_sweep(s, taus, c, seed=17, n=n) == expected
+
+    def test_memory_bounded_by_chunk(self):
+        s = StochasticInteraction(a_tilde=5e3, b_tilde=2e3, mode="independent_uniform")
+        tracemalloc.start()
+        try:
+            mc_probability_sweep(s, np.linspace(0.0, 1.0, 12).tolist(), seed=3, n=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 NON_FINITE = [math.nan, math.inf]
