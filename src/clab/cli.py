@@ -4,10 +4,11 @@ Usage::
 
     clab <experiment> --config <file.json> [--seed N] [--out DIR] [--format json,csv,svg]
 
-The experiment name selects the run family (decohere, stochastic,
-compare, adiabatic, spectral); the JSON config file supplies the
-parameters and may also carry "experiment" and "seed" keys. Flags beat
-file values. Exit codes: 0 success, 2 config error, 3 numerical failure.
+The positional experiment name selects the run family (decohere,
+stochastic, compare, adiabatic, spectral); options may come before or
+after it. The JSON config file supplies the parameters and may also carry
+"experiment" and "seed" keys. Flags beat file values; --format is checked
+before the run. Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .runner import EXPERIMENTS, ConfigError, NumericalFailure, emit, run
+from .runner import EMIT_FORMATS, EXPERIMENTS, ConfigError, NumericalFailure, emit, run
 
 _SUMMARY_KEYS = {
     "decohere": ("final_p_mean",),
@@ -31,17 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clab",
         description="Run one experiment family and emit its results.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument(
-            "--format",
-            default="json",
-            help="comma-separated subset of json,csv,svg (default: json)",
-        )
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment family to run")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--format", default="json", help="comma-separated subset of json,csv,svg (default: json)")
     return parser
 
 
@@ -52,6 +47,9 @@ def _fail(message: str, code: int) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    if not formats or not set(formats) <= set(EMIT_FORMATS):
+        return _fail(f"--format: expected a non-empty subset of {','.join(EMIT_FORMATS)}, got {args.format!r}", 2)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -73,8 +71,6 @@ def main(argv=None) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
 
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
-
     try:
         record = run(config)
     except ConfigError as exc:
@@ -84,8 +80,6 @@ def main(argv=None) -> int:
 
     try:
         paths = emit(record, formats, args.out)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(str(exc), 3)
 

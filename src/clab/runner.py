@@ -12,7 +12,6 @@ wall-clock field.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import time
@@ -135,14 +134,22 @@ def _as_float(value, path: str, minimum: float | None = None, strict_positive: b
     return out
 
 
+def _as_float_items(items: list, path: str, minimum: float | None = None, strict_positive: bool = False) -> list[float]:
+    """``_as_float`` of every item; the item path ``path[i]`` is built only for the first that fails."""
+    try:
+        return [_as_float(item, path, minimum, strict_positive) for item in items]
+    except ConfigError:
+        for pos, item in enumerate(items):
+            _as_float(item, f"{path}[{pos}]", minimum, strict_positive)
+        raise
+
+
 def _as_float_list(value, path: str, minimum: float | None = None, strict_positive: bool = False) -> list[float]:
-    items = value if isinstance(value, list) else [value]
-    if not items:
+    if not isinstance(value, list):
+        return [_as_float(value, path, minimum, strict_positive)]
+    if not value:
         raise ConfigError(path, "list must not be empty")
-    return [
-        _as_float(item, f"{path}[{pos}]" if isinstance(value, list) else path, minimum, strict_positive)
-        for pos, item in enumerate(items)
-    ]
+    return _as_float_items(value, path, minimum, strict_positive)
 
 
 def _validate_decohere(params: dict) -> dict:
@@ -218,10 +225,7 @@ def _validate_spectral(params: dict) -> dict:
         _check_keys(potential, "params.grid.potential", ("kind",), ("values",))
         if "values" not in potential or not isinstance(potential["values"], list):
             raise ConfigError("params.grid.potential.values", "missing or not a list")
-        pot = {
-            "kind": "values",
-            "values": [_as_float(v, f"params.grid.potential.values[{i}]") for i, v in enumerate(potential["values"])],
-        }
+        pot = {"kind": "values", "values": _as_float_items(potential["values"], "params.grid.potential.values")}
     else:
         raise ConfigError("params.grid.potential.kind", f"must be 'zero', 'harmonic', or 'values', got {kind!r}")
     return {
@@ -574,7 +578,8 @@ def run(config: dict) -> ResultRecord:
 # ---------------------------------------------------------------------------
 
 def record_to_json(record: ResultRecord) -> str:
-    return json.dumps(dataclasses.asdict(record), indent=2, sort_keys=True) + "\n"
+    """The same bytes as dumping ``dataclasses.asdict(record)``, without its deep copy of every field."""
+    return json.dumps(vars(record), indent=2, sort_keys=True) + "\n"
 
 
 def _write_csv(rows: list[dict], path: Path) -> None:

@@ -139,6 +139,19 @@ class TestValidation:
                 validate_config(config)
             assert err.value.path == f"params.{field}"
 
+    def test_bad_list_element_deep_in_a_list_names_its_path(self):
+        values = [0.0] * 1024
+        values[700] = float("nan")
+        grid = {"grid_points": 1024, "box_length": 1.0, "mass": 1.0, "potential": {"kind": "values", "values": values}}
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": "spectral", "params": {"grid": grid, "E_B": 1.0}})
+        assert err.value.path == "params.grid.potential.values[700]"
+        assert str(err.value) == "params.grid.potential.values[700]: must be finite, got nan"
+        params = {"K": 5, "energy_scale": 1.0, "tau": [0.0, 1.0, 2.0, -3.0, -4.0], "trials": 2}
+        with pytest.raises(ConfigError) as err:
+            validate_config(decohere_config(params=params))
+        assert str(err.value) == "params.tau[3]: must be >= 0.0, got -3.0"
+
     def test_bad_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
             validate_config(decohere_config(experiment="teleport"))
@@ -324,6 +337,12 @@ class TestEmit:
         record = run(decohere_config())
         (path,) = emit(record, ["json"], tmp_path)
         assert json.loads(path.read_text()) == dataclasses.asdict(record)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_record_json_equals_asdict_dump_byte_for_byte(self, experiment):
+        record = run({"experiment": experiment, "seed": 3, "params": FUZZ_BASES[experiment][-1]})
+        expected = json.dumps(dataclasses.asdict(record), indent=2, sort_keys=True) + "\n"
+        assert runner.record_to_json(record) == expected
 
     def test_csv_row_count_matches_sweep(self, tmp_path):
         config = decohere_config()
@@ -584,6 +603,52 @@ class TestCli:
         )
         code = cli.main(["decohere", "--config", str(config), "--format", "json,yaml", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_experiment_name_accepted(self, tmp_path, experiment):
+        config = self._write_config(tmp_path, {"params": FUZZ_BASES[experiment][-1]})
+        assert cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / f"{experiment}_result.json").exists()
+
+    @pytest.mark.parametrize("order", ["options_first", "name_between"])
+    def test_options_before_and_after_the_name(self, tmp_path, order):
+        config = self._write_config(tmp_path, {"params": FUZZ_BASES["spectral"][0]})
+        out = tmp_path / "out"
+        argv = {
+            "options_first": ["--config", str(config), "--out", str(out), "--format", "json,csv", "spectral"],
+            "name_between": ["--out", str(out), "spectral", "--format", "json,csv", "--config", str(config)],
+        }[order]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["spectral_result.csv", "spectral_result.json"]
+
+    @pytest.mark.parametrize(
+        "argv,token",
+        [(["nosuchexperiment", "--config", "c.json"], "nosuchexperiment"), (["spectral"], "--config")],
+        ids=["unknown_experiment", "missing_config"],
+    )
+    def test_usage_error_exit_two(self, capsys, argv, token):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert token in capsys.readouterr().err
+
+    def test_help_exit_zero_lists_every_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in EXPERIMENTS)
+
+    @pytest.mark.parametrize("formats", ["json,yaml", ",", ""])
+    def test_bad_format_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, formats):
+        def must_not_run(_):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run", must_not_run)
+        config = tmp_path / "absent.json"
+        assert cli.main(["decohere", "--config", str(config), "--format", formats, "--out", str(tmp_path / "o")]) == 2
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # Small valid configs for the fuzz test to start from, so that accepted configs
