@@ -142,12 +142,16 @@ def sample_random_detector(K: int, energy_scale: float, seed: int) -> DetectorMo
     the unit sphere); A_k and B_k are independent uniform on
     [0, energy_scale].
     """
+    _require_detector_args(K, energy_scale)
+    a, e0, e1 = _draw_detectors(K, energy_scale, np.array([int(seed) % (1 << 64)], dtype=np.uint64))
+    return DetectorModel(a[0], e0[0], e1[0])
+
+
+def _require_detector_args(K: int, energy_scale: float) -> None:
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if not (np.isfinite(energy_scale) and energy_scale > 0):
         raise ValueError(f"energy_scale must be positive, got {energy_scale}")
-    a, e0, e1 = _draw_detectors(K, energy_scale, np.array([int(seed) % (1 << 64)], dtype=np.uint64))
-    return DetectorModel(a[0], e0[0], e1[0])
 
 
 def _draw_detectors(K: int, energy_scale: float, trial_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,10 +192,7 @@ def decohered_probability_sweep(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if not (np.isfinite(energy_scale) and energy_scale > 0):
-        raise ValueError(f"energy_scale must be positive, got {energy_scale}")
+    _require_detector_args(K, energy_scale)
 
     def draw(lo, hi):  # weights |a_k|^2 and gaps A_k - B_k, with the normalisation check of DetectorModel
         a, e0, e1 = _draw_detectors(K, energy_scale, derive_seed(seed, "detector", np.arange(lo, hi, dtype=np.uint64)))

@@ -120,10 +120,10 @@ class UniformInterval:
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("interval bounds must be finite")
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:  # NaN fails too
             raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(float(self.hi) - float(self.lo)):  # also an infinite bound
+            raise ValueError(f"interval bounds and width hi - lo must be finite, got [{self.lo}, {self.hi}]")
 
 
 def sample_uniform(interval: UniformInterval, seed, index) -> np.ndarray | float:

@@ -39,8 +39,6 @@ from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, integrate_tdse
 
 __all__ = [
     "ExactCoverInstance",
-    "CostHamiltonian",
-    "BeginHamiltonian",
     "SpectralDecisionInstance",
     "GridHamiltonian",
     "load_instance",
@@ -179,59 +177,34 @@ def brute_force_exact_cover(inst: ExactCoverInstance) -> list[str]:
 # Operator encodings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CostHamiltonian:
-    """Diagonal violated-clause counts per assignment; 0 exactly on solutions."""
-
-    n: int
-    energies: np.ndarray
-
-
-@dataclass(frozen=True)
-class BeginHamiltonian:
-    """Transverse-field operator sum_i d_i (1 - X_i)/2, stored as the counts d.
-
-    d_i counts the clauses containing bit i; the uniform superposition is
-    an exact eigenvector with eigenvalue 0 and the largest eigenvalue is
-    sum_i d_i (the per-bit terms commute).
-    """
-
-    n: int
-    d: np.ndarray
-
-
-def _assignment_bits(n: int) -> np.ndarray:
-    """(2^n, n) matrix of bits with bit 1 in column 0 (most significant)."""
-    z = np.arange(1 << n, dtype=np.uint64)[:, None]
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)[None, :]
-    return ((z >> shifts) & np.uint64(1)).astype(np.int64)
-
-
-def build_cost_hamiltonian(inst: ExactCoverInstance) -> CostHamiltonian:
-    """Count violated clauses for every assignment (vectorized over 2^n)."""
-    bits = _assignment_bits(inst.n)
+def build_cost_hamiltonian(inst: ExactCoverInstance) -> np.ndarray:
+    """The cost operator's diagonal: each assignment's violated-clause count (read-only int64, 0 on solutions)."""
+    z = np.arange(1 << inst.n, dtype=np.int64)
     energies = np.zeros(1 << inst.n, dtype=np.int64)
-    for i, j, k in inst.clauses:
-        energies += bits[:, i - 1] + bits[:, j - 1] + bits[:, k - 1] != 1
-    energies.setflags(write=False)
-    return CostHamiltonian(n=inst.n, energies=energies)
-
-
-def build_begin_hamiltonian(inst: ExactCoverInstance) -> BeginHamiltonian:
-    """Count, for every bit, the clauses that contain it."""
-    d = np.zeros(inst.n, dtype=np.int64)
     for clause in inst.clauses:
-        for idx in clause:
-            d[idx - 1] += 1
+        energies += sum((z >> (inst.n - idx)) & 1 for idx in clause) != 1
+    energies.setflags(write=False)
+    return energies
+
+
+def build_begin_hamiltonian(inst: ExactCoverInstance) -> np.ndarray:
+    """The transverse-field operator sum_i d_i (1 - X_i)/2 as d, each bit's clause count (read-only int64).
+
+    The per-bit terms commute: the uniform superposition is an exact eigenvector
+    with eigenvalue 0, and the largest eigenvalue is sum_i d_i.
+    """
+    d = np.bincount(np.array(inst.clauses, dtype=np.int64).reshape(-1) - 1, minlength=inst.n)
     d.setflags(write=False)
-    return BeginHamiltonian(n=inst.n, d=d)
+    return d
 
 
-def interpolation_matvec(h0: BeginHamiltonian, hc: CostHamiltonian, shift: float = 0.0):
+def interpolation_matvec(d: np.ndarray, energies: np.ndarray, shift: float = 0.0):
     """Matrix-free H(s) - shift for the linear schedule H(s) = (1 - s) H_begin + s H_cost.
 
-    With w_i = d_i/2 and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i],
-    so H(s) v = ((1 - s) W + s E) v - (1 - s) sum_i w_i v[z XOR bit_i].
+    ``d`` is the begin operator's clause counts and ``energies`` the cost
+    diagonal, of 2^d.size entries (a ValueError otherwise). With w_i = d_i/2
+    and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i], so
+    H(s) v = ((1 - s) W + s E) v - (1 - s) sum_i w_i v[z XOR bit_i].
     The flip-index table (one row per bit in some clause) is built here,
     once, and the shift is folded into W and E. The returned
     ``at(s, scale=1.0)`` folds ``scale`` into the s-dependent coefficients,
@@ -241,13 +214,16 @@ def interpolation_matvec(h0: BeginHamiltonian, hc: CostHamiltonian, shift: float
     ``v``) and returns it, at a cost of O(n 2^n). Each matvec reuses one
     scratch vector of its own, so it must not run on two threads at once.
     """
-    sites = np.flatnonzero(h0.d)
-    flips = np.arange(1 << h0.n)[None, :] ^ np.left_shift(1, h0.n - 1 - sites)[:, None]
-    w = h0.d[sites] / 2.0
+    n = d.size
+    if energies.size != 1 << n:
+        raise ValueError(f"need 2^{n} = {1 << n} cost energies for {n} bits, got {energies.size}")
+    sites = np.flatnonzero(d)
+    flips = np.arange(1 << n)[None, :] ^ np.left_shift(1, n - 1 - sites)[:, None]
+    w = d[sites] / 2.0
     w_total = float(w.sum()) - shift
     # Complex weights and energies save a cast per product with the state.
     w = w.astype(np.complex128)
-    energies = (hc.energies - shift).astype(np.complex128)
+    energies = (energies - shift).astype(np.complex128)
 
     def at(s: float, scale: float = 1.0):
         begin, cost = scale * (1.0 - s), scale * s
@@ -332,11 +308,11 @@ def success_sweep(
     total_times = [float(t) for t in total_times]
     if not total_times or not all(math.isfinite(t) and t > 0 for t in total_times):
         raise ValueError(f"need one or more finite, positive total times, got {total_times}")
-    hc = build_cost_hamiltonian(inst)
+    energies = build_cost_hamiltonian(inst)
     e_max = _max_energy(inst)
-    at = interpolation_matvec(build_begin_hamiltonian(inst), hc, shift=e_max / 2.0)
+    at = interpolation_matvec(build_begin_hamiltonian(inst), energies, shift=e_max / 2.0)
     psi0 = uniform_superposition(inst.n)
-    solutions = hc.energies == 0
+    solutions = energies == 0
     rows = []
     for total_time in total_times:
 

@@ -262,11 +262,11 @@ def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
 
 
 def _require_finite_grid(grid: dict, hbar: float) -> None:
-    """Reject a grid whose kinetic term hbar^2/(m dx^2) exceeds MAX_KINETIC or whose diagonal is not finite.
+    """Reject a grid whose kinetic term hbar^2/(m dx^2) exceeds MAX_KINETIC or whose solvers would overflow.
 
-    The diagonal is the kinetic term plus V; a huge finite potential alone is
-    accepted. Computed in numpy, which returns inf or NaN where the run's
-    float arithmetic raises.
+    A huge finite potential alone is accepted. The inverse route forms diag - x for x down to
+    1e-6 |x| below min(diag - Gershgorin radii), up to kinetic + max V - min V + that margin;
+    the check allows ten times the margin. Numpy returns inf or NaN where floats would raise.
     """
     dx = grid["box_length"] / (grid["grid_points"] + 1)
     potential = grid["potential"]
@@ -274,19 +274,21 @@ def _require_finite_grid(grid: dict, hbar: float) -> None:
         kinetic = 2.0 * (np.float64(hbar) ** 2 / (2.0 * grid["mass"] * dx * dx))
         if potential["kind"] == "harmonic":
             half_box = np.float64(grid["box_length"]) / 2.0
-            peak = 0.5 * grid["mass"] * np.float64(potential["omega"]) ** 2 * half_box**2
+            peak = spread = 0.5 * grid["mass"] * np.float64(potential["omega"]) ** 2 * half_box**2
         else:
-            peak = max(map(abs, potential.get("values", [])), default=0.0)
-        diagonal = kinetic + peak
+            values = potential.get("values", ())  # an empty list is rejected later, naming its length
+            peak = max(map(abs, values), default=0.0)
+            spread = max(values, default=0.0) - min(values, default=0.0)
+        formed = kinetic + spread + 1e-5 * (kinetic + peak)
     if not kinetic <= MAX_KINETIC:  # also rejects inf and NaN
         raise ConfigError(
             "params.grid.box_length",
             f"kinetic term {kinetic:g} exceeds {MAX_KINETIC:g} "
             f"for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}",
         )
-    if not np.isfinite(diagonal):
+    if not np.isfinite(formed):
         field = "omega" if potential["kind"] == "harmonic" else "values"
-        raise ConfigError(f"params.grid.potential.{field}", f"potential peak {peak:g} overflows the operator diagonal")
+        raise ConfigError(f"params.grid.potential.{field}", f"potential peak {peak:g} or spread {spread:g} overflows")
 
 
 def validate_config(raw: dict) -> dict:
@@ -307,6 +309,10 @@ def validate_config(raw: dict) -> dict:
     params = _VALIDATORS[experiment](params)
     if experiment == "stochastic":
         _require_finite_spans([params["A_tilde"] + params["B_tilde"]], params["tau"], hbar, "params.tau")
+        a, b = params["A_tilde"], params["B_tilde"]
+        width = 2.0 * (max(a, b) if params["mode"] == "independent_uniform" else a + b)
+        if not math.isfinite(width):  # the widest interval the energy uncertainties are drawn on
+            raise ConfigError("params.A_tilde" if a >= b else "params.B_tilde", f"draw interval width {width:g} is not finite")
         _require_at_most(MAX_DRAWS, params["n"], "params.n", "Monte Carlo draws (n)")
         _require_at_most(MAX_EVALUATIONS, len(params["tau"]) * params["n"], "params.tau", "cos^2 evaluations")
     elif experiment == "decohere":

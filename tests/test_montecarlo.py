@@ -28,6 +28,13 @@ class TestUniformDraws:
         with pytest.raises(ValueError, match="lo <= hi"):
             UniformInterval(1.0, 0.0)
 
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, 0.0), (0.0, math.inf), (math.inf, math.inf), (-1e308, 1e308)])
+    def test_interval_rejects_non_finite_bounds_and_width(self, lo, hi):
+        with pytest.raises(ValueError, match="must be finite"):
+            UniformInterval(lo, hi)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            UniformInterval(math.nan, hi)
+
     def test_mean_of_a_million_draws(self):
         # CLT at 4 sigma gives 0.5 +- 0.00116; the contract allows 0.002.
         draws = uniform01(31337, np.arange(1_000_000))

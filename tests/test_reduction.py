@@ -53,6 +53,20 @@ def kron_begin_matrix(inst):
     return matrix
 
 
+def random_instance(n, seed):
+    """Up to 2n distinct random clauses over n bits."""
+    rng = np.random.default_rng(seed)
+    clauses = {tuple(int(i) + 1 for i in sorted(rng.choice(n, 3, replace=False))) for _ in range(2 * n)}
+    return ExactCoverInstance(n=n, clauses=tuple(sorted(clauses)))
+
+
+RANDOM_INSTANCES = [random_instance(n, seed) for n in range(3, 11) for seed in (n, 100 + n)]
+
+
+def instance_id(inst):
+    return f"n{inst.n}-{len(inst.clauses)}"
+
+
 def violated_clause_counts(inst):
     """Reference cost diagonal, counted clause by clause on bitstrings."""
     counts = []
@@ -151,13 +165,13 @@ class TestBruteForce:
 class TestCostHamiltonian:
     def test_no_clauses_all_zero(self):
         hc = build_cost_hamiltonian(ExactCoverInstance(n=3, clauses=()))
-        assert hc.energies.max() == 0
+        assert hc.max() == 0
 
     def test_single_clause_counts(self):
         hc = build_cost_hamiltonian(ExactCoverInstance(n=3, clauses=((1, 2, 3),)))
-        assert hc.energies[int("100", 2)] == 0
-        assert hc.energies[int("111", 2)] == 1
-        assert hc.energies[int("000", 2)] == 1
+        assert hc[int("100", 2)] == 0
+        assert hc[int("111", 2)] == 1
+        assert hc[int("000", 2)] == 1
 
     @pytest.mark.parametrize(
         "path", ["instances/ec_n3_single.json", "instances/ec_n6_unique.json", "instances/ec_n8_unique.json"]
@@ -166,14 +180,21 @@ class TestCostHamiltonian:
         inst = load_instance(Path(__file__).resolve().parents[1] / path)
         hc = build_cost_hamiltonian(inst)
         satisfying = brute_force_exact_cover(inst)
-        ground = hc.energies.min()
+        ground = hc.min()
         assert ground == 0
-        argmin = {format(z, f"0{inst.n}b") for z in np.nonzero(hc.energies == ground)[0]}
+        argmin = {format(z, f"0{inst.n}b") for z in np.nonzero(hc == ground)[0]}
         assert argmin == set(satisfying)
 
     def test_unsatisfiable_has_positive_ground_energy(self):
         hc = build_cost_hamiltonian(UNSAT_N4)
-        assert hc.energies.min() >= 1
+        assert hc.min() >= 1
+
+    @pytest.mark.parametrize("inst", RANDOM_INSTANCES, ids=instance_id)
+    def test_matches_string_bit_counts(self, inst):
+        """Pins the bit order: bit 1 is the leftmost character and the most significant bit of the index."""
+        hc = build_cost_hamiltonian(inst)
+        assert hc.dtype == np.int64 and not hc.flags.writeable
+        np.testing.assert_array_equal(hc, violated_clause_counts(inst))
 
 
 class TestBeginHamiltonian:
@@ -187,7 +208,7 @@ class TestBeginHamiltonian:
 
     def test_membership_counts_and_ground_state(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
-        np.testing.assert_array_equal(build_begin_hamiltonian(inst).d, [1, 1, 1])
+        np.testing.assert_array_equal(build_begin_hamiltonian(inst), [1, 1, 1])
         residual = self.begin_operator(inst)(0.0)(uniform_superposition(3).amps)
         assert np.abs(residual).max() <= 1e-12
 
@@ -196,10 +217,17 @@ class TestBeginHamiltonian:
         m = operator_columns(self.begin_operator(inst), 0.37, 16)
         assert np.abs(m - m.conj().T).max() <= 1e-12
 
+    @pytest.mark.parametrize("inst", [*MATVEC_INSTANCES, *RANDOM_INSTANCES], ids=instance_id)
+    def test_counts_are_clause_membership(self, inst):
+        d = build_begin_hamiltonian(inst)
+        assert d.dtype == np.int64 and not d.flags.writeable
+        members = [sum(bit in clause for clause in inst.clauses) for bit in range(1, inst.n + 1)]
+        np.testing.assert_array_equal(d, members)
+
     def test_max_eigenvalue_is_membership_sum(self):
         inst = ExactCoverInstance(n=4, clauses=((1, 2, 3), (2, 3, 4), (1, 2, 4)))
         top = np.linalg.eigvalsh(operator_columns(self.begin_operator(inst), 0.0, 16))[-1]
-        assert top == pytest.approx(build_begin_hamiltonian(inst).d.sum(), abs=1e-9)
+        assert top == pytest.approx(build_begin_hamiltonian(inst).sum(), abs=1e-9)
 
 
 class TestInterpolate:
@@ -209,7 +237,7 @@ class TestInterpolate:
         at = interpolation_matvec(build_begin_hamiltonian(inst), hc)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.array_equal(at(1.0)(v), hc.energies * v)
+        assert np.array_equal(at(1.0)(v), hc * v)
         np.testing.assert_allclose(at(0.0)(v), kron_begin_matrix(inst) @ v, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
@@ -221,6 +249,15 @@ class TestInterpolate:
         rng = np.random.default_rng(inst.n)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         np.testing.assert_allclose(at(s)(v), reference @ v, rtol=0, atol=1e-13)
+
+    def test_rejects_mismatched_sizes(self):
+        inst = ExactCoverInstance(n=4, clauses=((1, 2, 3),))
+        d, hc = build_begin_hamiltonian(inst), build_cost_hamiltonian(inst)
+        for energies in (hc[:8], np.concatenate([hc, hc]), hc[:0]):
+            with pytest.raises(ValueError, match="need 2\\^4 = 16 cost energies for 4 bits"):
+                interpolation_matvec(d, energies)
+        with pytest.raises(ValueError, match="for 3 bits, got 16"):
+            interpolation_matvec(d[:3], hc)
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
     def test_scaled_matvec_writes_into_out(self, s):
@@ -281,7 +318,7 @@ class TestAdiabaticRun:
             reference = reduction.integrate_tdse(
                 lambda t, scale: at(t / total, scale), uniform_superposition(inst.n), total, 8 * row["steps"], e_max / 2.0
             )
-            p_ref = reference.probabilities()[hc.energies == 0].sum()
+            p_ref = reference.probabilities()[hc == 0].sum()
             assert row["step_error"] <= reduction.STEP_ERROR_TOL
             assert abs(row["success_probability"] - p_ref) <= row["step_error"] + 1e-9, row
 

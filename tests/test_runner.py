@@ -488,10 +488,21 @@ class TestCli:
                                    "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
             ("spectral", {"grid": {"grid_points": 8, "box_length": 1.0, "mass": 1e-200,
                                    "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
+            ("spectral", {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
+                                   "potential": {"kind": "values", "values": [1e308, -1e308, 1e308]}}, "E_B": 1.0},
+             "params.grid.potential.values"),
+            ("spectral", {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
+                                   "potential": {"kind": "values", "values": []}}, "E_B": 1.0},
+             "params.grid.potential.values"),
+            ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "uniform_argument"},
+             "params.A_tilde"),
+            ("stochastic", {"A_tilde": 0.0, "B_tilde": 1e308, "tau": [1e-300], "n": 100, "mode": "independent_uniform"},
+             "params.B_tilde"),
         ],
         ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow",
              "t_min_steps_overflow", "t_min_steps_over_limit", "spectral_zero_division", "spectral_dx_underflow",
-             "spectral_overflow", "spectral_kinetic_1e-153", "spectral_kinetic_1e-200"],
+             "spectral_overflow", "spectral_kinetic_1e-153", "spectral_kinetic_1e-200", "spectral_values_spread_overflow",
+             "spectral_values_empty", "stochastic_uniform_width_overflow", "stochastic_independent_width_overflow"],
     )
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, experiment, params, path):
         config = self._write_config(tmp_path, {"params": params})
@@ -528,19 +539,30 @@ class TestCli:
         assert code == 2
         assert "params.instance_path" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "experiment,params",
-        [
-            ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "uniform_argument"}),
-            ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "independent_uniform"}),
-        ],
-        ids=["stochastic_uniform_nan", "stochastic_independent_nan"],
-    )
-    def test_library_error_exit_three(self, tmp_path, capsys, experiment, params):
-        config = self._write_config(tmp_path, {"params": params})
-        code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
+    def test_library_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        """A ValueError raised inside a run, past validation, is a numerical failure: exit 3."""
+        def fail(*args, **kwargs):
+            raise ValueError("non-finite value at trial index 0: nan")
+
+        monkeypatch.setattr(runner, "mc_probability_sweep", fail)
+        config = self._write_config(tmp_path, {"params": {"A_tilde": 1.0, "B_tilde": 0.0, "tau": [1.0], "n": 100}})
+        code = cli.main(["stochastic", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_output_names_its_path(self, monkeypatch):
+        rows = [{"tau": 1.0, "p_mean": 0.5}, {"tau": 2.0, "p_mean": float("nan")}]
+        monkeypatch.setitem(runner._RUNNERS, "decohere", lambda config: {"rows": rows, "summary": {}, "chart": None})
+        with pytest.raises(NumericalFailure, match=r"^non-finite value at outputs\.rows\[1\]\.p_mean: nan$"):
+            run(decohere_config())
+
+    def test_stochastic_widest_independent_intervals_exit_zero(self, tmp_path):
+        # Each interval [-A, A] has width 1.2e308; in uniform_argument mode one interval of width 2 (A + B) would overflow.
+        params = {"A_tilde": 0.6e308, "B_tilde": 0.6e308, "tau": [1e-300], "n": 100, "mode": "independent_uniform"}
+        config = self._write_config(tmp_path, {"params": params})
+        assert cli.main(["stochastic", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "stochastic_result.json").read_text())
+        assert record["warnings"] == []
 
     @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
     def test_stochastic_largest_finite_span_exit_zero(self, tmp_path, mode):
