@@ -3,7 +3,7 @@
 
 Starts every run in the uniform superposition (the known ground state of
 the transverse-field begin operator) and interpolates linearly into the
-clause-violation counter, applying H(s) matrix-free. Slow enough
+clause-violation counter, applying H(s) as a sparse matrix. Slow enough
 schedules keep the state near the instantaneous ground state, so the
 final state concentrates on the zero set of the cost operator: the
 satisfying assignments, which the brute-force enumerator lists

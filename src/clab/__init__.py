@@ -4,7 +4,7 @@ The package simulates a spin measurement at desk scale along two rival
 routes (exact propagation of a particle-detector state averaged over
 random detectors, and a stochastic interaction Hamiltonian averaged over
 energy uncertainties), and provides the supporting machinery: a
-matrix-free adiabatic Exact Cover encoding and a grid-based
+sparse adiabatic Exact Cover encoding and a grid-based
 energy-threshold decision problem with a cheap eigenpair verifier.
 """
 

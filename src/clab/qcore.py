@@ -201,32 +201,39 @@ def _bessel_series(x: float) -> np.ndarray:
     return j[: np.flatnonzero(np.abs(j) > CHEBYSHEV_CUTOFF)[-1] + 1]
 
 
-def _chebyshev_apply(matvec, amps: np.ndarray, coeffs: np.ndarray, block: np.ndarray, rows: list) -> np.ndarray:
-    """sum_k coeffs[k] T_k(A) amps, where ``matvec(v, out)`` writes 2 A v into ``out``; one matvec per k >= 1.
+def _chebyshev_apply(
+    matvec, amps: np.ndarray, coeffs: np.ndarray, block: np.ndarray, rows: list, reals: list
+) -> np.ndarray:
+    """sum_k coeffs[k] T_k(A) amps, where ``matvec(v, out)`` adds 2 A v into ``out``; one matvec per k >= 1.
 
     The terms T_k(A) amps are written into the rows of ``block`` (``rows``
-    lists their views) by T_k = 2 A T_{k-1} - T_{k-2}, and one product with
-    the matching ``coeffs`` sums each filled block. A block that fills
-    before the series ends keeps its last two terms as its first two rows,
-    so the block's fixed row count bounds the memory at any series length.
-    The result is a new array.
+    lists their views, ``reals`` their float64 views) by T_k = 2 A T_{k-1}
+    - T_{k-2}: each row starts as -T_{k-2}, and the matvec adds the rest.
+    The negation runs on the float64 views: numpy 2.4 negates float64 with
+    SIMD but complex128 in a scalar loop (0.46 against 0.99 us for 256
+    entries on 2 shared Xeon vCPUs). One product with the matching
+    ``coeffs`` sums each filled block. A block that fills before the series
+    ends keeps its last two terms as its first two rows, so the block's
+    fixed row count bounds the memory at any series length. The result is
+    a new array.
     """
-    size = len(rows)
+    size, negative = len(rows), np.negative
     np.copyto(rows[0], amps)
     if coeffs.size > 1:
+        rows[1].fill(0.0)
         matvec(amps, rows[1])
         rows[1] *= 0.5
     stop = min(coeffs.size, size)
-    for j in range(2, stop):
-        matvec(rows[j - 1], rows[j])
-        rows[j] -= rows[j - 2]
+    for older_real, prev, row, row_real in zip(reals, rows[1:], rows[2:stop], reals[2:stop]):
+        negative(older_real, row_real)
+        matvec(prev, row)
     acc = coeffs[:stop] @ block[:stop]
     while stop < coeffs.size:
         block[:2] = block[-2:]
         fill = min(coeffs.size - stop, size - 2) + 2
-        for j in range(2, fill):
-            matvec(rows[j - 1], rows[j])
-            rows[j] -= rows[j - 2]
+        for older_real, prev, row, row_real in zip(reals, rows[1:], rows[2:fill], reals[2:fill]):
+            negative(older_real, row_real)
+            matvec(prev, row)
         acc += coeffs[stop : stop + fill - 2] @ block[2:fill]
         stop += fill - 2
     return acc
@@ -255,11 +262,12 @@ def integrate_tdse(
     series' terms fill a preallocated block of at most CHEBYSHEV_BLOCK
     rows, and one product with the coefficients sums them.
 
-    ``h_at(t, scale)`` returns a matvec ``matvec(v, out=None)`` that writes
-    ``scale * H(t) v`` into ``out`` (a new array when ``out`` is None) and
-    returns it, for vectors of the state's dimension. It is called twice
-    per step, with ``scale = 2 / spectral_bound`` (0 when the bound is 0,
-    where the series is the identity and the matvec goes unused).
+    ``h_at(t, scale)`` returns a matvec ``matvec(v, out=None)`` that adds
+    ``scale * H(t) v`` into ``out`` (into zeros when ``out`` is None) and
+    returns it, for vectors of the state's dimension, so each term of the
+    recurrence is a write of -T_{k-2} and one matvec. ``h_at`` is called
+    twice per step, with ``scale = 2 / spectral_bound`` (0 when the bound
+    is 0, where the series is the identity and the matvec goes unused).
     ``spectral_bound`` must bound the spectral norm of every H(t), or the
     series diverges; shifting H by a constant to centre its spectrum
     changes only the global phase and halves the bound a non-negative H
@@ -275,11 +283,11 @@ def integrate_tdse(
     coeffs = np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(dt)) ** k * j
     scale = 2.0 / spectral_bound if spectral_bound else 0.0
     block = np.empty((min(coeffs.size, CHEBYSHEV_BLOCK), psi0.dim), dtype=np.complex128)
-    rows = list(block)  # indexing a list of row views is cheaper than indexing the block
+    rows, reals = list(block), list(block.view(np.float64))  # indexing a list of views is cheaper than the block
     amps = psi0.amps
     for step in range(steps):
-        amps = _chebyshev_apply(h_at((step + 1.0 / 6.0) * dt, scale), amps, coeffs, block, rows)
-        amps = _chebyshev_apply(h_at((step + 5.0 / 6.0) * dt, scale), amps, coeffs, block, rows)
+        amps = _chebyshev_apply(h_at((step + 1.0 / 6.0) * dt, scale), amps, coeffs, block, rows, reals)
+        amps = _chebyshev_apply(h_at((step + 5.0 / 6.0) * dt, scale), amps, coeffs, block, rows, reals)
     return StateVector(amps, normalize=True)
 
 

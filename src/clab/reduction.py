@@ -6,11 +6,11 @@ Two concrete problem families back the complexity story:
   the three bits set). A diagonal cost operator counts violated clauses,
   a transverse-field begin operator (stored as its per-bit clause counts)
   has the uniform superposition as its known ground state, and a linear
-  interpolation between them, applied matrix-free, drives an adiabatic
-  sweep whose final state concentrates on satisfying assignments when
-  the total time is large enough. Success is the final weight on the
-  zero set of the cost operator; a brute-force enumerator is kept as the
-  independent oracle the tests check that against.
+  interpolation between them, stored as a sparse (CSR) matrix, drives an
+  adiabatic sweep whose final state concentrates on satisfying
+  assignments when the total time is large enough. Success is the final
+  weight on the zero set of the cost operator; a brute-force enumerator
+  is kept as the independent oracle the tests check that against.
 
 * A one-particle energy-threshold decision on a 1D grid: discretize
   -hbar^2/(2m) d^2/dx^2 + V(x) with Dirichlet walls into a tridiagonal
@@ -71,25 +71,28 @@ STEP_ERROR_TOL = 1e-6
 SWEEP_MAX_STEPS = 10_000_000
 
 
-def _load_lapack():
-    """scipy's compiled LAPACK module, loaded from its file without scipy.linalg's package init.
+def _load_scipy(subpackage: str, name: str):
+    """One of scipy's compiled modules, loaded from its file without its subpackage's init.
 
-    ``import scipy.linalg`` takes about 0.3 s, mostly in modules no LAPACK
-    call here needs; ``import scipy`` alone still loads scipy's bundled
-    BLAS/LAPACK library. The module stays out of ``sys.modules``, so a later
-    ``import scipy.linalg`` loads its own copy.
+    ``import scipy.linalg`` takes about 0.3 s and ``import scipy.sparse``
+    about 0.24 s, mostly in modules no call here needs; ``import scipy``
+    alone still loads scipy's bundled BLAS/LAPACK library. The module stays
+    out of ``sys.modules``, so a later ``import scipy.linalg`` or
+    ``import scipy.sparse`` loads its own copy.
     """
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    spec = importlib.machinery.PathFinder.find_spec("_flapack", [directory])
+    directory = os.path.join(os.path.dirname(scipy.__file__), subpackage)
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
     if spec is None:
-        raise ImportError(f"scipy's LAPACK module _flapack not found in {directory}")
+        raise ImportError(f"scipy's compiled module {name} not found in {directory}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules.pop(spec.name, None)  # a single-phase extension module registers itself on load
     return module
 
 
-_lapack = _load_lapack()
+_lapack = _load_scipy("linalg", "_flapack")
+# csr_matvec(rows, cols, indptr, indices, data, x, y) adds the CSR product into y, in compiled code.
+_sparsetools = _load_scipy("sparse", "_sparsetools")
 
 
 # ---------------------------------------------------------------------------
@@ -199,40 +202,48 @@ def build_begin_hamiltonian(inst: ExactCoverInstance) -> np.ndarray:
 
 
 def interpolation_matvec(d: np.ndarray, energies: np.ndarray, shift: float = 0.0):
-    """Matrix-free H(s) - shift for the linear schedule H(s) = (1 - s) H_begin + s H_cost.
+    """H(s) - shift for the linear schedule H(s) = (1 - s) H_begin + s H_cost, as a CSR matrix.
 
     ``d`` is the begin operator's clause counts and ``energies`` the cost
     diagonal, of 2^d.size entries (a ValueError otherwise). With w_i = d_i/2
-    and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i], so
-    H(s) v = ((1 - s) W + s E) v - (1 - s) sum_i w_i v[z XOR bit_i].
-    The flip-index table (one row per bit in some clause) is built here,
-    once, and the shift is folded into W and E. The returned
-    ``at(s, scale=1.0)`` folds ``scale`` into the s-dependent coefficients,
-    (scale (1 - s)) W + (scale s) E and (scale (1 - s)) w, and returns the
-    matvec ``matvec(v, out=None)``, which writes scale (H(s) - shift) v
-    into ``out`` (a new array when ``out`` is None; it must not overlap
-    ``v``) and returns it, at a cost of O(n 2^n). Each matvec reuses one
-    scratch vector of its own, so it must not run on two threads at once.
+    and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i], so row z
+    of H(s) holds (1 - s) W + s E_z at column z and -(1 - s) w_i at column
+    z XOR bit_i for each bit i in some clause. That pattern (int32 indices)
+    is built here, once, and the shift is folded into W and E. The returned
+    ``at(s, scale=1.0)`` fills a data array of its own with scale (H(s) -
+    shift), diagonal first, and returns the matvec ``matvec(v, out=None)``.
+    It adds scale (H(s) - shift) v into ``out`` with scipy's compiled
+    ``csr_matvec`` and returns ``out``, at a cost of O(n 2^n); without
+    ``out`` it adds into zeros. ``v`` and ``out`` are arrays of 2^n entries
+    (a ValueError otherwise) that do not overlap, and ``out`` is complex128
+    (csr_matvec raises a ValueError otherwise).
     """
     n = d.size
     if energies.size != 1 << n:
         raise ValueError(f"need 2^{n} = {1 << n} cost energies for {n} bits, got {energies.size}")
     sites = np.flatnonzero(d)
-    flips = np.arange(1 << n)[None, :] ^ np.left_shift(1, n - 1 - sites)[:, None]
+    z = np.arange(1 << n)[:, None]
+    indices = np.hstack([z, z ^ np.left_shift(1, n - 1 - sites)]).astype(np.int32).reshape(-1)
+    indptr = np.arange(0, indices.size + 1, sites.size + 1, dtype=np.int32)
+    # H_begin - shift as CSR data; complex, the data type csr_matvec needs for a complex state.
     w = d[sites] / 2.0
-    w_total = float(w.sum()) - shift
-    # Complex weights and energies save a cast per product with the state.
-    w = w.astype(np.complex128)
+    begin_data = np.empty((energies.size, sites.size + 1), dtype=np.complex128)
+    begin_data[:, 0] = float(w.sum()) - shift
+    begin_data[:, 1:] = -w
     energies = (energies - shift).astype(np.complex128)
+    size, csr_matvec = energies.size, _sparsetools.csr_matvec
 
     def at(s: float, scale: float = 1.0):
-        begin, cost = scale * (1.0 - s), scale * s
-        diag, scaled_w = begin * w_total + cost * energies, begin * w
-        gathered = np.empty(energies.size, dtype=np.complex128)
+        data = np.multiply(begin_data, scale * (1.0 - s))
+        data[:, 0] += (scale * s) * energies
+        data = data.reshape(-1)
 
         def matvec(v, out=None):
-            out = np.multiply(diag, v, out=out)
-            out -= np.matmul(scaled_w, v[flips], out=gathered)
+            if out is None:
+                out = np.zeros(size, dtype=np.complex128)
+            if v.size != size or out.size != size:  # csr_matvec reads v and writes out unchecked
+                raise ValueError(f"need vectors of {size} entries, got {v.size} and {out.size}")
+            csr_matvec(size, size, indptr, indices, data, v, out)
             return out
 
         return matvec
@@ -455,11 +466,12 @@ def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int
             v, info = _lapack.dgttrs(dl, d, du, du2, ipiv, v)
             if info != 0:
                 break
+            v /= np.abs(v).max()  # the norm squares each entry, which underflows when |diag - shift| passes 1e154
             v /= np.linalg.norm(v)
             hv = h.matvec(v)
             lam = float(v @ hv)
             if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-                if np.linalg.norm(hv - lam * v) <= 1e-8 * scale:
+                if np.linalg.norm((hv - lam * v) / scale) <= 1e-8:  # scaled, as the squares overflow past 1e154
                     return lam
             lam_old = lam
     lo, hi = shift, float(h.diag.min())

@@ -41,8 +41,20 @@ def gershgorin_bound(h):
 
 
 def scaled_matvec(matrix, scale):
-    """``matvec(v, out=None)`` writing scale * matrix @ v into ``out``, as integrate_tdse's ``h_at`` returns."""
-    return lambda v, out=None: np.multiply(scale, matrix @ v, out=out)
+    """``matvec(v, out=None)`` adding scale * matrix @ v into ``out`` (into zeros when None), as ``h_at`` returns."""
+
+    def matvec(v, out=None):
+        if out is None:
+            return scale * (matrix @ v)
+        out += scale * (matrix @ v)
+        return out
+
+    return matvec
+
+
+def chebyshev_apply(matvec, amps, coeffs, block):
+    """``_chebyshev_apply`` over the rows of ``block``, as integrate_tdse lists them."""
+    return _chebyshev_apply(matvec, amps, coeffs, block, list(block), list(block.view(np.float64)))
 
 
 def constant(h):
@@ -234,7 +246,8 @@ class TestIntegrateTdse:
             def matvec(v, out=None):
                 written.add(out.__array_interface__["data"][0])
                 calls.append(t)
-                return np.multiply(scale, h.matrix @ v, out=out)
+                out += scale * (h.matrix @ v)
+                return out
 
             return matvec
 
@@ -252,7 +265,7 @@ class TestIntegrateTdse:
         amps = random_state(12, seed=92).amps
         coeffs = np.random.default_rng(terms).standard_normal(terms) + 0j
         block = np.empty((min(terms, CHEBYSHEV_BLOCK), 12), dtype=np.complex128)
-        got = _chebyshev_apply(scaled_matvec(a, 2.0), amps, coeffs, block, list(block))
+        got = chebyshev_apply(scaled_matvec(a, 2.0), amps, coeffs, block)
         prev, cur, expected = amps, a @ amps, coeffs[0] * amps
         for k in range(1, terms):
             expected = expected + coeffs[k] * cur
@@ -272,9 +285,9 @@ class TestIntegrateTdse:
         np.testing.assert_array_equal(psi0.amps, before)
         coeffs = np.array([0.5, 0.25j, -0.125])
         block = np.empty((3, 8), dtype=np.complex128)
-        earlier = _chebyshev_apply(scaled_matvec(h.matrix / bound, 2.0), psi0.amps, coeffs, block, list(block))
+        earlier = chebyshev_apply(scaled_matvec(h.matrix / bound, 2.0), psi0.amps, coeffs, block)
         copy = earlier.copy()
-        _chebyshev_apply(scaled_matvec(h.matrix / bound, 2.0), first.amps, coeffs, block, list(block))
+        chebyshev_apply(scaled_matvec(h.matrix / bound, 2.0), first.amps, coeffs, block)
         np.testing.assert_array_equal(earlier, copy)
 
     def test_fourth_order_on_linear_schedule(self):

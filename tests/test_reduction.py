@@ -77,7 +77,7 @@ def violated_clause_counts(inst):
 
 
 def operator_columns(at, s, dim):
-    """The matrix of the matrix-free operator at s, one basis vector at a time."""
+    """The dense matrix of the sparse operator at s, one basis vector at a time."""
     matvec = at(s)
     return np.column_stack([matvec(e) for e in np.eye(dim, dtype=complex)])
 
@@ -261,20 +261,32 @@ class TestInterpolate:
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
     def test_scaled_matvec_writes_into_out(self, s):
+        """The matvec adds scale (H(s) - shift) v into a prefilled ``out``, and into zeros without one."""
         inst = MATVEC_INSTANCES[-1]
         dim, scale, shift = 1 << inst.n, 0.3, 1.5
         reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst)) - shift * np.eye(dim)
         at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst), shift=shift)
         rng = np.random.default_rng(inst.n + 1)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        kept, out = v.copy(), np.full(dim, np.nan, dtype=np.complex128)
+        prior = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        kept, out = v.copy(), prior.copy()
         matvec = at(s, scale)
         assert matvec(v, out) is out
-        np.testing.assert_allclose(out, scale * (reference @ v), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(out, prior + scale * (reference @ v), rtol=0, atol=1e-13)
         np.testing.assert_array_equal(v, kept)
         again = matvec(v)  # a second call allocates its own result and leaves the first unchanged
-        np.testing.assert_array_equal(again, out)
+        np.testing.assert_allclose(again, scale * (reference @ v), rtol=0, atol=1e-13)
         assert not np.shares_memory(again, out)
+
+    def test_matvec_rejects_wrong_sizes(self):
+        """The compiled kernel indexes v and out unchecked, so the matvec checks their sizes first."""
+        inst = MATVEC_INSTANCES[-1]
+        dim = 1 << inst.n
+        matvec = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))(0.37)
+        v = np.ones(dim, dtype=np.complex128)
+        for args in ((v[:-1],), (v, np.zeros(dim - 1, dtype=np.complex128)), (np.ones(2 * dim, dtype=np.complex128),)):
+            with pytest.raises(ValueError, match=f"need vectors of {dim} entries"):
+                matvec(*args)
 
 
 class TestAdiabaticRun:

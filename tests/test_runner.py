@@ -521,6 +521,20 @@ class TestCli:
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
+        "values", [[1e308] * 3, [-1e308] * 3, [0.8e308, -0.8e308, 0.0]], ids=["all_max", "all_min", "spread"]
+    )
+    def test_extreme_values_solve_without_warnings(self, tmp_path, values):
+        """Inverse iteration scales each iterate and its residual before their norms, which under- or overflow here."""
+        grid = {"grid_points": 3, "box_length": 1.0, "mass": 1.0, "potential": {"kind": "values", "values": values}}
+        config = self._write_config(tmp_path, {"params": {"grid": grid, "E_B": 1.0}})
+        assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
+        row = record["outputs"]["rows"][0]
+        assert row["ground_energy_dense"] == record["outputs"]["summary"]["ground_energy"] == min(values)
+        assert row["ground_energy_inverse"] == pytest.approx(min(values), rel=1e-12)
+        assert record["warnings"] == []
+
+    @pytest.mark.parametrize(
         "instance",
         [
             {"n": 3, "clauses": 5},
