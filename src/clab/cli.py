@@ -13,9 +13,9 @@ before the run. Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from .reduction import read_json
 from .runner import EMIT_FORMATS, EXPERIMENTS, ConfigError, NumericalFailure, emit, run
 
 _SUMMARY_KEYS = {
@@ -52,10 +52,9 @@ def main(argv=None) -> int:
         return _fail(f"--format: expected a non-empty subset of {','.join(EMIT_FORMATS)}, got {args.format!r}", 2)
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        return _fail(f"cannot read config {args.config}: {exc}", 2)
+        config = read_json(args.config)
+    except OSError as exc:  # also a file over the size cap
+        return _fail(f"cannot read --config {args.config}: {exc}", 2)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         return _fail(f"config {args.config} is not valid JSON: {exc}", 2)
     if not isinstance(config, dict):

@@ -175,8 +175,14 @@ def expm_propagator(
     return UnitaryPropagator(matrix=(v * np.exp(-1j * dt / c.hbar * w)) @ v.conj().T)
 
 
-def _bessel_series(x: float) -> np.ndarray:
-    """J_0(x), ..., J_K(x) for x >= 0, cut after the last one above ``CHEBYSHEV_CUTOFF``.
+def _bessel_series(x: float, tail: float = 0.0) -> np.ndarray:
+    """J_0(x), ..., J_K(x) for x >= 0: the shortest prefix whose dropped part is at most ``tail``.
+
+    The series is first cut after the last term above ``CHEBYSHEV_CUTOFF``.
+    Of that, it keeps the shortest prefix J_0..J_K with sum_{k>K} |J_k(x)|
+    <= ``tail``, the sum taken from the end over every computed term, so
+    the terms below the cutoff count too. A ``tail`` of 0 drops nothing
+    more: every kept term is above the cutoff, so no shorter prefix fits.
 
     Miller's backward recurrence, in two parts so that it neither overflows
     at tiny x nor loses accuracy at large x. Above k0 = floor(x), where J_k
@@ -198,7 +204,9 @@ def _bessel_series(x: float) -> np.ndarray:
     for k in range(k0, 0, -1):
         j[k - 1] = (2.0 * k / x) * j[k] - j[k + 1]
     j /= j[0] + 2.0 * j[2::2].sum()
-    return j[: np.flatnonzero(np.abs(j) > CHEBYSHEV_CUTOFF)[-1] + 1]
+    cut = np.flatnonzero(np.abs(j) > CHEBYSHEV_CUTOFF)[-1] + 1
+    dropped = np.cumsum(np.abs(j[:0:-1]))[::-1]  # dropped[K] = sum_{k>K} |J_k|, non-increasing in K
+    return j[: 1 + np.count_nonzero(dropped[: cut - 1] > tail)]
 
 
 def _chebyshev_apply(
@@ -246,6 +254,7 @@ def integrate_tdse(
     steps: int,
     spectral_bound: float,
     c: PhysicalConstants = NATURAL_UNITS,
+    truncation: float = 0.0,
 ) -> StateVector:
     """Commutator-free Magnus (CF4) integrator for i hbar d/dt psi = H(t) psi.
 
@@ -257,10 +266,21 @@ def integrate_tdse(
     O(dt^4); for other H(t) the same nodes give O(dt^2). Each exponential
     is the Chebyshev series of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
     (1984), in H / spectral_bound with Bessel coefficients J_k(dt
-    spectral_bound / (2 hbar)) computed once per call; it is exact to
-    roundoff, and it costs about that argument plus O(log) matvecs. The
-    series' terms fill a preallocated block of at most CHEBYSHEV_BLOCK
-    rows, and one product with the coefficients sums them.
+    spectral_bound / (2 hbar)) computed once per call, and it costs about
+    that argument plus O(log) matvecs. The series' terms fill a
+    preallocated block of at most CHEBYSHEV_BLOCK rows, and one product
+    with the coefficients sums them.
+
+    ``truncation`` is the budget, in the state's 2-norm, for the terms the
+    series leave out. Each series drops a Bessel tail of at most
+    ``truncation / (4 steps)`` (see ``_bessel_series``). With A = H /
+    spectral_bound, ||A|| <= 1 gives ||T_k(A)|| <= 1, so each exponential
+    is off by at most twice its dropped tail; the steps are unitary, so
+    the errors of the 2 steps exponentials add, and the state before
+    renormalization is within ``truncation`` of the untruncated series'
+    result. After it, the state is within truncation / (1 - truncation / 2)
+    (the Dunkl-Williams inequality). A budget of 0 keeps every term above
+    CHEBYSHEV_CUTOFF, which is exact to roundoff.
 
     ``h_at(t, scale)`` returns a matvec ``matvec(v, out=None)`` that adds
     ``scale * H(t) v`` into ``out`` (into zeros when ``out`` is None) and
@@ -275,10 +295,12 @@ def integrate_tdse(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (np.isfinite(truncation) and truncation >= 0.0):
+        raise ValueError(f"truncation must be finite and >= 0, got {truncation}")
     psi0.require_normalized()
     dt = t_final / steps
     # Jacobi-Anger: exp(-i x A) = J_0(x) + 2 sum_k (-i)^k J_k(x) T_k(A) for A = H / spectral_bound.
-    j = _bessel_series(abs(dt) * spectral_bound / (2.0 * c.hbar))
+    j = _bessel_series(abs(dt) * spectral_bound / (2.0 * c.hbar), truncation / (4.0 * steps))
     k = np.arange(j.size)
     coeffs = np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(dt)) ** k * j
     scale = 2.0 / spectral_bound if spectral_bound else 0.0

@@ -24,6 +24,7 @@ leftmost character and the most significant bit of the basis index, so
 """
 from __future__ import annotations
 
+import errno
 import importlib.machinery
 import importlib.util
 import json
@@ -41,6 +42,7 @@ __all__ = [
     "ExactCoverInstance",
     "SpectralDecisionInstance",
     "GridHamiltonian",
+    "read_json",
     "load_instance",
     "bitstring_satisfies",
     "brute_force_exact_cover",
@@ -63,12 +65,15 @@ BRUTE_FORCE_MAX_BITS = 24
 EVOLUTION_MAX_BITS = 12
 # The step-doubling loop of success_sweep. The first run's steps span a phase dt E_max / hbar
 # of at most START_PHASE rad: of 4, 6, 8, 12 and 16 rad, 6 took the fewest matvecs on the
-# criterion-6 sweeps (137k, against 162k at 4 and 149k at 8).
+# criterion-6 sweeps with truncated series (102,780, against 125,188 at 4, 111,876 at 8, 125,022
+# at 12 and 130,794 at 16; untruncated, 137,342 at 6 was also the fewest).
 START_PHASE = 6.0
 MAX_DOUBLINGS = 5
 STEP_ERROR_TOL = 1e-6
 # Limit on a sweep's projected integration steps; the n=8 criterion-6 sweep projects 88,389.
 SWEEP_MAX_STEPS = 10_000_000
+# Largest JSON file read_json takes; a spectral config with a 4096-value potential is about 110 KB.
+JSON_MAX_BYTES = 1 << 20
 
 
 def _load_scipy(subpackage: str, name: str):
@@ -146,10 +151,23 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def read_json(path):
+    """Parse a UTF-8 JSON file, reading at most JSON_MAX_BYTES + 1 bytes of it.
+
+    A longer file (``/dev/zero``, say) raises OSError (errno EFBIG) rather
+    than filling memory. ``open`` itself still blocks on a FIFO that has no
+    writer.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read(JSON_MAX_BYTES + 1)
+    if len(data) > JSON_MAX_BYTES:
+        raise OSError(errno.EFBIG, f"file is larger than {JSON_MAX_BYTES:,} bytes", str(path))
+    return json.loads(data.decode("utf-8"))
+
+
 def load_instance(path) -> ExactCoverInstance:
-    """Read an instance from the JSON file format {"n": ..., "clauses": [[i,j,k], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExactCoverInstance.from_dict(json.load(fh))
+    """Read an instance from the JSON file format {"n": ..., "clauses": [[i,j,k], ...]} (see ``read_json``)."""
+    return ExactCoverInstance.from_dict(read_json(path))
 
 
 def bitstring_satisfies(inst: ExactCoverInstance, bits: str) -> bool:
@@ -313,6 +331,12 @@ def success_sweep(
     phase. Success is the finer run's final weight on the zero set of the
     cost operator, i.e. on the satisfying assignments. Each row holds T,
     the finer run's steps, its success probability, and its step_error.
+
+    Each run's Chebyshev series are truncated at a budget of
+    STEP_ERROR_TOL / 1000, a fixed ratio (see ``integrate_tdse``): against
+    untruncated series, each run's final state moves by at most about that
+    budget, so a row's success probability moves by at most twice it and
+    its step_error by at most a fifteenth of that.
     """
     if inst.n > EVOLUTION_MAX_BITS:
         raise ValueError(f"evolution capped at n <= {EVOLUTION_MAX_BITS}, got {inst.n}")
@@ -328,7 +352,10 @@ def success_sweep(
     for total_time in total_times:
 
         def run(steps):
-            return integrate_tdse(lambda t, scale: at(t / total_time, scale), psi0, total_time, steps, e_max / 2.0, c)
+            return integrate_tdse(
+                lambda t, scale: at(t / total_time, scale), psi0, total_time, steps, e_max / 2.0, c,
+                truncation=STEP_ERROR_TOL / 1000.0,
+            )
 
         steps = int(_first_steps(total_time, e_max, c))
         coarse = run(steps)

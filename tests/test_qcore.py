@@ -13,6 +13,7 @@ from clab.qcore import (
     UnitaryPropagator,
     expm_propagator,
     CHEBYSHEV_BLOCK,
+    CHEBYSHEV_CUTOFF,
     _bessel_series,
     _chebyshev_apply,
     cos_squared,
@@ -311,6 +312,46 @@ class TestIntegrateTdse:
         atol = 1e-13 if x > 100.0 else 1e-15  # about 1000 terms of roundoff at x = 1000
         np.testing.assert_allclose(j, scipy.special.jv(np.arange(j.size), x), rtol=0, atol=atol)
         assert abs(scipy.special.jv(j.size, x)) <= 1e-17  # the first term left out is negligible
+
+    @pytest.mark.parametrize("tail", [1e-9, 1e-13, 1e-17])
+    @pytest.mark.parametrize("x", [0.19, 0.375, 0.75, 1.5, 10.0, 100.0])
+    def test_bessel_series_drops_the_shortest_tail_within_budget(self, x, tail):
+        j = _bessel_series(x, tail)
+        np.testing.assert_array_equal(j, _bessel_series(x)[: j.size])
+        past = np.abs(scipy.special.jv(np.arange(j.size - 1, j.size + 400), x))
+        assert past[1:].sum() <= tail  # what the series drops
+        assert past.sum() > tail  # dropping J_K as well would not fit
+
+    @pytest.mark.parametrize("x", [1e-300, 0.19, 1.5, 100.0, 1000.0])
+    def test_zero_budget_keeps_every_term_above_the_cutoff(self, x):
+        j = _bessel_series(x, 0.0)
+        np.testing.assert_array_equal(j, _bessel_series(x))
+        assert abs(j[-1]) > CHEBYSHEV_CUTOFF >= abs(scipy.special.jv(j.size, x))
+
+    @pytest.mark.parametrize("budget", [1e-4, 1e-7, 1e-10])
+    def test_truncated_series_stay_within_budget(self, budget):
+        h = random_hermitian(24, seed=33, scale=1.5)
+        psi0 = random_state(24, seed=34)
+        bound = gershgorin_bound(h)
+        direct = expm_propagator(h, 3.0).apply(psi0).amps
+        exact = integrate_tdse(constant(h), psi0, 3.0, steps=16, spectral_bound=bound)
+        cut = integrate_tdse(constant(h), psi0, 3.0, steps=16, spectral_bound=bound, truncation=budget)
+        assert np.linalg.norm(cut.amps - direct) <= budget / (1.0 - budget / 2.0) + 1e-13
+        assert np.linalg.norm(cut.amps - exact.amps) > 1e-15  # the budget did drop terms
+
+    def test_zero_budget_is_the_default_bit_for_bit(self):
+        h0, h1 = random_hermitian(8, seed=35), random_hermitian(8, seed=36)
+        bound = gershgorin_bound(h0) + gershgorin_bound(h1)
+        psi0 = random_state(8, seed=37)
+        default = integrate_tdse(linear(h0, h1, 2.0), psi0, 2.0, steps=9, spectral_bound=bound)
+        zero = integrate_tdse(linear(h0, h1, 2.0), psi0, 2.0, steps=9, spectral_bound=bound, truncation=0.0)
+        np.testing.assert_array_equal(zero.amps, default.amps)
+
+    @pytest.mark.parametrize("budget", [-1e-9, math.nan, math.inf])
+    def test_rejects_bad_truncation(self, budget):
+        h = HermitianOperator.from_dense([[1.0]])
+        with pytest.raises(ValueError, match="truncation"):
+            integrate_tdse(constant(h), StateVector([1.0]), 1.0, steps=1, spectral_bound=1.0, truncation=budget)
 
     def test_rejects_bad_steps(self):
         h = HermitianOperator.from_dense([[1.0]])

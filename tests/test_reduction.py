@@ -354,13 +354,35 @@ class TestAdiabaticRun:
         assert sweep.satisfying_count == len(brute_force_exact_cover(inst))
         assert sweep.state.dim == 8
 
+    @pytest.mark.parametrize(
+        "name,pairs",
+        [
+            ("ec_n3_single.json", [(1, 8), (2, 16), (4, 32), (8, 32)]),
+            ("ec_n6_unique.json", [(1, 20), (2, 40), (4, 80), (8, 160), (16, 160), (32, 320), (64, 640)]),
+            ("ec_n8_unique.json", [(1, 24), (2, 44), (4, 88), (8, 176), (16, 176), (32, 352), (64, 704)]),
+        ],
+    )
+    def test_truncation_keeps_the_criterion_6_steps(self, monkeypatch, name, pairs):
+        inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
+        times = [2.0**k for k in range(8)]  # the criterion-6 sweep
+        rows = success_sweep(inst, times, target=0.9).rows
+        assert [(row["T"], row["steps"]) for row in rows] == pairs
+        integrate_tdse = reduction.integrate_tdse
+        monkeypatch.setattr(reduction, "integrate_tdse", lambda *args, truncation: integrate_tdse(*args))
+        exact = success_sweep(inst, times, target=0.9).rows
+        assert [(row["T"], row["steps"]) for row in exact] == pairs
+        budget = reduction.STEP_ERROR_TOL / 1000.0
+        for row, untruncated in zip(rows, exact):
+            assert abs(row["success_probability"] - untruncated["success_probability"]) <= 2.0 * budget
+            assert abs(row["step_error"] - untruncated["step_error"]) <= 2.0 * budget / 15.0
+
     @pytest.mark.parametrize("tol", [1e-6, 0.0], ids=["default", "never_met"])
     def test_projected_steps_bound_the_sweep(self, monkeypatch, tol):
         taken, integrate_tdse = [], reduction.integrate_tdse
 
-        def counting(h_at, psi0, t_final, steps, spectral_bound, c):
+        def counting(h_at, psi0, t_final, steps, spectral_bound, c, truncation):
             taken.append(steps)
-            return integrate_tdse(h_at, psi0, t_final, steps, spectral_bound, c)
+            return integrate_tdse(h_at, psi0, t_final, steps, spectral_bound, c, truncation)
 
         monkeypatch.setattr(reduction, "integrate_tdse", counting)
         monkeypatch.setattr(reduction, "STEP_ERROR_TOL", tol)

@@ -1,6 +1,9 @@
 """Config validation, dispatch, emission formats, and the CLI surface."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -632,6 +635,42 @@ class TestCli:
         config = self._write_config(tmp_path, {"params": {"instance_path": str(instance), "schedule": {"T_min": 1.0}}})
         assert cli.main(["adiabatic", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "params.instance_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["config", "instance"])
+    def test_endless_file_exit_two(self, tmp_path, reader):
+        # An unbounded read of /dev/zero would never return; the address-space limit makes it fail fast instead.
+        resource = pytest.importorskip("resource")
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero")
+        config = self._write_config(tmp_path, {"params": {"instance_path": "/dev/zero", "schedule": {"T_min": 1.0}}})
+        config, field = (config, "params.instance_path") if reader == "instance" else ("/dev/zero", "--config")
+        limit = 512 << 20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        done = subprocess.run(
+            [sys.executable, "-m", "clab.cli", "adiabatic", "--config", str(config), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        )
+        assert done.returncode == 2, done.stderr
+        assert field in done.stderr and "larger than" in done.stderr
+
+    @pytest.mark.parametrize("reader", ["config", "instance"])
+    def test_file_at_the_size_cap(self, tmp_path, capsys, reader):
+        instance = tmp_path / "instance.json"
+        text = (REPO / "instances" / "ec_n3_single.json").read_text()
+        instance.write_text(text.ljust(reduction.JSON_MAX_BYTES) if reader == "instance" else text)
+        config = json.dumps({"params": {"instance_path": str(instance), "schedule": {"T_min": 1.0, "doublings": 0}}})
+        (tmp_path / "config.json").write_text(config.ljust(reduction.JSON_MAX_BYTES) if reader == "config" else config)
+        assert cli.main(["adiabatic", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / f"{reader}.json", "r+b") as fh:  # one byte more, as a sparse file's zeros
+            fh.truncate(reduction.JSON_MAX_BYTES + 1)
+        assert cli.main(["adiabatic", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert ("params.instance_path" if reader == "instance" else "--config") in err and "larger than" in err
 
     def test_bad_format_exit_two(self, tmp_path, capsys):
         config = self._write_config(
