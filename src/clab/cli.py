@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # also a file over the size cap
         return _fail(f"cannot read --config {args.config}: {exc}", 2)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        return _fail(f"config {args.config} is not valid JSON: {exc}", 2)
+        return _fail(f"--config {args.config} is not valid JSON: {exc}", 2)
     if not isinstance(config, dict):
         return _fail(f"config {args.config} must contain a JSON object", 2)
 

@@ -2,10 +2,11 @@
 
 Draws are stateless and counter-keyed: the value at (seed, index) never
 depends on other draws, so trials can be evaluated in any order, in
-parallel, or in chunks with bit-identical results. The mixing function is
-the splitmix64 finalizer applied twice, vectorized over index arrays and
-over seed arrays: a ``(trials, 1)`` column of trial seeds against a
-``(1, K)`` row of indices draws every trial in one call.
+parallel, or in chunks with bit-identical results. Draw i of a seed is
+splitmix64's output i (Steele, Lea & Flood, OOPSLA 2014), one finalizer
+round, vectorized over index arrays and over seed arrays: a ``(trials, 1)``
+column of trial seeds against a ``(1, K)`` row of indices draws every trial
+in one call. A complex normal is one Box-Muller pair of uniforms.
 
 ``cos_squared_sweep``, the sweep loop of both measurement routes, evaluates
 every tau on chunks of trials and merges the chunks' moments by the pairwise
@@ -26,7 +27,8 @@ __all__ = [
     "derive_seed",
     "uniform01",
     "sample_uniform",
-    "standard_normal",
+    "standard_exponential",
+    "complex_normal",
     "mc_mean",
     "mc_estimate",
     "cos_squared_sweep",
@@ -45,7 +47,7 @@ def _mix64(z):
 
     An array argument is overwritten with the result and returned, so callers
     pass a fresh temporary; uint64 array arithmetic wraps without a warning.
-    A scalar gives a new scalar.
+    A scalar gives an int, computed in Python ints masked to 64 bits.
     """
     if isinstance(z, np.ndarray):
         z += _U64(_GOLDEN)
@@ -56,23 +58,21 @@ def _mix64(z):
         z *= _U64(0x94D049BB133111EB)
         z ^= np.right_shift(z, _U64(31), out=t)
         return z
-    # Modular 64-bit wraparound is the point; silence numpy's scalar overflow warning.
-    with np.errstate(over="ignore"):
-        z = z + _U64(_GOLDEN)
-        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-        return z ^ (z >> _U64(31))
+    z = (int(z) + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _u64(value):
-    """An int as np.uint64 (modulo 2^64), or an integer array as a uint64 array."""
+    """An int modulo 2^64, or an integer array as a uint64 array."""
     if isinstance(value, np.ndarray):
         return value.astype(np.uint64, copy=False)
-    return _U64(int(value) & _MASK64)
+    return int(value) & _MASK64
 
 
 def _key(seed):
-    return _mix64(_u64(seed) ^ _U64(0xA3EC4E93C0A4F205))
+    return _mix64(_u64(seed) ^ 0xA3EC4E93C0A4F205)
 
 
 def derive_seed(seed, *salts):
@@ -87,29 +87,29 @@ def derive_seed(seed, *salts):
     for salt in salts:
         if isinstance(salt, str):
             for byte in salt.encode("utf-8"):
-                acc = _mix64(acc ^ _U64(byte))
+                acc = _mix64(acc ^ byte)
         else:
-            acc = _mix64(acc ^ _u64(salt))
-    return acc if isinstance(acc, np.ndarray) else int(acc)
+            acc = _mix64(_u64(salt) ^ acc)
+    return acc
 
 
 def uniform01(seed, index) -> np.ndarray | float:
     """Uniform draw(s) on [0, 1) keyed purely by (seed, index).
 
-    ``seed`` may be a uint64 array; it broadcasts against ``index``.
+    Draw i is the top 53 bits of ``_mix64(i * gamma + key)``: splitmix64's
+    output i for the state seeded at the seed's key. ``seed`` may be a
+    uint64 array; it broadcasts against ``index``.
     """
-    idx = np.asarray(index, dtype=np.uint64)
     key = _key(seed)
-    with np.errstate(over="ignore"):
-        bits = _mix64(idx + key)  # idx + key is a fresh array of the broadcast shape, or a scalar
-    if isinstance(bits, np.ndarray):
-        bits ^= key
-        bits = _mix64(bits)
-        bits >>= _U64(11)
-        out = bits.astype(np.float64)
-        out *= 1.0 / (1 << 53)
-        return out
-    return float(_mix64(bits ^ key) >> _U64(11)) * (1.0 / (1 << 53))
+    if np.ndim(index) == 0 and not isinstance(key, np.ndarray):
+        return (_mix64(int(index) * _GOLDEN + key) >> 11) * (1.0 / (1 << 53))
+    idx = np.asarray(index, dtype=np.uint64)
+    bits = np.empty(np.broadcast_shapes(idx.shape, np.shape(key)), dtype=np.uint64)
+    np.multiply(idx, _U64(_GOLDEN), out=bits)
+    bits += key
+    bits = _mix64(bits)
+    bits >>= _U64(11)
+    return np.multiply(bits, 1.0 / (1 << 53))  # each 53-bit integer converts to float64 exactly
 
 
 @dataclass(frozen=True)
@@ -128,27 +128,32 @@ class UniformInterval:
 
 def sample_uniform(interval: UniformInterval, seed, index) -> np.ndarray | float:
     """Uniform draw(s) on [lo, hi]; degenerate intervals return lo exactly."""
-    u = uniform01(seed, index)
-    return interval.lo + (interval.hi - interval.lo) * u
+    u = np.asarray(uniform01(seed, index))  # scaled and shifted in place: lo + (hi - lo) u
+    u *= interval.hi - interval.lo
+    u += interval.lo
+    return u if u.ndim else float(u)
 
 
-def standard_normal(seed, index) -> np.ndarray | float:
-    """Standard normal draw(s) via Box-Muller on two sub-draws per index."""
-    idx = np.asarray(index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        even = idx * _U64(2)
-        odd = even + _U64(1)
-    u1 = uniform01(seed, even)
-    u2 = uniform01(seed, odd)
-    u1 = np.maximum(u1, 2.0 ** -53)  # guard the log at u1 = 0
-    # cos(2 pi u2) = (1 - t^2) / (1 + t^2) with t = tan(pi u2): numpy's float64 tan is SIMD where its cos is libm.
-    t = np.asarray(np.pi * u2)  # a fresh array (0-d for a scalar index) that the passes below overwrite
-    np.square(np.tan(t, out=t), out=t)
-    out = 1.0 - t
-    t += 1.0
-    out /= t
-    out *= np.sqrt(-2.0 * np.log(u1))
-    return out if out.ndim else float(out)
+def standard_exponential(seed, index) -> np.ndarray | float:
+    """Exp(1) draw(s) -ln(1 - u) on the uniforms u of ``uniform01(seed, index)``.
+
+    That is |a|^2 / 2 for the ``complex_normal(seed, index)`` draw a, so its
+    modulus can be drawn without its phase. 1 - u is exact and never 0.
+    """
+    e = np.asarray(uniform01(seed, index))  # a fresh array (0-d for a scalar) that the passes below overwrite
+    np.negative(np.log(np.subtract(1.0, e, out=e), out=e), out=e)
+    return e if e.ndim else float(e)
+
+
+def complex_normal(seed, index) -> np.ndarray | complex:
+    """Complex draw(s) whose real and imaginary parts are iid N(0, 1): one Box-Muller pair per index.
+
+    a = sqrt(2 e) exp(2 pi i v), with e = ``standard_exponential(seed, index)``
+    and v = ``uniform01(derive_seed(seed, "phase"), index)``.
+    """
+    r = np.sqrt(2.0 * np.asarray(standard_exponential(seed, index)))
+    a = r * np.exp(2j * np.pi * np.asarray(uniform01(derive_seed(seed, "phase"), index)))
+    return a if a.ndim else complex(a)
 
 
 @dataclass(frozen=True)
@@ -240,7 +245,8 @@ def cos_squared_sweep(draw, trials: int, K: int, taus, hbar: float, detuning: fl
         buf = np.empty_like(gaps)
         for i, scale in enumerate(scales):
             np.multiply(gaps, scale, out=buf)
-            buf += detuning * scale
+            if detuning:
+                buf += detuning * scale
             p = cos_squared(buf, out=buf)
             if weights is not None:  # cos^2 <= 1 holds exactly; only a weighted sum can round above it
                 p = np.minimum(np.sum(np.multiply(p, weights, out=p), axis=1), 1.0 + 1e-12)

@@ -34,7 +34,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, integrate_tdse
 
@@ -77,15 +76,18 @@ JSON_MAX_BYTES = 1 << 20
 
 
 def _load_scipy(subpackage: str, name: str):
-    """One of scipy's compiled modules, loaded from its file without its subpackage's init.
+    """One of scipy's compiled modules, loaded from its file without any of scipy's package inits.
 
     ``import scipy.linalg`` takes about 0.3 s and ``import scipy.sparse``
-    about 0.24 s, mostly in modules no call here needs; ``import scipy``
-    alone still loads scipy's bundled BLAS/LAPACK library. The module stays
-    out of ``sys.modules``, so a later ``import scipy.linalg`` or
-    ``import scipy.sparse`` loads its own copy.
+    about 0.24 s, mostly in modules no call here needs, and even ``import
+    scipy`` costs about 1.2 MiB of peak RSS, so scipy's directory is found
+    without running its init. The module stays out of ``sys.modules``, so a
+    later ``import scipy.linalg`` or ``import scipy.sparse`` loads its own copy.
     """
-    directory = os.path.join(os.path.dirname(scipy.__file__), subpackage)
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], subpackage)
     spec = importlib.machinery.PathFinder.find_spec(name, [directory])
     if spec is None:
         raise ImportError(f"scipy's compiled module {name} not found in {directory}")
@@ -155,10 +157,12 @@ def read_json(path):
     """Parse a UTF-8 JSON file, reading at most JSON_MAX_BYTES + 1 bytes of it.
 
     A longer file (``/dev/zero``, say) raises OSError (errno EFBIG) rather
-    than filling memory. ``open`` itself still blocks on a FIFO that has no
-    writer.
+    than filling memory. The file is opened without blocking, so a FIFO with
+    no writer reads as empty, which is not JSON; the read itself blocks, so
+    a pipe still delivers everything its writer sends.
     """
-    with open(path, "rb") as fh:
+    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+        os.set_blocking(fh.fileno(), True)
         data = fh.read(JSON_MAX_BYTES + 1)
     if len(data) > JSON_MAX_BYTES:
         raise OSError(errno.EFBIG, f"file is larger than {JSON_MAX_BYTES:,} bytes", str(path))

@@ -202,7 +202,7 @@ def mc_probability_sweep(
 
     def draw(lo, hi):
         sample = sample_energies(s, seed, np.arange(lo, hi, dtype=np.uint64))
-        return None, sample.alpha - sample.beta
+        return None, np.subtract(sample.alpha, sample.beta, out=sample.alpha)
 
     return cos_squared_sweep(draw, n, 1, taus, c.hbar, s.a_tilde - s.b_tilde)
 

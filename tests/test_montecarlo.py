@@ -9,12 +9,13 @@ from clab.montecarlo import (
     SWEEP_CHUNK,
     UniformInterval,
     _key,
+    complex_normal,
     cos_squared_sweep,
     derive_seed,
     mc_estimate,
     mc_mean,
     sample_uniform,
-    standard_normal,
+    standard_exponential,
     uniform01,
 )
 from clab.qcore import cos_squared
@@ -61,15 +62,53 @@ class TestUniformDraws:
         b = uniform01(2, np.arange(200_000))
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
+    def test_scalar_path_equals_array_path(self):
+        idx = np.array([0, 1, 2, 12345, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+        for seed in (0, 42, 2**64 - 1):
+            row = uniform01(seed, idx)
+            assert [uniform01(seed, int(i)) for i in idx] == row.tolist()
+            assert [uniform01(seed, i) for i in idx] == row.tolist()  # numpy uint64 scalars too
 
-class TestStandardNormal:
+    def test_draw_i_is_splitmix64_output_i(self):
+        # The generator form of splitmix64 (Steele, Lea & Flood 2014): add gamma to the state, then mix.
+        state, expected = _key(77), []
+        for _ in range(5):
+            state = (state + 0x9E3779B97F4A7C15) % 2**64
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+            expected.append(((z ^ (z >> 31)) >> 11) / 2**53)
+        assert uniform01(77, np.arange(5)).tolist() == expected
+
+    def test_chi_square_and_lag_one_correlation(self):
+        n, bins = 1_000_000, 64
+        draws = uniform01(2024, np.arange(n))
+        counts = np.bincount((draws * bins).astype(np.int64), minlength=bins)
+        chi2 = float(np.sum((counts - n / bins) ** 2) / (n / bins))
+        assert abs(chi2 - (bins - 1)) <= 4.0 * math.sqrt(2.0 * (bins - 1))
+        assert abs(np.corrcoef(draws[:-1], draws[1:])[0, 1]) <= 4.0 / math.sqrt(n)
+
+
+class TestComplexNormal:
     def test_moments(self):
-        draws = standard_normal(99, np.arange(1_000_000))
-        assert abs(draws.mean()) < 4.0 / 1000.0
-        assert abs(draws.var() - 1.0) < 4.0 * math.sqrt(2.0 / 1_000_000)
+        n = 1_000_000
+        a = complex_normal(99, np.arange(n))
+        re, im = a.real, a.imag
+        for part in (re, im):
+            assert abs(part.mean()) <= 4.0 / math.sqrt(n)
+            assert abs(part.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
+        assert abs(np.corrcoef(re, im)[0, 1]) <= 4.0 / math.sqrt(n)
+        # |a|^2 = 2 e with e ~ Exp(1), so its variance is 4.
+        assert abs(np.mean(np.abs(a) ** 2) - 2.0) <= 4.0 * 2.0 / math.sqrt(n)
 
-    def test_deterministic(self):
-        assert standard_normal(4, 17) == standard_normal(4, 17)
+    def test_modulus_is_the_exponential_draw(self):
+        idx = np.arange(1000, dtype=np.uint64)
+        np.testing.assert_allclose(np.abs(complex_normal(5, idx)) ** 2, 2.0 * standard_exponential(5, idx), rtol=1e-14)
+
+    def test_deterministic_and_scalar_equals_array(self):
+        assert complex_normal(4, 17) == complex_normal(4, 17)
+        assert complex_normal(4, 17) == complex_normal(4, np.arange(18))[17]
+        assert standard_exponential(4, 17) == standard_exponential(4, np.arange(18))[17]
 
 
 class TestDeriveSeed:
@@ -108,8 +147,13 @@ class TestArraySeeds:
 
     @pytest.mark.parametrize(
         "draw",
-        [uniform01, standard_normal, lambda seed, idx: sample_uniform(UniformInterval(-2.0, 3.0), seed, idx)],
-        ids=["uniform01", "standard_normal", "sample_uniform"],
+        [
+            uniform01,
+            standard_exponential,
+            complex_normal,
+            lambda seed, idx: sample_uniform(UniformInterval(-2.0, 3.0), seed, idx),
+        ],
+        ids=["uniform01", "standard_exponential", "complex_normal", "sample_uniform"],
     )
     def test_seed_column_broadcasts_against_index_row(self, draw):
         idx = np.arange(37, dtype=np.uint64)
@@ -143,10 +187,10 @@ class TestPinnedStreams:
     @pytest.mark.parametrize(
         "seed, index, expected",
         [
-            (0, 0, 0.365470181351918),
-            (1, 1, 0.5454683183968744),
-            (2**64 - 1, 12345, 0.4372687922363546),
-            (42, 2**64 - 1, 0.0838714256213563),
+            (0, 0, 0.196338986772445),
+            (1, 1, 0.9613672767105869),
+            (2**64 - 1, 12345, 0.5287662551980394),
+            (42, 2**64 - 1, 0.6114782064122354),
         ],
     )
     def test_uniform01_scalar(self, seed, index, expected):
@@ -154,11 +198,11 @@ class TestPinnedStreams:
 
     def test_uniform01_arrays(self):
         row = uniform01(9, np.array([0, 1, 2, 2**40], dtype=np.uint64))
-        assert row.tolist() == [0.10457029722171107, 0.6784085374892697, 0.054475555490164806, 0.021722256408135632]
+        assert row.tolist() == [0.41928576237959814, 0.6481742634529369, 0.07085978986241304, 0.5375294840535927]
         table = uniform01(np.array([[3], [2**63]], dtype=np.uint64), np.arange(3, dtype=np.uint64))
         assert table.tolist() == [
-            [0.9252604783138934, 0.5677527202261143, 0.01885950917113044],
-            [0.7753840046290777, 0.4679613388857624, 0.4490809961760889],
+            [0.09069772828080835, 0.5141784341552155, 0.6531396227266221],
+            [0.4335439802820815, 0.7157435211346317, 0.4699008218210712],
         ]
 
 

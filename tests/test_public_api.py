@@ -49,14 +49,14 @@ def test_cli_import_leaves_out_scipy_linalg_and_network_modules():
 def test_cli_import_loads_scipy_modules_without_their_packages():
     """reduction loads scipy's LAPACK and sparse-kernel modules from their files.
 
-    Neither scipy.linalg's nor scipy.sparse's package init runs, which keeps
-    the CLI's start-up cost down; a later ``import scipy.sparse`` loads its
-    own copy of the kernels.
+    None of scipy's, scipy.linalg's or scipy.sparse's package inits runs,
+    which keeps the CLI's start-up cost down; a later ``import scipy.sparse``
+    loads its own copy of the kernels.
     """
     code = (
         "import sys, clab.cli\n"
         "from clab import reduction\n"
-        "loaded = [m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules]\n"
+        "loaded = [m for m in ('scipy', 'scipy.linalg', 'scipy.sparse') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "assert callable(reduction._lapack.dstebz) and callable(reduction._sparsetools.csr_matvec)\n"
         "assert not [m for m in sys.modules if m.endswith('_sparsetools')]\n"

@@ -659,6 +659,41 @@ class TestCli:
         assert field in done.stderr and "larger than" in done.stderr
 
     @pytest.mark.parametrize("reader", ["config", "instance"])
+    def test_fifo_without_writer_exit_two(self, tmp_path, reader):
+        # A blocking open() of a FIFO waits for a writer that never comes; the timeout turns that hang into a failure.
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        config = self._write_config(tmp_path, {"params": {"instance_path": str(fifo), "schedule": {"T_min": 1.0}}})
+        config, field = (config, "params.instance_path") if reader == "instance" else (fifo, "--config")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "clab.cli", "adiabatic", "--config", str(config), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert field in done.stderr and "Expecting value" in done.stderr  # read as empty, which is not JSON
+
+    def test_config_from_a_pipe(self, tmp_path):
+        # A pipe whose writer is still running, as with `--config <(...)`: the read waits for its data.
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        payload = json.dumps({"params": {"K": 4, "energy_scale": 1.0, "tau": 1.0, "trials": 2}}).encode()
+        read_fd, write_fd = os.pipe()
+        writer = subprocess.Popen(
+            [sys.executable, "-c", f"import os, time; time.sleep(0.5); os.write({write_fd}, {payload!r})"],
+            pass_fds=(write_fd,),
+        )
+        os.close(write_fd)
+        try:
+            assert cli.main(["decohere", "--config", f"/dev/fd/{read_fd}", "--out", str(tmp_path / "out")]) == 0
+        finally:
+            os.close(read_fd)
+            assert writer.wait(timeout=60) == 0
+        assert (tmp_path / "out" / "decohere_result.json").exists()
+
+    @pytest.mark.parametrize("reader", ["config", "instance"])
     def test_file_at_the_size_cap(self, tmp_path, capsys, reader):
         instance = tmp_path / "instance.json"
         text = (REPO / "instances" / "ec_n3_single.json").read_text()
