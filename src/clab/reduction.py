@@ -25,6 +25,7 @@ leftmost character and the most significant bit of the basis index, so
 from __future__ import annotations
 
 import errno
+import functools
 import importlib.machinery
 import importlib.util
 import json
@@ -75,14 +76,18 @@ SWEEP_MAX_STEPS = 10_000_000
 JSON_MAX_BYTES = 1 << 20
 
 
+@functools.cache
 def _load_scipy(subpackage: str, name: str):
-    """One of scipy's compiled modules, loaded from its file without any of scipy's package inits.
+    """One of scipy's compiled modules, loaded from its file on the first call, without scipy's package inits.
 
     ``import scipy.linalg`` takes about 0.3 s and ``import scipy.sparse``
     about 0.24 s, mostly in modules no call here needs, and even ``import
     scipy`` costs about 1.2 MiB of peak RSS, so scipy's directory is found
-    without running its init. The module stays out of ``sys.modules``, so a
-    later ``import scipy.linalg`` or ``import scipy.sparse`` loads its own copy.
+    without running its init; nothing loads at import, so only spectral runs
+    map ``_flapack`` and its OpenBLAS (about 2.7 MiB). The module stays out
+    of ``sys.modules``, so a later ``import scipy.linalg`` or ``import
+    scipy.sparse`` loads its own copy. Two threads making the first call at
+    once may each load the file, which is harmless; the cache keeps one.
     """
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
@@ -97,9 +102,9 @@ def _load_scipy(subpackage: str, name: str):
     return module
 
 
-_lapack = _load_scipy("linalg", "_flapack")
+_lapack = functools.partial(_load_scipy, "linalg", "_flapack")
 # csr_matvec(rows, cols, indptr, indices, data, x, y) adds the CSR product into y, in compiled code.
-_sparsetools = _load_scipy("sparse", "_sparsetools")
+_sparsetools = functools.partial(_load_scipy, "sparse", "_sparsetools")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +258,7 @@ def interpolation_matvec(d: np.ndarray, energies: np.ndarray, shift: float = 0.0
     begin_data[:, 0] = float(w.sum()) - shift
     begin_data[:, 1:] = -w
     energies = (energies - shift).astype(np.complex128)
-    size, csr_matvec = energies.size, _sparsetools.csr_matvec
+    size, csr_matvec = energies.size, _sparsetools().csr_matvec
 
     def at(s: float, scale: float = 1.0):
         data = np.multiply(begin_data, scale * (1.0 - s))
@@ -462,25 +467,26 @@ def _ground_energy_direct(h: GridHamiltonian) -> float:
     # tol=0 lets stebz stop at a width of eps * ||H||_1, far wider than E0 if one entry of V is huge.
     tiny = 2.0 * np.finfo(float).tiny
     # Eigenvalues il=1 to iu=1 (range 2, by index), in order "E": what eigvalsh_tridiagonal(select="i") asks for.
-    _, w, _, _, info = _lapack.dstebz(h.diag, h.offdiag, 2, 0.0, 1.0, 1, 1, tiny, "E")
+    _, w, _, _, info = _lapack().dstebz(h.diag, h.offdiag, 2, 0.0, 1.0, 1, 1, tiny, "E")
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info})")
     return float(w[0])
 
 
 def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Smallest eigenvalue by shifted inverse iteration, else by bisection on the inertia of H - x.
+    """Smallest eigenvalue by inverse iteration with certified shifts, else by bisection on the inertia of H - x.
 
-    The shift sits just below the Gershgorin lower bound, and each solve
-    reuses one tridiagonal LU factorization (LAPACK gttrf/gttrs), O(N). It
-    converges at the rate (E0 - shift)/(E1 - shift), which is close to 1
-    when the gap E1 - E0 is small against the spectrum's width (a rough
-    potential). If it fails or stalls, bisection keeps E0 in (lo, hi]:
-    H - x is positive definite, i.e. E0 > x, exactly when LAPACK pttrf
-    factors it (Sylvester's law of inertia). It starts from the shift and
-    min(diag), a Rayleigh quotient and so an upper bound, and runs to
-    adjacent floats.
+    H - x is positive definite, i.e. every eigenvalue lies above x, exactly
+    when LAPACK pttrf factors it (Sylvester's law of inertia); such an x is
+    a certified shift. The first sits just below the Gershgorin bound, and
+    each solve reuses the current shift's factors (pttrs), O(N). After each
+    iterate, with Rayleigh quotient lam and residual r, some eigenvalue lies
+    within r of lam, so lam - 1.01 r is often below E0; when pttrf certifies
+    it, the shift and its factors move there. Shifts only rise toward E0,
+    never past it, so the iteration speeds up as they rise. If it fails or
+    stalls, ``_bisect_inertia`` finishes from the last certified shift.
     """
+    lapack = _lapack()
     dim = h.dim
     off = np.abs(h.offdiag)
     radii = np.zeros(dim)
@@ -490,24 +496,34 @@ def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int
     # A margin scaled by the largest diagonal entry would put the shift far below E0 under one huge V entry.
     low = float((h.diag - radii).min())
     shift = low - 1e-6 * max(1.0, abs(low), float(off.max(initial=0.0)))
-    dl, d, du, du2, ipiv, info = _lapack.dgttrf(h.offdiag, h.diag - shift, h.offdiag)
+    d, e, info = lapack.dpttrf(h.diag - shift, h.offdiag)
     if info == 0:
         v, lam_old = np.full(dim, dim**-0.5), None
         for _ in range(max_iter):
-            v, info = _lapack.dgttrs(dl, d, du, du2, ipiv, v)
+            v, info = lapack.dpttrs(d, e, v)
             if info != 0:
                 break
             v /= np.abs(v).max()  # the norm squares each entry, which underflows when |diag - shift| passes 1e154
             v /= np.linalg.norm(v)
             hv = h.matvec(v)
             lam = float(v @ hv)
-            if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-                if np.linalg.norm((hv - lam * v) / scale) <= 1e-8:  # scaled, as the squares overflow past 1e154
-                    return lam
+            residual = float(np.linalg.norm((hv - lam * v) / scale))  # scaled, as the squares overflow past 1e154
+            if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)) and residual <= 1e-8:
+                return lam
             lam_old = lam
-    lo, hi = shift, float(h.diag.min())
+            trial = lam - 1.01 * residual * scale
+            if trial > shift:
+                factors = lapack.dpttrf(h.diag - trial, h.offdiag)
+                if factors[2] == 0:
+                    shift, (d, e, _) = trial, factors
+    return _bisect_inertia(h, shift, float(h.diag.min()))  # min(diag), a Rayleigh quotient, bounds E0 above
+
+
+def _bisect_inertia(h: GridHamiltonian, lo: float, hi: float) -> float:
+    """E0 in (lo, hi], bisected to adjacent floats: pttrf factors H - mid exactly when E0 > mid."""
+    pttrf = _lapack().dpttrf
     while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
-        if _lapack.dpttrf(h.diag - mid, h.offdiag)[2] == 0:
+        if pttrf(h.diag - mid, h.offdiag)[2] == 0:
             lo = mid
         else:
             hi = mid

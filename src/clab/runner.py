@@ -266,7 +266,9 @@ def _require_finite_grid(grid: dict, hbar: float) -> None:
 
     A huge finite potential alone is accepted. The inverse route forms diag - x for x down to
     1e-6 |x| below min(diag - Gershgorin radii), up to kinetic + max V - min V + that margin;
-    the check allows ten times the margin. Numpy returns inf or NaN where floats would raise.
+    the check allows ten times the margin. Its later shifts only rise from there toward E0, and
+    every x it tries is at most a Rayleigh quotient, below max(diag + radii), so no later entry
+    is larger. Numpy returns inf or NaN where floats would raise.
     """
     dx = grid["box_length"] / (grid["grid_points"] + 1)
     potential = grid["potential"]
@@ -584,8 +586,11 @@ def run(config: dict) -> ResultRecord:
 # ---------------------------------------------------------------------------
 
 def record_to_json(record: ResultRecord) -> str:
-    """The same bytes as dumping ``dataclasses.asdict(record)``, without its deep copy of every field."""
-    return json.dumps(vars(record), indent=2, sort_keys=True) + "\n"
+    """One line, the same bytes as dumping ``dataclasses.asdict(record)``, without its deep copy of every field.
+
+    Without ``indent``, ``json.dumps`` runs the C encoder.
+    """
+    return json.dumps(vars(record), sort_keys=True) + "\n"
 
 
 def _write_csv(rows: list[dict], path: Path) -> None:

@@ -39,30 +39,84 @@ def test_cli_import_leaves_out_scipy_linalg_and_network_modules():
         "assert not loaded, loaded\n"
         "assert not [m for m in sys.modules if m.endswith('_flapack')]\n"
         "import scipy.linalg\n"
-        "assert scipy.linalg._flapack is not clab.reduction._lapack\n"
+        "assert scipy.linalg._flapack is not clab.reduction._lapack()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(clab.__file__).resolve().parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_import_loads_scipy_modules_without_their_packages():
-    """reduction loads scipy's LAPACK and sparse-kernel modules from their files.
+def test_reduction_loads_scipy_modules_on_first_use_without_their_packages():
+    """reduction loads scipy's LAPACK and sparse-kernel modules from their files, each on its first use.
 
-    None of scipy's, scipy.linalg's or scipy.sparse's package inits runs,
-    which keeps the CLI's start-up cost down; a later ``import scipy.sparse``
-    loads its own copy of the kernels.
+    After ``import clab.cli`` neither is loaded. None of scipy's, scipy.linalg's or
+    scipy.sparse's package inits runs, which keeps the CLI's start-up cost down;
+    a later ``import scipy.sparse`` loads its own copy of the kernels.
     """
     code = (
         "import sys, clab.cli\n"
         "from clab import reduction\n"
+        "assert reduction._load_scipy.cache_info().currsize == 0\n"
+        "assert reduction._sparsetools() is reduction._sparsetools() and callable(reduction._sparsetools().csr_matvec)\n"
+        "assert callable(reduction._lapack().dstebz)\n"
         "loaded = [m for m in ('scipy', 'scipy.linalg', 'scipy.sparse') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "assert callable(reduction._lapack.dstebz) and callable(reduction._sparsetools.csr_matvec)\n"
-        "assert not [m for m in sys.modules if m.endswith('_sparsetools')]\n"
+        "assert not [m for m in sys.modules if m.endswith(('_sparsetools', '_flapack'))]\n"
         "import scipy.sparse\n"
-        "assert scipy.sparse._sparsetools is not reduction._sparsetools\n"
+        "assert scipy.sparse._sparsetools is not reduction._sparsetools()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(clab.__file__).resolve().parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+LAZY_LOAD_SCRIPT = """
+import importlib.util, json, os, sys
+import clab.cli
+from clab import reduction
+
+loaded = reduction._load_scipy.cache_info
+assert loaded().currsize == 0, "import clab.cli loaded a scipy module"
+scipy_root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+
+def scipy_mappings():
+    # scipy's own OpenBLAS sits in scipy.libs (wheels) or inside scipy; numpy's lives in numpy.libs.
+    if not sys.platform.startswith("linux"):
+        return []
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "/" in line}
+    return sorted(p for p in paths if p.startswith((scipy_root + os.sep, scipy_root + ".libs" + os.sep)))
+
+def run(experiment, params):
+    path = os.path.join(sys.argv[1], experiment + ".json")
+    with open(path, "w") as fh:
+        json.dump({"params": params}, fh)
+    assert clab.cli.main([experiment, "--config", path, "--out", sys.argv[1]]) == 0
+
+run("decohere", {"K": 4, "energy_scale": 1.0, "tau": 1.0, "trials": 2})
+assert loaded().currsize == 0, "a decohere run loaded a scipy module"
+run("adiabatic", {"instance_path": sys.argv[2], "schedule": {"T_min": 1.0, "doublings": 7, "target": 0.9}})
+assert loaded().currsize == 1
+reduction._sparsetools()
+assert loaded().currsize == 1, "a module other than _sparsetools was loaded"
+mapped = scipy_mappings()
+assert not [p for p in mapped if "openblas" in os.path.basename(p) or "_flapack" in p], mapped
+run("spectral", {"grid": {"grid_points": 64, "box_length": 1.0, "mass": 1.0,
+                          "potential": {"kind": "harmonic", "omega": 1.0}}, "E_B": 10.0})
+assert loaded().currsize == 2
+reduction._lapack()
+assert loaded().currsize == 2, "the spectral run did not load _flapack"
+assert not sys.platform.startswith("linux") or [p for p in scipy_mappings() if "_flapack" in p]
+assert "scipy" not in sys.modules
+"""
+
+
+def test_decohere_and_adiabatic_runs_never_load_lapack(tmp_path):
+    """Only a spectral run loads scipy's LAPACK module and the OpenBLAS it links (about 2.7 MiB)."""
+    instance = Path(__file__).resolve().parents[1] / "instances" / "ec_n3_single.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(clab.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_LOAD_SCRIPT, str(tmp_path), str(instance)],
+        env=env, capture_output=True, text=True,
+    )
     assert result.returncode == 0, result.stderr

@@ -102,10 +102,21 @@ def harmonic_instance(grid_points=512, box_length=20.0, mass=1.0, omega=1.0, thr
     )
 
 
-def count_pttrf_calls(monkeypatch) -> list:
-    """Record every LAPACK pttrf call; each is one step of the inverse path's inertia bisection."""
-    calls, pttrf = [], reduction._lapack.dpttrf
-    monkeypatch.setattr(reduction._lapack, "dpttrf", lambda d, e: calls.append(d) or pttrf(d, e))
+def spy_bisection(monkeypatch) -> list:
+    """Record the (lo, hi) bracket of every inertia bisection the inverse route falls back to.
+
+    The certified-shift iteration calls pttrf too, so a pttrf call alone does not show that the
+    bisection ran.
+    """
+    calls, bisect = [], reduction._bisect_inertia
+    monkeypatch.setattr(reduction, "_bisect_inertia", lambda h, lo, hi: calls.append((lo, hi)) or bisect(h, lo, hi))
+    return calls
+
+
+def count_solves(monkeypatch) -> list:
+    """Record every LAPACK pttrs call, one per inverse-iteration step."""
+    calls, pttrs = [], reduction._lapack().dpttrs
+    monkeypatch.setattr(reduction._lapack(), "dpttrs", lambda d, e, b: calls.append(b) or pttrs(d, e, b))
     return calls
 
 
@@ -450,8 +461,9 @@ class TestGridHamiltonian:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points,box_length,seed", [(257, 10.0, 257), (4096, 30.0, 2), (4096, 100.0, 1)])
     def test_inverse_converges_on_rough_potential(self, monkeypatch, grid_points, box_length, seed):
-        # An iid potential leaves a gap E1 - E0 far below the spectrum's width, where the Gershgorin shift
-        # stalls and the inertia bisection finishes the solve.
+        # An iid potential leaves a gap E1 - E0 far below the spectrum's width, where a fixed Gershgorin
+        # shift stalls; the certified shifts rise toward E0 and the iteration converges. Cut to one step,
+        # the iteration leaves E0 to the inertia bisection, which starts from the last certified shift.
         rng = np.random.default_rng(seed)
         inst = SpectralDecisionInstance(
             grid_points=grid_points,
@@ -461,10 +473,22 @@ class TestGridHamiltonian:
             threshold=0.0,
         )
         h, _ = reduce_energy_decision(inst)
-        calls = count_pttrf_calls(monkeypatch)
+        bisections = spy_bisection(monkeypatch)
         direct = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0]
         assert abs(ground_energy(h, method="inverse") - direct) <= 1e-9 * max(1.0, abs(direct))
-        assert calls, "the Gershgorin-shift iteration converged; the case no longer reaches the bisection"
+        assert not bisections
+        assert abs(reduction._ground_energy_inverse(h, max_iter=1) - direct) <= 1e-9 * max(1.0, abs(direct))
+        (lo, hi), = bisections
+        assert lo < direct <= hi == h.diag.min()
+
+    @pytest.mark.filterwarnings("error")
+    def test_certified_shifts_cut_the_solves(self, monkeypatch):
+        # A fixed Gershgorin shift took 10 solves on this grid.
+        solves, bisections = count_solves(monkeypatch), spy_bisection(monkeypatch)
+        h, _ = reduce_energy_decision(harmonic_instance(grid_points=512))
+        direct = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0]
+        assert abs(ground_energy(h, method="inverse") - direct) <= 1e-12
+        assert len(solves) <= 6 and not bisections
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points", [8, 64, 512, 4096])
@@ -593,6 +617,12 @@ class TestDirectLapack:
     def test_one_point_returns_the_entry(self, method):
         assert ground_energy(GridHamiltonian(diag=np.array([2.5]), offdiag=np.empty(0)), method) == 2.5
 
+    @pytest.mark.parametrize("method", ["dense", "inverse"])
+    def test_two_points(self, method):
+        # E0 of [[1, -1], [-1, 2]] is (3 - sqrt 5) / 2. The LU route's gttrf raised a ValueError on two points.
+        h = GridHamiltonian(diag=np.array([1.0, 2.0]), offdiag=np.array([-1.0]))
+        assert abs(ground_energy(h, method) - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-15
+
     @pytest.mark.filterwarnings("error")  # the check must come before any arithmetic on the entries
     @pytest.mark.parametrize("method", ["dense", "inverse"])
     @pytest.mark.parametrize("where", ["diag", "offdiag"])
@@ -617,29 +647,36 @@ class TestDirectLapack:
             ground_energy(h)
 
     def test_stebz_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(reduction._lapack, "dstebz", lambda *args: (0, np.zeros(3), None, None, 4))
+        monkeypatch.setattr(reduction._lapack(), "dstebz", lambda *args: (0, np.zeros(3), None, None, 4))
         with pytest.raises(np.linalg.LinAlgError, match="info=4"):
             ground_energy(self.random_grid(np.random.default_rng(0), 3))
 
     @pytest.mark.filterwarnings("error")
     def test_singular_factorization_leaves_it_to_the_bisection(self, monkeypatch):
-        # A faked info = 1 (a zero pivot) from the shifted LU must skip the iteration, not return garbage.
-        gttrf = reduction._lapack.dgttrf
-        monkeypatch.setattr(reduction._lapack, "dgttrf", lambda *args: (*gttrf(*args)[:-1], 1))
-        calls = count_pttrf_calls(monkeypatch)
+        # A faked info = 1 (a zero pivot) from the first shift's pttrf must skip the iteration, not return
+        # garbage; the bisection's own pttrf calls go through.
+        pttrf, factored = reduction._lapack().dpttrf, []
+
+        def first_fails(d, e):
+            factored.append(d)
+            *factors, info = pttrf(d, e)
+            return (*factors, 1 if len(factored) == 1 else info)
+
+        monkeypatch.setattr(reduction._lapack(), "dpttrf", first_fails)
+        solves, bisections = count_solves(monkeypatch), spy_bisection(monkeypatch)
         h = self.random_grid(np.random.default_rng(3), 40)
         exact = np.linalg.eigvalsh(h.dense())[0]
         assert abs(ground_energy(h, "inverse") - exact) <= 1e-12 * max(1.0, abs(exact))
-        assert calls
+        assert not solves and len(bisections) == 1
 
     @pytest.mark.filterwarnings("error")
     def test_solve_failure_leaves_it_to_the_bisection(self, monkeypatch):
         # The faked solve returns an exact eigenvector, so only its info = -6 can stop the iteration.
-        monkeypatch.setattr(reduction._lapack, "dgttrs", lambda *args: (np.array([1.0, 0.0, 0.0]), -6))
-        calls = count_pttrf_calls(monkeypatch)
+        monkeypatch.setattr(reduction._lapack(), "dpttrs", lambda *args: (np.array([1.0, 0.0, 0.0]), -6))
+        bisections = spy_bisection(monkeypatch)
         h = GridHamiltonian(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.zeros(2))
         assert ground_energy(h, "inverse") == 1.0
-        assert calls
+        assert len(bisections) == 1
 
 
 class TestDecision:
