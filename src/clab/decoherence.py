@@ -16,9 +16,10 @@ Averaging over randomly drawn detectors realizes that limit numerically.
 Each cos^2 term is ``qcore.cos_squared`` of its half angle, in the closed
 form and in the sweep alike; the sweep is ``montecarlo.cos_squared_sweep``,
 the loop of the stochastic route, on chunks of detectors drawn as arrays.
-A detector's amplitudes are normalised complex normals, each drawn from one
-Box-Muller pair: a modulus uniform and a phase uniform. The weights |a_k|^2
-depend on the moduli alone, so the sweep draws those and never the phases.
+A detector's weights |a_k|^2 are Exp(1) draws over their sum, the squared
+moduli of normalised complex normals, and its amplitudes add a uniform
+phase each. The law needs the weights alone, so the sweep draws only those,
+through the same ``_draw_detectors`` as ``sample_random_detector``.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import (
-    MonteCarloEstimate, UniformInterval, complex_normal, cos_squared_sweep, derive_seed, require_tau, sample_uniform,
-    standard_exponential,
+    MonteCarloEstimate, UniformInterval, cos_squared_sweep, derive_seed, require_tau, sample_uniform,
+    standard_exponential, uniform01,
 )
 from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, cos_squared
 
@@ -142,18 +143,14 @@ def prob_full_propagation(d: DetectorModel, tau: float, c: PhysicalConstants = N
 def sample_random_detector(K: int, energy_scale: float, seed: int) -> DetectorModel:
     """Random detector: sphere-uniform amplitudes, uniform branch energies.
 
-    Amplitudes come from normalized ``complex_normal`` draws (uniform on the
-    unit sphere); A_k and B_k are independent uniform on [0, energy_scale].
+    The weights w_k and the energies are ``_draw_detectors``' for the seed,
+    and a_k = sqrt(w_k) exp(2 pi i v_k) with uniform v_k.
     """
     _require_detector_args(K, energy_scale)
     seed = int(seed) % (1 << 64)
-    a = complex_normal(derive_seed(seed, "amplitude"), np.arange(K, dtype=np.uint64))
-    v = a.view(np.float64)
-    nrm = math.sqrt(np.sum(v * v))
-    if nrm == 0.0:  # every modulus draw was 0: astronomically unlikely, but the draw must stay total
-        a[0], nrm = 1.0, 1.0
-    v /= nrm
-    return DetectorModel(a, *_draw_energies(K, energy_scale, seed))
+    weights, e0, e1 = _draw_detectors(K, energy_scale, np.array([[seed]], dtype=np.uint64))
+    v = uniform01(derive_seed(derive_seed(seed, "amplitude"), "phase"), np.arange(K, dtype=np.uint64))
+    return DetectorModel(np.sqrt(weights[0]) * np.exp(2j * np.pi * v), e0[0], e1[0])
 
 
 def _require_detector_args(K: int, energy_scale: float) -> None:
@@ -163,11 +160,25 @@ def _require_detector_args(K: int, energy_scale: float) -> None:
         raise ValueError(f"energy_scale must be positive, got {energy_scale}")
 
 
-def _draw_energies(K: int, energy_scale: float, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Branch energies A and B of the detector of each seed: an int, or a (trials, 1) uint64 column."""
-    interval = UniformInterval(0.0, energy_scale)
+def _draw_detectors(K: int, energy_scale: float, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights |a_k|^2 and energies A_k, B_k, each (trials, K), of each seed's detector in a (trials, 1) uint64 column.
+
+    The weights are Exp(1) draws over their row sum, checked as in ``DetectorModel``; a row of zeros
+    keeps its first configuration, so the draw is total. The energies are uniform on [0, energy_scale].
+    """
     idx = np.arange(K, dtype=np.uint64)
-    return tuple(sample_uniform(interval, derive_seed(seeds, salt), idx) for salt in ("energy_0", "energy_1"))
+    weights = standard_exponential(derive_seed(seeds, "amplitude"), idx)
+    totals = np.sum(weights, axis=1)  # a sum along the contiguous axis rounds a row alike at any batch size
+    zero = totals == 0.0  # astronomically unlikely, but the draw must stay total
+    weights[zero, 0] = totals[zero] = 1.0
+    weights /= totals[:, None]
+    totals = np.sum(weights, axis=1)
+    bad = ~(np.abs(totals - 1.0) <= 1e-10)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"configuration amplitudes must satisfy sum |a_k|^2 = 1, got {totals[bad][0]!r}")
+    interval = UniformInterval(0.0, energy_scale)
+    e0, e1 = (sample_uniform(interval, derive_seed(seeds, salt), idx) for salt in ("energy_0", "energy_1"))
+    return weights, e0, e1
 
 
 def decohered_probability_sweep(
@@ -181,28 +192,17 @@ def decohered_probability_sweep(
     """``decohered_probability`` for every tau in ``taus``, on one set of detectors.
 
     Trial i's detector is ``sample_random_detector(K, energy_scale,
-    derive_seed(seed, "detector", i))``: the same energies, and weights
-    |a_k|^2 from the same modulus draws, normalised without the phases, so
-    they round apart by ulps. Every tau is evaluated on each chunk of
-    detectors, so each estimate equals the single-tau call bit for bit.
+    derive_seed(seed, "detector", i))``, drawn without its phases. Every
+    tau is evaluated on each chunk of detectors, so each estimate equals
+    the single-tau call bit for bit.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _require_detector_args(K, energy_scale)
 
-    def draw(lo, hi):  # weights |a_k|^2 and gaps A_k - B_k, with the normalisation check of DetectorModel
+    def draw(lo, hi):  # weights |a_k|^2 and gaps A_k - B_k
         seeds = derive_seed(seed, "detector", np.arange(lo, hi, dtype=np.uint64))[:, None]
-        # |a_k|^2 / 2 of sample_random_detector's unnormalised draw, without its phases.
-        weights = standard_exponential(derive_seed(seeds, "amplitude"), np.arange(K, dtype=np.uint64))
-        totals = np.sum(weights, axis=1)  # a sum along the contiguous axis rounds a row alike at any batch size
-        zero = totals == 0.0  # the all-zero draw of sample_random_detector, which keeps the first configuration
-        weights[zero, 0] = totals[zero] = 1.0
-        weights /= totals[:, None]
-        totals = np.sum(weights, axis=1)
-        bad = ~(np.abs(totals - 1.0) <= 1e-10)  # NaN fails too
-        if bad.any():
-            raise ValueError(f"configuration amplitudes must satisfy sum |a_k|^2 = 1, got {totals[bad][0]!r}")
-        e0, e1 = _draw_energies(K, energy_scale, seeds)
+        weights, e0, e1 = _draw_detectors(K, energy_scale, seeds)
         return weights, np.subtract(e0, e1, out=e0)
 
     return cos_squared_sweep(draw, trials, K, taus, c.hbar)

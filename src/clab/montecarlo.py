@@ -6,7 +6,7 @@ parallel, or in chunks with bit-identical results. Draw i of a seed is
 splitmix64's output i (Steele, Lea & Flood, OOPSLA 2014), one finalizer
 round, vectorized over index arrays and over seed arrays: a ``(trials, 1)``
 column of trial seeds against a ``(1, K)`` row of indices draws every trial
-in one call. A complex normal is one Box-Muller pair of uniforms.
+in one call.
 
 ``cos_squared_sweep``, the sweep loop of both measurement routes, evaluates
 every tau on chunks of trials and merges the chunks' moments by the pairwise
@@ -28,7 +28,6 @@ __all__ = [
     "uniform01",
     "sample_uniform",
     "standard_exponential",
-    "complex_normal",
     "mc_mean",
     "mc_estimate",
     "cos_squared_sweep",
@@ -137,23 +136,12 @@ def sample_uniform(interval: UniformInterval, seed, index) -> np.ndarray | float
 def standard_exponential(seed, index) -> np.ndarray | float:
     """Exp(1) draw(s) -ln(1 - u) on the uniforms u of ``uniform01(seed, index)``.
 
-    That is |a|^2 / 2 for the ``complex_normal(seed, index)`` draw a, so its
-    modulus can be drawn without its phase. 1 - u is exact and never 0.
+    That is |a|^2 / 2 of a complex normal a with iid N(0, 1) parts, drawn
+    without its phase. 1 - u is exact and never 0.
     """
     e = np.asarray(uniform01(seed, index))  # a fresh array (0-d for a scalar) that the passes below overwrite
     np.negative(np.log(np.subtract(1.0, e, out=e), out=e), out=e)
     return e if e.ndim else float(e)
-
-
-def complex_normal(seed, index) -> np.ndarray | complex:
-    """Complex draw(s) whose real and imaginary parts are iid N(0, 1): one Box-Muller pair per index.
-
-    a = sqrt(2 e) exp(2 pi i v), with e = ``standard_exponential(seed, index)``
-    and v = ``uniform01(derive_seed(seed, "phase"), index)``.
-    """
-    r = np.sqrt(2.0 * np.asarray(standard_exponential(seed, index)))
-    a = r * np.exp(2j * np.pi * np.asarray(uniform01(derive_seed(seed, "phase"), index)))
-    return a if a.ndim else complex(a)
 
 
 @dataclass(frozen=True)

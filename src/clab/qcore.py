@@ -32,8 +32,6 @@ HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 # Chebyshev series of a step's exponential end after the last Bessel coefficient above this.
 CHEBYSHEV_CUTOFF = 1e-17
-# Rows of the block that holds a series' terms before one product sums them; bounds its memory.
-CHEBYSHEV_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -214,37 +212,24 @@ def _chebyshev_apply(
 ) -> np.ndarray:
     """sum_k coeffs[k] T_k(A) amps, where ``matvec(v, out)`` adds 2 A v into ``out``; one matvec per k >= 1.
 
-    The terms T_k(A) amps are written into the rows of ``block`` (``rows``
-    lists their views, ``reals`` their float64 views) by T_k = 2 A T_{k-1}
-    - T_{k-2}: each row starts as -T_{k-2}, and the matvec adds the rest.
-    The negation runs on the float64 views: numpy 2.4 negates float64 with
-    SIMD but complex128 in a scalar loop (0.46 against 0.99 us for 256
-    entries on 2 shared Xeon vCPUs). One product with the matching
-    ``coeffs`` sums each filled block. A block that fills before the series
-    ends keeps its last two terms as its first two rows, so the block's
-    fixed row count bounds the memory at any series length. The result is
-    a new array.
+    The terms T_k(A) amps are written into the rows of ``block``, one row
+    per coefficient (``rows`` lists their views, ``reals`` their float64
+    views), by T_k = 2 A T_{k-1} - T_{k-2}: each row starts as -T_{k-2},
+    and the matvec adds the rest. The negation runs on the float64 views:
+    numpy 2.4 negates float64 with SIMD but complex128 in a scalar loop
+    (0.46 against 0.99 us for 256 entries on 2 shared Xeon vCPUs). One
+    product with ``coeffs`` sums the block. The result is a new array.
     """
-    size, negative = len(rows), np.negative
     np.copyto(rows[0], amps)
     if coeffs.size > 1:
         rows[1].fill(0.0)
         matvec(amps, rows[1])
         rows[1] *= 0.5
-    stop = min(coeffs.size, size)
-    for older_real, prev, row, row_real in zip(reals, rows[1:], rows[2:stop], reals[2:stop]):
+    negative = np.negative
+    for older_real, prev, row, row_real in zip(reals, rows[1:], rows[2:], reals[2:]):
         negative(older_real, row_real)
         matvec(prev, row)
-    acc = coeffs[:stop] @ block[:stop]
-    while stop < coeffs.size:
-        block[:2] = block[-2:]
-        fill = min(coeffs.size - stop, size - 2) + 2
-        for older_real, prev, row, row_real in zip(reals, rows[1:], rows[2:fill], reals[2:fill]):
-            negative(older_real, row_real)
-            matvec(prev, row)
-        acc += coeffs[stop : stop + fill - 2] @ block[2:fill]
-        stop += fill - 2
-    return acc
+    return coeffs @ block
 
 
 def integrate_tdse(
@@ -268,8 +253,8 @@ def integrate_tdse(
     (1984), in H / spectral_bound with Bessel coefficients J_k(dt
     spectral_bound / (2 hbar)) computed once per call, and it costs about
     that argument plus O(log) matvecs. The series' terms fill a
-    preallocated block of at most CHEBYSHEV_BLOCK rows, and one product
-    with the coefficients sums them.
+    preallocated block of one row per term, terms x dim complex entries,
+    and one product with the coefficients sums them.
 
     ``truncation`` is the budget, in the state's 2-norm, for the terms the
     series leave out. Each series drops a Bessel tail of at most
@@ -304,7 +289,7 @@ def integrate_tdse(
     k = np.arange(j.size)
     coeffs = np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(dt)) ** k * j
     scale = 2.0 / spectral_bound if spectral_bound else 0.0
-    block = np.empty((min(coeffs.size, CHEBYSHEV_BLOCK), psi0.dim), dtype=np.complex128)
+    block = np.empty((coeffs.size, psi0.dim), dtype=np.complex128)
     rows, reals = list(block), list(block.view(np.float64))  # indexing a list of views is cheaper than the block
     amps = psi0.amps
     for step in range(steps):
@@ -321,8 +306,8 @@ def cos_squared(half, out=None) -> np.ndarray:
     in-place passes; it is within 1e-15 of ``np.cos(half) ** 2`` and each
     result depends on its own element alone. No finite input warns: |tan|
     stays below about 2e18 on doubles, so its square cannot overflow. NaN
-    and inf give NaN, and inf raises the same floating-point error as in
-    ``np.cos``, under the caller's ``np.errstate``.
+    and inf give NaN; inf raises the invalid-value error of ``np.tan``
+    under the caller's ``np.errstate``.
 
     The identity is for speed: numpy 2.4.6 dispatches float64 tan to SIMD
     (AVX-512 where the CPU has it) but evaluates cos with the scalar libm. On 2 shared Xeon
@@ -335,12 +320,8 @@ def cos_squared(half, out=None) -> np.ndarray:
         out = np.empty(h.shape)
     elif out.shape != h.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {h.shape}")
-    flagged = []
-    with np.errstate(invalid="call", call=lambda *_: flagged.append(True)):
-        np.tan(h, out=out)  # flags invalid at +-inf only, where np.cos does too; ``h`` may be gone after this
+    np.tan(h, out=out)  # ``h`` may be gone after this
     np.square(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
-    if flagged:
-        np.cos(np.inf)  # numpy's own invalid-value report for cos, warning or error as the caller's errstate says
     return out

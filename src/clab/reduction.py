@@ -485,6 +485,10 @@ def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int
     it, the shift and its factors move there. Shifts only rise toward E0,
     never past it, so the iteration speeds up as they rise. If it fails or
     stalls, ``_bisect_inertia`` finishes from the last certified shift.
+
+    The start s / sqrt(N), s_0 = 1 and s_{i+1} = -s_i where the coupling
+    e_i > 0, else s_i, has the ground state's signs (diag(s) H diag(s) has
+    couplings <= 0), so it is never orthogonal to it; on the grid, s = 1.
     """
     lapack = _lapack()
     dim = h.dim
@@ -498,7 +502,8 @@ def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int
     shift = low - 1e-6 * max(1.0, abs(low), float(off.max(initial=0.0)))
     d, e, info = lapack.dpttrf(h.diag - shift, h.offdiag)
     if info == 0:
-        v, lam_old = np.full(dim, dim**-0.5), None
+        signs = np.cumprod(np.where(h.offdiag > 0.0, -1.0, 1.0))
+        v, lam_old = np.concatenate(([1.0], signs)) * dim**-0.5, None
         for _ in range(max_iter):
             v, info = lapack.dpttrs(d, e, v)
             if info != 0:

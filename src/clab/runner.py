@@ -63,13 +63,16 @@ EXPERIMENTS = ("decohere", "stochastic", "compare", "adiabatic", "spectral")
 EMIT_FORMATS = ("json", "csv", "svg")
 
 # Limits on one sweep's Monte Carlo draws (K * trials or n) and cos^2 evaluations (draws times taus),
-# checked before any work; at the draw limit a decohere run with K = 10^7 peaks near 800 MiB RSS.
+# checked before any work. At the draw limit a decohere run with K = 10^7, trials = 1 and one tau
+# peaks at 412 MiB maxrss and takes 1.1-1.5 s (CLI process, 2 shared vCPUs).
 MAX_DRAWS = 10_000_000
 MAX_EVALUATIONS = 10**9
 
-# Limit on the grid operator's kinetic term hbar^2 / (m dx^2): LAPACK's tridiagonal
-# eigensolver stops converging once the off-diagonal passes about 1.3e154, sqrt(float max).
+# Limits on the grid operator's kinetic term hbar^2 / (m dx^2). LAPACK's tridiagonal eigensolver
+# stops converging once the off-diagonal passes about 1.3e154, sqrt(float max), and below about
+# 1e-154 the squared off-diagonals it works on underflow, which splits the operator into 1x1 blocks.
 MAX_KINETIC = 1e150
+MIN_KINETIC = 1e-150
 
 
 class ConfigError(ValueError):
@@ -262,13 +265,14 @@ def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
 
 
 def _require_finite_grid(grid: dict, hbar: float) -> None:
-    """Reject a grid whose kinetic term hbar^2/(m dx^2) exceeds MAX_KINETIC or whose solvers would overflow.
+    """Reject a grid whose kinetic term hbar^2/(m dx^2) is out of [MIN_KINETIC, MAX_KINETIC] or whose solvers overflow.
 
     A huge finite potential alone is accepted. The inverse route forms diag - x for x down to
     1e-6 |x| below min(diag - Gershgorin radii), up to kinetic + max V - min V + that margin;
     the check allows ten times the margin. Its later shifts only rise from there toward E0, and
     every x it tries is at most a Rayleigh quotient, below max(diag + radii), so no later entry
-    is larger. Numpy returns inf or NaN where floats would raise.
+    is larger. Numpy returns inf or NaN where floats would raise. A potential that overflows is
+    named before a kinetic term below MIN_KINETIC, which the same huge box also gives.
     """
     dx = grid["box_length"] / (grid["grid_points"] + 1)
     potential = grid["potential"]
@@ -282,15 +286,14 @@ def _require_finite_grid(grid: dict, hbar: float) -> None:
             peak = max(map(abs, values), default=0.0)
             spread = max(values, default=0.0) - min(values, default=0.0)
         formed = kinetic + spread + 1e-5 * (kinetic + peak)
+    inputs = f"for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}"
     if not kinetic <= MAX_KINETIC:  # also rejects inf and NaN
-        raise ConfigError(
-            "params.grid.box_length",
-            f"kinetic term {kinetic:g} exceeds {MAX_KINETIC:g} "
-            f"for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}",
-        )
+        raise ConfigError("params.grid.box_length", f"kinetic term {kinetic:g} exceeds {MAX_KINETIC:g} {inputs}")
     if not np.isfinite(formed):
         field = "omega" if potential["kind"] == "harmonic" else "values"
         raise ConfigError(f"params.grid.potential.{field}", f"potential peak {peak:g} or spread {spread:g} overflows")
+    if kinetic < MIN_KINETIC:
+        raise ConfigError("params.grid.box_length", f"kinetic term {kinetic:g} is below {MIN_KINETIC:g} {inputs}")
 
 
 def validate_config(raw: dict) -> dict:

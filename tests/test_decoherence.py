@@ -199,15 +199,38 @@ class TestSampleRandomDetector:
         np.testing.assert_array_equal(d1.energies_1, d2.energies_1)
 
     def test_all_zero_draw_falls_back_to_first_configuration(self, monkeypatch):
-        def zeros(dtype):
-            return lambda seed, idx: np.zeros(np.broadcast(seed, idx).shape, dtype=dtype)
+        def zeros(seed, idx):
+            return np.zeros(np.broadcast(seed, idx).shape)
 
-        monkeypatch.setattr(decoherence, "complex_normal", zeros(np.complex128))
-        np.testing.assert_array_equal(sample_random_detector(4, 1.0, seed=0).a, [1.0, 0.0, 0.0, 0.0])
-        # The sweep reads the same all-zero moduli and keeps the same first configuration.
-        monkeypatch.setattr(decoherence, "standard_exponential", zeros(np.float64))
+        # One patch covers both paths: the detector and the sweep draw their moduli alike.
+        monkeypatch.setattr(decoherence, "standard_exponential", zeros)
+        np.testing.assert_array_equal(np.abs(sample_random_detector(4, 1.0, seed=0).a) ** 2, [1.0, 0.0, 0.0, 0.0])
         sweep = decohered_probability_sweep(4, 1.0, TAUS, seed=0, trials=3)
         assert [(e.mean, e.stderr) for e in sweep] == scalar_sweep(4, 1.0, TAUS, PhysicalConstants(), 0, 3)
+
+    def test_weights_are_the_normalised_exponential_draws(self):
+        d = sample_random_detector(1000, 1.0, seed=5)
+        e = montecarlo.standard_exponential(derive_seed(5, "amplitude"), np.arange(1000, dtype=np.uint64))
+        np.testing.assert_allclose(np.abs(d.a) ** 2, e / e.sum(), rtol=1e-14)
+
+    def test_amplitude_moments(self):
+        # Sphere-uniform amplitudes: sqrt(K) a_k is close to a complex normal with E|z|^2 = 1 at large K.
+        K = 1_000_000
+        z = math.sqrt(K) * sample_random_detector(K, 1.0, seed=99).a
+        re, im = z.real, z.imag
+        for part in (re, im):
+            assert abs(part.mean()) <= 4.0 * math.sqrt(0.5 / K)
+            assert abs(part.var() - 0.5) <= 4.0 * 0.5 * math.sqrt(2.0 / K)
+        assert abs(np.corrcoef(re, im)[0, 1]) <= 4.0 / math.sqrt(K)
+        # K |a_k|^2 has mean 1 exactly and variance (K - 1) / (K + 1), about Exp(1)'s (whose fourth moment is 9).
+        w = np.abs(z) ** 2
+        assert w.mean() == pytest.approx(1.0, abs=1e-12)
+        assert abs(w.var() - (K - 1) / (K + 1)) <= 4.0 * math.sqrt(8.0 / K)
+        # Uniform phases: the first two circular moments vanish, and the phase is independent of the modulus.
+        phase = z / np.abs(z)
+        for m in (1, 2):
+            assert abs(np.mean(phase**m)) <= 4.0 / math.sqrt(K)
+        assert abs(np.corrcoef(w, phase.real)[0, 1]) <= 4.0 / math.sqrt(K)
 
     @pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64 + 5, 5)])
     def test_seed_taken_modulo_2_to_the_64(self, seed, same):
@@ -264,8 +287,8 @@ class TestDecoheredProbabilitySweep:
         [(trials, K) for K in (1, 8, 1000) for trials in (1, 2, 100)] + [(1, 10_000), (2, 10_000), (7, 10_000), (4096, 1)],
     )
     def test_matches_scalar_oracle_within_1e_15(self, K, trials):
-        # The sweep's weights e_k / sum_j e_j and the oracle's |a_k|^2 of its normalised amplitudes
-        # come from the same modulus draws e_k but round apart; several chunks also merge by Chan's update.
+        # The oracle's |a_k|^2, with a_k = sqrt(w_k) exp(2 pi i v_k), rounds apart from the sweep's weights w_k
+        # by ulps; several chunks also merge by Chan's update.
         c = PhysicalConstants(hbar=0.7)
         sweep = decohered_probability_sweep(K, 40.0, TAUS, c, seed=2**64 - 1, trials=trials)
         expected = scalar_sweep(K, 40.0, TAUS, c, 2**64 - 1, trials)

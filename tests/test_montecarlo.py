@@ -9,7 +9,6 @@ from clab.montecarlo import (
     SWEEP_CHUNK,
     UniformInterval,
     _key,
-    complex_normal,
     cos_squared_sweep,
     derive_seed,
     mc_estimate,
@@ -89,25 +88,9 @@ class TestUniformDraws:
         assert abs(np.corrcoef(draws[:-1], draws[1:])[0, 1]) <= 4.0 / math.sqrt(n)
 
 
-class TestComplexNormal:
-    def test_moments(self):
-        n = 1_000_000
-        a = complex_normal(99, np.arange(n))
-        re, im = a.real, a.imag
-        for part in (re, im):
-            assert abs(part.mean()) <= 4.0 / math.sqrt(n)
-            assert abs(part.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
-        assert abs(np.corrcoef(re, im)[0, 1]) <= 4.0 / math.sqrt(n)
-        # |a|^2 = 2 e with e ~ Exp(1), so its variance is 4.
-        assert abs(np.mean(np.abs(a) ** 2) - 2.0) <= 4.0 * 2.0 / math.sqrt(n)
-
-    def test_modulus_is_the_exponential_draw(self):
-        idx = np.arange(1000, dtype=np.uint64)
-        np.testing.assert_allclose(np.abs(complex_normal(5, idx)) ** 2, 2.0 * standard_exponential(5, idx), rtol=1e-14)
-
+class TestStandardExponential:
     def test_deterministic_and_scalar_equals_array(self):
-        assert complex_normal(4, 17) == complex_normal(4, 17)
-        assert complex_normal(4, 17) == complex_normal(4, np.arange(18))[17]
+        assert standard_exponential(4, 17) == standard_exponential(4, 17)
         assert standard_exponential(4, 17) == standard_exponential(4, np.arange(18))[17]
 
 
@@ -150,10 +133,9 @@ class TestArraySeeds:
         [
             uniform01,
             standard_exponential,
-            complex_normal,
             lambda seed, idx: sample_uniform(UniformInterval(-2.0, 3.0), seed, idx),
         ],
-        ids=["uniform01", "standard_exponential", "complex_normal", "sample_uniform"],
+        ids=["uniform01", "standard_exponential", "sample_uniform"],
     )
     def test_seed_column_broadcasts_against_index_row(self, draw):
         idx = np.arange(37, dtype=np.uint64)

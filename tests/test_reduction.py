@@ -491,6 +491,18 @@ class TestGridHamiltonian:
         assert len(solves) <= 6 and not bisections
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("signs", ["positive", "mixed"])
+    def test_inverse_finds_the_ground_state_under_positive_couplings(self, signs):
+        # With equal positive couplings and even N the ground state alternates in sign, orthogonal to the
+        # uniform vector, from which the iteration converged to an excited state (-0.19767 here).
+        offdiag = np.full(63, 0.25)
+        if signs == "mixed":
+            offdiag *= np.random.default_rng(64).choice([-1.0, 1.0], 63)
+        h = GridHamiltonian(diag=np.full(64, 0.3), offdiag=offdiag)
+        exact = np.linalg.eigvalsh(h.dense())[0]
+        assert abs(ground_energy(h, "inverse") - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points", [8, 64, 512, 4096])
     @pytest.mark.parametrize("spike", [1e20, 1e100, 1e200])
     def test_single_huge_potential_entry_acts_as_a_wall(self, grid_points, spike):

@@ -1,6 +1,7 @@
 """Config validation, dispatch, emission formats, and the CLI surface."""
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -499,6 +500,8 @@ class TestCli:
                                    "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
             ("spectral", {"grid": {"grid_points": 8, "box_length": 1.0, "mass": 1e-200,
                                    "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
+            ("spectral", {"grid": {"grid_points": 64, "box_length": 1.0, "mass": 1e200,
+                                   "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
             ("spectral", {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
                                    "potential": {"kind": "values", "values": [1e308, -1e308, 1e308]}}, "E_B": 1.0},
              "params.grid.potential.values"),
@@ -512,7 +515,8 @@ class TestCli:
         ],
         ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow",
              "t_min_steps_overflow", "t_min_steps_over_limit", "spectral_zero_division", "spectral_dx_underflow",
-             "spectral_overflow", "spectral_kinetic_1e-153", "spectral_kinetic_1e-200", "spectral_values_spread_overflow",
+             "spectral_overflow", "spectral_kinetic_1e-153", "spectral_kinetic_1e-200", "spectral_kinetic_underflow",
+             "spectral_values_spread_overflow",
              "spectral_values_empty", "stochastic_uniform_width_overflow", "stochastic_independent_width_overflow"],
     )
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, experiment, params, path):
@@ -530,6 +534,15 @@ class TestCli:
         grid = {"grid_points": 8, "box_length": 1.0, "mass": mass, "potential": potential}
         config = self._write_config(tmp_path, {"params": {"grid": grid, "E_B": 1.0}})
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    def test_kinetic_term_just_above_the_floor_solves_exactly(self, tmp_path):
+        # hbar^2 / (m dx^2) = 65^2 / 4e153, about 1.06e-150: stebz's squared couplings still stay normal.
+        grid = {"grid_points": 64, "box_length": 1.0, "mass": 4e153, "potential": {"kind": "zero"}}
+        config = self._write_config(tmp_path, {"params": {"grid": grid, "E_B": 1.0}})
+        assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
+        exact = 65.0**2 / 4e153 * (1.0 - math.cos(math.pi / 65.0))
+        assert record["outputs"]["summary"]["ground_energy"] == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize(
         "values", [[1e308] * 3, [-1e308] * 3, [0.8e308, -0.8e308, 0.0]], ids=["all_max", "all_min", "spread"]
