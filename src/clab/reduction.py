@@ -462,6 +462,15 @@ def reduce_energy_decision(
     return GridHamiltonian(diag=diag, offdiag=offdiag), float(inst.threshold)
 
 
+# Limits on the grid operator's kinetic term hbar^2 / (m dx^2), the range of _ground_energy_direct. LAPACK's
+# tridiagonal eigensolver stops converging once the off-diagonal passes about 1.3e154, sqrt(float max), and below
+# about 1e-154 the squared off-diagonals it works on underflow, which splits the operator into 1x1 blocks.
+MAX_KINETIC = 1e150
+MIN_KINETIC = 1e-150
+INVERSE_TOL = 1e-12
+INVERSE_MAX_ITER = 200
+
+
 def _ground_energy_direct(h: GridHamiltonian) -> float:
     """Lowest eigenvalue by LAPACK stebz, bisected to full precision; raises on info != 0."""
     # tol=0 lets stebz stop at a width of eps * ||H||_1, far wider than E0 if one entry of V is huge.
@@ -473,55 +482,60 @@ def _ground_energy_direct(h: GridHamiltonian) -> float:
     return float(w[0])
 
 
-def _ground_energy_inverse(h: GridHamiltonian, tol: float = 1e-12, max_iter: int = 200) -> float:
+def _ground_energy_inverse(h: GridHamiltonian) -> float:
     """Smallest eigenvalue by inverse iteration with certified shifts, else by bisection on the inertia of H - x.
 
-    H - x is positive definite, i.e. every eigenvalue lies above x, exactly
-    when LAPACK pttrf factors it (Sylvester's law of inertia); such an x is
-    a certified shift. The first sits just below the Gershgorin bound, and
-    each solve reuses the current shift's factors (pttrs), O(N). After each
-    iterate, with Rayleigh quotient lam and residual r, some eigenvalue lies
-    within r of lam, so lam - 1.01 r is often below E0; when pttrf certifies
-    it, the shift and its factors move there. Shifts only rise toward E0,
-    never past it, so the iteration speeds up as they rise. If it fails or
-    stalls, ``_bisect_inertia`` finishes from the last certified shift.
+    It runs on A = H / s, s the largest entry magnitude, so no entry of A - x
+    overflows and its rules hold in any units. A - x is positive definite,
+    every eigenvalue above x, exactly when LAPACK pttrf factors it
+    (Sylvester's law of inertia): x is a certified shift. The first is 1e-6
+    max(|g|, c) below the Gershgorin bound g, c the largest coupling of A;
+    each solve reuses its factors (pttrs), O(N). After each iterate, with
+    Rayleigh quotient lam and residual r, some eigenvalue lies within r of
+    lam, so the shift and its factors move up to lam - 1.01 r whenever pttrf
+    certifies it: shifts rise toward E0, never past it. The iteration stops
+    once lam moves by at most INVERSE_TOL max(|lam|, c) and r <= 1e-8
+    max(|lam|, c); if it fails or stalls, ``_bisect_inertia`` finishes from
+    the last certified shift. The answer is clamped into [g, min(diag)],
+    which holds E0, then scaled back by s.
 
-    The start s / sqrt(N), s_0 = 1 and s_{i+1} = -s_i where the coupling
-    e_i > 0, else s_i, has the ground state's signs (diag(s) H diag(s) has
-    couplings <= 0), so it is never orthogonal to it; on the grid, s = 1.
+    The start u / sqrt(N), u_0 = 1 and u_{i+1} = -u_i where the coupling
+    e_i > 0, else u_i, has the ground state's signs (diag(u) H diag(u) has
+    couplings <= 0), so it is never orthogonal to it; on the grid, u = 1.
     """
-    lapack = _lapack()
-    dim = h.dim
-    off = np.abs(h.offdiag)
-    radii = np.zeros(dim)
-    radii[:-1] += off
-    radii[1:] += off
-    scale = max(1.0, float(np.abs(h.diag).max()), float(off.max(initial=0.0)))
-    # A margin scaled by the largest diagonal entry would put the shift far below E0 under one huge V entry.
-    low = float((h.diag - radii).min())
-    shift = low - 1e-6 * max(1.0, abs(low), float(off.max(initial=0.0)))
-    d, e, info = lapack.dpttrf(h.diag - shift, h.offdiag)
+    lapack, tiny = _lapack(), float(np.finfo(float).tiny)
+    scale = max(float(np.abs(h.diag).max()), float(np.abs(h.offdiag).max(initial=0.0)), tiny)
+    a = GridHamiltonian(diag=h.diag / scale, offdiag=h.offdiag / scale)
+    off = np.abs(a.offdiag)
+    coupling = float(off.max(initial=0.0))
+    radii = np.concatenate(([0.0], off)) + np.concatenate((off, [0.0]))
+    low, top = float((a.diag - radii).min()), float(a.diag.min())  # min(diag), a Rayleigh quotient, bounds E0 above
+    # A margin scaled by the largest entry would put the shift far below E0 under one huge V entry.
+    shift = low - 1e-6 * max(abs(low), coupling)
+    d, e, info = lapack.dpttrf(a.diag - shift, a.offdiag)
     if info == 0:
-        signs = np.cumprod(np.where(h.offdiag > 0.0, -1.0, 1.0))
-        v, lam_old = np.concatenate(([1.0], signs)) * dim**-0.5, None
-        for _ in range(max_iter):
+        signs = np.cumprod(np.where(a.offdiag > 0.0, -1.0, 1.0))
+        v, lam_old = np.concatenate(([1.0], signs)) * a.dim**-0.5, None
+        for _ in range(INVERSE_MAX_ITER):
             v, info = lapack.dpttrs(d, e, v)
-            if info != 0:
+            peak = float(np.abs(v).max())
+            if info != 0 or not 0.0 < peak < math.inf:  # pivots of A - x underflow where V spans 1e300
                 break
-            v /= np.abs(v).max()  # the norm squares each entry, which underflows when |diag - shift| passes 1e154
+            v /= peak  # v grows by up to 1 / (E0 - shift), whose square overflows under a huge V entry
             v /= np.linalg.norm(v)
-            hv = h.matvec(v)
-            lam = float(v @ hv)
-            residual = float(np.linalg.norm((hv - lam * v) / scale))  # scaled, as the squares overflow past 1e154
-            if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)) and residual <= 1e-8:
-                return lam
+            av = a.matvec(v)
+            lam = float(v @ av)
+            size = max(abs(lam), coupling, tiny)
+            residual = float(np.linalg.norm((av - lam * v) / size))  # in units of size, lest its squares underflow
+            if lam_old is not None and abs(lam - lam_old) <= INVERSE_TOL * size and residual <= 1e-8:
+                return scale * min(max(lam, low), top)
             lam_old = lam
-            trial = lam - 1.01 * residual * scale
+            trial = lam - 1.01 * residual * size
             if trial > shift:
-                factors = lapack.dpttrf(h.diag - trial, h.offdiag)
+                factors = lapack.dpttrf(a.diag - trial, a.offdiag)
                 if factors[2] == 0:
                     shift, (d, e, _) = trial, factors
-    return _bisect_inertia(h, shift, float(h.diag.min()))  # min(diag), a Rayleigh quotient, bounds E0 above
+    return scale * min(max(_bisect_inertia(a, shift, top), low), top)
 
 
 def _bisect_inertia(h: GridHamiltonian, lo: float, hi: float) -> float:

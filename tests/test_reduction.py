@@ -477,9 +477,11 @@ class TestGridHamiltonian:
         direct = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0]
         assert abs(ground_energy(h, method="inverse") - direct) <= 1e-9 * max(1.0, abs(direct))
         assert not bisections
-        assert abs(reduction._ground_energy_inverse(h, max_iter=1) - direct) <= 1e-9 * max(1.0, abs(direct))
-        (lo, hi), = bisections
-        assert lo < direct <= hi == h.diag.min()
+        monkeypatch.setattr(reduction, "INVERSE_MAX_ITER", 1)
+        assert abs(reduction._ground_energy_inverse(h) - direct) <= 1e-9 * max(1.0, abs(direct))
+        (lo, hi), = bisections  # bracketing E0 / s, in the units of A = H / s
+        scale = max(np.abs(h.diag).max(), np.abs(h.offdiag).max())
+        assert lo < direct / scale <= hi == (h.diag / scale).min()
 
     @pytest.mark.filterwarnings("error")
     def test_certified_shifts_cut_the_solves(self, monkeypatch):
@@ -518,6 +520,33 @@ class TestGridHamiltonian:
         for method in ("dense", "inverse"):
             assert abs(ground_energy(h, method=method) - wall) <= 1e-10 * wall
         assert decide_energy_threshold(inst) is False
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid_points", [8, 64])
+    def test_subnormal_pivots_hand_the_solve_to_the_bisection(self, monkeypatch, grid_points):
+        # V[0] = 1e300 over couplings of 4e-9 (N = 8) or 2e-7 (N = 64) at mass 1e10: in A = H / 1e300 they sit near the
+        # smallest normal float and the pivots of A - x below it, so a solve overflows; the bisection finishes instead.
+        potential = np.zeros(grid_points)
+        potential[0] = 1e300
+        inst = SpectralDecisionInstance(
+            grid_points=grid_points, box_length=1.0, mass=1e10, potential=potential, threshold=0.0
+        )
+        h, _ = reduce_energy_decision(inst)
+        bisections = spy_bisection(monkeypatch)
+        wall = (grid_points + 1) ** 2 / 1e10 * (1.0 - math.cos(math.pi / grid_points))
+        assert ground_energy(h, method="inverse") == pytest.approx(wall, rel=1e-12)
+        assert len(bisections) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mass", [1.0, 1e9, 1e12, 1e20, 1e100])
+    def test_small_scale_grid_solves_to_relative_precision(self, mass):
+        # Entries far below 1 once stopped the inverse route on an absolute rule: 180% off at mass 1e20.
+        inst = SpectralDecisionInstance(grid_points=64, box_length=1.0, mass=mass, potential=np.zeros(64), threshold=0.0)
+        h, _ = reduce_energy_decision(inst)
+        t = 65.0**2 / (2.0 * mass)
+        exact = 2.0 * t * (1.0 - math.cos(math.pi / 65.0))
+        for method in ("dense", "inverse"):
+            assert ground_energy(h, method=method) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_grid_refinement_converges(self):
         coarse = ground_energy(reduce_energy_decision(harmonic_instance(grid_points=256))[0])

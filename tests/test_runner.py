@@ -325,8 +325,7 @@ class TestRun:
         assert record.warnings == []
         assert record.outputs["rows"][0]["solver_relative_gap"] <= 1e-9
         assert not bisections
-        inverse = reduction._ground_energy_inverse
-        monkeypatch.setattr(reduction, "_ground_energy_inverse", lambda h: inverse(h, max_iter=1))
+        monkeypatch.setattr(reduction, "INVERSE_MAX_ITER", 1)
         record = run(self.double_well_config(seed, box_length))
         assert record.warnings == []
         assert record.outputs["rows"][0]["solver_relative_gap"] <= 1e-9
@@ -503,24 +502,29 @@ class TestCli:
             ("spectral", {"grid": {"grid_points": 64, "box_length": 1.0, "mass": 1e200,
                                    "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
             ("spectral", {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
-                                   "potential": {"kind": "values", "values": [1e308, -1e308, 1e308]}}, "E_B": 1.0},
-             "params.grid.potential.values"),
-            ("spectral", {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
                                    "potential": {"kind": "values", "values": []}}, "E_B": 1.0},
              "params.grid.potential.values"),
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "uniform_argument"},
              "params.A_tilde"),
             ("stochastic", {"A_tilde": 0.0, "B_tilde": 1e308, "tau": [1e-300], "n": 100, "mode": "independent_uniform"},
              "params.B_tilde"),
+            ("decohere", {"K": 4, "energy_scale": 10**400, "tau": 1.0, "trials": 2}, "params.energy_scale"),
+            ("decohere", {"hbar": -(10**400), "params": {"K": 4, "energy_scale": 1.0, "tau": 1.0, "trials": 2}}, "hbar"),
+            ("adiabatic", {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
+                           "schedule": {"T_min": 10**400}}, "params.schedule.T_min"),
+            ("spectral", {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
+                                   "potential": {"kind": "values", "values": [0.0, 10**400, 0.0]}}, "E_B": 1.0},
+             "params.grid.potential.values[1]"),
         ],
         ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow",
              "t_min_steps_overflow", "t_min_steps_over_limit", "spectral_zero_division", "spectral_dx_underflow",
              "spectral_overflow", "spectral_kinetic_1e-153", "spectral_kinetic_1e-200", "spectral_kinetic_underflow",
-             "spectral_values_spread_overflow",
-             "spectral_values_empty", "stochastic_uniform_width_overflow", "stochastic_independent_width_overflow"],
+             "spectral_values_empty", "stochastic_uniform_width_overflow", "stochastic_independent_width_overflow",
+             "energy_scale_int_overflow", "hbar_int_overflow", "t_min_int_overflow", "values_int_overflow"],
     )
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, experiment, params, path):
-        config = self._write_config(tmp_path, {"params": params})
+        # A row holding a "params" key is the whole config, for the fields above params.
+        config = self._write_config(tmp_path, params if "params" in params else {"params": params})
         code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert path in capsys.readouterr().err
@@ -545,17 +549,20 @@ class TestCli:
         assert record["outputs"]["summary"]["ground_energy"] == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "values", [[1e308] * 3, [-1e308] * 3, [0.8e308, -0.8e308, 0.0]], ids=["all_max", "all_min", "spread"]
+        "values",
+        [[1e308] * 3, [-1e308] * 3, [0.8e308, -0.8e308, 0.0], [1e308, -1e308, 1e308],
+         [1.7976931348623157e308] * 3, [-1.7976931348623157e308] * 3],
+        ids=["all_max", "all_min", "spread", "spread_overflow", "float_max", "float_min"],
     )
     def test_extreme_values_solve_without_warnings(self, tmp_path, values):
-        """Inverse iteration scales each iterate and its residual before their norms, which under- or overflow here."""
+        """The inverse route runs on H over its largest entry, where no entry, norm or shift overflows."""
         grid = {"grid_points": 3, "box_length": 1.0, "mass": 1.0, "potential": {"kind": "values", "values": values}}
         config = self._write_config(tmp_path, {"params": {"grid": grid, "E_B": 1.0}})
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
         row = record["outputs"]["rows"][0]
         assert row["ground_energy_dense"] == record["outputs"]["summary"]["ground_energy"] == min(values)
-        assert row["ground_energy_inverse"] == pytest.approx(min(values), rel=1e-12)
+        assert row["ground_energy_inverse"] == min(values)
         assert record["warnings"] == []
 
     @pytest.mark.parametrize(
