@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 
 from . import decoherence, montecarlo, qcore, reduction, stochastic
 from .qcore import (
-    NATURAL_UNITS,
     HermitianOperator,
-    PhysicalConstants,
     StateVector,
     UnitaryPropagator,
     expm_propagator,
@@ -28,9 +26,7 @@ __all__ = [
     "qcore",
     "reduction",
     "stochastic",
-    "NATURAL_UNITS",
     "HermitianOperator",
-    "PhysicalConstants",
     "StateVector",
     "UnitaryPropagator",
     "expm_propagator",

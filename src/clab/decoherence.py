@@ -5,13 +5,14 @@ detector with K microscopic configurations through an interaction that is
 diagonal in the product basis: energy A_k on the |0> branch and B_k on the
 |1> branch of configuration k. The interaction is therefore kept as its
 2K energies, and exact propagation for a time tau multiplies each product
-amplitude by its phase exp(-i E tau / hbar). Projecting back onto the
-initial particle state gives the closed-form return probability
+amplitude by its phase exp(-i E tau). Projecting back onto the initial
+particle state gives the closed-form return probability
 
-    P = sum_k |a_k|^2 cos^2((A_k - B_k) tau / (2 hbar)),
+    P = sum_k |a_k|^2 cos^2((A_k - B_k) tau / 2),
 
 which decays to the classical value 1/2 once the dimensionless energy
-spread (A_k - B_k) tau / hbar is large and random across configurations.
+spread (A_k - B_k) tau is large and random across configurations. Times
+are in natural units (hbar = 1), as everywhere in the package.
 Averaging over randomly drawn detectors realizes that limit numerically.
 Each cos^2 term is ``qcore.cos_squared`` of its half angle, in the closed
 form and in the sweep alike; the sweep is ``montecarlo.cos_squared_sweep``,
@@ -32,7 +33,7 @@ from .montecarlo import (
     MonteCarloEstimate, UniformInterval, cos_squared_sweep, derive_seed, require_tau, sample_uniform,
     standard_exponential, uniform01,
 )
-from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, cos_squared
+from .qcore import StateVector, cos_squared
 
 __all__ = [
     "DetectorModel",
@@ -112,27 +113,27 @@ def initial_product_state(d: DetectorModel) -> StateVector:
     return StateVector(np.kron([_SQRT_HALF, _SQRT_HALF], d.a))
 
 
-def propagate_exact(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> StateVector:
+def propagate_exact(d: DetectorModel, tau: float) -> StateVector:
     """Joint state after interacting for tau under the exact exponential, one phase per product amplitude."""
     require_tau(tau)
-    return StateVector(np.exp(-1j * tau / c.hbar * build_interaction(d)) * initial_product_state(d).amps)
+    return StateVector(np.exp(-1j * tau * build_interaction(d)) * initial_product_state(d).amps)
 
 
-def prob_closed_form(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> MeasurementResult:
+def prob_closed_form(d: DetectorModel, tau: float) -> MeasurementResult:
     """Return probability from the per-configuration cosine formula."""
-    half_angles = (d.energies_0 - d.energies_1) * (require_tau(tau) / (2.0 * c.hbar))
+    half_angles = (d.energies_0 - d.energies_1) * (0.5 * require_tau(tau))
     p = float(np.sum(np.abs(d.a) ** 2 * cos_squared(half_angles, out=half_angles)))
     return MeasurementResult(p_sx_plus=min(p, 1.0 + 1e-12))
 
 
-def prob_full_propagation(d: DetectorModel, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> MeasurementResult:
+def prob_full_propagation(d: DetectorModel, tau: float) -> MeasurementResult:
     """Return probability from explicit propagation of the joint state.
 
     Propagates the full 2K-dimensional state and sums the squared overlaps
     with (initial particle state) (x) (configuration k) over all k. Serves
     as the independent check on ``prob_closed_form``.
     """
-    psi_f = propagate_exact(d, tau, c).amps
+    psi_f = propagate_exact(d, tau).amps
     k = d.K
     # <psi0 (x) eps_k | Psi_f> = (psi_f[0,k] + psi_f[1,k]) / sqrt(2)
     overlaps = _SQRT_HALF * (psi_f[:k] + psi_f[k:])
@@ -185,7 +186,6 @@ def decohered_probability_sweep(
     K: int,
     energy_scale: float,
     taus,
-    c: PhysicalConstants = NATURAL_UNITS,
     seed: int = 0,
     trials: int = 100,
 ) -> list[MonteCarloEstimate]:
@@ -205,21 +205,20 @@ def decohered_probability_sweep(
         weights, e0, e1 = _draw_detectors(K, energy_scale, seeds)
         return weights, np.subtract(e0, e1, out=e0)
 
-    return cos_squared_sweep(draw, trials, K, taus, c.hbar)
+    return cos_squared_sweep(draw, trials, K, taus)
 
 
 def decohered_probability(
     K: int,
     energy_scale: float,
     tau: float,
-    c: PhysicalConstants = NATURAL_UNITS,
     seed: int = 0,
     trials: int = 100,
 ) -> MonteCarloEstimate:
     """Average the closed-form probability over randomly drawn detectors.
 
-    As energy_scale * tau / hbar grows, the per-detector cosine weights
+    As energy_scale * tau grows, the per-detector cosine weights
     oscillate incoherently and the average settles at 1/2. A single trial
     reports stderr 0.
     """
-    return decohered_probability_sweep(K, energy_scale, [tau], c, seed, trials)[0]
+    return decohered_probability_sweep(K, energy_scale, [tau], seed, trials)[0]

@@ -215,17 +215,17 @@ def require_tau(tau: float) -> float:
     return tau
 
 
-def cos_squared_sweep(draw, trials: int, K: int, taus, hbar: float, detuning: float = 0.0) -> list[MonteCarloEstimate]:
+def cos_squared_sweep(draw, trials: int, K: int, taus, detuning: float = 0.0) -> list[MonteCarloEstimate]:
     """Mean and standard error over ``trials`` trials of the cos^2 law, for every tau in ``taus``.
 
     ``draw(lo, hi)`` returns trials lo..hi-1 as ``(weights, gaps)``: both of
     shape (hi - lo, K), or gaps of shape (hi - lo,) and weights None. A
-    trial's value is cos^2((gap + detuning) tau / 2 hbar), or its weighted
+    trial's value is cos^2((gap + detuning) tau / 2), or its weighted
     row sum clipped at 1 + 1e-12. Trials are drawn once for all taus, in
     chunks of max(1, SWEEP_CHUNK // K) whose moments merge by Chan's update,
     so a sweep of one chunk equals ``mc_estimate`` bit for bit.
     """
-    scales = [0.5 * require_tau(tau) / hbar for tau in taus]  # every tau is checked before any draw
+    scales = [0.5 * require_tau(tau) for tau in taus]  # every tau is checked before any draw
     moments = [(0, 0.0, 0.0)] * len(scales)
     rows = max(1, SWEEP_CHUNK // K)
     for lo in range(0, trials, rows):

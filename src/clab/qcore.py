@@ -1,7 +1,8 @@
 """Complex linear algebra and unitary dynamics kernel.
 
 Measurement models and adiabatic sweeps go through the state types and
-the integrator defined here. Dense Hermitian operators and their exact
+the integrator defined here, in natural units (hbar = 1): a time is a
+phase per unit energy. Dense Hermitian operators and their exact
 exponentials are the reference that the integrator, and the detector
 model's phase propagation, are checked against. ``cos_squared`` is the
 kernel for cos^2 that both measurement routes evaluate their per-instance
@@ -11,13 +12,9 @@ functions, so callers may share them freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PhysicalConstants",
-    "NATURAL_UNITS",
     "StateVector",
     "HermitianOperator",
     "UnitaryPropagator",
@@ -32,20 +29,6 @@ HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 # Chebyshev series of a step's exponential end after the last Bessel coefficient above this.
 CHEBYSHEV_CUTOFF = 1e-17
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Unit system for the dynamics; hbar defaults to 1 (natural units)."""
-
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
-
-
-NATURAL_UNITS = PhysicalConstants()
 
 
 class StateVector:
@@ -165,12 +148,10 @@ class UnitaryPropagator:
         return f"UnitaryPropagator(dim={self.dim})"
 
 
-def expm_propagator(
-    h: HermitianOperator, dt: float, c: PhysicalConstants = NATURAL_UNITS
-) -> UnitaryPropagator:
-    """Exact propagator exp(-i dt H / hbar), through the eigendecomposition H = Q L Q^dagger."""
+def expm_propagator(h: HermitianOperator, dt: float) -> UnitaryPropagator:
+    """Exact propagator exp(-i dt H), through the eigendecomposition H = Q L Q^dagger."""
     w, v = np.linalg.eigh(h.matrix)
-    return UnitaryPropagator(matrix=(v * np.exp(-1j * dt / c.hbar * w)) @ v.conj().T)
+    return UnitaryPropagator(matrix=(v * np.exp(-1j * dt * w)) @ v.conj().T)
 
 
 def _bessel_series(x: float, tail: float = 0.0) -> np.ndarray:
@@ -238,20 +219,19 @@ def integrate_tdse(
     t_final: float,
     steps: int,
     spectral_bound: float,
-    c: PhysicalConstants = NATURAL_UNITS,
     truncation: float = 0.0,
 ) -> StateVector:
-    """Commutator-free Magnus (CF4) integrator for i hbar d/dt psi = H(t) psi.
+    """Commutator-free Magnus (CF4) integrator for i d/dt psi = H(t) psi.
 
     Each step is the two-exponential CF4 step of Blanes & Moan, Appl.
     Numer. Math. 56, 1519 (2006). When H(t) is affine in t, as on a linear
     schedule, each exponent is a single shifted node:
-    psi_{j+1} = exp(-i dt/2 H(t_j + 5dt/6) / hbar) exp(-i dt/2 H(t_j + dt/6) / hbar) psi_j,
+    psi_{j+1} = exp(-i dt/2 H(t_j + 5dt/6)) exp(-i dt/2 H(t_j + dt/6)) psi_j,
     with the t_j + dt/6 factor applied first, and the global error is
     O(dt^4); for other H(t) the same nodes give O(dt^2). Each exponential
     is the Chebyshev series of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
     (1984), in H / spectral_bound with Bessel coefficients J_k(dt
-    spectral_bound / (2 hbar)) computed once per call, and it costs about
+    spectral_bound / 2) computed once per call, and it costs about
     that argument plus O(log) matvecs. The series' terms fill a
     preallocated block of one row per term, terms x dim complex entries,
     and one product with the coefficients sums them.
@@ -285,7 +265,7 @@ def integrate_tdse(
     psi0.require_normalized()
     dt = t_final / steps
     # Jacobi-Anger: exp(-i x A) = J_0(x) + 2 sum_k (-i)^k J_k(x) T_k(A) for A = H / spectral_bound.
-    j = _bessel_series(abs(dt) * spectral_bound / (2.0 * c.hbar), truncation / (4.0 * steps))
+    j = _bessel_series(abs(dt) * spectral_bound / 2.0, truncation / (4.0 * steps))
     k = np.arange(j.size)
     coeffs = np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(dt)) ** k * j
     scale = 2.0 / spectral_bound if spectral_bound else 0.0

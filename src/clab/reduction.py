@@ -13,10 +13,13 @@ Two concrete problem families back the complexity story:
   is kept as the independent oracle the tests check that against.
 
 * A one-particle energy-threshold decision on a 1D grid: discretize
-  -hbar^2/(2m) d^2/dx^2 + V(x) with Dirichlet walls into a tridiagonal
+  -1/(2m) d^2/dx^2 + V(x) with Dirichlet walls into a tridiagonal
   operator, ask whether the ground energy is at most a threshold, and
   verify candidate eigenpairs by a residual check that costs one O(N)
   matrix-vector product.
+
+Everything is in natural units (hbar = 1): a time is a phase per unit
+energy, and a mass m from units with another hbar enters as m / hbar^2.
 
 Bit conventions: assignments are bitstrings z_1 ... z_n with bit 1 the
 leftmost character and the most significant bit of the basis index, so
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, integrate_tdse
+from .qcore import StateVector, integrate_tdse
 
 __all__ = [
     "ExactCoverInstance",
@@ -63,7 +66,7 @@ __all__ = [
 
 BRUTE_FORCE_MAX_BITS = 24
 EVOLUTION_MAX_BITS = 12
-# The step-doubling loop of success_sweep. The first run's steps span a phase dt E_max / hbar
+# The step-doubling loop of success_sweep. The first run's steps span a phase dt E_max
 # of at most START_PHASE rad: of 4, 6, 8, 12 and 16 rad, 6 took the fewest matvecs on the
 # criterion-6 sweeps with truncated series (102,780, against 125,188 at 4, 111,876 at 8, 125,022
 # at 12 and 130,794 at 16; untruncated, 137,342 at 6 was also the fewest).
@@ -295,12 +298,12 @@ def _max_energy(inst: ExactCoverInstance) -> float:
     return 3.0 * len(inst.clauses)
 
 
-def _first_steps(total_time: float, e_max: float, c: PhysicalConstants) -> float:
-    """Steps of the first run at total time T: max(1, ceil(T E_max / (hbar START_PHASE))); inf and NaN pass through."""
-    return max(float(np.ceil(total_time * e_max / (c.hbar * START_PHASE))), 1.0)
+def _first_steps(total_time: float, e_max: float) -> float:
+    """Steps of the first run at total time T: max(1, ceil(T E_max / START_PHASE)); inf and NaN pass through."""
+    return max(float(np.ceil(total_time * e_max / START_PHASE)), 1.0)
 
 
-def projected_steps(inst: ExactCoverInstance, total_times, c: PhysicalConstants = NATURAL_UNITS) -> float:
+def projected_steps(inst: ExactCoverInstance, total_times) -> float:
     """Bound on the integration steps a sweep over ``total_times`` takes, known before any operator is built.
 
     At each T the step-doubling loop of ``success_sweep`` runs N, 2N, ...,
@@ -309,7 +312,7 @@ def projected_steps(inst: ExactCoverInstance, total_times, c: PhysicalConstants 
     sums that over T; it is inf or NaN when a term is not finite.
     """
     e_max = _max_energy(inst)
-    return sum((2 ** (MAX_DOUBLINGS + 1) - 1) * _first_steps(t, e_max, c) for t in total_times)
+    return sum((2 ** (MAX_DOUBLINGS + 1) - 1) * _first_steps(t, e_max) for t in total_times)
 
 
 @dataclass(frozen=True)
@@ -324,14 +327,13 @@ class SweepResult:
 def success_sweep(
     inst: ExactCoverInstance,
     total_times,
-    c: PhysicalConstants = NATURAL_UNITS,
     target: float | None = None,
 ) -> SweepResult:
     """Integrate the interpolation from the uniform superposition at each total time.
 
     The operators are built once for the whole sweep, and the sweep stops
     early once ``target`` is hit. At each T, ``integrate_tdse`` runs with
-    N, 2N, 4N, ... steps, N = max(1, ceil(T E_max / (hbar START_PHASE))),
+    N, 2N, 4N, ... steps, N = max(1, ceil(T E_max / START_PHASE)),
     until the step-doubling (Richardson) estimate of the fourth-order
     error of the finer run, step_error = ||psi_2N - psi_N|| / 15, is at
     most STEP_ERROR_TOL, or the step count has doubled MAX_DOUBLINGS
@@ -362,11 +364,11 @@ def success_sweep(
 
         def run(steps):
             return integrate_tdse(
-                lambda t, scale: at(t / total_time, scale), psi0, total_time, steps, e_max / 2.0, c,
+                lambda t, scale: at(t / total_time, scale), psi0, total_time, steps, e_max / 2.0,
                 truncation=STEP_ERROR_TOL / 1000.0,
             )
 
-        steps = int(_first_steps(total_time, e_max, c))
+        steps = int(_first_steps(total_time, e_max))
         coarse = run(steps)
         for _ in range(MAX_DOUBLINGS):
             steps *= 2
@@ -444,17 +446,15 @@ class GridHamiltonian:
         return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
 
 
-def reduce_energy_decision(
-    inst: SpectralDecisionInstance, c: PhysicalConstants = NATURAL_UNITS
-) -> tuple[GridHamiltonian, float]:
+def reduce_energy_decision(inst: SpectralDecisionInstance) -> tuple[GridHamiltonian, float]:
     """Build the grid operator and pass the threshold through unchanged.
 
     Central second differences with Dirichlet walls:
-    H = -hbar^2/(2m) D2 + diag(V). Polynomial-time data transform.
+    H = -1/(2m) D2 + diag(V). Polynomial-time data transform.
     """
     n = inst.grid_points
     dx = inst.box_length / (n + 1)
-    t = c.hbar**2 / (2.0 * inst.mass * dx * dx)
+    t = 1.0 / (2.0 * inst.mass * dx * dx)
     diag = 2.0 * t + inst.potential
     offdiag = np.full(n - 1, -t)
     diag.setflags(write=False)
@@ -462,7 +462,7 @@ def reduce_energy_decision(
     return GridHamiltonian(diag=diag, offdiag=offdiag), float(inst.threshold)
 
 
-# Limits on the grid operator's kinetic term hbar^2 / (m dx^2), the range of _ground_energy_direct. LAPACK's
+# Limits on the grid operator's kinetic term 1 / (m dx^2), the range of _ground_energy_direct. LAPACK's
 # tridiagonal eigensolver stops converging once the off-diagonal passes about 1.3e154, sqrt(float max), and below
 # about 1e-154 the squared off-diagonals it works on underflow, which splits the operator into 1x1 blocks.
 MAX_KINETIC = 1e150
@@ -577,9 +577,9 @@ def below_threshold(energy: float, threshold: float) -> bool:
     return energy <= threshold + 1e-9 * max(1.0, abs(threshold))
 
 
-def decide_energy_threshold(inst: SpectralDecisionInstance, c: PhysicalConstants = NATURAL_UNITS) -> bool:
+def decide_energy_threshold(inst: SpectralDecisionInstance) -> bool:
     """Is the ground energy at most the threshold? Ties resolve to yes (see ``below_threshold``)."""
-    h, threshold = reduce_energy_decision(inst, c)
+    h, threshold = reduce_energy_decision(inst)
     return below_threshold(ground_energy(h), threshold)
 
 

@@ -8,6 +8,11 @@ Unknown keys are rejected at every level and all validation failures name
 the offending field path. A run is a pure function of (config, seed): the
 emitted JSON payload is byte-identical across repeats except for the
 wall-clock field.
+
+The library works in natural units (hbar = 1). ``hbar`` is read here alone
+and applied once, at the edge: the runners hand the kernels the times
+tau / hbar and T / hbar, and the grid the mass m / hbar / hbar, while the
+payload echoes the configured values.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ import numpy as np
 from . import __version__
 from .decoherence import decohered_probability_sweep
 from .montecarlo import derive_seed
-from .qcore import PhysicalConstants
 from .reduction import (
     EVOLUTION_MAX_BITS,
     MAX_KINETIC,
@@ -253,11 +257,16 @@ _VALIDATORS = {
 
 
 def _require_finite_spans(scales, taus, hbar: float, path: str) -> None:
-    """Reject any scale * tau / hbar (the dimensionless phase span) that overflows."""
+    """Reject a natural-unit time tau / hbar or a dimensionless phase span scale * tau / hbar that overflows.
+
+    A span is checked in both orders: scale * (tau / hbar), as the kernels compute it from the
+    natural-unit time, and (scale * tau) / hbar, as the payload echoes it.
+    """
     for scale in scales:
         for tau in taus:
-            if not (math.isfinite(scale * tau / hbar) and math.isfinite(tau / hbar)):
-                raise ConfigError(path, f"phase span {scale:g} * tau={tau:g} / hbar={hbar:g} is not finite")
+            natural = tau / hbar
+            if not (math.isfinite(natural) and math.isfinite(scale * natural) and math.isfinite(scale * tau / hbar)):
+                raise ConfigError(path, f"phase span scale * time / hbar = {scale:g} * {tau:g} / {hbar:g} is not finite")
 
 
 def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
@@ -266,16 +275,18 @@ def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
 
 
 def _require_finite_grid(grid: dict, hbar: float) -> None:
-    """Reject a kinetic term hbar^2/(m dx^2) out of [MIN_KINETIC, MAX_KINETIC] or a harmonic peak that overflows.
+    """Reject a kinetic term 1 / (m dx^2) out of [MIN_KINETIC, MAX_KINETIC] or a harmonic peak that overflows.
 
-    Any other finite potential is accepted: kinetic term plus V is then finite. Numpy returns inf
-    or NaN where floats would raise. An overflowing peak is named before a kinetic term below
-    MIN_KINETIC, which the same huge box also gives.
+    The kinetic term is the grid operator's, at the natural-unit mass m = mass / hbar / hbar;
+    dividing twice never squares hbar, which could overflow or go subnormal. Any other finite
+    potential is accepted: kinetic term plus V is then finite. Numpy returns inf or NaN where
+    floats would raise. An overflowing peak is named before a kinetic term below MIN_KINETIC,
+    which the same huge box also gives.
     """
     dx = grid["box_length"] / (grid["grid_points"] + 1)
     potential = grid["potential"]
     with np.errstate(all="ignore"):
-        kinetic = 2.0 * (np.float64(hbar) ** 2 / (2.0 * grid["mass"] * dx * dx))
+        kinetic = 2.0 * (1.0 / (2.0 * (np.float64(grid["mass"]) / hbar / hbar) * dx * dx))
         if potential["kind"] == "harmonic":
             half_box = np.float64(grid["box_length"]) / 2.0
             peak = 0.5 * grid["mass"] * np.float64(potential["omega"]) ** 2 * half_box**2
@@ -317,12 +328,17 @@ def validate_config(raw: dict) -> dict:
         draws = params["K"] * params["trials"]
         _require_at_most(MAX_DRAWS, draws, "params.K", "Monte Carlo draws (K * trials)")
         _require_at_most(MAX_EVALUATIONS, len(params["tau"]) * draws, "params.tau", "cos^2 evaluations")
-    elif experiment == "compare":
-        _require_finite_spans(params["energy_scale"], [params["tau"]], hbar, "params.energy_scale")
+    elif experiment == "compare":  # at unit energy scale, on the times energy_scale * tau (see _run_compare)
+        times = [energy_scale * params["tau"] for energy_scale in params["energy_scale"]]
+        _require_finite_spans([1.0], times, hbar, "params.energy_scale")
         _require_at_most(MAX_DRAWS, params["K"] * params["trials"], "params.K", "Monte Carlo draws (K * trials)")
         _require_at_most(MAX_DRAWS, params["n"], "params.n", "Monte Carlo draws (n)")
         evaluations = len(params["energy_scale"]) * (params["K"] * params["trials"] + params["n"])
         _require_at_most(MAX_EVALUATIONS, evaluations, "params.energy_scale", "cos^2 evaluations")
+    elif experiment == "adiabatic":
+        t_min = params["schedule"]["T_min"] / hbar
+        if not 0.0 < t_min < math.inf:  # the sweep's shortest natural-unit time
+            raise ConfigError("params.schedule.T_min", f"T_min / hbar = {t_min:g} is not a positive finite number")
     elif experiment == "spectral":
         _require_finite_grid(params["grid"], hbar)
     return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": params}
@@ -341,17 +357,16 @@ def _chart(rows: list, x: str, ys: list, title: str, xlabel: str, ylabel: str) -
 
 
 def _run_decohere(config: dict) -> dict:
-    p = config["params"]
-    c = PhysicalConstants(hbar=config["hbar"])
+    p, hbar = config["params"], config["hbar"]
     estimates = decohered_probability_sweep(
-        p["K"], p["energy_scale"], p["tau"], c, seed=config["seed"], trials=p["trials"]
+        p["K"], p["energy_scale"], [tau / hbar for tau in p["tau"]], seed=config["seed"], trials=p["trials"]
     )
     rows = []
     for tau, est in zip(p["tau"], estimates):
         rows.append(
             {
                 "tau": tau,
-                "spread": p["energy_scale"] * tau / c.hbar,
+                "spread": p["energy_scale"] * tau / hbar,
                 "p_mean": est.mean,
                 "p_stderr": est.stderr,
             }
@@ -367,18 +382,18 @@ def _run_decohere(config: dict) -> dict:
 
 def _run_stochastic(config: dict) -> dict:
     p = config["params"]
-    c = PhysicalConstants(hbar=config["hbar"])
+    taus = [tau / config["hbar"] for tau in p["tau"]]
     interaction = StochasticInteraction(a_tilde=p["A_tilde"], b_tilde=p["B_tilde"], mode=p["mode"])
-    estimates = mc_probability_sweep(interaction, p["tau"], c, seed=config["seed"], n=p["n"])
+    estimates = mc_probability_sweep(interaction, taus, seed=config["seed"], n=p["n"])
     rows = []
-    for tau, est in zip(p["tau"], estimates):
+    for tau, natural, est in zip(p["tau"], taus, estimates):
         rows.append(
             {
                 "tau": tau,
-                "phase_span": phase_span(interaction, tau, c),
+                "phase_span": phase_span(interaction, natural),
                 "p_mean": est.mean,
                 "p_stderr": est.stderr,
-                "p_analytic": analytic_mean_probability(interaction, tau, c),
+                "p_analytic": analytic_mean_probability(interaction, natural),
             }
         )
     return {
@@ -398,23 +413,22 @@ def _run_compare(config: dict) -> dict:
     stochastic route matches it with A_tilde = B_tilde = energy_scale / 2,
     making both phase arguments range over the same span. Both laws depend
     on energy_scale and tau only through their product, so each route draws
-    its samples once, at unit energy scale, and sweeps the times
-    energy_scale * tau.
+    its samples once, at unit energy scale, and sweeps the natural-unit
+    times energy_scale * tau / hbar, which are also the rows' spreads.
     """
     p = config["params"]
-    c = PhysicalConstants(hbar=config["hbar"])
-    times = [energy_scale * p["tau"] for energy_scale in p["energy_scale"]]
+    times = [energy_scale * p["tau"] / config["hbar"] for energy_scale in p["energy_scale"]]
     decohered = decohered_probability_sweep(
-        p["K"], 1.0, times, c, seed=derive_seed(config["seed"], "decohere"), trials=p["trials"]
+        p["K"], 1.0, times, seed=derive_seed(config["seed"], "decohere"), trials=p["trials"]
     )
     unit = StochasticInteraction(a_tilde=0.5, b_tilde=0.5)
-    stochastic = mc_probability_sweep(unit, times, c, seed=derive_seed(config["seed"], "stochastic"), n=p["n"])
+    stochastic = mc_probability_sweep(unit, times, seed=derive_seed(config["seed"], "stochastic"), n=p["n"])
     rows = []
-    for energy_scale, dec, sto in zip(p["energy_scale"], decohered, stochastic):
+    for energy_scale, spread, dec, sto in zip(p["energy_scale"], times, decohered, stochastic):
         rows.append(
             {
                 "energy_scale": energy_scale,
-                "spread": energy_scale * p["tau"] / c.hbar,
+                "spread": spread,
                 "p_decohered": dec.mean,
                 "p_decohered_stderr": dec.stderr,
                 "p_stochastic": sto.mean,
@@ -440,7 +454,6 @@ def _run_compare(config: dict) -> dict:
 
 def _run_adiabatic(config: dict) -> dict:
     p = config["params"]
-    c = PhysicalConstants(hbar=config["hbar"])
     try:
         inst = load_instance(p["instance_path"])
     except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
@@ -451,7 +464,8 @@ def _run_adiabatic(config: dict) -> dict:
         )
     schedule_cfg = p["schedule"]
     total_times = [schedule_cfg["T_min"] * 2.0**k for k in range(schedule_cfg["doublings"] + 1)]
-    projected = projected_steps(inst, total_times, c)
+    times = [total_time / config["hbar"] for total_time in total_times]
+    projected = projected_steps(inst, times)
     if not projected <= SWEEP_MAX_STEPS:  # also rejects inf and NaN
         raise ConfigError(
             "params.schedule.T_min",
@@ -459,8 +473,8 @@ def _run_adiabatic(config: dict) -> dict:
             f"(a bound proportional to T E_max / hbar, summed over T); "
             f"at most {SWEEP_MAX_STEPS:,} are allowed",
         )
-    sweep = success_sweep(inst, total_times, c, target=schedule_cfg["target"])
-    rows = sweep.rows
+    sweep = success_sweep(inst, times, target=schedule_cfg["target"])
+    rows = [{**row, "T": total_time} for row, total_time in zip(sweep.rows, total_times)]  # T as configured
     best_bits = most_probable_bitstring(sweep.state, inst.n)
     return {
         "rows": rows,
@@ -481,7 +495,8 @@ def _run_adiabatic(config: dict) -> dict:
     }
 
 
-def _build_spectral_instance(grid_cfg: dict, threshold: float) -> SpectralDecisionInstance:
+def _build_spectral_instance(grid_cfg: dict, threshold: float, hbar: float) -> SpectralDecisionInstance:
+    """The grid at the natural-unit mass mass / hbar / hbar; a harmonic potential is built with the configured mass."""
     n = grid_cfg["grid_points"]
     length = grid_cfg["box_length"]
     pot_cfg = grid_cfg["potential"]
@@ -492,15 +507,14 @@ def _build_spectral_instance(grid_cfg: dict, threshold: float) -> SpectralDecisi
     else:
         v = pot_cfg.get("values", np.zeros(n))  # a zero potential has no values
     return SpectralDecisionInstance(
-        grid_points=n, box_length=length, mass=grid_cfg["mass"], potential=v, threshold=threshold
+        grid_points=n, box_length=length, mass=grid_cfg["mass"] / hbar / hbar, potential=v, threshold=threshold
     )
 
 
 def _run_spectral(config: dict) -> dict:
     p = config["params"]
-    c = PhysicalConstants(hbar=config["hbar"])
-    inst = _build_spectral_instance(p["grid"], p["E_B"])
-    h, threshold = reduce_energy_decision(inst, c)
+    inst = _build_spectral_instance(p["grid"], p["E_B"], config["hbar"])
+    h, threshold = reduce_energy_decision(inst)
     e_dense = ground_energy(h, method="dense")
     e_inverse = ground_energy(h, method="inverse")
     decision = below_threshold(e_dense, threshold)

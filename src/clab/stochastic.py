@@ -7,16 +7,16 @@ and constant over the interaction window. The solution is a pure phase on
 each branch, and the per-instance return probability depends only on the
 relative phase of the two branches:
 
-    cos^2((D + delta) tau / 2 hbar),
+    cos^2((D + delta) tau / 2),
 
-with D = A_tilde - B_tilde and delta = alpha - beta; this is the law of one
-detector configuration in the decoherence route. It expands into
+with D = A_tilde - B_tilde, delta = alpha - beta and tau in natural units
+(hbar = 1); this is the law of one detector configuration in the
+decoherence route. It expands into
 
-    1/2 + (1/2) cos(D tau/hbar) cos(delta tau/hbar)
-        - (1/2) sin(D tau/hbar) sin(delta tau/hbar),
+    1/2 + (1/2) cos(D tau) cos(delta tau) - (1/2) sin(D tau) sin(delta tau),
 
 and averaging over a uniformly distributed phase argument multiplies the
-oscillatory part by sin(xi)/xi where xi = (A_tilde + B_tilde) tau / hbar.
+oscillatory part by sin(xi)/xi where xi = (A_tilde + B_tilde) tau.
 Large xi kills the oscillation and leaves the classical value 1/2. The
 samples are evaluated in the cos^2 form, by ``qcore.cos_squared`` on the
 half angle, which cannot overflow where the phase span xi is finite; that
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MonteCarloEstimate, UniformInterval, cos_squared_sweep, derive_seed, require_tau, sample_uniform
-from .qcore import NATURAL_UNITS, PhysicalConstants, StateVector, cos_squared
+from .qcore import StateVector, cos_squared
 
 __all__ = [
     "SAMPLING_MODES",
@@ -111,40 +111,29 @@ def sample_energies(s: StochasticInteraction, seed: int, index) -> EnergySample:
     return EnergySample(alpha=delta, beta=0.0)
 
 
-def evolve_stochastic(
-    s: StochasticInteraction,
-    sample: EnergySample,
-    tau: float,
-    c: PhysicalConstants = NATURAL_UNITS,
-) -> StochasticSolution:
+def evolve_stochastic(s: StochasticInteraction, sample: EnergySample, tau: float) -> StochasticSolution:
     """Exact evolution of (|0> + |1>)/sqrt(2) under one energy instance.
 
     The generator is diagonal, so the exponential is an exact phase per
-    branch: -tau (A_tilde + alpha)/hbar on |0> and -tau (B_tilde + beta)/hbar
-    on |1>.
+    branch: -tau (A_tilde + alpha) on |0> and -tau (B_tilde + beta) on |1>.
     """
     require_tau(tau)
     return StochasticSolution(
-        c0_phase=-tau * (s.a_tilde + float(sample.alpha)) / c.hbar,
-        c1_phase=-tau * (s.b_tilde + float(sample.beta)) / c.hbar,
+        c0_phase=-tau * (s.a_tilde + float(sample.alpha)),
+        c1_phase=-tau * (s.b_tilde + float(sample.beta)),
     )
 
 
-def overlap_probability(
-    s: StochasticInteraction,
-    sample: EnergySample,
-    tau: float,
-    c: PhysicalConstants = NATURAL_UNITS,
-):
-    """Per-instance return probability |<initial|evolved>|^2 = cos^2((D + delta) tau / 2 hbar).
+def overlap_probability(s: StochasticInteraction, sample: EnergySample, tau: float):
+    """Per-instance return probability |<initial|evolved>|^2 = cos^2((D + delta) tau / 2).
 
     Accepts scalar samples or arrays (vectorized over instances). The half
     angle is summed from two terms, each at most (A_tilde + B_tilde) tau /
-    2 hbar, so it stays finite whenever the phase span does; the full angle
-    (D + delta) tau / hbar can overflow there. ``qcore.cos_squared`` turns
-    the half angles into the probabilities in place.
+    2, so it stays finite whenever the phase span does; the full angle
+    (D + delta) tau can overflow there. ``qcore.cos_squared`` turns the half
+    angles into the probabilities in place.
     """
-    scale = 0.5 * require_tau(tau) / c.hbar
+    scale = 0.5 * require_tau(tau)
     p = np.asarray(np.subtract(sample.alpha, sample.beta), dtype=np.float64)
     p *= scale
     p += (s.a_tilde - s.b_tilde) * scale
@@ -152,9 +141,9 @@ def overlap_probability(
     return p if np.ndim(p) else float(p)
 
 
-def phase_span(s: StochasticInteraction, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> float:
-    """Maximal dimensionless span (A_tilde + B_tilde) tau / hbar of the random phase."""
-    return (s.a_tilde + s.b_tilde) * require_tau(tau) / c.hbar
+def phase_span(s: StochasticInteraction, tau: float) -> float:
+    """Maximal dimensionless span (A_tilde + B_tilde) tau of the random phase."""
+    return (s.a_tilde + s.b_tilde) * require_tau(tau)
 
 
 def mean_cos_uniform(xi: float) -> float:
@@ -169,26 +158,25 @@ def mean_cos_uniform(xi: float) -> float:
     return math.sin(xi) / xi
 
 
-def analytic_mean_probability(s: StochasticInteraction, tau: float, c: PhysicalConstants = NATURAL_UNITS) -> float:
+def analytic_mean_probability(s: StochasticInteraction, tau: float) -> float:
     """Expected return probability under the sampling mode's own law.
 
-    uniform_argument: 1/2 + (1/2) cos(D tau/hbar) * sinc(span). The sine
-    term averages to zero by the symmetry of the argument's limits.
+    uniform_argument: 1/2 + (1/2) cos(D tau) * sinc(span). The sine term
+    averages to zero by the symmetry of the argument's limits.
     independent_uniform: the cosine average factorizes into
-    sinc(A_tilde tau/hbar) * sinc(B_tilde tau/hbar).
+    sinc(A_tilde tau) * sinc(B_tilde tau).
     """
-    d_angle = (s.a_tilde - s.b_tilde) * require_tau(tau) / c.hbar
+    d_angle = (s.a_tilde - s.b_tilde) * require_tau(tau)
     if s.mode == "independent_uniform":
-        envelope = mean_cos_uniform(s.a_tilde * tau / c.hbar) * mean_cos_uniform(s.b_tilde * tau / c.hbar)
+        envelope = mean_cos_uniform(s.a_tilde * tau) * mean_cos_uniform(s.b_tilde * tau)
     else:
-        envelope = mean_cos_uniform(phase_span(s, tau, c))
+        envelope = mean_cos_uniform(phase_span(s, tau))
     return 0.5 + 0.5 * math.cos(d_angle) * envelope
 
 
 def mc_probability_sweep(
     s: StochasticInteraction,
     taus,
-    c: PhysicalConstants = NATURAL_UNITS,
     seed: int = 0,
     n: int = 100_000,
 ) -> list[MonteCarloEstimate]:
@@ -204,15 +192,9 @@ def mc_probability_sweep(
         sample = sample_energies(s, seed, np.arange(lo, hi, dtype=np.uint64))
         return None, np.subtract(sample.alpha, sample.beta, out=sample.alpha)
 
-    return cos_squared_sweep(draw, n, 1, taus, c.hbar, s.a_tilde - s.b_tilde)
+    return cos_squared_sweep(draw, n, 1, taus, s.a_tilde - s.b_tilde)
 
 
-def mc_probability(
-    s: StochasticInteraction,
-    tau: float,
-    c: PhysicalConstants = NATURAL_UNITS,
-    seed: int = 0,
-    n: int = 100_000,
-) -> MonteCarloEstimate:
+def mc_probability(s: StochasticInteraction, tau: float, seed: int = 0, n: int = 100_000) -> MonteCarloEstimate:
     """Monte Carlo mean of the per-instance probability over n instances."""
-    return mc_probability_sweep(s, [tau], c, seed, n)[0]
+    return mc_probability_sweep(s, [tau], seed, n)[0]

@@ -22,7 +22,7 @@ from clab.decoherence import (
     sample_random_detector,
 )
 from clab.montecarlo import derive_seed
-from clab.qcore import HermitianOperator, PhysicalConstants, expm_propagator
+from clab.qcore import HermitianOperator, expm_propagator
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -85,8 +85,8 @@ class TestPropagateExact:
         )
 
     def test_single_configuration_phases(self):
-        # K=1, a=[1]: the two branches pick up exactly exp(-i tau A/hbar)
-        # and exp(-i tau B/hbar).
+        # K=1, a=[1]: the two branches pick up exactly exp(-i tau A)
+        # and exp(-i tau B).
         d = DetectorModel([1.0], [2.0], [5.0])
         tau = 0.7
         out = propagate_exact(d, tau)
@@ -101,11 +101,10 @@ class TestPropagateExact:
     def test_matches_kernel_exponential(self, K):
         # The phase vector is the exact exponential of the interaction operator.
         d = sample_random_detector(K, 7.0, seed=K)
-        c = PhysicalConstants(hbar=0.7)
         tau = 1.3
         h = HermitianOperator.from_dense(np.diag(build_interaction(d)))
-        expected = expm_propagator(h, tau, c).apply(initial_product_state(d))
-        np.testing.assert_allclose(propagate_exact(d, tau, c).amps, expected.amps, rtol=0, atol=1e-12)
+        expected = expm_propagator(h, tau).apply(initial_product_state(d))
+        np.testing.assert_allclose(propagate_exact(d, tau).amps, expected.amps, rtol=0, atol=1e-12)
 
     def test_rejects_negative_tau(self):
         d = DetectorModel([1.0], [0.0], [0.0])
@@ -120,7 +119,7 @@ class TestProbabilities:
         assert prob_full_propagation(d, 0.0).p_sx_plus == pytest.approx(1.0, abs=1e-12)
 
     def test_half_turn_kills_single_configuration(self):
-        # (A - B) tau / hbar = pi makes cos^2(pi/2) = 0.
+        # (A - B) tau = pi makes cos^2(pi/2) = 0.
         d = DetectorModel([1.0], [math.pi], [0.0])
         assert prob_closed_form(d, 1.0).p_sx_plus == pytest.approx(0.0, abs=1e-15)
 
@@ -139,17 +138,9 @@ class TestProbabilities:
         full = prob_full_propagation(d, tau).p_sx_plus
         assert abs(closed - full) <= 1e-10
 
-    def test_closed_form_with_nontrivial_hbar(self):
-        d = DetectorModel([1.0], [math.pi], [0.0])
-        c = PhysicalConstants(hbar=2.0)
-        # (A - B) tau / (2 hbar) = pi/4 -> cos^2 = 1/2
-        assert prob_closed_form(d, 1.0, c).p_sx_plus == pytest.approx(
-            math.cos(math.pi / 4.0) ** 2, abs=1e-14
-        )
-
     def test_period_in_tau_for_single_configuration(self):
         d = DetectorModel([1.0], [3.0], [1.0])
-        period = 2.0 * math.pi / 2.0  # 2 pi hbar / |A - B|
+        period = 2.0 * math.pi / 2.0  # 2 pi / |A - B|
         for tau in (0.3, 1.1, 2.9):
             base = prob_closed_form(d, tau).p_sx_plus
             for m in (1, 2, 3):
@@ -206,7 +197,7 @@ class TestSampleRandomDetector:
         monkeypatch.setattr(decoherence, "standard_exponential", zeros)
         np.testing.assert_array_equal(np.abs(sample_random_detector(4, 1.0, seed=0).a) ** 2, [1.0, 0.0, 0.0, 0.0])
         sweep = decohered_probability_sweep(4, 1.0, TAUS, seed=0, trials=3)
-        assert [(e.mean, e.stderr) for e in sweep] == scalar_sweep(4, 1.0, TAUS, PhysicalConstants(), 0, 3)
+        assert [(e.mean, e.stderr) for e in sweep] == scalar_sweep(4, 1.0, TAUS, 0, 3)
 
     def test_weights_are_the_normalised_exponential_draws(self):
         d = sample_random_detector(1000, 1.0, seed=5)
@@ -266,12 +257,12 @@ class TestDecoheredProbability:
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
 
-def scalar_sweep(K, energy_scale, taus, c, seed, trials):
+def scalar_sweep(K, energy_scale, taus, seed, trials):
     """(mean, stderr) per tau from one scalar draw and closed form per trial."""
     detectors = [sample_random_detector(K, energy_scale, derive_seed(seed, "detector", i)) for i in range(trials)]
     out = []
     for tau in taus:
-        vals = np.array([prob_closed_form(d, tau, c).p_sx_plus for d in detectors])
+        vals = np.array([prob_closed_form(d, tau).p_sx_plus for d in detectors])
         stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         out.append((float(np.sum(vals) / trials), stderr))
     return out
@@ -289,9 +280,8 @@ class TestDecoheredProbabilitySweep:
     def test_matches_scalar_oracle_within_1e_15(self, K, trials):
         # The oracle's |a_k|^2, with a_k = sqrt(w_k) exp(2 pi i v_k), rounds apart from the sweep's weights w_k
         # by ulps; several chunks also merge by Chan's update.
-        c = PhysicalConstants(hbar=0.7)
-        sweep = decohered_probability_sweep(K, 40.0, TAUS, c, seed=2**64 - 1, trials=trials)
-        expected = scalar_sweep(K, 40.0, TAUS, c, 2**64 - 1, trials)
+        sweep = decohered_probability_sweep(K, 40.0, TAUS, seed=2**64 - 1, trials=trials)
+        expected = scalar_sweep(K, 40.0, TAUS, 2**64 - 1, trials)
         np.testing.assert_allclose([(e.mean, e.stderr) for e in sweep], expected, rtol=0, atol=1e-15)
         assert all(e.n == trials for e in sweep)
 
@@ -302,7 +292,7 @@ class TestDecoheredProbabilitySweep:
 
     def test_chunk_boundaries_do_not_change_results(self, monkeypatch):
         whole = decohered_probability_sweep(8, 5.0, TAUS, seed=3, trials=23)
-        expected = scalar_sweep(8, 5.0, TAUS, PhysicalConstants(), 3, 23)
+        expected = scalar_sweep(8, 5.0, TAUS, 3, 23)
         np.testing.assert_allclose([(e.mean, e.stderr) for e in whole], expected, rtol=0, atol=1e-15)
         monkeypatch.setattr(montecarlo, "SWEEP_CHUNK", 5 * 8 + 3)  # chunks of 5 trials, the last of 3
         chunked = decohered_probability_sweep(8, 5.0, TAUS, seed=3, trials=23)

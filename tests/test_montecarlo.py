@@ -283,9 +283,9 @@ class TestMcMean:
             MonteCarloEstimate(mean=math.nan, stderr=0.0, n=10)
 
 
-def law(weights, gaps, tau, hbar, detuning):
+def law(weights, gaps, tau, detuning):
     """Per-trial values of the sweep's law, evaluated on all trials at once."""
-    scale = 0.5 * tau / hbar
+    scale = 0.5 * tau
     p = cos_squared(gaps * scale + detuning * scale)
     return p if weights is None else np.minimum(np.sum(p * weights, axis=1), 1.0 + 1e-12)
 
@@ -310,20 +310,20 @@ class TestCosSquaredSweep:
         trials = SWEEP_CHUNK // K
         draw = self.drawer(K, weighted)
         taus = [0.0, 0.3, 7.0]
-        sweep = cos_squared_sweep(draw, trials, K, taus, 0.9, 0.25)
+        sweep = cos_squared_sweep(draw, trials, K, taus, 0.25)
         weights, gaps = draw(0, trials)
-        assert sweep == [mc_estimate(law(weights, gaps, tau, 0.9, 0.25)) for tau in taus]
+        assert sweep == [mc_estimate(law(weights, gaps, tau, 0.25)) for tau in taus]
 
     @pytest.mark.parametrize("K, weighted", [(1, False), (16, True)])
     def test_chunks_merge_within_1e_15(self, K, weighted):
         trials = 3 * (SWEEP_CHUNK // K) + 5
         draw = self.drawer(K, weighted)
         taus = [0.0, 0.3, 7.0]
-        sweep = cos_squared_sweep(draw, trials, K, taus, 1.0)
+        sweep = cos_squared_sweep(draw, trials, K, taus)
         weights, gaps = draw(0, trials)
         for tau, est in zip(taus, sweep):
             # The whole array in one chunk, reduced by mc_estimate.
-            whole = mc_estimate(law(weights, gaps, tau, 1.0, 0.0))
+            whole = mc_estimate(law(weights, gaps, tau, 0.0))
             assert est.n == trials
             assert abs(est.mean - whole.mean) <= 1e-15 and abs(est.stderr - whole.stderr) <= 1e-15
 
@@ -335,7 +335,7 @@ class TestCosSquaredSweep:
             return None, gaps
 
         with pytest.raises(ValueError, match=f"trial index {SWEEP_CHUNK + 3}"):
-            cos_squared_sweep(draw, 2 * SWEEP_CHUNK, 1, [1.0], 1.0)
+            cos_squared_sweep(draw, 2 * SWEEP_CHUNK, 1, [1.0])
 
     @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
     def test_bad_tau_refused_before_any_draw(self, tau):
@@ -343,4 +343,4 @@ class TestCosSquaredSweep:
             raise AssertionError("drew before checking the taus")
 
         with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
-            cos_squared_sweep(draw, 10, 1, [1.0, tau], 1.0)
+            cos_squared_sweep(draw, 10, 1, [1.0, tau])

@@ -8,7 +8,6 @@ import scipy.special
 
 from clab.qcore import (
     HermitianOperator,
-    PhysicalConstants,
     StateVector,
     UnitaryPropagator,
     expm_propagator,
@@ -120,7 +119,7 @@ class TestExpmPropagator:
         np.testing.assert_allclose(expm_propagator(h, 1.7).matrix, np.eye(3), atol=1e-15)
 
     def test_half_period_phase(self):
-        # diagonal entry E with dt E / hbar = pi picks up phase -1
+        # diagonal entry E with dt E = pi picks up phase -1
         h = HermitianOperator.from_dense([[2.0]])
         u = expm_propagator(h, math.pi / 2.0)
         assert u.matrix[0, 0] == pytest.approx(-1.0, abs=1e-14)
@@ -144,11 +143,6 @@ class TestExpmPropagator:
         u2 = expm_propagator(h, 1.1).matrix
         u12 = expm_propagator(h, 1.5).matrix
         assert np.abs(u1 @ u2 - u12).max() <= 1e-9
-
-    def test_hbar_scaling(self):
-        h = HermitianOperator.from_dense([[3.0]])
-        u = expm_propagator(h, 1.0, PhysicalConstants(hbar=2.0))
-        assert u.matrix[0, 0] == pytest.approx(np.exp(-1.5j), abs=1e-14)
 
     def test_norm_preserved_by_application(self):
         psi = random_state(64, seed=11)
@@ -214,7 +208,7 @@ class TestIntegrateTdse:
     def test_large_constant_step_matches_exponential(self):
         h = random_hermitian(16, seed=61)
         bound = gershgorin_bound(h)
-        total = 50.0 / bound  # one step with dt * bound / hbar = 50
+        total = 50.0 / bound  # one step with dt * bound = 50
         psi0 = random_state(16, seed=62)
         direct = expm_propagator(h, total).apply(psi0)
         stepped = integrate_tdse(constant(h), psi0, total, steps=1, spectral_bound=bound)
@@ -238,7 +232,7 @@ class TestIntegrateTdse:
     def test_series_of_over_96_terms_matches_exact_propagator(self):
         h = random_hermitian(16, seed=63)
         bound = gershgorin_bound(h)
-        total = 200.0 / bound  # one step with dt * bound / hbar = 200: each series runs past 3 x 32 terms
+        total = 200.0 / bound  # one step with dt * bound = 200: each series runs past 3 x 32 terms
         psi0 = random_state(16, seed=64)
         calls = []
 

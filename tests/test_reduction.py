@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 
 import clab.reduction as reduction
-from clab.qcore import PhysicalConstants
 from clab.reduction import (
     ExactCoverInstance,
     GridHamiltonian,
@@ -82,11 +81,11 @@ def operator_columns(at, s, dim):
     return np.column_stack([matvec(e) for e in np.eye(dim, dtype=complex)])
 
 
-def dense_grid_matrix(inst, c=PhysicalConstants()):
-    """Reference grid operator -hbar^2/(2m) D2 + diag(V), built entry by entry."""
+def dense_grid_matrix(inst):
+    """Reference grid operator -1/(2m) D2 + diag(V), built entry by entry."""
     n = inst.grid_points
     dx = inst.box_length / (n + 1)
-    t = c.hbar**2 / (2.0 * inst.mass * dx * dx)
+    t = 1.0 / (2.0 * inst.mass * dx * dx)
     matrix = np.diag(2.0 * t + inst.potential)
     for i in range(n - 1):
         matrix[i, i + 1] = matrix[i + 1, i] = -t
@@ -391,9 +390,9 @@ class TestAdiabaticRun:
     def test_projected_steps_bound_the_sweep(self, monkeypatch, tol):
         taken, integrate_tdse = [], reduction.integrate_tdse
 
-        def counting(h_at, psi0, t_final, steps, spectral_bound, c, truncation):
+        def counting(h_at, psi0, t_final, steps, spectral_bound, truncation):
             taken.append(steps)
-            return integrate_tdse(h_at, psi0, t_final, steps, spectral_bound, c, truncation)
+            return integrate_tdse(h_at, psi0, t_final, steps, spectral_bound, truncation)
 
         monkeypatch.setattr(reduction, "integrate_tdse", counting)
         monkeypatch.setattr(reduction, "STEP_ERROR_TOL", tol)
@@ -534,7 +533,7 @@ class TestGridHamiltonian:
         h, _ = reduce_energy_decision(inst)
         bisections = spy_bisection(monkeypatch)
         wall = (grid_points + 1) ** 2 / 1e10 * (1.0 - math.cos(math.pi / grid_points))
-        assert ground_energy(h, method="inverse") == pytest.approx(wall, rel=1e-12)
+        assert ground_energy(h, method="inverse") == pytest.approx(wall, rel=1e-12, abs=0.0)
         assert len(bisections) == 1
 
     @pytest.mark.filterwarnings("error")
@@ -606,13 +605,6 @@ class TestGridHamiltonian:
             phi = rng.standard_normal(128)
             phi /= np.linalg.norm(phi)
             assert e0 <= phi @ h.matvec(phi) + 1e-9
-
-    def test_hbar_scaling(self):
-        c = PhysicalConstants(hbar=3.0)
-        inst = harmonic_instance(grid_points=600, box_length=40.0)
-        e0 = ground_energy(reduce_energy_decision(inst, c)[0])
-        # hbar omega / 2 with omega = 1
-        assert abs(e0 - 1.5) / 1.5 < 0.01
 
 
 class TestDirectLapack:

@@ -20,7 +20,6 @@ import clab.runner as runner
 import clab.svgplot as svgplot
 from clab.decoherence import decohered_probability
 from clab.montecarlo import derive_seed
-from clab.qcore import PhysicalConstants
 from clab.runner import (
     EXPERIMENTS,
     ConfigError,
@@ -262,11 +261,11 @@ class TestRun:
         scales = [1e-3, 0.02, 1.0, 7.5, 300.0, 1e4]
         params = {"K": 16, "energy_scale": scales, "tau": 0.9, "trials": 40, "n": 2000}
         rows = run({"experiment": "compare", "seed": 8, "hbar": 0.7, "params": params}).outputs["rows"]
-        c = PhysicalConstants(hbar=0.7)
+        tau = 0.9 / 0.7  # the kernels run in natural units
         for scale, row in zip(scales, rows, strict=True):
-            dec = decohered_probability(16, scale, 0.9, c, seed=derive_seed(8, "decohere"), trials=40)
+            dec = decohered_probability(16, scale, tau, seed=derive_seed(8, "decohere"), trials=40)
             interaction = StochasticInteraction(a_tilde=scale / 2.0, b_tilde=scale / 2.0)
-            sto = mc_probability(interaction, 0.9, c, seed=derive_seed(8, "stochastic"), n=2000)
+            sto = mc_probability(interaction, tau, seed=derive_seed(8, "stochastic"), n=2000)
             got = [row["p_decohered"], row["p_decohered_stderr"], row["p_stochastic"], row["p_stochastic_stderr"]]
             np.testing.assert_allclose(got, [dec.mean, dec.stderr, sto.mean, sto.stderr], rtol=0, atol=1e-12)
 
@@ -302,6 +301,12 @@ class TestRun:
         assert summary["decision"] is True
         assert abs(summary["ground_energy"] - 0.5) / 0.5 < 0.01
         assert record.outputs["rows"][0]["solver_relative_gap"] <= 1e-8
+
+    def test_harmonic_ground_energy_is_half_hbar_omega(self):
+        # The kinetic term takes hbar through the mass, the potential keeps the configured mass: E0 = hbar omega / 2.
+        grid = {"grid_points": 600, "box_length": 40.0, "mass": 1.0, "potential": {"kind": "harmonic", "omega": 1.0}}
+        record = run({"experiment": "spectral", "hbar": 3.0, "params": {"grid": grid, "E_B": 1.0}})
+        assert record.outputs["summary"]["ground_energy"] == pytest.approx(1.5, rel=0.01)
 
     @staticmethod
     def double_well_config(seed, box_length):
@@ -483,6 +488,8 @@ class TestCli:
                            "schedule": {"T_min": 1.0, "target": 1.5}}, "params.schedule.target"),
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 1e308, "tau": 10.0, "n": 100}, "params.tau"),
             ("decohere", {"K": 4, "energy_scale": 1e308, "tau": [1.0, 1e10], "trials": 2}, "params.tau"),
+            ("decohere", {"hbar": 1e100, "params": {"K": 4, "energy_scale": 1e200, "tau": 1e200, "trials": 2}},
+             "params.tau"),
             ("compare", {"K": 4, "energy_scale": 1e308, "tau": 1e10, "trials": 2, "n": 100}, "params.energy_scale"),
             ("adiabatic", {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
                            "schedule": {"T_min": 1e308}}, "params.schedule.T_min"),
@@ -515,12 +522,16 @@ class TestCli:
             ("spectral", {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
                                    "potential": {"kind": "values", "values": [0.0, 10**400, 0.0]}}, "E_B": 1.0},
              "params.grid.potential.values[1]"),
+            ("adiabatic", {"hbar": 1e300, "params": {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
+                                                     "schedule": {"T_min": 1e-300}}}, "params.schedule.T_min"),
         ],
-        ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "compare_span_overflow",
+        ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "decohere_spread_overflow",
+             "compare_span_overflow",
              "t_min_steps_overflow", "t_min_steps_over_limit", "spectral_zero_division", "spectral_dx_underflow",
              "spectral_overflow", "spectral_kinetic_1e-153", "spectral_kinetic_1e-200", "spectral_kinetic_underflow",
              "spectral_values_empty", "stochastic_uniform_width_overflow", "stochastic_independent_width_overflow",
-             "energy_scale_int_overflow", "hbar_int_overflow", "t_min_int_overflow", "values_int_overflow"],
+             "energy_scale_int_overflow", "hbar_int_overflow", "t_min_int_overflow", "values_int_overflow",
+             "t_min_over_hbar_underflow"],
     )
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, experiment, params, path):
         # A row holding a "params" key is the whole config, for the fields above params.
@@ -539,14 +550,22 @@ class TestCli:
         config = self._write_config(tmp_path, {"params": {"grid": grid, "E_B": 1.0}})
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
-    def test_kinetic_term_just_above_the_floor_solves_exactly(self, tmp_path):
-        # hbar^2 / (m dx^2) = 65^2 / 4e153, about 1.06e-150: stebz's squared couplings still stay normal.
-        grid = {"grid_points": 64, "box_length": 1.0, "mass": 4e153, "potential": {"kind": "zero"}}
-        config = self._write_config(tmp_path, {"params": {"grid": grid, "E_B": 1.0}})
+    @pytest.mark.parametrize(
+        "hbar,mass",
+        # At 4e153, hbar^2 / (m dx^2) = 65^2 / 4e153, about 1.06e-150: stebz's squared couplings still stay normal.
+        # The grid's mass is mass / hbar / hbar: at hbar = 1e160 and 1e-160, hbar^2 would be inf or the subnormal 1e-320.
+        [(1.0, 4e153), (1e160, 1e300), (1e-160, 1e-300)],
+        ids=["kinetic_floor", "hbar_1e160", "hbar_1e-160"],
+    )
+    def test_zero_grid_solves_exactly(self, tmp_path, hbar, mass):
+        grid = {"grid_points": 64, "box_length": 1.0, "mass": mass, "potential": {"kind": "zero"}}
+        config = self._write_config(tmp_path, {"hbar": hbar, "params": {"grid": grid, "E_B": 1.0}})
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
-        exact = 65.0**2 / 4e153 * (1.0 - math.cos(math.pi / 65.0))
-        assert record["outputs"]["summary"]["ground_energy"] == pytest.approx(exact, rel=1e-12)
+        t = 0.5 * (hbar / math.sqrt(mass) * 65.0) ** 2  # hbar^2 / (2 m dx^2), with no hbar^2 to overflow
+        exact = 2.0 * t * (1.0 - math.cos(math.pi / 65.0))
+        assert record["outputs"]["summary"]["ground_energy"] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert record["warnings"] == []
 
     @pytest.mark.parametrize(
         "values",
@@ -618,13 +637,19 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "stochastic_result.json").read_text())["outputs"]["summary"]
         assert 0.0 <= summary["final_p_mean"] <= 1.0
 
-    def test_compare_huge_scale_at_tiny_tau_exit_zero(self, tmp_path):
-        # Compare samples on the unit interval and scales time instead, so energy_scale = 1e308 cannot overflow it.
-        params = {"K": 4, "energy_scale": [1e308], "tau": 1e-300, "trials": 2, "n": 100}
-        config = self._write_config(tmp_path, {"params": params})
+    @pytest.mark.parametrize(
+        "energy_scale,tau,hbar,spread",
+        [(1e308, 1e-300, 1.0, 1e8), (1e-10, 1e300, 1e-10, 1e300)],
+        ids=["huge_scale_tiny_tau", "tau_over_hbar_overflow"],
+    )
+    def test_compare_runs_wherever_its_natural_times_are_finite(self, tmp_path, energy_scale, tau, hbar, spread):
+        # Compare samples on the unit interval and sweeps the times energy_scale * tau / hbar alone, so neither
+        # energy_scale = 1e308 nor tau / hbar = inf overflows it.
+        params = {"K": 4, "energy_scale": [energy_scale], "tau": tau, "trials": 2, "n": 100}
+        config = self._write_config(tmp_path, {"hbar": hbar, "params": params})
         assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         row = json.loads((tmp_path / "out" / "compare_result.json").read_text())["outputs"]["rows"][0]
-        assert row["spread"] == pytest.approx(1e8)
+        assert row["spread"] == pytest.approx(spread)
         assert 0.0 <= row["p_decohered"] <= 1.0 and 0.0 <= row["p_stochastic"] <= 1.0
 
     @pytest.mark.parametrize(
@@ -904,3 +929,49 @@ class TestRunContract:
     @given(mutated_instances())
     def test_mutated_instance_objects(self, instance):
         assert run_adiabatic_instance(json.dumps(instance).encode()) in (0, 2, 3)
+
+
+# Small configs at hbar = 1 for the units oracle; every time is a natural-unit time here.
+UNITS_BASES = {
+    "decohere": {"K": 6, "energy_scale": 3.0, "tau": [0.0, 0.3, 7.0], "trials": 5},
+    "stochastic": {"A_tilde": 2.5, "B_tilde": 0.75, "mode": "independent_uniform", "tau": [0.0, 0.3, 7.0], "n": 200},
+    "compare": {"K": 6, "energy_scale": [0.5, 40.0], "tau": 0.3, "trials": 5, "n": 200},
+    "adiabatic": {"instance_path": str(REPO / "instances" / "ec_n3_single.json"), "schedule": {"T_min": 0.5, "doublings": 2}},
+    "spectral": {"grid": {"grid_points": 64, "box_length": 1.0, "mass": 1.0,
+                          "potential": {"kind": "harmonic", "omega": 3.0}}, "E_B": 10.0},
+}
+
+
+def in_units(experiment: str, k: int) -> dict:
+    """The base config at hbar = 2^k: times scaled by 2^k; for spectral, mass by 2^(2k) and omega by 2^(-k)."""
+    params = json.loads(json.dumps(UNITS_BASES[experiment]))
+    if experiment == "spectral":
+        params["grid"]["mass"] = math.ldexp(params["grid"]["mass"], 2 * k)
+        params["grid"]["potential"]["omega"] = math.ldexp(params["grid"]["potential"]["omega"], -k)
+    elif experiment == "adiabatic":
+        params["schedule"]["T_min"] = math.ldexp(params["schedule"]["T_min"], k)
+    elif experiment == "compare":
+        params["tau"] = math.ldexp(params["tau"], k)
+    else:
+        params["tau"] = [math.ldexp(tau, k) for tau in params["tau"]]
+    return {"experiment": experiment, "seed": 3, "hbar": math.ldexp(1.0, k), "params": params}
+
+
+class TestUnitsOracle:
+    """hbar enters only through the natural-unit times and mass, so a change of units by 2^k changes no bit."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_power_of_two_units_give_bit_identical_outputs(self, experiment):
+        base = run(in_units(experiment, 0))
+        for k in (-300, -45, 1, 17, 300):
+            record = run(in_units(experiment, k))
+            outputs = record.outputs
+            # The echoed times are the configured ones; scaled back by 2^-k they are the base run's.
+            for row in outputs["rows"]:
+                for key in ("tau", "T"):
+                    if key in row:
+                        row[key] = math.ldexp(row[key], -k)
+            if experiment == "compare":
+                outputs["summary"]["tau"] = math.ldexp(outputs["summary"]["tau"], -k)
+            assert json.dumps(outputs, sort_keys=True) == json.dumps(base.outputs, sort_keys=True), k
+            assert record.warnings == base.warnings == []

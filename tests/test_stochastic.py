@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clab.montecarlo import mc_estimate, mc_mean
-from clab.qcore import HermitianOperator, PhysicalConstants, StateVector, expm_propagator
+from clab.qcore import HermitianOperator, StateVector, expm_propagator
 from clab.stochastic import (
     EnergySample,
     StochasticInteraction,
@@ -26,10 +26,10 @@ from clab.stochastic import (
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def direct_overlap_probability(s, sample, tau, hbar=1.0):
+def direct_overlap_probability(s, sample, tau):
     """Independent check: assemble the two phased amplitudes and square."""
-    amp = 0.5 * np.exp(-1j * tau * (s.a_tilde + np.asarray(sample.alpha)) / hbar) + 0.5 * np.exp(
-        -1j * tau * (s.b_tilde + np.asarray(sample.beta)) / hbar
+    amp = 0.5 * np.exp(-1j * tau * (s.a_tilde + np.asarray(sample.alpha))) + 0.5 * np.exp(
+        -1j * tau * (s.b_tilde + np.asarray(sample.beta))
     )
     return np.abs(amp) ** 2
 
@@ -87,10 +87,10 @@ class TestEvolveStochastic:
     def test_phases_match_branch_energies(self):
         s = StochasticInteraction(a_tilde=4.0, b_tilde=2.0, mode="independent_uniform")
         sample = EnergySample(alpha=0.5, beta=-0.25)
-        tau, hbar = 1.3, 2.0
-        sol = evolve_stochastic(s, sample, tau, PhysicalConstants(hbar=hbar))
-        assert sol.c0_phase == pytest.approx(-tau * 4.5 / hbar, abs=1e-15)
-        assert sol.c1_phase == pytest.approx(-tau * 1.75 / hbar, abs=1e-15)
+        tau = 0.65
+        sol = evolve_stochastic(s, sample, tau)
+        assert sol.c0_phase == pytest.approx(-tau * 4.5, abs=1e-15)
+        assert sol.c1_phase == pytest.approx(-tau * 1.75, abs=1e-15)
 
     def test_matches_kernel_exponential(self):
         s = StochasticInteraction(a_tilde=1.5, b_tilde=0.7)
@@ -129,13 +129,12 @@ class TestOverlapProbability:
     def test_matches_paper_expansion(self, mode):
         # The cos^2 law against the module docstring's expansion, written out here.
         s = StochasticInteraction(a_tilde=2.5, b_tilde=0.75, mode=mode)
-        hbar = 0.7
         sample = sample_energies(s, seed=12, index=np.arange(10_000))
-        for tau in (0.0, 0.3, 1.7, 25.0):
-            d = (s.a_tilde - s.b_tilde) * tau / hbar
-            delta = (sample.alpha - sample.beta) * tau / hbar
+        for tau in (0.0, 0.43, 2.4, 36.0):
+            d = (s.a_tilde - s.b_tilde) * tau
+            delta = (sample.alpha - sample.beta) * tau
             expansion = 0.5 + 0.5 * np.cos(d) * np.cos(delta) - 0.5 * np.sin(d) * np.sin(delta)
-            p = overlap_probability(s, sample, tau, PhysicalConstants(hbar=hbar))
+            p = overlap_probability(s, sample, tau)
             assert np.abs(p - expansion).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -264,15 +263,14 @@ class TestMcProbabilitySweep:
     @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
     def test_tau_list_matches_single_tau_calls(self, mode):
         s = StochasticInteraction(a_tilde=3.0, b_tilde=1.25, mode=mode)
-        c = PhysicalConstants(hbar=0.8)
-        taus = [0.0, 1e-3, 0.5, 2.0, 40.0]
-        sweep = mc_probability_sweep(s, taus, c, seed=2**64 - 1, n=5000)
-        assert sweep == [mc_probability(s, tau, c, seed=2**64 - 1, n=5000) for tau in taus]
+        taus = [0.0, 1e-3, 0.6, 2.5, 50.0]
+        sweep = mc_probability_sweep(s, taus, seed=2**64 - 1, n=5000)
+        assert sweep == [mc_probability(s, tau, seed=2**64 - 1, n=5000) for tau in taus]
         # The per-tau reference: a fresh draw for each tau through mc_mean.
         for tau, est in zip(taus, sweep):
 
             def per_tau(idx, seed, tau=tau):
-                return overlap_probability(s, sample_energies(s, seed, idx), tau, c)
+                return overlap_probability(s, sample_energies(s, seed, idx), tau)
 
             assert est == mc_mean(per_tau, 5000, 2**64 - 1)
         assert sweep[0].mean == 1.0 and sweep[0].stderr == 0.0
@@ -287,12 +285,11 @@ class TestMcProbabilitySweep:
     @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
     def test_chunk_equals_fresh_probabilities_bit_for_bit(self, mode):
         s = StochasticInteraction(a_tilde=5e3, b_tilde=2e3, mode=mode)
-        c = PhysicalConstants(hbar=1.1)
-        taus = [0.0, 1e-4, 3e-3, 0.7, 1.0]
+        taus = [0.0, 1e-4, 3e-3, 0.6, 0.9]
         n = 20_001  # one chunk
         sample = sample_energies(s, 17, np.arange(n, dtype=np.uint64))
-        expected = [mc_estimate(overlap_probability(s, sample, tau, c)) for tau in taus]
-        assert mc_probability_sweep(s, taus, c, seed=17, n=n) == expected
+        expected = [mc_estimate(overlap_probability(s, sample, tau)) for tau in taus]
+        assert mc_probability_sweep(s, taus, seed=17, n=n) == expected
 
     def test_memory_bounded_by_chunk(self):
         s = StochasticInteraction(a_tilde=5e3, b_tilde=2e3, mode="independent_uniform")
