@@ -385,10 +385,11 @@ def success_sweep(
 
 
 def most_probable_bitstring(state: StateVector, n: int) -> str:
-    """Assignment carrying the largest probability in a 2^n state."""
+    """Assignment carrying the largest probability in a 2^n state; the lowest among those within 1e-12 of it (ties)."""
     if state.dim != 1 << n:
         raise ValueError(f"state dim {state.dim} does not match 2^{n}")
-    return format(int(np.argmax(state.probabilities())), f"0{n}b")
+    probs = state.probabilities()
+    return format(int(np.argmax(probs >= probs.max() - 1e-12)), f"0{n}b")
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +473,12 @@ INVERSE_MAX_ITER = 200
 
 
 def _ground_energy_direct(h: GridHamiltonian) -> float:
-    """Lowest eigenvalue by LAPACK stebz, bisected to full precision; raises on info != 0."""
+    """Lowest eigenvalue by LAPACK stebz, bisected to full precision; raises on info != 0 or a coupling out of range."""
+    coupling = float(np.abs(h.offdiag).max(initial=0.0))
+    if coupling and not MIN_KINETIC / 2.0 <= coupling <= MAX_KINETIC / 2.0:  # stebz would report the diagonal or fail
+        raise ValueError(
+            f"largest coupling {coupling:g} is outside stebz's range [{MIN_KINETIC / 2.0:g}, {MAX_KINETIC / 2.0:g}]"
+        )
     # tol=0 lets stebz stop at a width of eps * ||H||_1, far wider than E0 if one entry of V is huge.
     tiny = 2.0 * np.finfo(float).tiny
     # Eigenvalues il=1 to iu=1 (range 2, by index), in order "E": what eigvalsh_tridiagonal(select="i") asks for.

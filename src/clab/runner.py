@@ -274,33 +274,12 @@ def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
         raise ConfigError(path, f"{count:,} {what}; at most {limit:,} are allowed")
 
 
-def _require_finite_grid(grid: dict, hbar: float) -> None:
-    """Reject a kinetic term 1 / (m dx^2) out of [MIN_KINETIC, MAX_KINETIC] or a harmonic peak that overflows.
-
-    The kinetic term is the grid operator's, at the natural-unit mass m = mass / hbar / hbar;
-    dividing twice never squares hbar, which could overflow or go subnormal. Any other finite
-    potential is accepted: kinetic term plus V is then finite. Numpy returns inf or NaN where
-    floats would raise. An overflowing peak is named before a kinetic term below MIN_KINETIC,
-    which the same huge box also gives.
-    """
-    dx = grid["box_length"] / (grid["grid_points"] + 1)
-    potential = grid["potential"]
-    with np.errstate(all="ignore"):
-        kinetic = 2.0 * (1.0 / (2.0 * (np.float64(grid["mass"]) / hbar / hbar) * dx * dx))
-        if potential["kind"] == "harmonic":
-            half_box = np.float64(grid["box_length"]) / 2.0
-            peak = 0.5 * grid["mass"] * np.float64(potential["omega"]) ** 2 * half_box**2
-    inputs = f"for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}"
-    if not kinetic <= MAX_KINETIC:  # also rejects inf and NaN
-        raise ConfigError("params.grid.box_length", f"kinetic term {kinetic:g} exceeds {MAX_KINETIC:g} {inputs}")
-    if potential["kind"] == "harmonic" and not np.isfinite(peak):
-        raise ConfigError("params.grid.potential.omega", f"potential peak {peak:g} overflows")
-    if kinetic < MIN_KINETIC:
-        raise ConfigError("params.grid.box_length", f"kinetic term {kinetic:g} is below {MIN_KINETIC:g} {inputs}")
-
-
 def validate_config(raw: dict) -> dict:
-    """Normalize a raw config dict, rejecting unknown keys and bad ranges."""
+    """Normalize a raw config dict: keys, types and ranges, and the Monte Carlo spans and size limits.
+
+    The runners check what they build, before any work: ``_run_adiabatic`` the instance, T_min / hbar
+    and the projected steps; ``_run_spectral`` the grid (``_spectral_instance``).
+    """
     if not isinstance(raw, dict):
         raise ConfigError("$", f"config must be an object, got {type(raw).__name__}")
     _check_keys(raw, "$", (), ("experiment", "seed", "hbar", "params"))
@@ -335,12 +314,6 @@ def validate_config(raw: dict) -> dict:
         _require_at_most(MAX_DRAWS, params["n"], "params.n", "Monte Carlo draws (n)")
         evaluations = len(params["energy_scale"]) * (params["K"] * params["trials"] + params["n"])
         _require_at_most(MAX_EVALUATIONS, evaluations, "params.energy_scale", "cos^2 evaluations")
-    elif experiment == "adiabatic":
-        t_min = params["schedule"]["T_min"] / hbar
-        if not 0.0 < t_min < math.inf:  # the sweep's shortest natural-unit time
-            raise ConfigError("params.schedule.T_min", f"T_min / hbar = {t_min:g} is not a positive finite number")
-    elif experiment == "spectral":
-        _require_finite_grid(params["grid"], hbar)
     return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": params}
 
 
@@ -465,6 +438,8 @@ def _run_adiabatic(config: dict) -> dict:
     schedule_cfg = p["schedule"]
     total_times = [schedule_cfg["T_min"] * 2.0**k for k in range(schedule_cfg["doublings"] + 1)]
     times = [total_time / config["hbar"] for total_time in total_times]
+    if not 0.0 < times[0] < math.inf:  # the sweep's shortest natural-unit time
+        raise ConfigError("params.schedule.T_min", f"T_min / hbar = {times[0]:g} is not a positive finite number")
     projected = projected_steps(inst, times)
     if not projected <= SWEEP_MAX_STEPS:  # also rejects inf and NaN
         raise ConfigError(
@@ -495,25 +470,39 @@ def _run_adiabatic(config: dict) -> dict:
     }
 
 
-def _build_spectral_instance(grid_cfg: dict, threshold: float, hbar: float) -> SpectralDecisionInstance:
-    """The grid at the natural-unit mass mass / hbar / hbar; a harmonic potential is built with the configured mass."""
-    n = grid_cfg["grid_points"]
-    length = grid_cfg["box_length"]
-    pot_cfg = grid_cfg["potential"]
+def _spectral_instance(grid: dict, threshold: float, hbar: float) -> SpectralDecisionInstance:
+    """The grid at the natural-unit mass m = mass / hbar / hbar, checked as built; a harmonic V keeps the given mass.
+
+    Formed in float64 under errstate, an overflow gives inf or NaN where floats would raise (``omega ** 2``).
+    Rejected in this order: a kinetic term 1 / (m dx^2) above MAX_KINETIC; a non-finite V, only ever harmonic
+    (values are validated finite); a kinetic term below MIN_KINETIC, which the huge box of an overflowing V
+    also gives. What passes has every diagonal entry 1 / (m dx^2) + V finite.
+    """
+    n, length, potential = grid["grid_points"], grid["box_length"], grid["potential"]
     dx = length / (n + 1)
-    x = dx * np.arange(1, n + 1)
-    if pot_cfg["kind"] == "harmonic":
-        v = 0.5 * grid_cfg["mass"] * pot_cfg["omega"] ** 2 * (x - length / 2.0) ** 2
-    else:
-        v = pot_cfg.get("values", np.zeros(n))  # a zero potential has no values
+    with np.errstate(all="ignore"):
+        mass = np.float64(grid["mass"]) / hbar / hbar
+        kinetic = 1.0 / (mass * dx * dx)
+        if potential["kind"] == "harmonic":
+            x = dx * np.arange(1, n + 1)
+            v = 0.5 * np.float64(grid["mass"]) * np.float64(potential["omega"]) ** 2 * (x - length / 2.0) ** 2
+        else:
+            v = np.asarray(potential.get("values", np.zeros(n)))  # a zero potential has no values
+    inputs = f"for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}"
+    if not kinetic <= MAX_KINETIC:  # also rejects inf and NaN
+        raise ConfigError("params.grid.box_length", f"kinetic term {kinetic:g} exceeds {MAX_KINETIC:g} {inputs}")
+    if not np.isfinite(v).all():
+        raise ConfigError("params.grid.potential.omega", f"V overflows for omega = {potential['omega']:g}, {inputs}")
+    if kinetic < MIN_KINETIC:
+        raise ConfigError("params.grid.box_length", f"kinetic term {kinetic:g} is below {MIN_KINETIC:g} {inputs}")
     return SpectralDecisionInstance(
-        grid_points=n, box_length=length, mass=grid_cfg["mass"] / hbar / hbar, potential=v, threshold=threshold
+        grid_points=n, box_length=length, mass=float(mass), potential=v, threshold=threshold
     )
 
 
 def _run_spectral(config: dict) -> dict:
     p = config["params"]
-    inst = _build_spectral_instance(p["grid"], p["E_B"], config["hbar"])
+    inst = _spectral_instance(p["grid"], p["E_B"], config["hbar"])
     h, threshold = reduce_energy_decision(inst)
     e_dense = ground_energy(h, method="dense")
     e_inverse = ground_energy(h, method="inverse")

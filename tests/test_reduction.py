@@ -547,6 +547,30 @@ class TestGridHamiltonian:
         for method in ("dense", "inverse"):
             assert ground_energy(h, method=method) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "box_length,mass,accepted",
+        [(1e76, 1.0, True), (1e80, 1.0, False), (1.0, 2.1e-151, False)],
+        ids=["coupling_2e-149", "coupling_2e-157", "coupling_1e154"],
+    )
+    def test_direct_route_takes_only_its_coupling_range(self, box_length, mass, accepted):
+        # Below it stebz returned the diagonal 2t, 856 times E0 = 2t (1 - cos(pi / 65)); above it the same,
+        # until it failed with info 4 past about 1.3e154.
+        inst = SpectralDecisionInstance(
+            grid_points=64, box_length=box_length, mass=mass, potential=np.zeros(64), threshold=0.0
+        )
+        h, _ = reduce_energy_decision(inst)
+        t = -float(h.offdiag[0])
+        if accepted:
+            assert ground_energy(h) == pytest.approx(2.0 * t * (1.0 - math.cos(math.pi / 65.0)), rel=1e-12, abs=0.0)
+        else:
+            with pytest.raises(ValueError, match="coupling"):
+                ground_energy(h)
+            with pytest.raises(ValueError, match="coupling"):
+                decide_energy_threshold(inst)
+
+    def test_direct_route_takes_zero_couplings(self):
+        assert ground_energy(GridHamiltonian(diag=np.array([3.0, 1.0, 2.0]), offdiag=np.zeros(2))) == 1.0
+
     def test_grid_refinement_converges(self):
         coarse = ground_energy(reduce_energy_decision(harmonic_instance(grid_points=256))[0])
         fine = ground_energy(reduce_energy_decision(harmonic_instance(grid_points=512))[0])

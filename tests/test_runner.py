@@ -276,6 +276,16 @@ class TestRun:
         assert summary["most_probable_satisfies"] is True
         assert record.outputs["rows"][-1]["success_probability"] >= 0.9
 
+    @pytest.mark.parametrize("hbar", [0.7, 3.3])
+    def test_most_probable_bitstring_breaks_roundoff_ties_low(self, hbar):
+        # The three solutions of ec_n3_single end within 1e-15 of each other; argmax picked 100 at these
+        # hbar and 001 at hbar = 1.
+        params = {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
+                  "schedule": {"T_min": 1.0, "doublings": 7, "target": 0.9}}
+        summary = run({"experiment": "adiabatic", "hbar": hbar, "params": params}).outputs["summary"]
+        assert summary["most_probable_bitstring"] == "001"
+        assert summary["most_probable_satisfies"] is True
+
     def test_adiabatic_missing_instance_is_config_error(self):
         config = adiabatic_config()
         config["params"]["instance_path"] = "nowhere/missing.json"
@@ -565,6 +575,15 @@ class TestCli:
         t = 0.5 * (hbar / math.sqrt(mass) * 65.0) ** 2  # hbar^2 / (2 m dx^2), with no hbar^2 to overflow
         exact = 2.0 * t * (1.0 - math.cos(math.pi / 65.0))
         assert record["outputs"]["summary"]["ground_energy"] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert record["warnings"] == []
+
+    def test_potential_rule_reads_the_built_grid(self, tmp_path):
+        # 0.5 m omega^2 (L/2)^2 overflows at the box edge, which the grid never reaches: its outermost points
+        # sit at L/4 from the centre, where V is 6.25e307.
+        grid = {"grid_points": 3, "box_length": 1e10, "mass": 2e289, "potential": {"kind": "harmonic", "omega": 1.0}}
+        config = self._write_config(tmp_path, {"hbar": 1e160, "params": {"grid": grid, "E_B": 1.0}})
+        assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
         assert record["warnings"] == []
 
     @pytest.mark.parametrize(
@@ -957,6 +976,27 @@ def in_units(experiment: str, k: int) -> dict:
     return {"experiment": experiment, "seed": 3, "hbar": math.ldexp(1.0, k), "params": params}
 
 
+# The energy dimension of each field the energy oracle scales: an energy by 2^j, a time by 2^-j, a mass by 2^-j.
+ENERGY_DIMENSIONS = {
+    "decohere": {"energy_scale": 1, "tau": -1},
+    "stochastic": {"A_tilde": 1, "B_tilde": 1, "tau": -1},
+    "compare": {"energy_scale": 1, "tau": -1},
+    "spectral": {"mass": -1, "omega": 1, "E_B": 1, "ground_energy": 1, "ground_energy_dense": 1,
+                 "ground_energy_inverse": 1, "threshold": 1},
+}
+
+
+def energy_scaled(node, dimensions: dict, j: int, key=None):
+    """``node`` with every number under a key of ``dimensions`` multiplied by 2^(dimension * j)."""
+    if isinstance(node, dict):
+        return {k: energy_scaled(value, dimensions, j, k) for k, value in node.items()}
+    if isinstance(node, list):
+        return [energy_scaled(value, dimensions, j, key) for value in node]
+    if key in dimensions and isinstance(node, float):
+        return math.ldexp(node, dimensions[key] * j)
+    return node
+
+
 class TestUnitsOracle:
     """hbar enters only through the natural-unit times and mass, so a change of units by 2^k changes no bit."""
 
@@ -974,4 +1014,19 @@ class TestUnitsOracle:
             if experiment == "compare":
                 outputs["summary"]["tau"] = math.ldexp(outputs["summary"]["tau"], -k)
             assert json.dumps(outputs, sort_keys=True) == json.dumps(base.outputs, sort_keys=True), k
+            assert record.warnings == base.warnings == []
+
+    @pytest.mark.parametrize("experiment", sorted(ENERGY_DIMENSIONS))
+    def test_power_of_two_energy_scales_give_bit_identical_outputs(self, experiment):
+        dimensions = ENERGY_DIMENSIONS[experiment]
+        base = run({"experiment": experiment, "seed": 3, "params": UNITS_BASES[experiment]})
+        for j in (-300, -45, 1, 17, 300):
+            params = energy_scaled(UNITS_BASES[experiment], dimensions, j)
+            record = run({"experiment": experiment, "seed": 3, "params": params})
+            outputs, expected = energy_scaled(record.outputs, dimensions, -j), json.loads(json.dumps(base.outputs))
+            if experiment == "spectral" and j < 0:
+                # Its max(1, |E|) floor is not scale-free: below an energy of 1 the gap is absolute.
+                for row in (*outputs["rows"], *expected["rows"]):
+                    del row["solver_relative_gap"]
+            assert json.dumps(outputs, sort_keys=True) == json.dumps(expected, sort_keys=True), j
             assert record.warnings == base.warnings == []
