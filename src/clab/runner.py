@@ -9,10 +9,11 @@ the offending field path. A run is a pure function of (config, seed): the
 emitted JSON payload is byte-identical across repeats except for the
 wall-clock field.
 
-The library works in natural units (hbar = 1). ``hbar`` is read here alone
-and applied once, at the edge: the runners hand the kernels the times
-tau / hbar and T / hbar, and the grid the mass m / hbar / hbar, while the
-payload echoes the configured values.
+The library works in natural units (hbar = 1). ``validate_config`` checks
+fields and size limits; ``hbar`` is read only by the runners, which apply it
+once, at the edge: they hand the kernels the times tau / hbar and T / hbar,
+and the grid the mass m / hbar / hbar, while the payload echoes the
+configured values. Each runner checks the numbers it forms before any work.
 """
 from __future__ import annotations
 
@@ -158,14 +159,23 @@ def _as_float_list(value, path: str, minimum: float | None = None, strict_positi
     return _as_float_items(value, path, minimum, strict_positive)
 
 
+def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
+    if count > limit:
+        raise ConfigError(path, f"{count:,} {what}; at most {limit:,} are allowed")
+
+
 def _validate_decohere(params: dict) -> dict:
     _check_keys(params, "params", ("K", "energy_scale", "tau", "trials"))
-    return {
+    normalized = {
         "K": _as_int(params["K"], "params.K", minimum=1),
         "energy_scale": _as_float(params["energy_scale"], "params.energy_scale", strict_positive=True),
         "tau": _as_float_list(params["tau"], "params.tau", minimum=0.0),
         "trials": _as_int(params["trials"], "params.trials", minimum=1),
     }
+    draws = normalized["K"] * normalized["trials"]
+    _require_at_most(MAX_DRAWS, draws, "params.K", "Monte Carlo draws (K * trials)")
+    _require_at_most(MAX_EVALUATIONS, len(normalized["tau"]) * draws, "params.tau", "cos^2 evaluations")
+    return normalized
 
 
 def _validate_stochastic(params: dict) -> dict:
@@ -173,24 +183,33 @@ def _validate_stochastic(params: dict) -> dict:
     mode = params.get("mode", "uniform_argument")
     if mode not in SAMPLING_MODES:
         raise ConfigError("params.mode", f"must be one of {list(SAMPLING_MODES)}, got {mode!r}")
-    return {
+    normalized = {
         "A_tilde": _as_float(params["A_tilde"], "params.A_tilde", minimum=0.0),
         "B_tilde": _as_float(params["B_tilde"], "params.B_tilde", minimum=0.0),
         "mode": mode,
         "tau": _as_float_list(params["tau"], "params.tau", minimum=0.0),
         "n": _as_int(params["n"], "params.n", minimum=2),
     }
+    _require_at_most(MAX_DRAWS, normalized["n"], "params.n", "Monte Carlo draws (n)")
+    _require_at_most(MAX_EVALUATIONS, len(normalized["tau"]) * normalized["n"], "params.tau", "cos^2 evaluations")
+    return normalized
 
 
 def _validate_compare(params: dict) -> dict:
     _check_keys(params, "params", ("K", "energy_scale", "tau", "trials", "n"))
-    return {
+    normalized = {
         "K": _as_int(params["K"], "params.K", minimum=1),
         "energy_scale": _as_float_list(params["energy_scale"], "params.energy_scale", strict_positive=True),
         "tau": _as_float(params["tau"], "params.tau", minimum=0.0),
         "trials": _as_int(params["trials"], "params.trials", minimum=1),
         "n": _as_int(params["n"], "params.n", minimum=2),
     }
+    draws = normalized["K"] * normalized["trials"]
+    _require_at_most(MAX_DRAWS, draws, "params.K", "Monte Carlo draws (K * trials)")
+    _require_at_most(MAX_DRAWS, normalized["n"], "params.n", "Monte Carlo draws (n)")
+    evaluations = len(normalized["energy_scale"]) * (draws + normalized["n"])
+    _require_at_most(MAX_EVALUATIONS, evaluations, "params.energy_scale", "cos^2 evaluations")
+    return normalized
 
 
 def _validate_adiabatic(params: dict) -> dict:
@@ -256,29 +275,11 @@ _VALIDATORS = {
 }
 
 
-def _require_finite_spans(scales, taus, hbar: float, path: str) -> None:
-    """Reject a natural-unit time tau / hbar or a dimensionless phase span scale * tau / hbar that overflows.
-
-    A span is checked in both orders: scale * (tau / hbar), as the kernels compute it from the
-    natural-unit time, and (scale * tau) / hbar, as the payload echoes it.
-    """
-    for scale in scales:
-        for tau in taus:
-            natural = tau / hbar
-            if not (math.isfinite(natural) and math.isfinite(scale * natural) and math.isfinite(scale * tau / hbar)):
-                raise ConfigError(path, f"phase span scale * time / hbar = {scale:g} * {tau:g} / {hbar:g} is not finite")
-
-
-def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
-    if count > limit:
-        raise ConfigError(path, f"{count:,} {what}; at most {limit:,} are allowed")
-
-
 def validate_config(raw: dict) -> dict:
-    """Normalize a raw config dict: keys, types and ranges, and the Monte Carlo spans and size limits.
+    """Normalize a raw config dict: keys, types and ranges of every field, and the Monte Carlo size limits.
 
-    The runners check what they build, before any work: ``_run_adiabatic`` the instance, T_min / hbar
-    and the projected steps; ``_run_spectral`` the grid (``_spectral_instance``).
+    ``hbar`` is only validated. Each runner checks the numbers it forms from it before any work: the Monte
+    Carlo spans and draw width, the adiabatic instance, T_min / hbar and steps, and the spectral grid.
     """
     if not isinstance(raw, dict):
         raise ConfigError("$", f"config must be an object, got {type(raw).__name__}")
@@ -293,28 +294,7 @@ def validate_config(raw: dict) -> dict:
     params = raw.get("params")
     if not isinstance(params, dict):
         raise ConfigError("params", "missing or not an object")
-    params = _VALIDATORS[experiment](params)
-    if experiment == "stochastic":
-        _require_finite_spans([params["A_tilde"] + params["B_tilde"]], params["tau"], hbar, "params.tau")
-        a, b = params["A_tilde"], params["B_tilde"]
-        width = 2.0 * (max(a, b) if params["mode"] == "independent_uniform" else a + b)
-        if not math.isfinite(width):  # the widest interval the energy uncertainties are drawn on
-            raise ConfigError("params.A_tilde" if a >= b else "params.B_tilde", f"draw interval width {width:g} is not finite")
-        _require_at_most(MAX_DRAWS, params["n"], "params.n", "Monte Carlo draws (n)")
-        _require_at_most(MAX_EVALUATIONS, len(params["tau"]) * params["n"], "params.tau", "cos^2 evaluations")
-    elif experiment == "decohere":
-        _require_finite_spans([params["energy_scale"]], params["tau"], hbar, "params.tau")
-        draws = params["K"] * params["trials"]
-        _require_at_most(MAX_DRAWS, draws, "params.K", "Monte Carlo draws (K * trials)")
-        _require_at_most(MAX_EVALUATIONS, len(params["tau"]) * draws, "params.tau", "cos^2 evaluations")
-    elif experiment == "compare":  # at unit energy scale, on the times energy_scale * tau (see _run_compare)
-        times = [energy_scale * params["tau"] for energy_scale in params["energy_scale"]]
-        _require_finite_spans([1.0], times, hbar, "params.energy_scale")
-        _require_at_most(MAX_DRAWS, params["K"] * params["trials"], "params.K", "Monte Carlo draws (K * trials)")
-        _require_at_most(MAX_DRAWS, params["n"], "params.n", "Monte Carlo draws (n)")
-        evaluations = len(params["energy_scale"]) * (params["K"] * params["trials"] + params["n"])
-        _require_at_most(MAX_EVALUATIONS, evaluations, "params.energy_scale", "cos^2 evaluations")
-    return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": params}
+    return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": _VALIDATORS[experiment](params)}
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +309,26 @@ def _chart(rows: list, x: str, ys: list, title: str, xlabel: str, ylabel: str) -
     return {"x": x, "ys": ys, "title": title, "xlabel": xlabel, "ylabel": ylabel, "logx": logx}
 
 
+def _require_finite_span(scale: float, tau: float, hbar: float, formed, path: str) -> None:
+    """Reject, before any work, a natural-unit time or phase span scale * tau / hbar that the run formed as non-finite."""
+    if not all(map(math.isfinite, formed)):
+        raise ConfigError(path, f"phase span scale * time / hbar = {scale:g} * {tau:g} / {hbar:g} is not finite")
+
+
 def _run_decohere(config: dict) -> dict:
     p, hbar = config["params"], config["hbar"]
-    estimates = decohered_probability_sweep(
-        p["K"], p["energy_scale"], [tau / hbar for tau in p["tau"]], seed=config["seed"], trials=p["trials"]
-    )
+    scale = p["energy_scale"]
+    times = [tau / hbar for tau in p["tau"]]
+    spreads = [scale * tau / hbar for tau in p["tau"]]
+    for tau, time, spread in zip(p["tau"], times, spreads):
+        _require_finite_span(scale, tau, hbar, (time, scale * time, spread), "params.tau")
+    estimates = decohered_probability_sweep(p["K"], scale, times, seed=config["seed"], trials=p["trials"])
     rows = []
-    for tau, est in zip(p["tau"], estimates):
+    for tau, spread, est in zip(p["tau"], spreads, estimates):
         rows.append(
             {
                 "tau": tau,
-                "spread": p["energy_scale"] * tau / hbar,
+                "spread": spread,
                 "p_mean": est.mean,
                 "p_stderr": est.stderr,
             }
@@ -354,9 +343,15 @@ def _run_decohere(config: dict) -> dict:
 
 
 def _run_stochastic(config: dict) -> dict:
-    p = config["params"]
-    taus = [tau / config["hbar"] for tau in p["tau"]]
-    interaction = StochasticInteraction(a_tilde=p["A_tilde"], b_tilde=p["B_tilde"], mode=p["mode"])
+    p, hbar = config["params"], config["hbar"]
+    a, b = p["A_tilde"], p["B_tilde"]
+    taus = [tau / hbar for tau in p["tau"]]
+    for tau, natural in zip(p["tau"], taus):
+        _require_finite_span(a + b, tau, hbar, (natural, (a + b) * natural), "params.tau")
+    width = 2.0 * (max(a, b) if p["mode"] == "independent_uniform" else a + b)
+    if not math.isfinite(width):  # the widest interval the energy uncertainties are drawn on
+        raise ConfigError("params.A_tilde" if a >= b else "params.B_tilde", f"draw interval width {width:g} is not finite")
+    interaction = StochasticInteraction(a_tilde=a, b_tilde=b, mode=p["mode"])
     estimates = mc_probability_sweep(interaction, taus, seed=config["seed"], n=p["n"])
     rows = []
     for tau, natural, est in zip(p["tau"], taus, estimates):
@@ -389,8 +384,10 @@ def _run_compare(config: dict) -> dict:
     its samples once, at unit energy scale, and sweeps the natural-unit
     times energy_scale * tau / hbar, which are also the rows' spreads.
     """
-    p = config["params"]
-    times = [energy_scale * p["tau"] / config["hbar"] for energy_scale in p["energy_scale"]]
+    p, hbar = config["params"], config["hbar"]
+    times = [energy_scale * p["tau"] / hbar for energy_scale in p["energy_scale"]]
+    for energy_scale, time in zip(p["energy_scale"], times):
+        _require_finite_span(energy_scale, p["tau"], hbar, (time,), "params.energy_scale")
     decohered = decohered_probability_sweep(
         p["K"], 1.0, times, seed=derive_seed(config["seed"], "decohere"), trials=p["trials"]
     )

@@ -1,5 +1,7 @@
 """Config validation, dispatch, emission formats, and the CLI surface."""
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -28,7 +30,7 @@ from clab.runner import (
     run,
     validate_config,
 )
-from clab.stochastic import StochasticInteraction, mc_probability
+from clab.stochastic import SAMPLING_MODES, StochasticInteraction, mc_probability
 from clab.svgplot import Series, line_chart
 
 REPO = Path(__file__).resolve().parents[1]
@@ -648,13 +650,23 @@ class TestCli:
         assert record["warnings"] == []
 
     @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
-    def test_stochastic_largest_finite_span_exit_zero(self, tmp_path, mode):
+    @pytest.mark.parametrize(
+        "hbar,a_tilde,b_tilde,tau,span",
         # Span 1.79e308 is finite; the full angle (A_tilde + delta) tau / hbar would reach 2 * 1.79e308.
-        params = {"A_tilde": 1e5, "B_tilde": 0.0, "tau": [1.79e303], "n": 100, "mode": mode}
-        config = self._write_config(tmp_path, {"params": params})
+        # At hbar 1e200 the run forms (A_tilde + B_tilde) * (tau / hbar) = 1e200; (A_tilde + B_tilde) * tau,
+        # which no code forms, overflows.
+        [(1.0, 1e5, 0.0, 1.79e303, 1.79e308), (1e200, 5e199, 5e199, 1e200, 1e200)],
+        ids=["span_1.79e308", "tau_times_scale_overflows"],
+    )
+    def test_stochastic_largest_finite_span_exit_zero(self, tmp_path, mode, hbar, a_tilde, b_tilde, tau, span):
+        params = {"A_tilde": a_tilde, "B_tilde": b_tilde, "tau": [tau], "n": 100, "mode": mode}
+        config = self._write_config(tmp_path, {"hbar": hbar, "params": params})
         assert cli.main(["stochastic", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        summary = json.loads((tmp_path / "out" / "stochastic_result.json").read_text())["outputs"]["summary"]
-        assert 0.0 <= summary["final_p_mean"] <= 1.0
+        record = json.loads((tmp_path / "out" / "stochastic_result.json").read_text())
+        row = record["outputs"]["rows"][0]
+        assert record["warnings"] == []
+        assert row["phase_span"] == pytest.approx(span, rel=1e-15, abs=0.0)
+        assert abs(row["p_mean"] - row["p_analytic"]) <= 4.0 * row["p_stderr"]
 
     @pytest.mark.parametrize(
         "energy_scale,tau,hbar,spread",
@@ -679,16 +691,24 @@ class TestCli:
             ("stochastic", {"A_tilde": 1.0, "B_tilde": 1.0, "tau": 1.0, "n": 10**15}, "params.n"),
             ("compare", {"K": 10**15, "energy_scale": 1.0, "tau": 1.0, "trials": 1, "n": 100}, "params.K"),
             ("compare", {"K": 4, "energy_scale": 1.0, "tau": 1.0, "trials": 2, "n": 10**15}, "params.n"),
+            ("stochastic", {"A_tilde": 1e308, "B_tilde": 1e308, "tau": 10.0, "n": 100}, "params.tau"),
+            ("decohere", {"hbar": 1e100, "params": {"K": 4, "energy_scale": 1e200, "tau": 1e200, "trials": 2}},
+             "params.tau"),
+            ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "uniform_argument"},
+             "params.A_tilde"),
         ],
-        ids=["decohere_k", "decohere_k_times_trials", "stochastic_n", "compare_k", "compare_n"],
+        ids=["decohere_k", "decohere_k_times_trials", "stochastic_n", "compare_k", "compare_n",
+             "stochastic_span_overflow", "decohere_spread_overflow", "stochastic_uniform_width_overflow"],
     )
     def test_monte_carlo_size_exit_two(self, tmp_path, capsys, monkeypatch, experiment, params, path):
+        """Size limits, spans and the draw width are all checked before either sweep starts."""
         def no_draws(*args, **kwargs):
             raise AssertionError("a Monte Carlo sweep started")
 
         for name in ("decohered_probability_sweep", "mc_probability_sweep"):
             monkeypatch.setattr(runner, name, no_draws)
-        config = self._write_config(tmp_path, {"params": params})
+        # A row holding a "params" key is the whole config, for the fields above params.
+        config = self._write_config(tmp_path, params if "params" in params else {"params": params})
         code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert path in capsys.readouterr().err
@@ -948,6 +968,58 @@ class TestRunContract:
     @given(mutated_instances())
     def test_mutated_instance_objects(self, instance):
         assert run_adiabatic_instance(json.dumps(instance).encode()) in (0, 2, 3)
+
+
+# Log-uniform over [1e-300, 1.7e308]: every decade of a config's energies, times and hbar is drawn alike.
+MAGNITUDES = st.floats(-300.0, math.log10(1.7e308)).map(lambda exponent: 10.0**exponent)
+
+
+def magnitude_rule(experiment, mode, energy_scale, a_tilde, b_tilde, tau, hbar) -> str | None:
+    """The field a Monte Carlo run must name at exit 2, or None when every number it forms is finite.
+
+    decohere forms tau / hbar, energy_scale * (tau / hbar) and the echoed spread energy_scale * tau / hbar;
+    stochastic tau / hbar, the phase span (A_tilde + B_tilde) * (tau / hbar) and its draw interval's width;
+    compare its natural-unit time energy_scale * tau / hbar.
+    """
+    if experiment == "compare":
+        return None if math.isfinite(energy_scale * tau / hbar) else "params.energy_scale"
+    if experiment == "decohere":
+        formed = (tau / hbar, energy_scale * (tau / hbar), energy_scale * tau / hbar)
+        return None if all(map(math.isfinite, formed)) else "params.tau"
+    if not (math.isfinite(tau / hbar) and math.isfinite((a_tilde + b_tilde) * (tau / hbar))):
+        return "params.tau"
+    width = 2.0 * (max(a_tilde, b_tilde) if mode == "independent_uniform" else a_tilde + b_tilde)
+    return None if math.isfinite(width) else ("params.A_tilde" if a_tilde >= b_tilde else "params.B_tilde")
+
+
+class TestMagnitudes:
+    """A Monte Carlo run at any magnitudes exits 0 with no warning exactly when the numbers it forms are finite."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["decohere", "stochastic", "compare"]),
+        st.sampled_from(SAMPLING_MODES),
+        MAGNITUDES, MAGNITUDES, MAGNITUDES, MAGNITUDES, MAGNITUDES,
+    )
+    def test_runs_exactly_where_its_numbers_are_finite(self, experiment, mode, energy_scale, a_tilde, b_tilde, tau, hbar):
+        params = {
+            "decohere": {"K": 2, "energy_scale": energy_scale, "tau": [tau], "trials": 2},
+            "stochastic": {"A_tilde": a_tilde, "B_tilde": b_tilde, "mode": mode, "tau": [tau], "n": 2},
+            "compare": {"K": 2, "energy_scale": [energy_scale], "tau": tau, "trials": 2, "n": 2},
+        }[experiment]
+        expected = magnitude_rule(experiment, mode, energy_scale, a_tilde, b_tilde, tau, hbar)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps({"hbar": hbar, "params": params}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([experiment, "--config", str(config), "--out", tmp])
+            if expected is None:
+                assert code == 0, err.getvalue()
+                assert json.loads((Path(tmp) / f"{experiment}_result.json").read_text())["warnings"] == []
+            else:
+                assert code == 2
+                assert f"error: {expected}:" in err.getvalue()
 
 
 # Small configs at hbar = 1 for the units oracle; every time is a natural-unit time here.
