@@ -12,6 +12,10 @@ functions, so callers may share them freely across threads.
 """
 from __future__ import annotations
 
+import functools
+import math
+from itertools import islice
+
 import numpy as np
 
 __all__ = [
@@ -29,6 +33,8 @@ HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 # Chebyshev series of a step's exponential end after the last Bessel coefficient above this.
 CHEBYSHEV_CUTOFF = 1e-17
+# Each exponential runs the series of the first rung 2^(m / RUNGS_PER_OCTAVE) at or above its argument.
+RUNGS_PER_OCTAVE = 8
 
 
 class StateVector:
@@ -154,14 +160,14 @@ def expm_propagator(h: HermitianOperator, dt: float) -> UnitaryPropagator:
     return UnitaryPropagator(matrix=(v * np.exp(-1j * dt * w)) @ v.conj().T)
 
 
-def _bessel_series(x: float, tail: float = 0.0) -> np.ndarray:
-    """J_0(x), ..., J_K(x) for x >= 0: the shortest prefix whose dropped part is at most ``tail``.
+@functools.lru_cache(maxsize=1024)
+def _bessel_terms(x: float) -> tuple[np.ndarray, np.ndarray]:
+    """J_0(x), ..., J_K(x) for x >= 0, cut after the last term above CHEBYSHEV_CUTOFF, and their dropped sums.
 
-    The series is first cut after the last term above ``CHEBYSHEV_CUTOFF``.
-    Of that, it keeps the shortest prefix J_0..J_K with sum_{k>K} |J_k(x)|
-    <= ``tail``, the sum taken from the end over every computed term, so
-    the terms below the cutoff count too. A ``tail`` of 0 drops nothing
-    more: every kept term is above the cutoff, so no shorter prefix fits.
+    ``dropped[K]`` is sum_{k>K} |J_k(x)| for K < the kept size - 1, taken
+    from the end over every computed term, so the terms below the cutoff
+    count too; it is non-increasing in K. Both arrays are read-only and
+    cached, so each x is computed once per process.
 
     Miller's backward recurrence, in two parts so that it neither overflows
     at tiny x nor loses accuracy at large x. Above k0 = floor(x), where J_k
@@ -170,47 +176,43 @@ def _bessel_series(x: float, tail: float = 0.0) -> np.ndarray:
     three-term recurrence J_{k-1} = (2k / x) J_k - J_{k+1} continues from
     J_{k0} = 1. The identity J_0 + 2 sum_k J_{2k} = 1 then fixes the scale.
     """
-    if x == 0.0:
-        return np.ones(1)
-    top = int(x + 10.0 * x ** (1.0 / 3.0) + 40.0)
-    k0 = int(x)
-    ratio = np.zeros(top + 2)
-    for k in range(top, k0, -1):
-        ratio[k] = x / (2.0 * k - x * ratio[k + 1])
-    j = np.empty(top + 1)
-    j[k0] = 1.0
-    j[k0 + 1 :] = np.cumprod(ratio[k0 + 1 : top + 1])
-    for k in range(k0, 0, -1):
-        j[k - 1] = (2.0 * k / x) * j[k] - j[k + 1]
-    j /= j[0] + 2.0 * j[2::2].sum()
+    j = np.ones(1)  # J_0(0) = 1, J_k(0) = 0
+    if x > 0.0:
+        top = int(x + 10.0 * x ** (1.0 / 3.0) + 40.0)
+        k0 = int(x)
+        ratio = np.zeros(top + 2)
+        for k in range(top, k0, -1):
+            ratio[k] = x / (2.0 * k - x * ratio[k + 1])
+        j = np.empty(top + 1)
+        j[k0] = 1.0
+        j[k0 + 1 :] = np.cumprod(ratio[k0 + 1 : top + 1])
+        for k in range(k0, 0, -1):
+            j[k - 1] = (2.0 * k / x) * j[k] - j[k + 1]
+        j /= j[0] + 2.0 * j[2::2].sum()
     cut = np.flatnonzero(np.abs(j) > CHEBYSHEV_CUTOFF)[-1] + 1
-    dropped = np.cumsum(np.abs(j[:0:-1]))[::-1]  # dropped[K] = sum_{k>K} |J_k|, non-increasing in K
-    return j[: 1 + np.count_nonzero(dropped[: cut - 1] > tail)]
+    dropped = np.cumsum(np.abs(j[:0:-1]))[::-1]
+    j.setflags(write=False)
+    dropped.setflags(write=False)
+    return j[:cut], dropped[: cut - 1]
 
 
-def _chebyshev_apply(
-    matvec, amps: np.ndarray, coeffs: np.ndarray, block: np.ndarray, rows: list, reals: list
-) -> np.ndarray:
-    """sum_k coeffs[k] T_k(A) amps, where ``matvec(v, out)`` adds 2 A v into ``out``; one matvec per k >= 1.
+def _bessel_series(x: float, tail: float = 0.0) -> np.ndarray:
+    """J_0(x), ..., J_K(x) for x >= 0: the shortest prefix whose dropped part is at most ``tail``.
 
-    The terms T_k(A) amps are written into the rows of ``block``, one row
-    per coefficient (``rows`` lists their views, ``reals`` their float64
-    views), by T_k = 2 A T_{k-1} - T_{k-2}: each row starts as -T_{k-2},
-    and the matvec adds the rest. The negation runs on the float64 views:
-    numpy 2.4 negates float64 with SIMD but complex128 in a scalar loop
-    (0.46 against 0.99 us for 256 entries on 2 shared Xeon vCPUs). One
-    product with ``coeffs`` sums the block. The result is a new array.
+    The series is first cut after the last term above ``CHEBYSHEV_CUTOFF``.
+    Of that, it keeps the shortest prefix J_0..J_K with sum_{k>K} |J_k(x)|
+    <= ``tail`` (see ``_bessel_terms``). A ``tail`` of 0 drops nothing
+    more: every kept term is above the cutoff, so no shorter prefix fits.
     """
-    np.copyto(rows[0], amps)
-    if coeffs.size > 1:
-        rows[1].fill(0.0)
-        matvec(amps, rows[1])
-        rows[1] *= 0.5
-    negative = np.negative
-    for older_real, prev, row, row_real in zip(reals, rows[1:], rows[2:], reals[2:]):
-        negative(older_real, row_real)
-        matvec(prev, row)
-    return coeffs @ block
+    j, dropped = _bessel_terms(x)
+    return j[: 1 + np.count_nonzero(dropped > tail)]
+
+
+def _ladder(x: float) -> float:
+    """The first rung 2^(m / RUNGS_PER_OCTAVE), m an integer, at or above x > 0."""
+    m = math.ceil(RUNGS_PER_OCTAVE * math.log2(x))
+    rung = 2.0 ** (m / RUNGS_PER_OCTAVE)
+    return rung if rung >= x else 2.0 ** ((m + 1) / RUNGS_PER_OCTAVE)  # log2 may round x's logarithm down
 
 
 def integrate_tdse(
@@ -218,7 +220,7 @@ def integrate_tdse(
     psi0: StateVector,
     t_final: float,
     steps: int,
-    spectral_bound: float,
+    spectral_bound,
     truncation: float = 0.0,
 ) -> StateVector:
     """Commutator-free Magnus (CF4) integrator for i d/dt psi = H(t) psi.
@@ -230,33 +232,45 @@ def integrate_tdse(
     with the t_j + dt/6 factor applied first, and the global error is
     O(dt^4); for other H(t) the same nodes give O(dt^2). Each exponential
     is the Chebyshev series of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-    (1984), in H / spectral_bound with Bessel coefficients J_k(dt
-    spectral_bound / 2) computed once per call, and it costs about
-    that argument plus O(log) matvecs. The series' terms fill a
-    preallocated block of one row per term, terms x dim complex entries,
-    and one product with the coefficients sums them.
+    (1984), exp(-i x A) = J_0(x) + 2 sum_k (-i)^k J_k(x) T_k(A) with
+    A = H dt / (2x), and it costs about x plus O(log) matvecs.
+
+    ``spectral_bound`` is a number, or a function r(t), that bounds the
+    spectral norm of the operator ``h_at`` applies at each node t, or the
+    series diverges. Each series is sized to its own node: the argument
+    |dt| r(t) / 2 is rounded up to the ladder x = 2^(m / RUNGS_PER_OCTAVE),
+    at most 9% above it, so the Bessel terms of a few rungs, each computed
+    once per process (``_bessel_terms``), serve every node; a run cuts each
+    rung's series once, to its tail (below). Each term is a write of -T_{k-2} on the row's float64 view (numpy 2.4
+    negates float64 with SIMD but complex128 in a scalar loop: 0.46 against
+    0.99 us for 256 entries on 2 shared Xeon vCPUs) and one matvec adding
+    2A T_{k-1}, into a preallocated block of one row per term, grown to the
+    longest series; one product with the coefficients sums it.
 
     ``truncation`` is the budget, in the state's 2-norm, for the terms the
     series leave out. Each series drops a Bessel tail of at most
-    ``truncation / (4 steps)`` (see ``_bessel_series``). With A = H /
-    spectral_bound, ||A|| <= 1 gives ||T_k(A)|| <= 1, so each exponential
-    is off by at most twice its dropped tail; the steps are unitary, so
-    the errors of the 2 steps exponentials add, and the state before
-    renormalization is within ``truncation`` of the untruncated series'
-    result. After it, the state is within truncation / (1 - truncation / 2)
-    (the Dunkl-Williams inequality). A budget of 0 keeps every term above
-    CHEBYSHEV_CUTOFF, which is exact to roundoff.
+    ``truncation / (4 steps)`` (see ``_bessel_series``). ||A|| <= 1 gives
+    ||T_k(A)|| <= 1, so each exponential is off by at most twice its
+    dropped tail; the steps are unitary, so the errors of the 2 steps
+    exponentials add, and the state before renormalization is within
+    ``truncation`` of the untruncated series' result. After it, the state
+    is within truncation / (1 - truncation / 2) (the Dunkl-Williams
+    inequality). A budget of 0 keeps every term above CHEBYSHEV_CUTOFF,
+    which is exact to roundoff.
 
-    ``h_at(t, scale)`` returns a matvec ``matvec(v, out=None)`` that adds
-    ``scale * H(t) v`` into ``out`` (into zeros when ``out`` is None) and
-    returns it, for vectors of the state's dimension, so each term of the
-    recurrence is a write of -T_{k-2} and one matvec. ``h_at`` is called
-    twice per step, with ``scale = 2 / spectral_bound`` (0 when the bound
-    is 0, where the series is the identity and the matvec goes unused).
-    ``spectral_bound`` must bound the spectral norm of every H(t), or the
-    series diverges; shifting H by a constant to centre its spectrum
-    changes only the global phase and halves the bound a non-negative H
-    needs. The returned state is renormalized.
+    ``h_at(t, scale)`` returns a matvec ``matvec(v, out)`` that adds
+    ``scale * H(t) v`` into ``out`` for vectors of the state's dimension,
+    called positionally and with ``out`` never overlapping ``v``; ``h_at``
+    is called twice per step, with ``scale = |dt| / x`` for the node's
+    rung x (0 where the bound is 0: that series is the identity and the
+    matvec goes unused). The latest matvec is used before ``h_at`` is
+    called again, so ``h_at`` may refill one operator in place.
+
+    Shifting each H(t) by a constant c(t) to centre its spectrum changes
+    only the global phase, by the integral of c over the run when c is
+    affine in t: the node pair of each step integrates an affine c exactly.
+    So runs of any step counts keep the same phase, and their difference
+    measures discretisation alone. The returned state is renormalized.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -264,17 +278,38 @@ def integrate_tdse(
         raise ValueError(f"truncation must be finite and >= 0, got {truncation}")
     psi0.require_normalized()
     dt = t_final / steps
-    # Jacobi-Anger: exp(-i x A) = J_0(x) + 2 sum_k (-i)^k J_k(x) T_k(A) for A = H / spectral_bound.
-    j = _bessel_series(abs(dt) * spectral_bound / 2.0, truncation / (4.0 * steps))
-    k = np.arange(j.size)
-    coeffs = np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(dt)) ** k * j
-    scale = 2.0 / spectral_bound if spectral_bound else 0.0
-    block = np.empty((coeffs.size, psi0.dim), dtype=np.complex128)
-    rows, reals = list(block), list(block.view(np.float64))  # indexing a list of views is cheaper than the block
+    radius = spectral_bound if callable(spectral_bound) else lambda t: spectral_bound
+    half, tail, unit = abs(dt) / 2.0, truncation / (4.0 * steps), -1j * np.sign(dt)
+    series = {}  # rung -> (scale, coefficients), for this run's tail
+    block = np.empty((1, psi0.dim), dtype=np.complex128)
+    rows, pairs = [block[0]], []
+    negative = np.negative
     amps = psi0.amps
     for step in range(steps):
-        amps = _chebyshev_apply(h_at((step + 1.0 / 6.0) * dt, scale), amps, coeffs, block, rows, reals)
-        amps = _chebyshev_apply(h_at((step + 5.0 / 6.0) * dt, scale), amps, coeffs, block, rows, reals)
+        for t in ((step + 1.0 / 6.0) * dt, (step + 5.0 / 6.0) * dt):
+            x = half * radius(t)
+            if not 0.0 <= x < math.inf:
+                raise ValueError(f"spectral bound at t = {t:g} must be finite and >= 0, got {radius(t)}")
+            rung = _ladder(x) if x else 0.0
+            if rung not in series:
+                j = _bessel_series(rung, tail)
+                k = np.arange(j.size)
+                series[rung] = (abs(dt) / rung if rung else 0.0, np.where(k == 0, 1.0, 2.0) * unit**k * j)
+                if j.size > len(rows):
+                    block = np.empty((j.size, psi0.dim), dtype=np.complex128)
+                    rows, reals = list(block), list(block.view(np.float64))
+                    pairs = list(zip(reals, rows[1:], rows[2:], reals[2:]))  # rows k-2 (float64), k-1, k, k (float64)
+            scale, coeffs = series[rung]
+            matvec = h_at(t, scale)
+            np.copyto(rows[0], amps)
+            if coeffs.size > 1:
+                rows[1].fill(0.0)
+                matvec(amps, rows[1])
+                rows[1] *= 0.5
+                for older_real, prev, row, row_real in islice(pairs, coeffs.size - 2):
+                    negative(older_real, row_real)
+                    matvec(prev, row)
+            amps = coeffs @ block[: coeffs.size]
     return StateVector(amps, normalize=True)
 
 

@@ -231,22 +231,12 @@ def build_begin_hamiltonian(inst: ExactCoverInstance) -> np.ndarray:
     return d
 
 
-def interpolation_matvec(d: np.ndarray, energies: np.ndarray, shift: float = 0.0):
-    """H(s) - shift for the linear schedule H(s) = (1 - s) H_begin + s H_cost, as a CSR matrix.
+def _centred_interpolation(d: np.ndarray, energies: np.ndarray):
+    """``at(s, scale)`` filling scale (H(s) - c(s)) in place, returning scipy's compiled product for it.
 
-    ``d`` is the begin operator's clause counts and ``energies`` the cost
-    diagonal, of 2^d.size entries (a ValueError otherwise). With w_i = d_i/2
-    and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i], so row z
-    of H(s) holds (1 - s) W + s E_z at column z and -(1 - s) w_i at column
-    z XOR bit_i for each bit i in some clause. That pattern (int32 indices)
-    is built here, once, and the shift is folded into W and E. The returned
-    ``at(s, scale=1.0)`` fills a data array of its own with scale (H(s) -
-    shift), diagonal first, and returns the matvec ``matvec(v, out=None)``.
-    It adds scale (H(s) - shift) v into ``out`` with scipy's compiled
-    ``csr_matvec`` and returns ``out``, at a cost of O(n 2^n); without
-    ``out`` it adds into zeros. ``v`` and ``out`` are arrays of 2^n entries
-    (a ValueError otherwise) that do not overlap, and ``out`` is complex128
-    (csr_matvec raises a ValueError otherwise).
+    See ``interpolation_matvec``. The product is ``csr_matvec`` bound to the
+    one CSR matrix, called as ``product(v, out)``; it reads ``v`` and writes
+    ``out`` unchecked, so both must be complex128 arrays of 2^n entries.
     """
     n = d.size
     if energies.size != 1 << n:
@@ -255,25 +245,57 @@ def interpolation_matvec(d: np.ndarray, energies: np.ndarray, shift: float = 0.0
     z = np.arange(1 << n)[:, None]
     indices = np.hstack([z, z ^ np.left_shift(1, n - 1 - sites)]).astype(np.int32).reshape(-1)
     indptr = np.arange(0, indices.size + 1, sites.size + 1, dtype=np.int32)
-    # H_begin - shift as CSR data; complex, the data type csr_matvec needs for a complex state.
-    w = d[sites] / 2.0
-    begin_data = np.empty((energies.size, sites.size + 1), dtype=np.complex128)
-    begin_data[:, 0] = float(w.sum()) - shift
-    begin_data[:, 1:] = -w
-    energies = (energies - shift).astype(np.complex128)
-    size, csr_matvec = energies.size, _sparsetools().csr_matvec
+    # Complex, the data type csr_matvec needs for a complex state; the imaginary parts stay 0, so
+    # each fill writes float64 views: all entries from H_begin - W, contiguous, then the diagonal.
+    data = np.zeros((energies.size, sites.size + 1), dtype=np.complex128)
+    begin = data.copy()
+    begin[:, 1:] = -d[sites] / 2.0  # H_begin - W has a zero diagonal: W = sum_i w_i is the centre of [0, E_max]
+    begin, flat, diagonal = begin.view(np.float64).reshape(-1), data.view(np.float64).reshape(-1), data.real[:, 0]
+    cost = energies - float(energies.max()) / 2.0
+    size = energies.size
+    product = functools.partial(_sparsetools().csr_matvec, size, size, indptr, indices, data.reshape(-1))
 
     def at(s: float, scale: float = 1.0):
-        data = np.multiply(begin_data, scale * (1.0 - s))
-        data[:, 0] += (scale * s) * energies
-        data = data.reshape(-1)
+        np.multiply(begin, scale * (1.0 - s), out=flat)
+        np.multiply(cost, scale * s, out=diagonal)
+        return product
+
+    return at
+
+
+def interpolation_matvec(d: np.ndarray, energies: np.ndarray):
+    """H(s) - c(s) for the linear schedule H(s) = (1 - s) H_begin + s H_cost, as a CSR matrix.
+
+    ``d`` is the begin operator's clause counts and ``energies`` the cost
+    diagonal, of 2^d.size entries (a ValueError otherwise). With w_i = d_i/2
+    and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i], so row z
+    of H(s) holds (1 - s) W + s E_z at column z and -(1 - s) w_i at column
+    z XOR bit_i for each bit i in some clause. That pattern (int32 indices)
+    is built here, once.
+
+    Each endpoint is centred on its own spectrum: H_begin on [0, E_max]
+    with E_max = 2W, H_cost on [0, max E]. So the operator is
+    H(s) - c(s) with the affine centre c(s) = ((1 - s) E_max + s max E) / 2,
+    and its spectral norm is at most c(s). The returned ``at(s, scale=1.0)``
+    refills the one data array in place with scale (H(s) - c(s)), so a
+    matvec from an earlier call applies the latest fill, and returns the
+    matvec ``matvec(v, out=None)``. It adds scale (H(s) - c(s)) v into
+    ``out`` with scipy's compiled ``csr_matvec`` and returns ``out``, at a
+    cost of O(n 2^n); without ``out`` it adds into zeros. ``v`` and ``out``
+    are arrays of 2^n entries (a ValueError otherwise) that do not overlap,
+    and ``out`` is complex128 (csr_matvec raises a ValueError otherwise).
+    """
+    fill, size = _centred_interpolation(d, energies), energies.size
+
+    def at(s: float, scale: float = 1.0):
+        product = fill(s, scale)
 
         def matvec(v, out=None):
             if out is None:
                 out = np.zeros(size, dtype=np.complex128)
             if v.size != size or out.size != size:  # csr_matvec reads v and writes out unchecked
                 raise ValueError(f"need vectors of {size} entries, got {v.size} and {out.size}")
-            csr_matvec(size, size, indptr, indices, data, v, out)
+            product(v, out)
             return out
 
         return matvec
@@ -337,10 +359,14 @@ def success_sweep(
     until the step-doubling (Richardson) estimate of the fourth-order
     error of the finer run, step_error = ||psi_2N - psi_N|| / 15, is at
     most STEP_ERROR_TOL, or the step count has doubled MAX_DOUBLINGS
-    times. H(s) is passed shifted by -E_max/2 with the bound E_max/2: its
-    spectrum lies in [0, E_max], and the shift changes only the global
-    phase. Success is the finer run's final weight on the zero set of the
-    cost operator, i.e. on the satisfying assignments. Each row holds T,
+    times. H(s) is passed centred, as H(s) - c(s) with the affine centre
+    c(s) = ((1 - s) E_max + s max E) / 2 (see ``interpolation_matvec``),
+    and c(s) bounds its norm at each node: near s = 1 the series pay for
+    the cost diagonal's range, not for E_max, 3 per clause. The centre
+    changes only the global phase, by the same amount in every run (see
+    ``integrate_tdse``), so step_error measures discretisation alone.
+    Success is the finer run's final weight on the zero set of the cost
+    operator, i.e. on the satisfying assignments. Each row holds T,
     the finer run's steps, its success probability, and its step_error.
 
     Each run's Chebyshev series are truncated at a budget of
@@ -355,8 +381,8 @@ def success_sweep(
     if not total_times or not all(math.isfinite(t) and t > 0 for t in total_times):
         raise ValueError(f"need one or more finite, positive total times, got {total_times}")
     energies = build_cost_hamiltonian(inst)
-    e_max = _max_energy(inst)
-    at = interpolation_matvec(build_begin_hamiltonian(inst), energies, shift=e_max / 2.0)
+    e_max, top = _max_energy(inst), float(energies.max())
+    at = _centred_interpolation(build_begin_hamiltonian(inst), energies)  # psi0 has its 2^n entries
     psi0 = uniform_superposition(inst.n)
     solutions = energies == 0
     rows = []
@@ -364,7 +390,8 @@ def success_sweep(
 
         def run(steps):
             return integrate_tdse(
-                lambda t, scale: at(t / total_time, scale), psi0, total_time, steps, e_max / 2.0,
+                lambda t, scale: at(t / total_time, scale), psi0, total_time, steps,
+                lambda t: ((1.0 - t / total_time) * e_max + t / total_time * top) / 2.0,
                 truncation=STEP_ERROR_TOL / 1000.0,
             )
 

@@ -315,13 +315,29 @@ def _require_finite_span(scale: float, tau: float, hbar: float, formed, path: st
         raise ConfigError(path, f"phase span scale * time / hbar = {scale:g} * {tau:g} / {hbar:g} is not finite")
 
 
+def _natural_span(scale: float, tau: float, hbar: float) -> float:
+    """scale * tau / hbar with no intermediate overflow or underflow; inf when the result overflows.
+
+    The significands' product and quotient are rounded as ``scale * tau /
+    hbar`` rounds them, and the exponents are applied last, so wherever
+    that expression's product and quotient are both finite and normal, the
+    result is bit-identical to it; a result below the normal range may
+    differ in its last bit.
+    """
+    (m_scale, e_scale), (m_tau, e_tau), (m_hbar, e_hbar) = map(math.frexp, (scale, tau, hbar))
+    try:
+        return math.ldexp(m_scale * m_tau / m_hbar, e_scale + e_tau - e_hbar)
+    except OverflowError:
+        return math.inf
+
+
 def _run_decohere(config: dict) -> dict:
     p, hbar = config["params"], config["hbar"]
     scale = p["energy_scale"]
     times = [tau / hbar for tau in p["tau"]]
-    spreads = [scale * tau / hbar for tau in p["tau"]]
+    spreads = [scale * time for time in times]  # the phase span the kernel forms
     for tau, time, spread in zip(p["tau"], times, spreads):
-        _require_finite_span(scale, tau, hbar, (time, scale * time, spread), "params.tau")
+        _require_finite_span(scale, tau, hbar, (time, spread), "params.tau")
     estimates = decohered_probability_sweep(p["K"], scale, times, seed=config["seed"], trials=p["trials"])
     rows = []
     for tau, spread, est in zip(p["tau"], spreads, estimates):
@@ -382,10 +398,11 @@ def _run_compare(config: dict) -> dict:
     making both phase arguments range over the same span. Both laws depend
     on energy_scale and tau only through their product, so each route draws
     its samples once, at unit energy scale, and sweeps the natural-unit
-    times energy_scale * tau / hbar, which are also the rows' spreads.
+    times energy_scale * tau / hbar, which are also the rows' spreads
+    (see ``_natural_span``).
     """
     p, hbar = config["params"], config["hbar"]
-    times = [energy_scale * p["tau"] / hbar for energy_scale in p["energy_scale"]]
+    times = [_natural_span(energy_scale, p["tau"], hbar) for energy_scale in p["energy_scale"]]
     for energy_scale, time in zip(p["energy_scale"], times):
         _require_finite_span(energy_scale, p["tau"], hbar, (time,), "params.energy_scale")
     decohered = decohered_probability_sweep(

@@ -12,8 +12,10 @@ from clab.qcore import (
     UnitaryPropagator,
     expm_propagator,
     CHEBYSHEV_CUTOFF,
+    RUNGS_PER_OCTAVE,
     _bessel_series,
-    _chebyshev_apply,
+    _bessel_terms,
+    _ladder,
     cos_squared,
     integrate_tdse,
 )
@@ -51,9 +53,12 @@ def scaled_matvec(matrix, scale):
     return matvec
 
 
-def chebyshev_apply(matvec, amps, coeffs, block):
-    """``_chebyshev_apply`` over the rows of ``block``, as integrate_tdse lists them."""
-    return _chebyshev_apply(matvec, amps, coeffs, block, list(block), list(block.view(np.float64)))
+def rung_above(x):
+    """The ladder's x_m = 2^(m / RUNGS_PER_OCTAVE) at or above x, found without ``_ladder``."""
+    m = math.floor(RUNGS_PER_OCTAVE * math.log2(x)) - 1
+    while 2.0 ** (m / RUNGS_PER_OCTAVE) < x:
+        m += 1
+    return 2.0 ** (m / RUNGS_PER_OCTAVE)
 
 
 def constant(h):
@@ -227,7 +232,7 @@ class TestIntegrateTdse:
         integrate_tdse(h_at, random_state(8, seed=72), 2.0, steps=5, spectral_bound=bound)
         expected = [0.4 * (j + node) for j in range(5) for node in (1.0 / 6.0, 5.0 / 6.0)]
         np.testing.assert_allclose(times, expected, rtol=0, atol=1e-15)
-        assert scales == [2.0 / bound] * 10
+        assert scales == [0.4 / rung_above(0.2 * bound)] * 10  # |dt| / x for the rung x at or above dt bound / 2
 
     def test_series_of_over_96_terms_matches_exact_propagator(self):
         h = random_hermitian(16, seed=63)
@@ -245,25 +250,33 @@ class TestIntegrateTdse:
             return matvec
 
         stepped = integrate_tdse(h_at, psi0, total, steps=1, spectral_bound=bound)
-        terms = _bessel_series(total * bound / 2.0).size  # each exponential spans dt / 2
+        terms = _bessel_series(rung_above(total * bound / 2.0)).size  # each exponential spans dt / 2
         assert len(calls) == 2 * (terms - 1) and terms > 3 * 32
         direct = expm_propagator(h, total).apply(psi0)
         assert np.abs(direct.amps - stepped.amps).max() <= 1e-12
 
-    @pytest.mark.parametrize("terms", [1, 2, 3, 31, 32, 33, 34, 62, 63, 64, 100])
-    def test_chebyshev_block_sum_matches_plain_recurrence(self, terms):
-        a = random_hermitian(12, seed=91).matrix
-        a = a / np.abs(np.linalg.eigvalsh(a)).max()
-        amps = random_state(12, seed=92).amps
-        coeffs = np.random.default_rng(terms).standard_normal(terms) + 0j
-        block = np.empty((terms, 12), dtype=np.complex128)
-        got = chebyshev_apply(scaled_matvec(a, 2.0), amps, coeffs, block)
-        prev, cur, expected = amps, a @ amps, coeffs[0] * amps
-        for k in range(1, terms):
-            expected = expected + coeffs[k] * cur
-            prev, cur = cur, 2.0 * (a @ cur) - prev
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-        assert not np.shares_memory(got, block)
+    @pytest.mark.parametrize("x", [1e-20, 1e-9, 0.01, 0.3, 2.0, 9.0, 20.0, 40.0])
+    def test_series_of_every_length_match_the_exact_propagator(self, x):
+        """One step of series from 1 to over 60 terms, each taking one matvec per term after the first."""
+        h = random_hermitian(12, seed=91)
+        bound = gershgorin_bound(h)
+        total = 2.0 * x / bound  # each exponential of the step spans dt / 2: its argument is total bound / 2 = x
+        psi0 = random_state(12, seed=92)
+        calls = []
+
+        def h_at(t, scale):
+            def matvec(v, out):
+                calls.append(t)
+                out += scale * (h.matrix @ v)
+                return out
+
+            return matvec
+
+        stepped = integrate_tdse(h_at, psi0, total, steps=1, spectral_bound=bound)
+        terms = _bessel_series(rung_above(x)).size
+        assert len(calls) == 2 * (terms - 1)
+        direct = expm_propagator(h, total).apply(psi0)
+        assert np.abs(direct.amps - stepped.amps).max() <= 1e-12
 
     def test_results_do_not_alias_the_block(self):
         h = random_hermitian(8, seed=93)
@@ -275,12 +288,6 @@ class TestIntegrateTdse:
         integrate_tdse(constant(h), first, 1.0, steps=3, spectral_bound=bound)
         np.testing.assert_array_equal(first.amps, kept)
         np.testing.assert_array_equal(psi0.amps, before)
-        coeffs = np.array([0.5, 0.25j, -0.125])
-        block = np.empty((3, 8), dtype=np.complex128)
-        earlier = chebyshev_apply(scaled_matvec(h.matrix / bound, 2.0), psi0.amps, coeffs, block)
-        copy = earlier.copy()
-        chebyshev_apply(scaled_matvec(h.matrix / bound, 2.0), first.amps, coeffs, block)
-        np.testing.assert_array_equal(earlier, copy)
 
     def test_fourth_order_on_linear_schedule(self):
         h0 = random_hermitian(8, seed=81)
@@ -343,6 +350,87 @@ class TestIntegrateTdse:
         h = HermitianOperator.from_dense([[1.0]])
         with pytest.raises(ValueError, match="truncation"):
             integrate_tdse(constant(h), StateVector([1.0]), 1.0, steps=1, spectral_bound=1.0, truncation=budget)
+
+    def test_series_follow_a_growing_bound(self):
+        """A bound that grows along the run sizes each node's series to it, growing the block mid-run."""
+        h = random_hermitian(10, seed=95)
+        bound, total, steps = gershgorin_bound(h), 3.0, 4
+        psi0 = random_state(10, seed=96)
+        radius = lambda t: bound * (1.0 + 20.0 * t / total)  # an over-estimate is still a bound
+        calls = {}
+
+        def h_at(t, scale):
+            def matvec(v, out):
+                calls[t] = calls.get(t, 0) + 1
+                out += scale * (h.matrix @ v)
+                return out
+
+            return matvec
+
+        stepped = integrate_tdse(h_at, psi0, total, steps, spectral_bound=radius)
+        dt = total / steps
+        expected = {t: _bessel_series(rung_above(dt * radius(t) / 2.0)).size - 1 for t in calls}
+        assert calls == expected and len(calls) == 2 * steps
+        assert list(calls.values()) == sorted(calls.values()) and expected[max(calls)] > 2 * expected[min(calls)]
+        direct = expm_propagator(h, total).apply(psi0)
+        assert np.abs(direct.amps - stepped.amps).max() <= 1e-12
+
+    @pytest.mark.parametrize("centre", ["affine", "quadratic"])
+    def test_an_affine_centre_keeps_runs_in_phase(self, centre):
+        """On a diagonal linear H(t), CF4 is exact, so runs of N and 2N steps differ only by the centre's phase.
+
+        The pair of nodes of each step integrates an affine centre c(t) exactly,
+        so the difference stays at roundoff; a quadratic centre leaves a phase
+        error of order dt^2 at each step, which shows in the difference.
+        """
+        rng = np.random.default_rng(97)
+        begin, end, total = rng.uniform(-3.0, 3.0, 16), rng.uniform(0.0, 5.0, 16), 7.0
+        c = {"affine": lambda t: 1.0 + 2.0 * t / total, "quadratic": lambda t: 1.0 + 2.0 * (t / total) ** 2}[centre]
+
+        def diagonal(t):
+            return (1.0 - t / total) * begin + (t / total) * end - c(t)
+
+        def h_at(t, scale):
+            d = scale * diagonal(t)
+
+            def matvec(v, out):
+                out += d * v
+                return out
+
+            return matvec
+
+        radius = lambda t: float(np.abs(diagonal(t)).max())
+        psi0 = random_state(16, seed=98)
+        coarse, fine = (integrate_tdse(h_at, psi0, total, steps, radius).amps for steps in (40, 80))
+        if centre == "affine":
+            assert np.linalg.norm(fine - coarse) <= 1e-13
+        else:
+            assert np.linalg.norm(fine - coarse) > 1e-6
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-307, 0.3, 1.0, 2.0 ** (3 / 8), 2.0 ** (-5 / 8), 7.0, 1e300])
+    def test_ladder_gives_the_first_rung_at_or_above(self, x):
+        for y in (x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)):
+            if y > 0.0:
+                rung = _ladder(float(y))
+                m = round(RUNGS_PER_OCTAVE * math.log2(rung))
+                assert rung == 2.0 ** (m / RUNGS_PER_OCTAVE) and 2.0 ** ((m - 1) / RUNGS_PER_OCTAVE) < y <= rung
+
+    def test_each_rung_is_computed_once(self):
+        h = random_hermitian(6, seed=99)
+        bound = gershgorin_bound(h)
+        integrate_tdse(constant(h), random_state(6, seed=100), 3.0, steps=8, spectral_bound=bound)
+        before = _bessel_terms.cache_info()
+        integrate_tdse(constant(h), random_state(6, seed=101), 3.0, steps=8, spectral_bound=bound, truncation=1e-6)
+        after = _bessel_terms.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+        j, dropped = _bessel_terms(rung_above(3.0 / 16.0 * bound))
+        assert not j.flags.writeable and not dropped.flags.writeable
+
+    @pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf, lambda t: -t])
+    def test_rejects_bad_spectral_bound(self, bound):
+        h = HermitianOperator.from_dense([[1.0]])
+        with pytest.raises(ValueError, match="spectral bound"):
+            integrate_tdse(constant(h), StateVector([1.0]), 1.0, steps=1, spectral_bound=bound)
 
     def test_rejects_bad_steps(self):
         h = HermitianOperator.from_dense([[1.0]])

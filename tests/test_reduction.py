@@ -75,6 +75,11 @@ def violated_clause_counts(inst):
     return np.array(counts, dtype=float)
 
 
+def centre(inst, s):
+    """c(s) = ((1 - s) E_max + s max E) / 2, the centre interpolation_matvec takes off H(s)."""
+    return ((1.0 - s) * 3.0 * len(inst.clauses) + s * violated_clause_counts(inst).max()) / 2.0
+
+
 def operator_columns(at, s, dim):
     """The dense matrix of the sparse operator at s, one basis vector at a time."""
     matvec = at(s)
@@ -219,7 +224,8 @@ class TestBeginHamiltonian:
     def test_membership_counts_and_ground_state(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         np.testing.assert_array_equal(build_begin_hamiltonian(inst), [1, 1, 1])
-        residual = self.begin_operator(inst)(0.0)(uniform_superposition(3).amps)
+        u = uniform_superposition(3).amps
+        residual = self.begin_operator(inst)(0.0)(u) + centre(inst, 0.0) * u  # (H_begin - c(0)) u = -c(0) u
         assert np.abs(residual).max() <= 1e-12
 
     def test_hermitian(self):
@@ -236,7 +242,7 @@ class TestBeginHamiltonian:
 
     def test_max_eigenvalue_is_membership_sum(self):
         inst = ExactCoverInstance(n=4, clauses=((1, 2, 3), (2, 3, 4), (1, 2, 4)))
-        top = np.linalg.eigvalsh(operator_columns(self.begin_operator(inst), 0.0, 16))[-1]
+        top = np.linalg.eigvalsh(operator_columns(self.begin_operator(inst), 0.0, 16))[-1] + centre(inst, 0.0)
         assert top == pytest.approx(build_begin_hamiltonian(inst).sum(), abs=1e-9)
 
 
@@ -247,14 +253,15 @@ class TestInterpolate:
         at = interpolation_matvec(build_begin_hamiltonian(inst), hc)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.array_equal(at(1.0)(v), hc * v)
-        np.testing.assert_allclose(at(0.0)(v), kron_begin_matrix(inst) @ v, rtol=0, atol=1e-13)
+        assert np.array_equal(at(1.0)(v), (hc - hc.max() / 2.0) * v)
+        np.testing.assert_allclose(at(0.0)(v), kron_begin_matrix(inst) @ v - centre(inst, 0.0) * v, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("inst", MATVEC_INSTANCES, ids=lambda inst: f"n{inst.n}")
     def test_matvec_matches_kronecker_reference(self, inst, s):
         dim = 1 << inst.n
         reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst))
+        reference -= centre(inst, s) * np.eye(dim)
         at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
         rng = np.random.default_rng(inst.n)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -271,11 +278,12 @@ class TestInterpolate:
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
     def test_scaled_matvec_writes_into_out(self, s):
-        """The matvec adds scale (H(s) - shift) v into a prefilled ``out``, and into zeros without one."""
+        """The matvec adds scale (H(s) - c(s)) v into a prefilled ``out``, and into zeros without one."""
         inst = MATVEC_INSTANCES[-1]
-        dim, scale, shift = 1 << inst.n, 0.3, 1.5
-        reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst)) - shift * np.eye(dim)
-        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst), shift=shift)
+        dim, scale = 1 << inst.n, 0.3
+        reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst))
+        reference -= centre(inst, s) * np.eye(dim)
+        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
         rng = np.random.default_rng(inst.n + 1)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         prior = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -297,6 +305,23 @@ class TestInterpolate:
         for args in ((v[:-1],), (v, np.zeros(dim - 1, dtype=np.complex128)), (np.ones(2 * dim, dtype=np.complex128),)):
             with pytest.raises(ValueError, match=f"need vectors of {dim} entries"):
                 matvec(*args)
+
+    @pytest.mark.parametrize("inst", [*MATVEC_INSTANCES, *RANDOM_INSTANCES[:6]], ids=instance_id)
+    def test_centre_bounds_the_norm(self, inst):
+        """||H(s) - c(s)|| <= c(s): the radius success_sweep sizes each series to."""
+        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+        for s in (0.0, 0.2, 0.5, 0.9, 1.0):
+            norm = np.abs(np.linalg.eigvalsh(operator_columns(at, s, 1 << inst.n))).max()
+            assert norm <= centre(inst, s) * (1.0 + 1e-12)
+
+    def test_each_call_refills_the_one_operator(self):
+        """A matvec from an earlier ``at`` call applies the latest fill."""
+        inst = MATVEC_INSTANCES[-1]
+        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+        v = np.random.default_rng(3).standard_normal(1 << inst.n) + 0j
+        first = at(0.2)
+        expected = at(0.7, 2.0)(v)
+        np.testing.assert_array_equal(first(v), expected)
 
 
 class TestAdiabaticRun:
@@ -332,13 +357,14 @@ class TestAdiabaticRun:
     def test_step_error_bounds_gap_to_finer_run(self, name):
         inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
         rows = success_sweep(inst, [2.0**k for k in range(8)], target=0.9).rows  # the criterion-6 sweep
-        e_max = 3.0 * len(inst.clauses)
         hc = build_cost_hamiltonian(inst)
-        at = interpolation_matvec(build_begin_hamiltonian(inst), hc, shift=e_max / 2.0)
+        at = interpolation_matvec(build_begin_hamiltonian(inst), hc)
+        ends = centre(inst, 0.0), centre(inst, 1.0)
         for row in rows:
             total = row["T"]
             reference = reduction.integrate_tdse(
-                lambda t, scale: at(t / total, scale), uniform_superposition(inst.n), total, 8 * row["steps"], e_max / 2.0
+                lambda t, scale: at(t / total, scale), uniform_superposition(inst.n), total, 8 * row["steps"],
+                lambda t: (1.0 - t / total) * ends[0] + (t / total) * ends[1],
             )
             p_ref = reference.probabilities()[hc == 0].sum()
             assert row["step_error"] <= reduction.STEP_ERROR_TOL
@@ -385,6 +411,28 @@ class TestAdiabaticRun:
         for row, untruncated in zip(rows, exact):
             assert abs(row["success_probability"] - untruncated["success_probability"]) <= 2.0 * budget
             assert abs(row["step_error"] - untruncated["step_error"]) <= 2.0 * budget / 15.0
+
+    def test_criterion_6_sweep_takes_the_pinned_matvecs(self, monkeypatch):
+        """ec_n6's criterion-6 sweep: 42,142 matvecs with each series sized to its node (47,820 at E_max / 2 for all)."""
+        calls, integrate_tdse = [0], reduction.integrate_tdse
+
+        def counting(h_at, *args, **kwargs):
+            def counted_h_at(t, scale):
+                product = h_at(t, scale)
+
+                def matvec(v, out):
+                    calls[0] += 1
+                    return product(v, out)
+
+                return matvec
+
+            return integrate_tdse(counted_h_at, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "integrate_tdse", counting)
+        inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / "ec_n6_unique.json")
+        rows = success_sweep(inst, [2.0**k for k in range(8)], target=0.9).rows  # T_min 1, doublings 7
+        assert [row["steps"] for row in rows] == [20, 40, 80, 160, 160, 320, 640]
+        assert calls[0] == 42_142
 
     @pytest.mark.parametrize("tol", [1e-6, 0.0], ids=["default", "never_met"])
     def test_projected_steps_bound_the_sweep(self, monkeypatch, tol):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -500,7 +501,7 @@ class TestCli:
                            "schedule": {"T_min": 1.0, "target": 1.5}}, "params.schedule.target"),
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 1e308, "tau": 10.0, "n": 100}, "params.tau"),
             ("decohere", {"K": 4, "energy_scale": 1e308, "tau": [1.0, 1e10], "trials": 2}, "params.tau"),
-            ("decohere", {"hbar": 1e100, "params": {"K": 4, "energy_scale": 1e200, "tau": 1e200, "trials": 2}},
+            ("decohere", {"hbar": 1e100, "params": {"K": 4, "energy_scale": 1e300, "tau": 1e200, "trials": 2}},
              "params.tau"),
             ("compare", {"K": 4, "energy_scale": 1e308, "tau": 1e10, "trials": 2, "n": 100}, "params.energy_scale"),
             ("adiabatic", {"instance_path": str(REPO / "instances" / "ec_n3_single.json"),
@@ -670,18 +671,29 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "energy_scale,tau,hbar,spread",
-        [(1e308, 1e-300, 1.0, 1e8), (1e-10, 1e300, 1e-10, 1e300)],
-        ids=["huge_scale_tiny_tau", "tau_over_hbar_overflow"],
+        [(1e308, 1e-300, 1.0, 1e8), (1e-10, 1e300, 1e-10, 1e300), (1e200, 1e200, 1e100, 1e300),
+         (1e200, 1e-300, 1e100, 1e-200)],
+        ids=["huge_scale_tiny_tau", "tau_over_hbar_overflow", "scale_times_tau_overflows", "tau_over_hbar_underflows"],
     )
     def test_compare_runs_wherever_its_natural_times_are_finite(self, tmp_path, energy_scale, tau, hbar, spread):
-        # Compare samples on the unit interval and sweeps the times energy_scale * tau / hbar alone, so neither
-        # energy_scale = 1e308 nor tau / hbar = inf overflows it.
+        # Compare samples on the unit interval and sweeps the times energy_scale * tau / hbar alone, formed with no
+        # intermediate overflow or underflow, so neither energy_scale = 1e308, tau / hbar = inf, energy_scale * tau
+        # = inf nor tau / hbar = 0 changes it.
         params = {"K": 4, "energy_scale": [energy_scale], "tau": tau, "trials": 2, "n": 100}
         config = self._write_config(tmp_path, {"hbar": hbar, "params": params})
         assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         row = json.loads((tmp_path / "out" / "compare_result.json").read_text())["outputs"]["rows"][0]
         assert row["spread"] == pytest.approx(spread)
         assert 0.0 <= row["p_decohered"] <= 1.0 and 0.0 <= row["p_stochastic"] <= 1.0
+
+    def test_decohere_runs_where_its_kernel_span_is_finite(self, tmp_path):
+        # The kernel forms energy_scale * (tau / hbar) = 1e300 and echoes it as the spread; energy_scale * tau = inf.
+        params = {"K": 4, "energy_scale": 1e200, "tau": [1e200], "trials": 2}
+        config = self._write_config(tmp_path, {"hbar": 1e100, "params": params})
+        assert cli.main(["decohere", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "decohere_result.json").read_text())
+        assert record["warnings"] == []
+        assert record["outputs"]["rows"][0]["spread"] == 1e200 * (1e200 / 1e100)
 
     @pytest.mark.parametrize(
         "experiment,params,path",
@@ -692,7 +704,7 @@ class TestCli:
             ("compare", {"K": 10**15, "energy_scale": 1.0, "tau": 1.0, "trials": 1, "n": 100}, "params.K"),
             ("compare", {"K": 4, "energy_scale": 1.0, "tau": 1.0, "trials": 2, "n": 10**15}, "params.n"),
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 1e308, "tau": 10.0, "n": 100}, "params.tau"),
-            ("decohere", {"hbar": 1e100, "params": {"K": 4, "energy_scale": 1e200, "tau": 1e200, "trials": 2}},
+            ("decohere", {"hbar": 1e100, "params": {"K": 4, "energy_scale": 1e300, "tau": 1e200, "trials": 2}},
              "params.tau"),
             ("stochastic", {"A_tilde": 1e308, "B_tilde": 0.0, "tau": [1e-300], "n": 100, "mode": "uniform_argument"},
              "params.A_tilde"),
@@ -977,14 +989,18 @@ MAGNITUDES = st.floats(-300.0, math.log10(1.7e308)).map(lambda exponent: 10.0**e
 def magnitude_rule(experiment, mode, energy_scale, a_tilde, b_tilde, tau, hbar) -> str | None:
     """The field a Monte Carlo run must name at exit 2, or None when every number it forms is finite.
 
-    decohere forms tau / hbar, energy_scale * (tau / hbar) and the echoed spread energy_scale * tau / hbar;
+    decohere forms tau / hbar and the echoed spread energy_scale * (tau / hbar);
     stochastic tau / hbar, the phase span (A_tilde + B_tilde) * (tau / hbar) and its draw interval's width;
-    compare its natural-unit time energy_scale * tau / hbar.
+    compare its natural-unit time energy_scale * tau / hbar, exactly, before rounding it once.
     """
     if experiment == "compare":
-        return None if math.isfinite(energy_scale * tau / hbar) else "params.energy_scale"
+        try:
+            float(Fraction(energy_scale) * Fraction(tau) / Fraction(hbar))
+        except OverflowError:
+            return "params.energy_scale"
+        return None
     if experiment == "decohere":
-        formed = (tau / hbar, energy_scale * (tau / hbar), energy_scale * tau / hbar)
+        formed = (tau / hbar, energy_scale * (tau / hbar))
         return None if all(map(math.isfinite, formed)) else "params.tau"
     if not (math.isfinite(tau / hbar) and math.isfinite((a_tilde + b_tilde) * (tau / hbar))):
         return "params.tau"
