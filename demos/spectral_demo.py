@@ -2,10 +2,9 @@
 """The energy-threshold decision problem on a 1D grid.
 
 The grid operator is tridiagonal. Solving for the ground energy takes an
-eigen-solve: LAPACK's tridiagonal bisection, cross-checked by a route that
-never calls it, inverse iteration finished if it stalls by bisection on the
-inertia of H - x. Checking a claimed eigenpair costs one O(N)
-matrix-vector product. The demo
+eigen-solve, LAPACK's tridiagonal bisection; checking it takes two O(N)
+factorizations, which certify a bracket around it. Checking a claimed
+eigenpair costs one O(N) matrix-vector product. The demo
 shows both sides: grid convergence of the harmonic ground energy toward
 hbar omega / 2, threshold decisions around it, and the cheap verifier
 accepting exact pairs while rejecting tampered ones.
@@ -16,6 +15,7 @@ from clab.reduction import (
     SpectralDecisionInstance,
     decide_energy_threshold,
     ground_energy,
+    ground_energy_bracket,
     reduce_energy_decision,
     verify_eigenpair,
 )
@@ -35,12 +35,12 @@ def harmonic(grid_points, box_length=20.0, threshold=1.0):
 
 # --- 1. Convergence of the discretized ground energy -------------------------
 print("harmonic oscillator, exact ground energy 0.5 (hbar = m = omega = 1)")
-print("grid    E0 (dense)      E0 (inverse iter)   error")
+print("grid    E0 (dense)      certified bracket width   error")
 for n in (64, 128, 256, 512, 1024):
     h, _ = reduce_energy_decision(harmonic(n))
-    dense = ground_energy(h, method="dense")
-    inverse = ground_energy(h, method="inverse")
-    print(f"{n:<6}  {dense:.10f}  {inverse:.10f}    {abs(dense - 0.5):.2e}")
+    dense = ground_energy(h)
+    lower, upper = ground_energy_bracket(h, dense)
+    print(f"{n:<6}  {dense:.10f}  {upper - lower:.2e}                  {abs(dense - 0.5):.2e}")
 
 # --- 2. Threshold decisions ---------------------------------------------------
 for threshold in (1.0, 0.5001, 0.25):

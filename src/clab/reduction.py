@@ -14,9 +14,10 @@ Two concrete problem families back the complexity story:
 
 * A one-particle energy-threshold decision on a 1D grid: discretize
   -1/(2m) d^2/dx^2 + V(x) with Dirichlet walls into a tridiagonal
-  operator, ask whether the ground energy is at most a threshold, and
-  verify candidate eigenpairs by a residual check that costs one O(N)
-  matrix-vector product.
+  operator and ask whether the ground energy is at most a threshold.
+  Finding E0 takes an eigensolver; checking it is cheaper: two O(N)
+  factorizations certify a bracket around it, and a residual check of
+  one O(N) matrix-vector product verifies a candidate eigenpair.
 
 Everything is in natural units (hbar = 1): a time is a phase per unit
 energy, and a mass m from units with another hbar enters as m / hbar^2.
@@ -59,6 +60,7 @@ __all__ = [
     "most_probable_bitstring",
     "reduce_energy_decision",
     "ground_energy",
+    "ground_energy_bracket",
     "below_threshold",
     "decide_energy_threshold",
     "verify_eigenpair",
@@ -490,17 +492,30 @@ def reduce_energy_decision(inst: SpectralDecisionInstance) -> tuple[GridHamilton
     return GridHamiltonian(diag=diag, offdiag=offdiag), float(inst.threshold)
 
 
-# Limits on the grid operator's kinetic term 1 / (m dx^2), the range of _ground_energy_direct. LAPACK's
-# tridiagonal eigensolver stops converging once the off-diagonal passes about 1.3e154, sqrt(float max), and below
-# about 1e-154 the squared off-diagonals it works on underflow, which splits the operator into 1x1 blocks.
+# Limits on the grid operator's kinetic term 1 / (m dx^2), the range of ground_energy. LAPACK's tridiagonal
+# eigensolver stops converging once the off-diagonal passes about 1.3e154, sqrt(float max), and below about
+# 1e-154 the squared off-diagonals it works on underflow, which splits the operator into 1x1 blocks.
 MAX_KINETIC = 1e150
 MIN_KINETIC = 1e-150
-INVERSE_TOL = 1e-12
-INVERSE_MAX_ITER = 200
+# Half-width of the certified bracket on A = H / s, in units of A's largest entry (see ground_energy_bracket).
+BRACKET_MARGIN = 10.0 * float(np.finfo(float).eps)
 
 
-def _ground_energy_direct(h: GridHamiltonian) -> float:
-    """Lowest eigenvalue by LAPACK stebz, bisected to full precision; raises on info != 0 or a coupling out of range."""
+def _require_finite(h: GridHamiltonian) -> None:
+    # stebz returns a finite number with info 0 for a NaN entry, and pttrf factors one.
+    if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
+        raise ValueError("grid operator entries must be finite")
+
+
+def ground_energy(h: GridHamiltonian) -> float:
+    """Smallest eigenvalue of the grid operator, by LAPACK stebz bisected to full precision.
+
+    Raises ValueError on a non-finite entry or a coupling outside stebz's
+    range, and LinAlgError when stebz reports info != 0.
+    """
+    _require_finite(h)
+    if h.dim == 1:
+        return float(h.diag[0])
     coupling = float(np.abs(h.offdiag).max(initial=0.0))
     if coupling and not MIN_KINETIC / 2.0 <= coupling <= MAX_KINETIC / 2.0:  # stebz would report the diagonal or fail
         raise ValueError(
@@ -515,90 +530,52 @@ def _ground_energy_direct(h: GridHamiltonian) -> float:
     return float(w[0])
 
 
-def _ground_energy_inverse(h: GridHamiltonian) -> float:
-    """Smallest eigenvalue by inverse iteration with certified shifts, else by bisection on the inertia of H - x.
+def ground_energy_bracket(h: GridHamiltonian, energy: float) -> tuple[float, float]:
+    """Bounds ``lower <= E0 <= upper`` around a claimed ground energy, each certified by one O(N) factorization.
 
-    It runs on A = H / s, s the largest entry magnitude, so no entry of A - x
-    overflows and its rules hold in any units. A - x is positive definite,
-    every eigenvalue above x, exactly when LAPACK pttrf factors it
-    (Sylvester's law of inertia): x is a certified shift. The first is 1e-6
-    max(|g|, c) below the Gershgorin bound g, c the largest coupling of A;
-    each solve reuses its factors (pttrs), O(N). After each iterate, with
-    Rayleigh quotient lam and residual r, some eigenvalue lies within r of
-    lam, so the shift and its factors move up to lam - 1.01 r whenever pttrf
-    certifies it: shifts rise toward E0, never past it. The iteration stops
-    once lam moves by at most INVERSE_TOL max(|lam|, c) and r <= 1e-8
-    max(|lam|, c); if it fails or stalls, ``_bisect_inertia`` finishes from
-    the last certified shift. The answer is clamped into [g, min(diag)],
-    which holds E0, then scaled back by s.
+    The checks run on A = H / s, s the power of two at or above the largest
+    entry magnitude: the scaling is exact, no entry of A exceeds 1, and the
+    bracket reads the same in any units. With x = energy / s and
+    d = BRACKET_MARGIN:
 
-    The start u / sqrt(N), u_0 = 1 and u_{i+1} = -u_i where the coupling
-    e_i > 0, else u_i, has the ground state's signs (diag(u) H diag(u) has
-    couplings <= 0), so it is never orthogonal to it; on the grid, u = 1.
+    * Below: A - y is positive definite, every eigenvalue above y, exactly
+      when LAPACK pttrf factors it (Sylvester's law of inertia), so
+      info == 0 at y = x - d/2 certifies E0 > y.
+    * Above: a first non-positive pivot at k (info == k > 0) shows that the
+      leading k x k block of A - y is not positive definite, so by Cauchy
+      interlacing info > 0 at y = x + d/2 certifies E0 <= y.
+
+    Rounding (Kahan 1966; Demmel, *Applied Numerical Linear Algebra*, 5.3):
+    pttrf's pivots in floating point have the signs of the exact pivots of
+    a matrix whose couplings differ from A's by at most 1.25 eps relative,
+    the diagonal unchanged, so its eigenvalues lie within 2.5 eps of A's
+    (Weyl). The checks run at d/2 and the bounds are x -/+ d: the other
+    d/2 = 5 eps covers that 2.5 eps plus one rounding of y and one of the
+    bound (|x| < 4, so each is at most eps). So each bound holds for A
+    itself, up to underflow in entries below 2^-1022 s.
+
+    A side whose check fails falls back to the bound that always holds:
+    the Gershgorin bound less d below (d covers its two roundings), and
+    min(diag), a Rayleigh quotient, above. A bound past the float range is
+    reported as the largest finite float of its sign. No loop, no retry.
+    Raises ValueError on a non-finite entry or energy.
     """
-    lapack, tiny = _lapack(), float(np.finfo(float).tiny)
-    scale = max(float(np.abs(h.diag).max()), float(np.abs(h.offdiag).max(initial=0.0)), tiny)
-    a = GridHamiltonian(diag=h.diag / scale, offdiag=h.offdiag / scale)
-    off = np.abs(a.offdiag)
-    coupling = float(off.max(initial=0.0))
-    radii = np.concatenate(([0.0], off)) + np.concatenate((off, [0.0]))
-    low, top = float((a.diag - radii).min()), float(a.diag.min())  # min(diag), a Rayleigh quotient, bounds E0 above
-    # A margin scaled by the largest entry would put the shift far below E0 under one huge V entry.
-    shift = low - 1e-6 * max(abs(low), coupling)
-    d, e, info = lapack.dpttrf(a.diag - shift, a.offdiag)
-    if info == 0:
-        signs = np.cumprod(np.where(a.offdiag > 0.0, -1.0, 1.0))
-        v, lam_old = np.concatenate(([1.0], signs)) * a.dim**-0.5, None
-        for _ in range(INVERSE_MAX_ITER):
-            v, info = lapack.dpttrs(d, e, v)
-            peak = float(np.abs(v).max())
-            if info != 0 or not 0.0 < peak < math.inf:  # pivots of A - x underflow where V spans 1e300
-                break
-            v /= peak  # v grows by up to 1 / (E0 - shift), whose square overflows under a huge V entry
-            v /= np.linalg.norm(v)
-            av = a.matvec(v)
-            lam = float(v @ av)
-            size = max(abs(lam), coupling, tiny)
-            residual = float(np.linalg.norm((av - lam * v) / size))  # in units of size, lest its squares underflow
-            if lam_old is not None and abs(lam - lam_old) <= INVERSE_TOL * size and residual <= 1e-8:
-                return scale * min(max(lam, low), top)
-            lam_old = lam
-            trial = lam - 1.01 * residual * size
-            if trial > shift:
-                factors = lapack.dpttrf(a.diag - trial, a.offdiag)
-                if factors[2] == 0:
-                    shift, (d, e, _) = trial, factors
-    return scale * min(max(_bisect_inertia(a, shift, top), low), top)
-
-
-def _bisect_inertia(h: GridHamiltonian, lo: float, hi: float) -> float:
-    """E0 in (lo, hi], bisected to adjacent floats: pttrf factors H - mid exactly when E0 > mid."""
-    pttrf = _lapack().dpttrf
-    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
-        if pttrf(h.diag - mid, h.offdiag)[2] == 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def ground_energy(h: GridHamiltonian, method: str = "dense") -> float:
-    """Smallest eigenvalue of the grid operator; raises ValueError on a non-finite entry.
-
-    ``dense`` (the name the payloads carry) bisects the lowest eigenvalue
-    only, to full precision, with LAPACK's direct tridiagonal eigensolver;
-    ``inverse`` runs shifted inverse iteration, finished by inertia
-    bisection if it stalls, as a cross-check that never calls the direct
-    solver.
-    """
-    if method not in ("dense", "inverse"):
-        raise ValueError(f"unknown method {method!r}, expected 'dense' or 'inverse'")
-    # stebz returns a finite number with info 0 for a NaN entry; inverse iteration returns NaN.
-    if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
-        raise ValueError("grid operator entries must be finite")
-    if h.dim == 1:
-        return float(h.diag[0])
-    return _ground_energy_direct(h) if method == "dense" else _ground_energy_inverse(h)
+    _require_finite(h)
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
+    if h.dim == 1:  # E0 is the entry; pttrf takes no 1 x 1 matrix
+        return float(h.diag[0]), float(h.diag[0])
+    exponent = math.frexp(max(float(np.abs(h.diag).max()), float(np.abs(h.offdiag).max())))[1]
+    a, off = np.ldexp(h.diag, -exponent), np.ldexp(h.offdiag, -exponent)
+    x, pttrf = math.ldexp(energy, -exponent), _lapack().dpttrf
+    if pttrf(a - (x - BRACKET_MARGIN / 2.0), off)[2] == 0:
+        lower = x - BRACKET_MARGIN
+    else:
+        radii = np.concatenate(([0.0], np.abs(off))) + np.concatenate((np.abs(off), [0.0]))
+        lower = float((a - radii).min()) - BRACKET_MARGIN
+    upper = x + BRACKET_MARGIN if pttrf(a - (x + BRACKET_MARGIN / 2.0), off)[2] > 0 else float(a.min())
+    limit = math.ldexp(sys.float_info.max, -max(exponent, 0))  # |x -/+ d| < 4 binds only at the top exponents
+    return math.ldexp(max(lower, -limit), exponent), math.ldexp(min(upper, limit), exponent)
 
 
 def below_threshold(energy: float, threshold: float) -> bool:

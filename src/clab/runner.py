@@ -39,6 +39,7 @@ from .reduction import (
     below_threshold,
     bitstring_satisfies,
     ground_energy,
+    ground_energy_bracket,
     load_instance,
     most_probable_bitstring,
     projected_steps,
@@ -515,18 +516,25 @@ def _spectral_instance(grid: dict, threshold: float, hbar: float) -> SpectralDec
 
 
 def _run_spectral(config: dict) -> dict:
+    """The stebz ground energy, its decision, and a bracket certified around it.
+
+    ``certified``: both ends of the bracket take the same decision (a near-tie is false, not a warning or an error).
+    ``solver_relative_gap``, the bracket's width over max(1, |E0|), stays only for the benchmark's check.
+    """
     p = config["params"]
     inst = _spectral_instance(p["grid"], p["E_B"], config["hbar"])
     h, threshold = reduce_energy_decision(inst)
-    e_dense = ground_energy(h, method="dense")
-    e_inverse = ground_energy(h, method="inverse")
-    decision = below_threshold(e_dense, threshold)
+    energy = ground_energy(h)
+    lower, upper = ground_energy_bracket(h, energy)
+    decision = below_threshold(energy, threshold)
     rows = [
         {
             "grid_points": p["grid"]["grid_points"],
-            "ground_energy_dense": e_dense,
-            "ground_energy_inverse": e_inverse,
-            "solver_relative_gap": abs(e_dense - e_inverse) / max(1.0, abs(e_dense)),
+            "ground_energy_dense": energy,
+            "energy_lower": lower,
+            "energy_upper": upper,
+            "certified": below_threshold(lower, threshold) == below_threshold(upper, threshold),
+            "solver_relative_gap": (upper - lower) / max(1.0, abs(energy)),
             "threshold": threshold,
             "decision": decision,
         }
@@ -534,7 +542,7 @@ def _run_spectral(config: dict) -> dict:
     return {
         "rows": rows,
         "summary": {
-            "ground_energy": e_dense,
+            "ground_energy": energy,
             "threshold": threshold,
             "decision": decision,
             "potential_kind": p["grid"]["potential"]["kind"],

@@ -19,6 +19,7 @@ from clab.reduction import (
     build_cost_hamiltonian,
     decide_energy_threshold,
     ground_energy,
+    ground_energy_bracket,
     interpolation_matvec,
     load_instance,
     most_probable_bitstring,
@@ -106,22 +107,20 @@ def harmonic_instance(grid_points=512, box_length=20.0, mass=1.0, omega=1.0, thr
     )
 
 
-def spy_bisection(monkeypatch) -> list:
-    """Record the (lo, hi) bracket of every inertia bisection the inverse route falls back to.
-
-    The certified-shift iteration calls pttrf too, so a pttrf call alone does not show that the
-    bisection ran.
-    """
-    calls, bisect = [], reduction._bisect_inertia
-    monkeypatch.setattr(reduction, "_bisect_inertia", lambda h, lo, hi: calls.append((lo, hi)) or bisect(h, lo, hi))
-    return calls
+def entry_scale(h):
+    """The power of two at or above the largest entry magnitude: s of A = H / s in ground_energy_bracket."""
+    return math.ldexp(1.0, math.frexp(max(np.abs(h.diag).max(), np.abs(h.offdiag).max(initial=0.0)))[1])
 
 
-def count_solves(monkeypatch) -> list:
-    """Record every LAPACK pttrs call, one per inverse-iteration step."""
-    calls, pttrs = [], reduction._lapack().dpttrs
-    monkeypatch.setattr(reduction._lapack(), "dpttrs", lambda d, e, b: calls.append(b) or pttrs(d, e, b))
-    return calls
+def assert_certified(h, exactly_positive_definite):
+    """The bracket around stebz's E0 holds the exact E0, and both checks passed: it is 2 BRACKET_MARGIN s wide."""
+    energy = ground_energy(h)
+    lower, upper = ground_energy_bracket(h, energy)
+    assert lower <= energy <= upper
+    assert exactly_positive_definite(h.diag, h.offdiag, lower)
+    assert not exactly_positive_definite(h.diag, h.offdiag, upper)
+    assert upper - lower <= 2.2 * reduction.BRACKET_MARGIN * entry_scale(h)  # 2 margins, plus one rounding each
+    return lower, upper
 
 
 class TestExactCoverInstance:
@@ -484,10 +483,10 @@ class TestGridHamiltonian:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points", [3, 40, 257, 512])
-    def test_matches_dense_reference(self, grid_points):
+    def test_matches_dense_reference(self, grid_points, exactly_positive_definite):
         rng = np.random.default_rng(grid_points)
         x = np.linspace(0.0, 1.0, grid_points)
-        # smooth random potential: a few Fourier modes (rough ones: test_inverse_converges_on_rough_potential)
+        # smooth random potential: a few Fourier modes (rough ones: test_bracket_certifies_rough_potential)
         potential = sum(rng.uniform(-5, 5) * np.sin((m + 1) * math.pi * x + rng.uniform(0, 6.3)) for m in range(4))
         inst = SpectralDecisionInstance(
             grid_points=grid_points,
@@ -502,15 +501,13 @@ class TestGridHamiltonian:
         np.testing.assert_allclose(h.matvec(v), reference @ v, rtol=0, atol=1e-12 * np.abs(reference).max())
         np.testing.assert_array_equal(h.dense(), reference)
         exact = np.linalg.eigvalsh(reference)[0]
-        for method in ("dense", "inverse"):
-            assert abs(ground_energy(h, method=method) - exact) <= 1e-10 * max(1.0, abs(exact))
+        assert abs(ground_energy(h) - exact) <= 1e-10 * max(1.0, abs(exact))
+        assert_certified(h, exactly_positive_definite)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points,box_length,seed", [(257, 10.0, 257), (4096, 30.0, 2), (4096, 100.0, 1)])
-    def test_inverse_converges_on_rough_potential(self, monkeypatch, grid_points, box_length, seed):
-        # An iid potential leaves a gap E1 - E0 far below the spectrum's width, where a fixed Gershgorin
-        # shift stalls; the certified shifts rise toward E0 and the iteration converges. Cut to one step,
-        # the iteration leaves E0 to the inertia bisection, which starts from the last certified shift.
+    def test_bracket_certifies_rough_potential(self, grid_points, box_length, seed, exactly_positive_definite):
+        # An iid potential leaves a gap E1 - E0 far below the spectrum's width; the inertia checks do not see the gap.
         rng = np.random.default_rng(seed)
         inst = SpectralDecisionInstance(
             grid_points=grid_points,
@@ -519,37 +516,37 @@ class TestGridHamiltonian:
             potential=rng.uniform(-5.0, 5.0, grid_points),
             threshold=0.0,
         )
-        h, _ = reduce_energy_decision(inst)
-        bisections = spy_bisection(monkeypatch)
-        direct = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0]
-        assert abs(ground_energy(h, method="inverse") - direct) <= 1e-9 * max(1.0, abs(direct))
-        assert not bisections
-        monkeypatch.setattr(reduction, "INVERSE_MAX_ITER", 1)
-        assert abs(reduction._ground_energy_inverse(h) - direct) <= 1e-9 * max(1.0, abs(direct))
-        (lo, hi), = bisections  # bracketing E0 / s, in the units of A = H / s
-        scale = max(np.abs(h.diag).max(), np.abs(h.offdiag).max())
-        assert lo < direct / scale <= hi == (h.diag / scale).min()
+        assert_certified(reduce_energy_decision(inst)[0], exactly_positive_definite)
 
     @pytest.mark.filterwarnings("error")
-    def test_certified_shifts_cut_the_solves(self, monkeypatch):
-        # A fixed Gershgorin shift took 10 solves on this grid.
-        solves, bisections = count_solves(monkeypatch), spy_bisection(monkeypatch)
+    def test_bracket_costs_two_factorizations(self, monkeypatch):
+        factored, pttrf = [], reduction._lapack().dpttrf
+        monkeypatch.setattr(reduction._lapack(), "dpttrf", lambda d, e: factored.append(d) or pttrf(d, e))
         h, _ = reduce_energy_decision(harmonic_instance(grid_points=512))
-        direct = scipy.linalg.eigvalsh_tridiagonal(h.diag, h.offdiag, select="i", select_range=(0, 0))[0]
-        assert abs(ground_energy(h, method="inverse") - direct) <= 1e-12
-        assert len(solves) <= 6 and not bisections
+        ground_energy_bracket(h, ground_energy(h))
+        assert len(factored) == 2
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("signs", ["positive", "mixed"])
-    def test_inverse_finds_the_ground_state_under_positive_couplings(self, signs):
+    def test_bracket_holds_under_positive_couplings(self, signs, exactly_positive_definite):
         # With equal positive couplings and even N the ground state alternates in sign, orthogonal to the
-        # uniform vector, from which the iteration converged to an excited state (-0.19767 here).
+        # uniform vector; the inertia depends only on the couplings' squares.
         offdiag = np.full(63, 0.25)
         if signs == "mixed":
             offdiag *= np.random.default_rng(64).choice([-1.0, 1.0], 63)
         h = GridHamiltonian(diag=np.full(64, 0.3), offdiag=offdiag)
         exact = np.linalg.eigvalsh(h.dense())[0]
-        assert abs(ground_energy(h, "inverse") - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert abs(ground_energy(h) - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert_certified(h, exactly_positive_definite)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bracket_holds_on_random_tridiagonals(self, exactly_positive_definite):
+        # LAPACK's QR eigenvalues (eigvalsh) were up to 24 eps s from 40-digit ones on these, more than the
+        # bracket's half-width; the exact inertia is the oracle for what the bracket claims.
+        rng = np.random.default_rng(24)
+        for dim in rng.integers(2, 65, 100):
+            h = GridHamiltonian(diag=rng.standard_normal(dim), offdiag=rng.standard_normal(dim - 1))
+            assert_certified(h, exactly_positive_definite)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points", [8, 64, 512, 4096])
@@ -564,36 +561,35 @@ class TestGridHamiltonian:
         h, _ = reduce_energy_decision(inst)
         t = (grid_points + 1) ** 2 / 2.0
         wall = 2.0 * t * (1.0 - math.cos(math.pi / grid_points))
-        for method in ("dense", "inverse"):
-            assert abs(ground_energy(h, method=method) - wall) <= 1e-10 * wall
+        assert abs(ground_energy(h) - wall) <= 1e-10 * wall
         assert decide_energy_threshold(inst) is False
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid_points", [8, 64])
-    def test_subnormal_pivots_hand_the_solve_to_the_bisection(self, monkeypatch, grid_points):
-        # V[0] = 1e300 over couplings of 4e-9 (N = 8) or 2e-7 (N = 64) at mass 1e10: in A = H / 1e300 they sit near the
-        # smallest normal float and the pivots of A - x below it, so a solve overflows; the bisection finishes instead.
+    def test_huge_span_brackets_the_wall(self, grid_points, exactly_positive_definite):
+        # V[0] = 1e300 over couplings of 4e-9 (N = 8) or 2e-7 (N = 64) at mass 1e10: in A = H / s they sit near
+        # the smallest normal float. The bracket is 2 BRACKET_MARGIN s wide, s = 2^997, and it holds E0.
         potential = np.zeros(grid_points)
         potential[0] = 1e300
         inst = SpectralDecisionInstance(
             grid_points=grid_points, box_length=1.0, mass=1e10, potential=potential, threshold=0.0
         )
         h, _ = reduce_energy_decision(inst)
-        bisections = spy_bisection(monkeypatch)
         wall = (grid_points + 1) ** 2 / 1e10 * (1.0 - math.cos(math.pi / grid_points))
-        assert ground_energy(h, method="inverse") == pytest.approx(wall, rel=1e-12, abs=0.0)
-        assert len(bisections) == 1
+        assert ground_energy(h) == pytest.approx(wall, rel=1e-12, abs=0.0)
+        assert_certified(h, exactly_positive_definite)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mass", [1.0, 1e9, 1e12, 1e20, 1e100])
-    def test_small_scale_grid_solves_to_relative_precision(self, mass):
-        # Entries far below 1 once stopped the inverse route on an absolute rule: 180% off at mass 1e20.
+    def test_small_scale_grid_solves_to_relative_precision(self, mass, exactly_positive_definite):
+        # Entries far below 1: an absolute rule anywhere would show here (180% off at mass 1e20, once).
         inst = SpectralDecisionInstance(grid_points=64, box_length=1.0, mass=mass, potential=np.zeros(64), threshold=0.0)
         h, _ = reduce_energy_decision(inst)
         t = 65.0**2 / (2.0 * mass)
         exact = 2.0 * t * (1.0 - math.cos(math.pi / 65.0))
-        for method in ("dense", "inverse"):
-            assert ground_energy(h, method=method) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert ground_energy(h) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        lower, upper = assert_certified(h, exactly_positive_definite)
+        assert upper - lower <= 1e-11 * exact  # 20 eps s, with s below 1712 E0 at every mass
 
     @pytest.mark.parametrize(
         "box_length,mass,accepted",
@@ -658,17 +654,6 @@ class TestGridHamiltonian:
         ratio = abs(e2 - exact) / abs(e1 - exact)
         assert 0.2 <= ratio <= 0.3
 
-    def test_dense_and_inverse_agree(self):
-        h, _ = reduce_energy_decision(harmonic_instance(grid_points=300))
-        dense = ground_energy(h, method="dense")
-        inverse = ground_energy(h, method="inverse")
-        assert abs(dense - inverse) <= 1e-8 * max(1.0, abs(dense))
-
-    def test_unknown_method_rejected(self):
-        h, _ = reduce_energy_decision(harmonic_instance(grid_points=16))
-        with pytest.raises(ValueError, match="method"):
-            ground_energy(h, method="magic")
-
     def test_variational_bound(self):
         h, _ = reduce_energy_decision(harmonic_instance(grid_points=128))
         e0 = ground_energy(h)
@@ -718,26 +703,34 @@ class TestDirectLapack:
         assert ground_energy(h) == 6.165757866585773
         assert decide_energy_threshold(inst) is False
 
-    @pytest.mark.parametrize("method", ["dense", "inverse"])
-    def test_one_point_returns_the_entry(self, method):
-        assert ground_energy(GridHamiltonian(diag=np.array([2.5]), offdiag=np.empty(0)), method) == 2.5
+    def test_one_point_returns_the_entry(self):
+        h = GridHamiltonian(diag=np.array([2.5]), offdiag=np.empty(0))
+        assert ground_energy(h) == 2.5
+        assert ground_energy_bracket(h, 2.5) == (2.5, 2.5)
 
-    @pytest.mark.parametrize("method", ["dense", "inverse"])
-    def test_two_points(self, method):
+    def test_two_points(self, exactly_positive_definite):
         # E0 of [[1, -1], [-1, 2]] is (3 - sqrt 5) / 2. The LU route's gttrf raised a ValueError on two points.
         h = GridHamiltonian(diag=np.array([1.0, 2.0]), offdiag=np.array([-1.0]))
-        assert abs(ground_energy(h, method) - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-15
+        assert abs(ground_energy(h) - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-15
+        assert_certified(h, exactly_positive_definite)
 
     @pytest.mark.filterwarnings("error")  # the check must come before any arithmetic on the entries
-    @pytest.mark.parametrize("method", ["dense", "inverse"])
+    @pytest.mark.parametrize(
+        "solve", [ground_energy, lambda h: ground_energy_bracket(h, 0.0)], ids=["energy", "bracket"]
+    )
     @pytest.mark.parametrize("where", ["diag", "offdiag"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entries_rejected(self, method, where, bad):
+    def test_non_finite_entries_rejected(self, solve, where, bad):
         h = self.random_grid(np.random.default_rng(0), 5)
         entries = {"diag": h.diag.copy(), "offdiag": h.offdiag.copy()}
         entries[where][1] = bad
         with pytest.raises(ValueError, match="finite"):
-            ground_energy(GridHamiltonian(**entries), method)
+            solve(GridHamiltonian(**entries))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ground_energy_bracket(self.random_grid(np.random.default_rng(0), 5), bad)
 
     def test_overflowing_grid_rejected(self):
         # A finite potential can still overflow the diagonal 2t + V when the library is called directly
@@ -757,31 +750,23 @@ class TestDirectLapack:
             ground_energy(self.random_grid(np.random.default_rng(0), 3))
 
     @pytest.mark.filterwarnings("error")
-    def test_singular_factorization_leaves_it_to_the_bisection(self, monkeypatch):
-        # A faked info = 1 (a zero pivot) from the first shift's pttrf must skip the iteration, not return
-        # garbage; the bisection's own pttrf calls go through.
-        pttrf, factored = reduction._lapack().dpttrf, []
-
-        def first_fails(d, e):
-            factored.append(d)
-            *factors, info = pttrf(d, e)
-            return (*factors, 1 if len(factored) == 1 else info)
-
-        monkeypatch.setattr(reduction._lapack(), "dpttrf", first_fails)
-        solves, bisections = count_solves(monkeypatch), spy_bisection(monkeypatch)
+    @pytest.mark.parametrize("offset", [-1.0, 1.0])
+    def test_failed_check_falls_back_to_the_bound_that_always_holds(self, offset, exactly_positive_definite):
+        # A claimed energy 1 above E0 fails the lower check, one 1 below fails the upper check: that side falls
+        # back to the Gershgorin bound less the margin, or to min(diag); the other side still holds.
         h = self.random_grid(np.random.default_rng(3), 40)
-        exact = np.linalg.eigvalsh(h.dense())[0]
-        assert abs(ground_energy(h, "inverse") - exact) <= 1e-12 * max(1.0, abs(exact))
-        assert not solves and len(bisections) == 1
-
-    @pytest.mark.filterwarnings("error")
-    def test_solve_failure_leaves_it_to_the_bisection(self, monkeypatch):
-        # The faked solve returns an exact eigenvector, so only its info = -6 can stop the iteration.
-        monkeypatch.setattr(reduction._lapack(), "dpttrs", lambda *args: (np.array([1.0, 0.0, 0.0]), -6))
-        bisections = spy_bisection(monkeypatch)
-        h = GridHamiltonian(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.zeros(2))
-        assert ground_energy(h, "inverse") == 1.0
-        assert len(bisections) == 1
+        claimed = ground_energy(h) + offset
+        lower, upper = ground_energy_bracket(h, claimed)
+        s = entry_scale(h)
+        radii = np.concatenate(([0.0], np.abs(h.offdiag))) + np.concatenate((np.abs(h.offdiag), [0.0]))
+        if offset > 0:
+            assert lower == s * ((h.diag - radii).min() / s - reduction.BRACKET_MARGIN)
+            assert upper == pytest.approx(claimed, abs=2.0 * reduction.BRACKET_MARGIN * s)
+        else:
+            assert lower == pytest.approx(claimed, abs=2.0 * reduction.BRACKET_MARGIN * s)
+            assert upper == h.diag.min()
+        assert exactly_positive_definite(h.diag, h.offdiag, lower)
+        assert not exactly_positive_definite(h.diag, h.offdiag, upper)
 
 
 class TestDecision:

@@ -313,7 +313,10 @@ class TestRun:
         summary = record.outputs["summary"]
         assert summary["decision"] is True
         assert abs(summary["ground_energy"] - 0.5) / 0.5 < 0.01
-        assert record.outputs["rows"][0]["solver_relative_gap"] <= 1e-8
+        row = record.outputs["rows"][0]
+        assert row["certified"] is True
+        assert row["energy_lower"] <= summary["ground_energy"] <= row["energy_upper"]
+        assert row["solver_relative_gap"] == (row["energy_upper"] - row["energy_lower"]) / 1.0 <= 1e-8
 
     def test_harmonic_ground_energy_is_half_hbar_omega(self):
         # The kinetic term takes hbar through the mass, the potential keeps the configured mass: E0 = hbar omega / 2.
@@ -323,8 +326,7 @@ class TestRun:
 
     @staticmethod
     def double_well_config(seed, box_length):
-        # A mirror-symmetric rough double well: its two lowest states are nearly degenerate, so inverse
-        # iteration from below the Gershgorin bound stalls.
+        # A mirror-symmetric rough double well: its two lowest states are nearly degenerate.
         n = 4096
         half = np.random.default_rng(seed).uniform(-5.0, 5.0, n // 2)
         values = np.concatenate([half, half[::-1]])
@@ -334,31 +336,45 @@ class TestRun:
         return {"experiment": "spectral", "params": {"grid": grid, "E_B": 0.0}}
 
     @pytest.mark.parametrize("seed,box_length", [(1, 100.0), (2, 100.0), (2, 30.0)])
-    def test_double_well_reports_its_own_inverse_energy(self, monkeypatch, seed, box_length):
-        # The certified shifts converge on these wells. Cut to one step, the iteration leaves E0 to the
-        # inertia bisection, whose energy must agree as well.
-        bisections, bisect = [], reduction._bisect_inertia
-        monkeypatch.setattr(reduction, "_bisect_inertia", lambda *args: bisections.append(args) or bisect(*args))
+    def test_double_well_is_certified(self, seed, box_length):
         record = run(self.double_well_config(seed, box_length))
+        row = record.outputs["rows"][0]
         assert record.warnings == []
-        assert record.outputs["rows"][0]["solver_relative_gap"] <= 1e-9
-        assert not bisections
-        monkeypatch.setattr(reduction, "INVERSE_MAX_ITER", 1)
-        record = run(self.double_well_config(seed, box_length))
-        assert record.warnings == []
-        assert record.outputs["rows"][0]["solver_relative_gap"] <= 1e-9
-        assert len(bisections) == 1, "the bisection did not run"
+        assert row["certified"] is True
+        assert row["energy_lower"] < row["ground_energy_dense"] < row["energy_upper"]
+        assert row["solver_relative_gap"] <= 1e-9
 
-    def test_inverse_energy_is_independent_of_the_direct_solver(self, monkeypatch):
+    def test_wrong_energy_falls_back_to_the_gershgorin_bound(self, monkeypatch):
+        # An energy 1 above E0 fails the lower check: the row keeps a bracket that holds E0, but a wide one,
+        # which the benchmark's 1e-9 gap check rejects, and the decision at E_B = 0 is no longer certified.
         config = self.double_well_config(1, 100.0)
         before = run(config).outputs["rows"][0]
-        direct = reduction._ground_energy_direct
-        monkeypatch.setattr(reduction, "_ground_energy_direct", lambda h: direct(h) + 1.0)
+        monkeypatch.setattr(runner, "ground_energy", lambda h: reduction.ground_energy(h) + 1.0)
         after = run(config).outputs["rows"][0]
         assert after["ground_energy_dense"] == before["ground_energy_dense"] + 1.0
-        assert after["ground_energy_inverse"] == before["ground_energy_inverse"]
-        gap = abs(after["ground_energy_dense"] - after["ground_energy_inverse"]) / max(1.0, abs(after["ground_energy_dense"]))
-        assert after["solver_relative_gap"] == gap >= 0.99
+        assert after["energy_lower"] < before["energy_lower"] - 1.0
+        assert after["energy_lower"] < before["ground_energy_dense"] < after["energy_upper"]
+        assert after["solver_relative_gap"] > 1.0
+        assert after["certified"] is False and before["certified"] is True
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spike,mass", [(1e300, 1e20), (1.7e308, 1e10), (1e200, 1e150)])
+    def test_huge_span_grid_reports_a_bracket_that_holds(self, spike, mass, exactly_positive_definite):
+        # The bracket's margin is relative to the largest entry, so on a span past 1e300 it is wide, but it
+        # holds stebz's E0 and the exact one.
+        values = [0.0] * 64
+        values[64 // 3] = spike
+        grid = {"grid_points": 64, "box_length": 1.0, "mass": mass, "potential": {"kind": "values", "values": values}}
+        record = run({"experiment": "spectral", "params": {"grid": grid, "E_B": 0.0}})
+        row = record.outputs["rows"][0]
+        assert record.warnings == []
+        assert row["energy_lower"] <= row["ground_energy_dense"] <= row["energy_upper"]
+        h, _ = reduction.reduce_energy_decision(
+            reduction.SpectralDecisionInstance(64, 1.0, mass, np.array(values), 0.0)
+        )
+        assert exactly_positive_definite(h.diag, h.offdiag, row["energy_lower"])
+        assert not exactly_positive_definite(h.diag, h.offdiag, row["energy_upper"])
+        assert row["certified"] is False  # E_B = 0 lies inside the bracket
 
 
 class TestEmit:
@@ -596,14 +612,15 @@ class TestCli:
         ids=["all_max", "all_min", "spread", "spread_overflow", "float_max", "float_min"],
     )
     def test_extreme_values_solve_without_warnings(self, tmp_path, values):
-        """The inverse route runs on H over its largest entry, where no entry, norm or shift overflows."""
+        """The bracket is formed on H over its largest entry, where no entry or shift overflows."""
         grid = {"grid_points": 3, "box_length": 1.0, "mass": 1.0, "potential": {"kind": "values", "values": values}}
         config = self._write_config(tmp_path, {"params": {"grid": grid, "E_B": 1.0}})
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
         row = record["outputs"]["rows"][0]
         assert row["ground_energy_dense"] == record["outputs"]["summary"]["ground_energy"] == min(values)
-        assert row["ground_energy_inverse"] == min(values)
+        assert row["energy_lower"] <= min(values) <= row["energy_upper"]
+        assert row["certified"] is True
         assert record["warnings"] == []
 
     @pytest.mark.parametrize(
@@ -1038,6 +1055,45 @@ class TestMagnitudes:
                 assert f"error: {expected}:" in err.getvalue()
 
 
+# 0 (|e| < 1) or +-10^(|e| - 301) for e drawn from [-609, 609]: zero, or log-uniform over [1e-300, 1e308], either sign.
+SIGNED_MAGNITUDES = st.floats(-609.0, 609.0).map(
+    lambda e: 0.0 if abs(e) < 1.0 else math.copysign(10.0 ** (abs(e) - 301.0), e)
+)
+
+
+class TestSpectralAccuracy:
+    """Every exit-0 spectral run on a small grid with log-uniform entries is accurate, and its bracket holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(SIGNED_MAGNITUDES, min_size=3, max_size=64),
+        st.floats(-3.0, 3.0).map(lambda exponent: 10.0**exponent),
+        st.floats(-140.0, 140.0).map(lambda exponent: 10.0**exponent),
+        SIGNED_MAGNITUDES,
+    )
+    def test_energy_and_bracket_match_the_dense_reference(
+        self, exactly_positive_definite, values, box_length, mass, threshold
+    ):
+        grid_points = len(values)
+        grid = {"grid_points": grid_points, "box_length": box_length, "mass": mass,
+                "potential": {"kind": "values", "values": values}}
+        try:
+            record = run({"experiment": "spectral", "params": {"grid": grid, "E_B": threshold}})
+        except ConfigError:
+            return  # exit 2, naming a limit field: no energy to check
+        row = record.outputs["rows"][0]
+        assert record.warnings == []
+        inst = reduction.SpectralDecisionInstance(grid_points, box_length, mass, np.array(values), threshold)
+        h, _ = reduction.reduce_energy_decision(inst)
+        # Relative to the largest entry: an eigensolver's error scales with the operator, not with E0.
+        scale = max(np.abs(h.diag).max(), np.abs(h.offdiag).max())
+        assert abs(row["ground_energy_dense"] - np.linalg.eigvalsh(h.dense())[0]) <= 1e-12 * scale
+        # The exact inertia, not eigvalsh, is the bracket's oracle: eigvalsh can be off by more than its width.
+        assert exactly_positive_definite(h.diag, h.offdiag, row["energy_lower"])
+        assert not exactly_positive_definite(h.diag, h.offdiag, row["energy_upper"])
+        assert row["energy_lower"] <= row["ground_energy_dense"] <= row["energy_upper"]
+
+
 # Small configs at hbar = 1 for the units oracle; every time is a natural-unit time here.
 UNITS_BASES = {
     "decohere": {"K": 6, "energy_scale": 3.0, "tau": [0.0, 0.3, 7.0], "trials": 5},
@@ -1070,7 +1126,7 @@ ENERGY_DIMENSIONS = {
     "stochastic": {"A_tilde": 1, "B_tilde": 1, "tau": -1},
     "compare": {"energy_scale": 1, "tau": -1},
     "spectral": {"mass": -1, "omega": 1, "E_B": 1, "ground_energy": 1, "ground_energy_dense": 1,
-                 "ground_energy_inverse": 1, "threshold": 1},
+                 "energy_lower": 1, "energy_upper": 1, "threshold": 1},
 }
 
 
@@ -1113,7 +1169,8 @@ class TestUnitsOracle:
             record = run({"experiment": experiment, "seed": 3, "params": params})
             outputs, expected = energy_scaled(record.outputs, dimensions, -j), json.loads(json.dumps(base.outputs))
             if experiment == "spectral" and j < 0:
-                # Its max(1, |E|) floor is not scale-free: below an energy of 1 the gap is absolute.
+                # Its max(1, |E|) floor is not scale-free: below an energy of 1 the gap is absolute. The
+                # bracket itself is formed on A = H / s, so energy_lower and energy_upper scale exactly.
                 for row in (*outputs["rows"], *expected["rows"]):
                     del row["solver_relative_gap"]
             assert json.dumps(outputs, sort_keys=True) == json.dumps(expected, sort_keys=True), j
