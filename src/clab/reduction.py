@@ -28,6 +28,7 @@ leftmost character and the most significant bit of the basis index, so
 """
 from __future__ import annotations
 
+import ctypes
 import errno
 import functools
 import importlib.machinery
@@ -52,7 +53,6 @@ __all__ = [
     "brute_force_exact_cover",
     "build_cost_hamiltonian",
     "build_begin_hamiltonian",
-    "interpolation_matvec",
     "uniform_superposition",
     "projected_steps",
     "SweepResult",
@@ -82,34 +82,101 @@ JSON_MAX_BYTES = 1 << 20
 
 
 @functools.cache
-def _load_scipy(subpackage: str, name: str):
-    """One of scipy's compiled modules, loaded from its file on the first call, without scipy's package inits.
+def _load_scipy():
+    """scipy's compiled sparse kernels, ``scipy/sparse/_sparsetools``, loaded from their file on the first call.
 
-    ``import scipy.linalg`` takes about 0.3 s and ``import scipy.sparse``
-    about 0.24 s, mostly in modules no call here needs, and even ``import
-    scipy`` costs about 1.2 MiB of peak RSS, so scipy's directory is found
-    without running its init; nothing loads at import, so only spectral runs
-    map ``_flapack`` and its OpenBLAS (about 2.7 MiB). The module stays out
-    of ``sys.modules``, so a later ``import scipy.linalg`` or ``import
+    ``csr_matvec(rows, cols, indptr, indices, data, x, y)`` adds the CSR
+    product into y, in compiled code; only an adiabatic run needs it.
+    ``import scipy.sparse`` takes about 0.24 s, mostly in modules no call
+    here needs, and even ``import scipy`` costs about 1.2 MiB of peak RSS,
+    so scipy's directory is found without running any of scipy's package
+    inits. The module stays out of ``sys.modules``, so a later ``import
     scipy.sparse`` loads its own copy. Two threads making the first call at
     once may each load the file, which is harmless; the cache keeps one.
     """
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
         raise ImportError("scipy is not installed")
-    directory = os.path.join(scipy.submodule_search_locations[0], subpackage)
-    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+    directory = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", [directory])
     if spec is None:
-        raise ImportError(f"scipy's compiled module {name} not found in {directory}")
+        raise ImportError(f"scipy's compiled module _sparsetools not found in {directory}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules.pop(spec.name, None)  # a single-phase extension module registers itself on load
     return module
 
 
-_lapack = functools.partial(_load_scipy, "linalg", "_flapack")
-# csr_matvec(rows, cols, indptr, indices, data, x, y) adds the CSR product into y, in compiled code.
-_sparsetools = functools.partial(_load_scipy, "sparse", "_sparsetools")
+# numpy's compiled core, which links numpy's OpenBLAS, and the names under which that OpenBLAS exports LAPACK's
+# dstebz and dpttrf with 64-bit integers: numpy >= 2 wheels prefix them with scipy_, numpy 1.x wheels do not.
+_LAPACK_CORES = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
+_LAPACK_SYMBOLS = (("scipy_dstebz_64_", "scipy_dpttrf_64_"), ("dstebz_64_", "dpttrf_64_"))
+
+
+@functools.cache
+def _lapack():
+    """LAPACK's ``(dstebz, dpttrf)`` from the OpenBLAS that numpy has already loaded, as ctypes functions.
+
+    ``dlsym`` on the handle of numpy's compiled core module searches the
+    libraries that module links, so no library file name is needed and
+    nothing new is mapped: the lookup takes about 0.1 ms, and a spectral
+    run loads no scipy module. Raises ImportError naming every module and
+    symbol it tried when no pair is found (a numpy built against a LAPACK
+    with 32-bit integers, say); there is no second route.
+    """
+    tried = []
+    for name in _LAPACK_CORES:
+        if name not in sys.modules:
+            tried.append(f"{name} (not loaded)")
+            continue
+        library = ctypes.CDLL(sys.modules[name].__file__)
+        for symbols in _LAPACK_SYMBOLS:
+            tried.append(f"{' and '.join(symbols)} in {name}")
+            if all(hasattr(library, symbol) for symbol in symbols):
+                return tuple(getattr(library, symbol) for symbol in symbols)
+    raise ImportError("no LAPACK with 64-bit integers found through numpy: tried " + "; ".join(tried))
+
+
+def _ref(kind, value=0):
+    return ctypes.byref(kind(value))
+
+
+def _dstebz_lowest(diag: np.ndarray, offdiag: np.ndarray) -> tuple[float, int]:
+    """LAPACK dstebz's lowest eigenvalue of the tridiagonal (diag, offdiag), and its info.
+
+    RANGE "I" with il = iu = 1, ORDER "E", as scipy's
+    ``eigvalsh_tridiagonal(select="i")`` asks. The absolute tolerance is
+    2 tiny: tol = 0 would let dstebz stop at a width of eps ||H||_1, far
+    wider than E0 if one entry of V is huge. dstebz reads N - 1 couplings
+    unchecked, so their count is checked first (a ValueError otherwise).
+    """
+    d, e = np.ascontiguousarray(diag, dtype=np.float64), np.ascontiguousarray(offdiag, dtype=np.float64)
+    n = d.size
+    if e.size != n - 1:
+        raise ValueError(f"need {n - 1} couplings for {n} diagonal entries, got {e.size}")
+    w, work, ints = np.empty(n), np.empty(4 * n), np.empty(5 * n, dtype=np.int64)  # ints: IBLOCK, ISPLIT, IWORK
+    info = ctypes.c_int64()
+    _lapack()[0](
+        b"I", b"E", _ref(ctypes.c_int64, n), _ref(ctypes.c_double), _ref(ctypes.c_double), _ref(ctypes.c_int64, 1),
+        _ref(ctypes.c_int64, 1), _ref(ctypes.c_double, 2.0 * np.finfo(float).tiny), d.ctypes, e.ctypes,
+        _ref(ctypes.c_int64), _ref(ctypes.c_int64), w.ctypes, ints.ctypes, ints[n:].ctypes, work.ctypes,
+        ints[2 * n:].ctypes, ctypes.byref(info), ctypes.c_size_t(1), ctypes.c_size_t(1),  # the lengths of "I" and "E"
+    )
+    return float(w[0]), info.value
+
+
+def _dpttrf_info(d: np.ndarray, e: np.ndarray) -> int:
+    """LAPACK dpttrf's info on the tridiagonal (d, e): 0 when it is positive definite, else the first non-positive pivot's row.
+
+    dpttrf overwrites both arrays with the factors, so callers pass fresh
+    float64 arrays; it reads N - 1 couplings unchecked, so their count is
+    checked first (a ValueError otherwise).
+    """
+    if e.size != d.size - 1:
+        raise ValueError(f"need {d.size - 1} couplings for {d.size} diagonal entries, got {e.size}")
+    info = ctypes.c_int64()
+    _lapack()[1](_ref(ctypes.c_int64, d.size), d.ctypes, e.ctypes, ctypes.byref(info))
+    return info.value
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +301,25 @@ def build_begin_hamiltonian(inst: ExactCoverInstance) -> np.ndarray:
 
 
 def _centred_interpolation(d: np.ndarray, energies: np.ndarray):
-    """``at(s, scale)`` filling scale (H(s) - c(s)) in place, returning scipy's compiled product for it.
+    """H(s) - c(s) for the linear schedule H(s) = (1 - s) H_begin + s H_cost, as one CSR matrix refilled in place.
 
-    See ``interpolation_matvec``. The product is ``csr_matvec`` bound to the
-    one CSR matrix, called as ``product(v, out)``; it reads ``v`` and writes
-    ``out`` unchecked, so both must be complex128 arrays of 2^n entries.
+    ``d`` is the begin operator's clause counts and ``energies`` the cost
+    diagonal, of 2^d.size entries (a ValueError otherwise). With w_i = d_i/2
+    and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i], so row z
+    of H(s) holds (1 - s) W + s E_z at column z and -(1 - s) w_i at column
+    z XOR bit_i for each bit i in some clause. That pattern (int32 indices)
+    is built here, once.
+
+    Each endpoint is centred on its own spectrum: H_begin on [0, E_max]
+    with E_max = 2W, H_cost on [0, max E]. So the operator is
+    H(s) - c(s) with the affine centre c(s) = ((1 - s) E_max + s max E) / 2,
+    and its spectral norm is at most c(s). The returned ``at(s, scale=1.0)``
+    refills the one data array with scale (H(s) - c(s)), so a product from
+    an earlier call applies the latest fill, and returns scipy's compiled
+    ``csr_matvec`` bound to the matrix, called as ``product(v, out)``: it
+    adds scale (H(s) - c(s)) v into ``out`` at a cost of O(n 2^n). It reads
+    ``v`` and writes ``out`` unchecked, so both must be complex128 arrays of
+    2^n entries that do not overlap.
     """
     n = d.size
     if energies.size != 1 << n:
@@ -255,52 +336,12 @@ def _centred_interpolation(d: np.ndarray, energies: np.ndarray):
     begin, flat, diagonal = begin.view(np.float64).reshape(-1), data.view(np.float64).reshape(-1), data.real[:, 0]
     cost = energies - float(energies.max()) / 2.0
     size = energies.size
-    product = functools.partial(_sparsetools().csr_matvec, size, size, indptr, indices, data.reshape(-1))
+    product = functools.partial(_load_scipy().csr_matvec, size, size, indptr, indices, data.reshape(-1))
 
     def at(s: float, scale: float = 1.0):
         np.multiply(begin, scale * (1.0 - s), out=flat)
         np.multiply(cost, scale * s, out=diagonal)
         return product
-
-    return at
-
-
-def interpolation_matvec(d: np.ndarray, energies: np.ndarray):
-    """H(s) - c(s) for the linear schedule H(s) = (1 - s) H_begin + s H_cost, as a CSR matrix.
-
-    ``d`` is the begin operator's clause counts and ``energies`` the cost
-    diagonal, of 2^d.size entries (a ValueError otherwise). With w_i = d_i/2
-    and W = sum_i w_i, H_begin v = W v - sum_i w_i v[z XOR bit_i], so row z
-    of H(s) holds (1 - s) W + s E_z at column z and -(1 - s) w_i at column
-    z XOR bit_i for each bit i in some clause. That pattern (int32 indices)
-    is built here, once.
-
-    Each endpoint is centred on its own spectrum: H_begin on [0, E_max]
-    with E_max = 2W, H_cost on [0, max E]. So the operator is
-    H(s) - c(s) with the affine centre c(s) = ((1 - s) E_max + s max E) / 2,
-    and its spectral norm is at most c(s). The returned ``at(s, scale=1.0)``
-    refills the one data array in place with scale (H(s) - c(s)), so a
-    matvec from an earlier call applies the latest fill, and returns the
-    matvec ``matvec(v, out=None)``. It adds scale (H(s) - c(s)) v into
-    ``out`` with scipy's compiled ``csr_matvec`` and returns ``out``, at a
-    cost of O(n 2^n); without ``out`` it adds into zeros. ``v`` and ``out``
-    are arrays of 2^n entries (a ValueError otherwise) that do not overlap,
-    and ``out`` is complex128 (csr_matvec raises a ValueError otherwise).
-    """
-    fill, size = _centred_interpolation(d, energies), energies.size
-
-    def at(s: float, scale: float = 1.0):
-        product = fill(s, scale)
-
-        def matvec(v, out=None):
-            if out is None:
-                out = np.zeros(size, dtype=np.complex128)
-            if v.size != size or out.size != size:  # csr_matvec reads v and writes out unchecked
-                raise ValueError(f"need vectors of {size} entries, got {v.size} and {out.size}")
-            product(v, out)
-            return out
-
-        return matvec
 
     return at
 
@@ -362,7 +403,7 @@ def success_sweep(
     error of the finer run, step_error = ||psi_2N - psi_N|| / 15, is at
     most STEP_ERROR_TOL, or the step count has doubled MAX_DOUBLINGS
     times. H(s) is passed centred, as H(s) - c(s) with the affine centre
-    c(s) = ((1 - s) E_max + s max E) / 2 (see ``interpolation_matvec``),
+    c(s) = ((1 - s) E_max + s max E) / 2 (see ``_centred_interpolation``),
     and c(s) bounds its norm at each node: near s = 1 the series pay for
     the cost diagonal's range, not for E_max, 3 per clause. The centre
     changes only the global phase, by the same amount in every run (see
@@ -521,13 +562,10 @@ def ground_energy(h: GridHamiltonian) -> float:
         raise ValueError(
             f"largest coupling {coupling:g} is outside stebz's range [{MIN_KINETIC / 2.0:g}, {MAX_KINETIC / 2.0:g}]"
         )
-    # tol=0 lets stebz stop at a width of eps * ||H||_1, far wider than E0 if one entry of V is huge.
-    tiny = 2.0 * np.finfo(float).tiny
-    # Eigenvalues il=1 to iu=1 (range 2, by index), in order "E": what eigvalsh_tridiagonal(select="i") asks for.
-    _, w, _, _, info = _lapack().dstebz(h.diag, h.offdiag, 2, 0.0, 1.0, 1, 1, tiny, "E")
+    energy, info = _dstebz_lowest(h.diag, h.offdiag)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info})")
-    return float(w[0])
+    return energy
 
 
 def ground_energy_bracket(h: GridHamiltonian, energy: float) -> tuple[float, float]:
@@ -567,13 +605,13 @@ def ground_energy_bracket(h: GridHamiltonian, energy: float) -> tuple[float, flo
         return float(h.diag[0]), float(h.diag[0])
     exponent = math.frexp(max(float(np.abs(h.diag).max()), float(np.abs(h.offdiag).max())))[1]
     a, off = np.ldexp(h.diag, -exponent), np.ldexp(h.offdiag, -exponent)
-    x, pttrf = math.ldexp(energy, -exponent), _lapack().dpttrf
-    if pttrf(a - (x - BRACKET_MARGIN / 2.0), off)[2] == 0:
+    x = math.ldexp(energy, -exponent)
+    if _dpttrf_info(a - (x - BRACKET_MARGIN / 2.0), off.copy()) == 0:
         lower = x - BRACKET_MARGIN
     else:
         radii = np.concatenate(([0.0], np.abs(off))) + np.concatenate((np.abs(off), [0.0]))
         lower = float((a - radii).min()) - BRACKET_MARGIN
-    upper = x + BRACKET_MARGIN if pttrf(a - (x + BRACKET_MARGIN / 2.0), off)[2] > 0 else float(a.min())
+    upper = x + BRACKET_MARGIN if _dpttrf_info(a - (x + BRACKET_MARGIN / 2.0), off.copy()) > 0 else float(a.min())
     limit = math.ldexp(sys.float_info.max, -max(exponent, 0))  # |x -/+ d| < 4 binds only at the top exponents
     return math.ldexp(max(lower, -limit), exponent), math.ldexp(min(upper, limit), exponent)
 

@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clab.reduction as reduction
 from clab.reduction import (
@@ -20,7 +23,6 @@ from clab.reduction import (
     decide_energy_threshold,
     ground_energy,
     ground_energy_bracket,
-    interpolation_matvec,
     load_instance,
     most_probable_bitstring,
     projected_steps,
@@ -77,14 +79,25 @@ def violated_clause_counts(inst):
 
 
 def centre(inst, s):
-    """c(s) = ((1 - s) E_max + s max E) / 2, the centre interpolation_matvec takes off H(s)."""
+    """c(s) = ((1 - s) E_max + s max E) / 2, the centre the sweep's CSR fill takes off H(s)."""
     return ((1.0 - s) * 3.0 * len(inst.clauses) + s * violated_clause_counts(inst).max()) / 2.0
+
+
+def centred_operator(inst):
+    """The sweep's CSR fill ``at(s, scale)`` of H(s) - c(s) for ``inst``."""
+    return reduction._centred_interpolation(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+
+
+def apply(at, s, v, scale=1.0):
+    """scale (H(s) - c(s)) v: the fill's compiled product, adding into zeros."""
+    out = np.zeros(v.size, dtype=np.complex128)
+    at(s, scale)(np.ascontiguousarray(v, dtype=np.complex128), out)
+    return out
 
 
 def operator_columns(at, s, dim):
     """The dense matrix of the sparse operator at s, one basis vector at a time."""
-    matvec = at(s)
-    return np.column_stack([matvec(e) for e in np.eye(dim, dtype=complex)])
+    return np.column_stack([apply(at, s, e) for e in np.eye(dim, dtype=complex)])
 
 
 def dense_grid_matrix(inst):
@@ -212,24 +225,21 @@ class TestCostHamiltonian:
 
 
 class TestBeginHamiltonian:
-    def begin_operator(self, inst):
-        return interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
-
     def test_no_clauses_zero_operator(self):
-        at = self.begin_operator(ExactCoverInstance(n=2, clauses=()))
+        at = centred_operator(ExactCoverInstance(n=2, clauses=()))
         v = np.random.default_rng(1).standard_normal(4) + 0j
-        assert np.abs(at(0.0)(v)).max() == 0.0
+        assert np.abs(apply(at, 0.0, v)).max() == 0.0
 
     def test_membership_counts_and_ground_state(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         np.testing.assert_array_equal(build_begin_hamiltonian(inst), [1, 1, 1])
         u = uniform_superposition(3).amps
-        residual = self.begin_operator(inst)(0.0)(u) + centre(inst, 0.0) * u  # (H_begin - c(0)) u = -c(0) u
+        residual = apply(centred_operator(inst), 0.0, u) + centre(inst, 0.0) * u  # (H_begin - c(0)) u = -c(0) u
         assert np.abs(residual).max() <= 1e-12
 
     def test_hermitian(self):
         inst = ExactCoverInstance(n=4, clauses=((1, 2, 3), (2, 3, 4)))
-        m = operator_columns(self.begin_operator(inst), 0.37, 16)
+        m = operator_columns(centred_operator(inst), 0.37, 16)
         assert np.abs(m - m.conj().T).max() <= 1e-12
 
     @pytest.mark.parametrize("inst", [*MATVEC_INSTANCES, *RANDOM_INSTANCES], ids=instance_id)
@@ -241,7 +251,7 @@ class TestBeginHamiltonian:
 
     def test_max_eigenvalue_is_membership_sum(self):
         inst = ExactCoverInstance(n=4, clauses=((1, 2, 3), (2, 3, 4), (1, 2, 4)))
-        top = np.linalg.eigvalsh(operator_columns(self.begin_operator(inst), 0.0, 16))[-1] + centre(inst, 0.0)
+        top = np.linalg.eigvalsh(operator_columns(centred_operator(inst), 0.0, 16))[-1] + centre(inst, 0.0)
         assert top == pytest.approx(build_begin_hamiltonian(inst).sum(), abs=1e-9)
 
 
@@ -249,11 +259,11 @@ class TestInterpolate:
     def test_endpoints_exact(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         hc = build_cost_hamiltonian(inst)
-        at = interpolation_matvec(build_begin_hamiltonian(inst), hc)
+        at = reduction._centred_interpolation(build_begin_hamiltonian(inst), hc)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.array_equal(at(1.0)(v), (hc - hc.max() / 2.0) * v)
-        np.testing.assert_allclose(at(0.0)(v), kron_begin_matrix(inst) @ v - centre(inst, 0.0) * v, rtol=0, atol=1e-13)
+        assert np.array_equal(apply(at, 1.0, v), (hc - hc.max() / 2.0) * v)
+        np.testing.assert_allclose(apply(at, 0.0, v), kron_begin_matrix(inst) @ v - centre(inst, 0.0) * v, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("inst", MATVEC_INSTANCES, ids=lambda inst: f"n{inst.n}")
@@ -261,66 +271,78 @@ class TestInterpolate:
         dim = 1 << inst.n
         reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst))
         reference -= centre(inst, s) * np.eye(dim)
-        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+        at = centred_operator(inst)
         rng = np.random.default_rng(inst.n)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        np.testing.assert_allclose(at(s)(v), reference @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(apply(at, s, v), reference @ v, rtol=0, atol=1e-13)
 
     def test_rejects_mismatched_sizes(self):
         inst = ExactCoverInstance(n=4, clauses=((1, 2, 3),))
         d, hc = build_begin_hamiltonian(inst), build_cost_hamiltonian(inst)
         for energies in (hc[:8], np.concatenate([hc, hc]), hc[:0]):
             with pytest.raises(ValueError, match="need 2\\^4 = 16 cost energies for 4 bits"):
-                interpolation_matvec(d, energies)
+                reduction._centred_interpolation(d, energies)
         with pytest.raises(ValueError, match="for 3 bits, got 16"):
-            interpolation_matvec(d[:3], hc)
+            reduction._centred_interpolation(d[:3], hc)
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
-    def test_scaled_matvec_writes_into_out(self, s):
-        """The matvec adds scale (H(s) - c(s)) v into a prefilled ``out``, and into zeros without one."""
+    def test_scaled_product_adds_into_out(self, s):
+        """The product adds scale (H(s) - c(s)) v into a prefilled ``out`` on each call and leaves ``v`` as it was."""
         inst = MATVEC_INSTANCES[-1]
         dim, scale = 1 << inst.n, 0.3
         reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst))
         reference -= centre(inst, s) * np.eye(dim)
-        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+        product = centred_operator(inst)(s, scale)
         rng = np.random.default_rng(inst.n + 1)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         prior = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         kept, out = v.copy(), prior.copy()
-        matvec = at(s, scale)
-        assert matvec(v, out) is out
+        product(v, out)
         np.testing.assert_allclose(out, prior + scale * (reference @ v), rtol=0, atol=1e-13)
+        product(v, out)
+        np.testing.assert_allclose(out, prior + 2.0 * scale * (reference @ v), rtol=0, atol=1e-13)
         np.testing.assert_array_equal(v, kept)
-        again = matvec(v)  # a second call allocates its own result and leaves the first unchanged
-        np.testing.assert_allclose(again, scale * (reference @ v), rtol=0, atol=1e-13)
-        assert not np.shares_memory(again, out)
 
-    def test_matvec_rejects_wrong_sizes(self):
-        """The compiled kernel indexes v and out unchecked, so the matvec checks their sizes first."""
-        inst = MATVEC_INSTANCES[-1]
-        dim = 1 << inst.n
-        matvec = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))(0.37)
-        v = np.ones(dim, dtype=np.complex128)
-        for args in ((v[:-1],), (v, np.zeros(dim - 1, dtype=np.complex128)), (np.ones(2 * dim, dtype=np.complex128),)):
-            with pytest.raises(ValueError, match=f"need vectors of {dim} entries"):
-                matvec(*args)
+    def test_sweep_feeds_the_product_full_vectors(self, monkeypatch):
+        """The compiled product reads v and writes out unchecked: every call a sweep makes passes 2^n complex entries."""
+        calls, integrate_tdse = [], reduction.integrate_tdse
+
+        def checking(h_at, *args, **kwargs):
+            def checked_h_at(t, scale):
+                product = h_at(t, scale)
+
+                def matvec(v, out):
+                    calls.append((v.size, out.size, v.dtype.name, out.dtype.name, out.flags.c_contiguous,
+                                  np.shares_memory(v, out)))
+                    return product(v, out)
+
+                return matvec
+
+            return integrate_tdse(checked_h_at, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "integrate_tdse", checking)
+        inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / "ec_n6_unique.json")
+        success_sweep(inst, [1.0, 2.0])
+        assert calls and set(calls) == {(64, 64, "complex128", "complex128", True, False)}
 
     @pytest.mark.parametrize("inst", [*MATVEC_INSTANCES, *RANDOM_INSTANCES[:6]], ids=instance_id)
     def test_centre_bounds_the_norm(self, inst):
         """||H(s) - c(s)|| <= c(s): the radius success_sweep sizes each series to."""
-        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+        at = centred_operator(inst)
         for s in (0.0, 0.2, 0.5, 0.9, 1.0):
             norm = np.abs(np.linalg.eigvalsh(operator_columns(at, s, 1 << inst.n))).max()
             assert norm <= centre(inst, s) * (1.0 + 1e-12)
 
     def test_each_call_refills_the_one_operator(self):
-        """A matvec from an earlier ``at`` call applies the latest fill."""
+        """A product from an earlier ``at`` call applies the latest fill."""
         inst = MATVEC_INSTANCES[-1]
-        at = interpolation_matvec(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+        at = centred_operator(inst)
         v = np.random.default_rng(3).standard_normal(1 << inst.n) + 0j
         first = at(0.2)
-        expected = at(0.7, 2.0)(v)
-        np.testing.assert_array_equal(first(v), expected)
+        expected = apply(at, 0.7, v, 2.0)
+        out = np.zeros_like(v)
+        first(v, out)
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestAdiabaticRun:
@@ -357,7 +379,7 @@ class TestAdiabaticRun:
         inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
         rows = success_sweep(inst, [2.0**k for k in range(8)], target=0.9).rows  # the criterion-6 sweep
         hc = build_cost_hamiltonian(inst)
-        at = interpolation_matvec(build_begin_hamiltonian(inst), hc)
+        at = reduction._centred_interpolation(build_begin_hamiltonian(inst), hc)
         ends = centre(inst, 0.0), centre(inst, 1.0)
         for row in rows:
             total = row["T"]
@@ -520,11 +542,23 @@ class TestGridHamiltonian:
 
     @pytest.mark.filterwarnings("error")
     def test_bracket_costs_two_factorizations(self, monkeypatch):
-        factored, pttrf = [], reduction._lapack().dpttrf
-        monkeypatch.setattr(reduction._lapack(), "dpttrf", lambda d, e: factored.append(d) or pttrf(d, e))
+        # Counted at the LAPACK functions themselves: one dstebz call finds E0, two dpttrf calls of N rows bracket it.
+        stebz, pttrf = reduction._lapack()
+        solved, factored = [], []
+
+        def counting_stebz(*args):
+            solved.append(args[2]._obj.value)  # N, by reference
+            return stebz(*args)
+
+        def counting_pttrf(n, d, e, info):
+            factored.append(n._obj.value)
+            return pttrf(n, d, e, info)
+
+        monkeypatch.setattr(reduction, "_lapack", lambda: (counting_stebz, counting_pttrf))
         h, _ = reduce_energy_decision(harmonic_instance(grid_points=512))
         ground_energy_bracket(h, ground_energy(h))
-        assert len(factored) == 2
+        assert solved == [512]
+        assert factored == [512, 512]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("signs", ["positive", "mixed"])
@@ -665,7 +699,7 @@ class TestGridHamiltonian:
 
 
 class TestDirectLapack:
-    """The stebz call on the directly loaded LAPACK module, against scipy.linalg's public wrapper."""
+    """The stebz and pttrf calls on numpy's own LAPACK, against scipy.linalg's public wrappers."""
 
     TINY = 2.0 * np.finfo(float).tiny
 
@@ -745,9 +779,63 @@ class TestDirectLapack:
             ground_energy(h)
 
     def test_stebz_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(reduction._lapack(), "dstebz", lambda *args: (0, np.zeros(3), None, None, 4))
+        # dstebz runs, then reports INFO = 4 (its 18th argument, by reference), as it does when bisection fails.
+        stebz, pttrf = reduction._lapack()
+
+        def failing(*args):
+            stebz(*args)
+            args[17]._obj.value = 4
+
+        monkeypatch.setattr(reduction, "_lapack", lambda: (failing, pttrf))
         with pytest.raises(np.linalg.LinAlgError, match="info=4"):
             ground_energy(self.random_grid(np.random.default_rng(0), 3))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 4096), seed=st.integers(0, 2**32 - 1))
+    def test_lapack_calls_match_scipy_bit_for_bit(self, dim, seed):
+        # Entries log-uniform over +-[1e-150, 1e150]: the ABI (64-bit integers, the two hidden lengths of dstebz's
+        # character arguments) is wrong somewhere if any result or info differs from scipy's compiled wrappers.
+        rng = np.random.default_rng(seed)
+        diag, offdiag = (rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-150.0, 150.0, size) for size in (dim, dim - 1))
+        _, w, _, _, info = scipy.linalg.lapack.dstebz(diag, offdiag, 2, 0.0, 1.0, 1, 1, self.TINY, "E")
+        energy, found = reduction._dstebz_lowest(diag, offdiag)
+        assert found == info
+        assert info != 0 or energy == w[0]
+        h = GridHamiltonian(diag=diag, offdiag=offdiag)
+        if info == 0 and np.abs(offdiag).max() <= reduction.MAX_KINETIC / 2.0:
+            assert ground_energy(h) == w[0]
+        calls, pttrf_info = [], reduction._dpttrf_info
+
+        def recording(d, e):
+            given_d, given_e = d.copy(), e.copy()
+            result = pttrf_info(d, e)
+            calls.append((given_d, given_e, d.copy(), e.copy(), result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "_dpttrf_info", recording)
+            ground_energy_bracket(h, energy if info == 0 else 0.0)
+        # Shifted past E0 by far more than stebz's error, the factorization must fail.
+        above = energy + 1e-6 * max(np.abs(diag).max(), np.abs(offdiag).max())
+        failing = pttrf_info(diag - above, offdiag.copy())
+        calls.append((diag - above, offdiag, None, None, failing))
+        assert info != 0 or failing > 0
+        assert len(calls) == 3
+        for given_d, given_e, factored_d, factored_e, result in calls:
+            d, e, reference = scipy.linalg.lapack.dpttrf(given_d, given_e)
+            assert result == reference
+            if factored_d is not None:  # the factors, or the partial ones up to a failing pivot
+                assert np.array_equal(factored_d, d) and np.array_equal(factored_e, e)
+
+    def test_lookup_without_the_symbols_names_what_it_searched(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_LAPACK_CORES", (*reduction._LAPACK_CORES, "clab.no_such_core"))
+        monkeypatch.setattr(reduction, "_LAPACK_SYMBOLS", (("clab_missing_dstebz_", "clab_missing_dpttrf_"),))
+        with pytest.raises(ImportError) as raised:
+            reduction._lapack.__wrapped__()  # the lookup itself, past the cache
+        for name in (*reduction._LAPACK_CORES, "clab_missing_dstebz_", "clab_missing_dpttrf_"):
+            assert name in str(raised.value)
+        assert reduction._lapack()[0].__name__ != "clab_missing_dstebz_"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("offset", [-1.0, 1.0])
