@@ -538,8 +538,10 @@ def reduce_energy_decision(inst: SpectralDecisionInstance) -> tuple[GridHamilton
 # 1e-154 the squared off-diagonals it works on underflow, which splits the operator into 1x1 blocks.
 MAX_KINETIC = 1e150
 MIN_KINETIC = 1e-150
-# Half-width of the certified bracket on A = H / s, in units of A's largest entry (see ground_energy_bracket).
+# Half-width of the certified bracket on A = H / s, in units of s (see ground_energy_bracket), and the clamp above
+# which a diagonal entry of A leaves the checks: it moves the eigenvalues near E0 by at most 2^-CLAMP_BITS s.
 BRACKET_MARGIN = 10.0 * float(np.finfo(float).eps)
+CLAMP_BITS = 56
 
 
 def _require_finite(h: GridHamiltonian) -> None:
@@ -572,9 +574,17 @@ def ground_energy_bracket(h: GridHamiltonian, energy: float) -> tuple[float, flo
     """Bounds ``lower <= E0 <= upper`` around a claimed ground energy, each certified by one O(N) factorization.
 
     The checks run on A = H / s, s the power of two at or above the largest
-    entry magnitude: the scaling is exact, no entry of A exceeds 1, and the
-    bracket reads the same in any units. With x = energy / s and
-    d = BRACKET_MARGIN:
+    coupling magnitude, |energy| and -min(diag) (for a true E0 the last is
+    at most |E0|: each diagonal entry is a Rayleigh quotient, so at least
+    E0). The scaling is exact and the bracket reads the same in any units;
+    it is as fine as E0 and the couplings, however large other entries are.
+    A diagonal entry above C = 2^CLAMP_BITS s is clamped to C for the lower
+    check (lowering an entry lowers every eigenvalue, so a positive
+    definite clamped matrix was positive definite before) and its row is
+    dropped for the upper check (a principal submatrix: by Cauchy
+    interlacing its lowest eigenvalue is at least E0). Both happen in H's
+    units, before scaling, so no entry of A is above 2^CLAMP_BITS. With
+    x = energy / s and d = BRACKET_MARGIN:
 
     * Below: A - y is positive definite, every eigenvalue above y, exactly
       when LAPACK pttrf factors it (Sylvester's law of inertia), so
@@ -586,34 +596,41 @@ def ground_energy_bracket(h: GridHamiltonian, energy: float) -> tuple[float, flo
     Rounding (Kahan 1966; Demmel, *Applied Numerical Linear Algebra*, 5.3):
     pttrf's pivots in floating point have the signs of the exact pivots of
     a matrix whose couplings differ from A's by at most 1.25 eps relative,
-    the diagonal unchanged, so its eigenvalues lie within 2.5 eps of A's
-    (Weyl). The checks run at d/2 and the bounds are x -/+ d: the other
-    d/2 = 5 eps covers that 2.5 eps plus one rounding of y and one of the
-    bound (|x| < 4, so each is at most eps). So each bound holds for A
-    itself, up to underflow in entries below 2^-1022 s.
+    the diagonal unchanged (the rounding of each a_i - y included, however
+    large a_i), so its eigenvalues lie within 2.5 eps of A's (Weyl; no
+    coupling of A exceeds 1). The checks run at d/2 and the bounds are
+    x -/+ d: the other d/2 = 5 eps covers that 2.5 eps plus one rounding of
+    y and one of the bound (|x| < 1, so each is at most eps / 2). So each
+    bound holds for A itself, up to underflow in entries below 2^-1022 s.
 
     A side whose check fails falls back to the bound that always holds:
-    the Gershgorin bound less d below (d covers its two roundings), and
-    min(diag), a Rayleigh quotient, above. A bound past the float range is
-    reported as the largest finite float of its sign. No loop, no retry.
-    Raises ValueError on a non-finite entry or energy.
+    the Gershgorin bound of the clamped A less d below (d covers its two
+    roundings), and min(diag), a Rayleigh quotient, above. A bound past the
+    float range is reported as the largest finite float of its sign. No
+    loop, no retry. Raises ValueError on a non-finite entry or energy.
     """
     _require_finite(h)
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy}")
-    if h.dim == 1:  # E0 is the entry; pttrf takes no 1 x 1 matrix
+    if h.dim == 1:  # E0 is the entry
         return float(h.diag[0]), float(h.diag[0])
-    exponent = math.frexp(max(float(np.abs(h.diag).max()), float(np.abs(h.offdiag).max())))[1]
-    a, off = np.ldexp(h.diag, -exponent), np.ldexp(h.offdiag, -exponent)
+    exponent = math.frexp(max(float(np.abs(h.offdiag).max()), abs(energy), -float(h.diag.min())))[1]
+    # No finite entry lies above C once C would pass the float range.
+    cap = math.ldexp(1.0, exponent + CLAMP_BITS) if exponent + CLAMP_BITS < sys.float_info.max_exp else math.inf
+    a, off = np.ldexp(np.minimum(h.diag, cap), -exponent), np.ldexp(h.offdiag, -exponent)
     x = math.ldexp(energy, -exponent)
     if _dpttrf_info(a - (x - BRACKET_MARGIN / 2.0), off.copy()) == 0:
         lower = x - BRACKET_MARGIN
     else:
         radii = np.concatenate(([0.0], np.abs(off))) + np.concatenate((np.abs(off), [0.0]))
         lower = float((a - radii).min()) - BRACKET_MARGIN
-    upper = x + BRACKET_MARGIN if _dpttrf_info(a - (x + BRACKET_MARGIN / 2.0), off.copy()) > 0 else float(a.min())
-    limit = math.ldexp(sys.float_info.max, -max(exponent, 0))  # |x -/+ d| < 4 binds only at the top exponents
-    return math.ldexp(max(lower, -limit), exponent), math.ldexp(min(upper, limit), exponent)
+    keep = h.diag <= cap
+    kept = np.flatnonzero(keep)  # a coupling next to a dropped row leaves the submatrix with it
+    sub_off = np.where(keep[:-1] & keep[1:], off, 0.0)[kept[:-1]]
+    upper_holds = kept.size > 0 and _dpttrf_info(a[kept] - (x + BRACKET_MARGIN / 2.0), sub_off) > 0
+    limit = math.ldexp(sys.float_info.max, -max(exponent, 0))  # binds only at the top exponents: |lower| < 4
+    upper = math.ldexp(min(x + BRACKET_MARGIN, limit), exponent) if upper_holds else float(h.diag.min())
+    return math.ldexp(max(lower, -limit), exponent), upper
 
 
 def below_threshold(energy: float, threshold: float) -> bool:

@@ -120,9 +120,10 @@ def harmonic_instance(grid_points=512, box_length=20.0, mass=1.0, omega=1.0, thr
     )
 
 
-def entry_scale(h):
-    """The power of two at or above the largest entry magnitude: s of A = H / s in ground_energy_bracket."""
-    return math.ldexp(1.0, math.frexp(max(np.abs(h.diag).max(), np.abs(h.offdiag).max(initial=0.0)))[1])
+def bracket_scale(h, energy):
+    """s of A = H / s in ground_energy_bracket: the power of two at or above |coupling|, |energy| and -min(diag)."""
+    peak = max(np.abs(h.offdiag).max(initial=0.0), abs(energy), -h.diag.min())
+    return math.ldexp(1.0, math.frexp(peak)[1])
 
 
 def assert_certified(h, exactly_positive_definite):
@@ -132,7 +133,7 @@ def assert_certified(h, exactly_positive_definite):
     assert lower <= energy <= upper
     assert exactly_positive_definite(h.diag, h.offdiag, lower)
     assert not exactly_positive_definite(h.diag, h.offdiag, upper)
-    assert upper - lower <= 2.2 * reduction.BRACKET_MARGIN * entry_scale(h)  # 2 margins, plus one rounding each
+    assert upper - lower <= 2.2 * reduction.BRACKET_MARGIN * bracket_scale(h, energy)  # 2 margins, plus one rounding each
     return lower, upper
 
 
@@ -823,7 +824,10 @@ class TestDirectLapack:
         assert info != 0 or failing > 0
         assert len(calls) == 3
         for given_d, given_e, factored_d, factored_e, result in calls:
-            d, e, reference = scipy.linalg.lapack.dpttrf(given_d, given_e)
+            if given_d.size == 1:  # a submatrix of one row; scipy's wrapper takes no empty e, dpttrf checks d > 0
+                d, e, reference = given_d, given_e, int(not given_d[0] > 0.0)
+            else:
+                d, e, reference = scipy.linalg.lapack.dpttrf(given_d, given_e)
             assert result == reference
             if factored_d is not None:  # the factors, or the partial ones up to a failing pivot
                 assert np.array_equal(factored_d, d) and np.array_equal(factored_e, e)
@@ -845,7 +849,7 @@ class TestDirectLapack:
         h = self.random_grid(np.random.default_rng(3), 40)
         claimed = ground_energy(h) + offset
         lower, upper = ground_energy_bracket(h, claimed)
-        s = entry_scale(h)
+        s = bracket_scale(h, claimed)
         radii = np.concatenate(([0.0], np.abs(h.offdiag))) + np.concatenate((np.abs(h.offdiag), [0.0]))
         if offset > 0:
             assert lower == s * ((h.diag - radii).min() / s - reduction.BRACKET_MARGIN)

@@ -359,22 +359,26 @@ class TestRun:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spike,mass", [(1e300, 1e20), (1.7e308, 1e10), (1e200, 1e150)])
-    def test_huge_span_grid_reports_a_bracket_that_holds(self, spike, mass, exactly_positive_definite):
-        # The bracket's margin is relative to the largest entry, so on a span past 1e300 it is wide, but it
-        # holds stebz's E0 and the exact one.
+    def test_huge_span_grid_certifies_its_decision(self, tmp_path, spike, mass, exactly_positive_definite):
+        # The bracket is scaled by E0 and the couplings, not by the spike, so on a span past 1e300 it is about
+        # 1e-12 of E0 wide (scaled by the spike it was 1e305 times E0 or wider), holds the exact E0 and decides E_B = 0.
         values = [0.0] * 64
         values[64 // 3] = spike
         grid = {"grid_points": 64, "box_length": 1.0, "mass": mass, "potential": {"kind": "values", "values": values}}
-        record = run({"experiment": "spectral", "params": {"grid": grid, "E_B": 0.0}})
-        row = record.outputs["rows"][0]
-        assert record.warnings == []
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"params": {"grid": grid, "E_B": 0.0}}))
+        assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
+        row = record["outputs"]["rows"][0]
+        assert record["warnings"] == []
         assert row["energy_lower"] <= row["ground_energy_dense"] <= row["energy_upper"]
+        assert row["energy_upper"] - row["energy_lower"] <= 2e-12 * row["ground_energy_dense"]
         h, _ = reduction.reduce_energy_decision(
             reduction.SpectralDecisionInstance(64, 1.0, mass, np.array(values), 0.0)
         )
         assert exactly_positive_definite(h.diag, h.offdiag, row["energy_lower"])
         assert not exactly_positive_definite(h.diag, h.offdiag, row["energy_upper"])
-        assert row["certified"] is False  # E_B = 0 lies inside the bracket
+        assert row["certified"] is True
 
 
 class TestEmit:
