@@ -481,7 +481,7 @@ class SpectralDecisionInstance:
             raise ValueError(f"need grid_points >= 3, got {self.grid_points}")
         if not (np.isfinite(self.box_length) and self.box_length > 0):
             raise ValueError(f"box_length must be positive, got {self.box_length}")
-        if not (np.isfinite(self.mass) and self.mass > 0):
+        if not self.mass > 0:  # an infinite mass has no kinetic term
             raise ValueError(f"mass must be positive, got {self.mass}")
         v = np.array(self.potential, dtype=np.float64, copy=True).reshape(-1)
         if v.size != self.grid_points:
@@ -496,10 +496,20 @@ class SpectralDecisionInstance:
 
 @dataclass(frozen=True)
 class GridHamiltonian:
-    """Boxed Schrodinger operator on the grid: N diagonal and N - 1 symmetric off-diagonal entries."""
+    """Boxed Schrodinger operator on the grid: N diagonal and N - 1 symmetric off-diagonal entries, all finite."""
 
     diag: np.ndarray
     offdiag: np.ndarray
+
+    def __post_init__(self):
+        for name in ("diag", "offdiag"):  # read-only float64 copies
+            entries = np.array(getattr(self, name), dtype=np.float64, copy=True).reshape(-1)
+            if not np.isfinite(entries).all():  # stebz returns a finite number with info 0 for a NaN entry
+                raise ValueError(f"grid operator {name} entries must be finite")
+            entries.setflags(write=False)
+            object.__setattr__(self, name, entries)
+        if self.offdiag.size != self.dim - 1:
+            raise ValueError(f"need {self.dim - 1} couplings for {self.dim} diagonal entries, got {self.offdiag.size}")
 
     @property
     def dim(self) -> int:
@@ -520,70 +530,63 @@ class GridHamiltonian:
 def reduce_energy_decision(inst: SpectralDecisionInstance) -> tuple[GridHamiltonian, float]:
     """Build the grid operator and pass the threshold through unchanged.
 
-    Central second differences with Dirichlet walls:
-    H = -1/(2m) D2 + diag(V). Polynomial-time data transform.
+    Central second differences with Dirichlet walls: H = -1/(2m) D2 + diag(V),
+    diagonal 1/(m dx^2) + V. Polynomial-time data transform.
     """
     n = inst.grid_points
     dx = inst.box_length / (n + 1)
-    t = 1.0 / (2.0 * inst.mass * dx * dx)
-    diag = 2.0 * t + inst.potential
-    offdiag = np.full(n - 1, -t)
-    diag.setflags(write=False)
-    offdiag.setflags(write=False)
-    return GridHamiltonian(diag=diag, offdiag=offdiag), float(inst.threshold)
+    kinetic = 1.0 / (inst.mass * dx * dx)
+    return GridHamiltonian(kinetic + inst.potential, np.full(n - 1, -0.5 * kinetic)), float(inst.threshold)
 
 
-# Limits on the grid operator's kinetic term 1 / (m dx^2), the range of ground_energy. LAPACK's tridiagonal
-# eigensolver stops converging once the off-diagonal passes about 1.3e154, sqrt(float max), and below about
-# 1e-154 the squared off-diagonals it works on underflow, which splits the operator into 1x1 blocks.
-MAX_KINETIC = 1e150
-MIN_KINETIC = 1e-150
-# Half-width of the certified bracket on A = H / s, in units of s (see ground_energy_bracket), and the clamp above
-# which a diagonal entry of A leaves the checks: it moves the eigenvalues near E0 by at most 2^-CLAMP_BITS s.
+# Half-width of the certified bracket on A = H / s in units of s (see ground_energy_bracket), and the clamp on A's
+# diagonal (see _scaled): it moves the eigenvalues near E0 by about 2^-CLAMP_BITS s at most, and below 2^1000 no Sturm
+# pivot of A overflows in LAPACK (a pivot adds up to e^2 / pivmin = 2^1022). A clamp as low as 2^56 moves stebz's
+# answer by an ulp on a grid spiked at 2^59 s: its bisection starts from the clamped Gershgorin bound.
 BRACKET_MARGIN = 10.0 * float(np.finfo(float).eps)
-CLAMP_BITS = 56
+CLAMP_BITS = 1000
 
 
-def _require_finite(h: GridHamiltonian) -> None:
-    # stebz returns a finite number with info 0 for a NaN entry, and pttrf factors one.
-    if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
-        raise ValueError("grid operator entries must be finite")
+def _scaled(h: GridHamiltonian, magnitude: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The exponent k of s = 2^k, the power of two above max(|coupling|, magnitude, -min(diag)), and H / s.
+
+    Dividing by s is exact, up to underflow below 2^-1022 s. Diagonal entries above C = 2^CLAMP_BITS s are
+    clamped to C first (no finite entry lies above a C past the float range), so none of H / s overflows.
+    """
+    exponent = math.frexp(max(float(np.abs(h.offdiag).max(initial=0.0)), magnitude, -float(h.diag.min())))[1]
+    cap = math.ldexp(1.0, exponent + CLAMP_BITS) if exponent + CLAMP_BITS < sys.float_info.max_exp else math.inf
+    return exponent, np.ldexp(np.minimum(h.diag, cap), -exponent), np.ldexp(h.offdiag, -exponent)
 
 
 def ground_energy(h: GridHamiltonian) -> float:
     """Smallest eigenvalue of the grid operator, by LAPACK stebz bisected to full precision.
 
-    Raises ValueError on a non-finite entry or a coupling outside stebz's
-    range, and LinAlgError when stebz reports info != 0.
+    stebz runs on H / s, s of ``_scaled`` at |min(diag)| (by Gershgorin |E0| <= 3 s): the couplings are below
+    s, so the squares stebz works on neither overflow nor underflow at any scale of H. An E0 below the float
+    range is -inf. Raises LinAlgError when stebz reports info != 0.
     """
-    _require_finite(h)
-    if h.dim == 1:
-        return float(h.diag[0])
-    coupling = float(np.abs(h.offdiag).max(initial=0.0))
-    if coupling and not MIN_KINETIC / 2.0 <= coupling <= MAX_KINETIC / 2.0:  # stebz would report the diagonal or fail
-        raise ValueError(
-            f"largest coupling {coupling:g} is outside stebz's range [{MIN_KINETIC / 2.0:g}, {MAX_KINETIC / 2.0:g}]"
-        )
-    energy, info = _dstebz_lowest(h.diag, h.offdiag)
+    exponent, diag, offdiag = _scaled(h, abs(float(h.diag.min())))
+    energy, info = _dstebz_lowest(diag, offdiag)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info={info})")
-    return energy
+    return _unscaled(energy, exponent)
+
+
+def _unscaled(value: float, exponent: int) -> float:
+    with np.errstate(over="ignore"):  # -inf or inf past the float range
+        return float(np.ldexp(value, exponent))
 
 
 def ground_energy_bracket(h: GridHamiltonian, energy: float) -> tuple[float, float]:
     """Bounds ``lower <= E0 <= upper`` around a claimed ground energy, each certified by one O(N) factorization.
 
-    The checks run on A = H / s, s the power of two at or above the largest
-    coupling magnitude, |energy| and -min(diag) (for a true E0 the last is
-    at most |E0|: each diagonal entry is a Rayleigh quotient, so at least
-    E0). The scaling is exact and the bracket reads the same in any units;
-    it is as fine as E0 and the couplings, however large other entries are.
-    A diagonal entry above C = 2^CLAMP_BITS s is clamped to C for the lower
-    check (lowering an entry lowers every eigenvalue, so a positive
-    definite clamped matrix was positive definite before) and its row is
-    dropped for the upper check (a principal submatrix: by Cauchy
-    interlacing its lowest eigenvalue is at least E0). Both happen in H's
-    units, before scaling, so no entry of A is above 2^CLAMP_BITS. With
+    The checks run on A = H / s, s of ``_scaled`` at |energy| (for a true E0,
+    -min(diag) is at most |E0|: each diagonal entry is a Rayleigh quotient),
+    so the bracket reads the same in any units and is as fine as E0 and the
+    couplings, however large other entries are. An entry clamped to C stays
+    clamped for the lower check (lowering an entry lowers every eigenvalue)
+    and its row is dropped for the upper check (a principal submatrix: by
+    Cauchy interlacing its lowest eigenvalue is at least E0). With
     x = energy / s and d = BRACKET_MARGIN:
 
     * Below: A - y is positive definite, every eigenvalue above y, exactly
@@ -605,32 +608,28 @@ def ground_energy_bracket(h: GridHamiltonian, energy: float) -> tuple[float, flo
 
     A side whose check fails falls back to the bound that always holds:
     the Gershgorin bound of the clamped A less d below (d covers its two
-    roundings), and min(diag), a Rayleigh quotient, above. A bound past the
-    float range is reported as the largest finite float of its sign. No
-    loop, no retry. Raises ValueError on a non-finite entry or energy.
+    roundings), and min(diag), a Rayleigh quotient, above. A lower bound
+    below the float range is -inf, and an upper one above it is the largest
+    float, which min(diag) never exceeds. No loop, no retry. Raises
+    ValueError on a non-finite energy.
     """
-    _require_finite(h)
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy}")
     if h.dim == 1:  # E0 is the entry
         return float(h.diag[0]), float(h.diag[0])
-    exponent = math.frexp(max(float(np.abs(h.offdiag).max()), abs(energy), -float(h.diag.min())))[1]
-    # No finite entry lies above C once C would pass the float range.
-    cap = math.ldexp(1.0, exponent + CLAMP_BITS) if exponent + CLAMP_BITS < sys.float_info.max_exp else math.inf
-    a, off = np.ldexp(np.minimum(h.diag, cap), -exponent), np.ldexp(h.offdiag, -exponent)
+    exponent, a, off = _scaled(h, abs(energy))
     x = math.ldexp(energy, -exponent)
     if _dpttrf_info(a - (x - BRACKET_MARGIN / 2.0), off.copy()) == 0:
         lower = x - BRACKET_MARGIN
     else:
         radii = np.concatenate(([0.0], np.abs(off))) + np.concatenate((np.abs(off), [0.0]))
         lower = float((a - radii).min()) - BRACKET_MARGIN
-    keep = h.diag <= cap
+    keep = a < 2.0**CLAMP_BITS
     kept = np.flatnonzero(keep)  # a coupling next to a dropped row leaves the submatrix with it
     sub_off = np.where(keep[:-1] & keep[1:], off, 0.0)[kept[:-1]]
     upper_holds = kept.size > 0 and _dpttrf_info(a[kept] - (x + BRACKET_MARGIN / 2.0), sub_off) > 0
-    limit = math.ldexp(sys.float_info.max, -max(exponent, 0))  # binds only at the top exponents: |lower| < 4
-    upper = math.ldexp(min(x + BRACKET_MARGIN, limit), exponent) if upper_holds else float(h.diag.min())
-    return math.ldexp(max(lower, -limit), exponent), upper
+    upper = min(_unscaled(x + BRACKET_MARGIN, exponent), sys.float_info.max) if upper_holds else float(h.diag.min())
+    return _unscaled(lower, exponent), upper
 
 
 def below_threshold(energy: float, threshold: float) -> bool:

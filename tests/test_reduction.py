@@ -1,6 +1,7 @@
 """Exact Cover encodings, adiabatic sweeps, and the grid decision problem."""
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -626,26 +627,21 @@ class TestGridHamiltonian:
         lower, upper = assert_certified(h, exactly_positive_definite)
         assert upper - lower <= 1e-11 * exact  # 20 eps s, with s below 1712 E0 at every mass
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "box_length,mass,accepted",
-        [(1e76, 1.0, True), (1e80, 1.0, False), (1.0, 2.1e-151, False)],
-        ids=["coupling_2e-149", "coupling_2e-157", "coupling_1e154"],
+        "box_length,mass",
+        [(1e76, 1.0), (1e80, 1.0), (1.0, 2.1e-151), (1e140, 1.0), (1.0, 1e-300)],
+        ids=["coupling_2e-149", "coupling_2e-157", "coupling_1e154", "coupling_2e-277", "coupling_2e303"],
     )
-    def test_direct_route_takes_only_its_coupling_range(self, box_length, mass, accepted):
-        # Below it stebz returned the diagonal 2t, 856 times E0 = 2t (1 - cos(pi / 65)); above it the same,
-        # until it failed with info 4 past about 1.3e154.
+    def test_stebz_solves_every_coupling_scale(self, box_length, mass):
+        # Unscaled, stebz returned the diagonal 2t below couplings of about 1e-154, 856 times
+        # E0 = 2t (1 - cos(pi / 65)), and above about 1e154 the same, until it failed with info 4 past 1.3e154.
         inst = SpectralDecisionInstance(
             grid_points=64, box_length=box_length, mass=mass, potential=np.zeros(64), threshold=0.0
         )
         h, _ = reduce_energy_decision(inst)
         t = -float(h.offdiag[0])
-        if accepted:
-            assert ground_energy(h) == pytest.approx(2.0 * t * (1.0 - math.cos(math.pi / 65.0)), rel=1e-12, abs=0.0)
-        else:
-            with pytest.raises(ValueError, match="coupling"):
-                ground_energy(h)
-            with pytest.raises(ValueError, match="coupling"):
-                decide_energy_threshold(inst)
+        assert ground_energy(h) == pytest.approx(2.0 * t * (1.0 - math.cos(math.pi / 65.0)), rel=1e-12, abs=0.0)
 
     def test_direct_route_takes_zero_couplings(self):
         assert ground_energy(GridHamiltonian(diag=np.array([3.0, 1.0, 2.0]), offdiag=np.zeros(2))) == 1.0
@@ -769,15 +765,38 @@ class TestDirectLapack:
 
     def test_overflowing_grid_rejected(self):
         # A finite potential can still overflow the diagonal 2t + V when the library is called directly
-        # (the CLI rejects such a config before any work).
+        # (the CLI rejects such a config before any work): the operator refuses it.
         inst = SpectralDecisionInstance(
             grid_points=4, box_length=1e-153, mass=1.0, potential=np.full(4, 1.7e308), threshold=0.0
         )
-        with np.errstate(over="ignore"):
-            h, _ = reduce_energy_decision(inst)
-        assert not np.isfinite(h.diag).all()
-        with pytest.raises(ValueError, match="finite"):
-            ground_energy(h)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            reduce_energy_decision(inst)
+
+    @pytest.mark.parametrize("couplings", [0, 1, 3])
+    def test_coupling_count_rejected(self, couplings):
+        with pytest.raises(ValueError, match="need 2 couplings for 3 diagonal entries"):
+            GridHamiltonian(diag=np.ones(3), offdiag=np.ones(couplings))
+
+    def test_entries_are_read_only_float64_copies(self):
+        diag, offdiag = [1, 2, 3, 4], np.array([-1.0, -1.0, -1.0])
+        h = GridHamiltonian(diag=diag, offdiag=offdiag)
+        offdiag[0] = 5.0
+        assert h.diag.dtype == h.offdiag.dtype == np.float64
+        assert h.diag.tolist() == [1.0, 2.0, 3.0, 4.0] and h.offdiag.tolist() == [-1.0, -1.0, -1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            h.diag[0] = 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_lower_bound_below_the_float_range_is_minus_inf(self, exactly_positive_definite):
+        # E0 of this operator lies below -float max, so no finite lower bound holds: H + float max is not
+        # positive definite in exact arithmetic. The upper bound still holds.
+        big = 1.7e308
+        h = GridHamiltonian(diag=np.array([big, -big, big]), offdiag=np.full(2, big))
+        assert not exactly_positive_definite(h.diag, h.offdiag, -sys.float_info.max)
+        lower, upper = ground_energy_bracket(h, -big)
+        assert lower == -math.inf
+        assert not exactly_positive_definite(h.diag, h.offdiag, upper)
+        assert ground_energy(h) == -math.inf
 
     def test_stebz_failure_raises(self, monkeypatch):
         # dstebz runs, then reports INFO = 4 (its 18th argument, by reference), as it does when bisection fails.
@@ -804,8 +823,13 @@ class TestDirectLapack:
         assert found == info
         assert info != 0 or energy == w[0]
         h = GridHamiltonian(diag=diag, offdiag=offdiag)
-        if info == 0 and np.abs(offdiag).max() <= reduction.MAX_KINETIC / 2.0:
-            assert ground_energy(h) == w[0]
+        # ground_energy runs stebz on H / 2^k; unscaled and scaled results differ in the last bits on some draws.
+        exponent, scaled_diag, scaled_offdiag = reduction._scaled(h, abs(diag.min()))
+        _, scaled_w, _, _, scaled_info = scipy.linalg.lapack.dstebz(
+            scaled_diag, scaled_offdiag, 2, 0.0, 1.0, 1, 1, self.TINY, "E"
+        )
+        assert scaled_info == 0
+        assert ground_energy(h) == math.ldexp(scaled_w[0], exponent)
         calls, pttrf_info = [], reduction._dpttrf_info
 
         def recording(d, e):

@@ -535,12 +535,6 @@ class TestCli:
             ("spectral", {"grid": {"grid_points": 16, "box_length": 1e300, "mass": 1e300,
                                    "potential": {"kind": "harmonic", "omega": 1e300}}, "E_B": 1.0},
              "params.grid.potential.omega"),
-            ("spectral", {"grid": {"grid_points": 8, "box_length": 1.0, "mass": 1e-153,
-                                   "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
-            ("spectral", {"grid": {"grid_points": 8, "box_length": 1.0, "mass": 1e-200,
-                                   "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
-            ("spectral", {"grid": {"grid_points": 64, "box_length": 1.0, "mass": 1e200,
-                                   "potential": {"kind": "zero"}}, "E_B": 1.0}, "params.grid.box_length"),
             ("spectral", {"grid": {"grid_points": 3, "box_length": 1.0, "mass": 1.0,
                                    "potential": {"kind": "values", "values": []}}, "E_B": 1.0},
              "params.grid.potential.values"),
@@ -561,8 +555,7 @@ class TestCli:
         ids=["target_above_one", "stochastic_span_overflow", "decohere_span_overflow", "decohere_spread_overflow",
              "compare_span_overflow",
              "t_min_steps_overflow", "t_min_steps_over_limit", "spectral_zero_division", "spectral_dx_underflow",
-             "spectral_overflow", "spectral_kinetic_1e-153", "spectral_kinetic_1e-200", "spectral_kinetic_underflow",
-             "spectral_values_empty", "stochastic_uniform_width_overflow", "stochastic_independent_width_overflow",
+             "spectral_overflow", "spectral_values_empty", "stochastic_uniform_width_overflow", "stochastic_independent_width_overflow",
              "energy_scale_int_overflow", "hbar_int_overflow", "t_min_int_overflow", "values_int_overflow",
              "t_min_over_hbar_underflow"],
     )
@@ -584,19 +577,23 @@ class TestCli:
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
-        "hbar,mass",
-        # At 4e153, hbar^2 / (m dx^2) = 65^2 / 4e153, about 1.06e-150: stebz's squared couplings still stay normal.
+        "grid_points,hbar,mass",
+        # Kinetic terms hbar^2 / (m dx^2) from 4e-197 to 8e201: unscaled, stebz's squared couplings would underflow
+        # below about 1e-154 or overflow above about 1e154; both solves run on H over a power of two instead.
         # The grid's mass is mass / hbar / hbar: at hbar = 1e160 and 1e-160, hbar^2 would be inf or the subnormal 1e-320.
-        [(1.0, 4e153), (1e160, 1e300), (1e-160, 1e-300)],
-        ids=["kinetic_floor", "hbar_1e160", "hbar_1e-160"],
+        # At hbar = 1e-200 the natural-unit mass overflows to inf, which leaves no kinetic term: E0 = 0.
+        [(64, 1.0, 4e153), (64, 1e160, 1e300), (64, 1e-160, 1e-300), (8, 1.0, 1e-153), (8, 1.0, 1e-200),
+         (64, 1.0, 1e200), (64, 1e-200, 1.0)],
+        ids=["kinetic_1e-150", "hbar_1e160", "hbar_1e-160", "kinetic_1e-153", "kinetic_1e-200", "kinetic_underflow",
+             "mass_overflow"],
     )
-    def test_zero_grid_solves_exactly(self, tmp_path, hbar, mass):
-        grid = {"grid_points": 64, "box_length": 1.0, "mass": mass, "potential": {"kind": "zero"}}
+    def test_zero_grid_solves_exactly(self, tmp_path, grid_points, hbar, mass):
+        grid = {"grid_points": grid_points, "box_length": 1.0, "mass": mass, "potential": {"kind": "zero"}}
         config = self._write_config(tmp_path, {"hbar": hbar, "params": {"grid": grid, "E_B": 1.0}})
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
-        t = 0.5 * (hbar / math.sqrt(mass) * 65.0) ** 2  # hbar^2 / (2 m dx^2), with no hbar^2 to overflow
-        exact = 2.0 * t * (1.0 - math.cos(math.pi / 65.0))
+        t = 0.5 * (hbar / math.sqrt(mass) * (grid_points + 1)) ** 2  # hbar^2 / (2 m dx^2), with no hbar^2 to overflow
+        exact = 2.0 * t * (1.0 - math.cos(math.pi / (grid_points + 1)))
         assert record["outputs"]["summary"]["ground_energy"] == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert record["warnings"] == []
 
@@ -1054,6 +1051,56 @@ class TestMagnitudes:
             if expected is None:
                 assert code == 0, err.getvalue()
                 assert json.loads((Path(tmp) / f"{experiment}_result.json").read_text())["warnings"] == []
+            else:
+                assert code == 2
+                assert f"error: {expected}:" in err.getvalue()
+
+
+def spectral_rule(grid_points, box_length, mass, hbar, potential) -> str | None:
+    """The field a spectral run must name at exit 2, or None when the grid it builds has a finite diagonal.
+
+    The grid is built in float64 at the natural-unit mass m = mass / hbar / hbar, with dx = box_length /
+    (grid_points + 1); a harmonic V keeps the given mass. V must be finite, and so must 1 / (m dx^2) + V.
+    """
+    dx = box_length / (grid_points + 1)
+    with np.errstate(all="ignore"):
+        if potential["kind"] == "harmonic":
+            x = dx * np.arange(1, grid_points + 1)
+            v = 0.5 * np.float64(mass) * np.float64(potential["omega"]) ** 2 * (x - box_length / 2.0) ** 2
+        else:
+            v = np.array(potential.get("values", [0.0] * grid_points))
+        diag = 1.0 / (np.float64(mass) / hbar / hbar * dx * dx) + v
+    if not np.isfinite(v).all():
+        return "params.grid.potential.omega"
+    return None if np.isfinite(diag).all() else "params.grid.box_length"
+
+
+class TestSpectralMagnitudes:
+    """A spectral run at any magnitudes exits 0 with no warning exactly when the diagonal it builds is finite."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 64), MAGNITUDES, MAGNITUDES, MAGNITUDES, st.sampled_from(["zero", "harmonic", "values"]),
+           st.data())
+    def test_runs_exactly_where_its_diagonal_is_finite(self, grid_points, box_length, mass, hbar, kind, data):
+        potential = {"kind": kind}
+        if kind == "harmonic":
+            potential["omega"] = data.draw(MAGNITUDES, label="omega")
+        elif kind == "values":
+            potential["values"] = data.draw(st.lists(MAGNITUDES, min_size=grid_points, max_size=grid_points), label="values")
+        grid = {"grid_points": grid_points, "box_length": box_length, "mass": mass, "potential": potential}
+        expected = spectral_rule(grid_points, box_length, mass, hbar, potential)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps({"hbar": hbar, "params": {"grid": grid, "E_B": 1.0}}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["spectral", "--config", str(config), "--out", tmp])
+            if expected is None:
+                assert code == 0, err.getvalue()
+                record = json.loads((Path(tmp) / "spectral_result.json").read_text())
+                assert record["warnings"] == []
+                row = record["outputs"]["rows"][0]
+                assert row["energy_lower"] <= row["ground_energy_dense"] <= row["energy_upper"]
             else:
                 assert code == 2
                 assert f"error: {expected}:" in err.getvalue()
