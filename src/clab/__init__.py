@@ -11,13 +11,6 @@ energy-threshold decision problem with a cheap eigenpair verifier.
 __version__ = "0.1.0"
 
 from . import decoherence, montecarlo, qcore, reduction, stochastic
-from .qcore import (
-    HermitianOperator,
-    StateVector,
-    UnitaryPropagator,
-    expm_propagator,
-    integrate_tdse,
-)
 
 __all__ = [
     "__version__",
@@ -26,9 +19,4 @@ __all__ = [
     "qcore",
     "reduction",
     "stochastic",
-    "HermitianOperator",
-    "StateVector",
-    "UnitaryPropagator",
-    "expm_propagator",
-    "integrate_tdse",
 ]

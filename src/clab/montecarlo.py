@@ -10,7 +10,9 @@ in one call.
 
 ``cos_squared_sweep``, the sweep loop of both measurement routes, evaluates
 every tau on chunks of trials and merges the chunks' moments by the pairwise
-update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983).
+update of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983). Each route's gaps
+lie within its draw width (|A_k - B_k| <= energy_scale, |alpha - beta + D| <=
+the stochastic width), so a half angle is finite wherever its phase span is.
 """
 from __future__ import annotations
 
@@ -215,15 +217,15 @@ def require_tau(tau: float) -> float:
     return tau
 
 
-def cos_squared_sweep(draw, trials: int, K: int, taus, detuning: float = 0.0) -> list[MonteCarloEstimate]:
+def cos_squared_sweep(draw, trials: int, K: int, taus) -> list[MonteCarloEstimate]:
     """Mean and standard error over ``trials`` trials of the cos^2 law, for every tau in ``taus``.
 
     ``draw(lo, hi)`` returns trials lo..hi-1 as ``(weights, gaps)``: both of
     shape (hi - lo, K), or gaps of shape (hi - lo,) and weights None. A
-    trial's value is cos^2((gap + detuning) tau / 2), or its weighted
-    row sum clipped at 1 + 1e-12. Trials are drawn once for all taus, in
-    chunks of max(1, SWEEP_CHUNK // K) whose moments merge by Chan's update,
-    so a sweep of one chunk equals ``mc_estimate`` bit for bit.
+    trial's value is cos^2(gap tau / 2), or its weighted row sum clipped at
+    1 + 1e-12. Trials are drawn once for all taus, in chunks of
+    max(1, SWEEP_CHUNK // K) whose moments merge by Chan's update, so a
+    sweep of one chunk equals ``mc_estimate`` bit for bit.
     """
     scales = [0.5 * require_tau(tau) for tau in taus]  # every tau is checked before any draw
     moments = [(0, 0.0, 0.0)] * len(scales)
@@ -232,10 +234,7 @@ def cos_squared_sweep(draw, trials: int, K: int, taus, detuning: float = 0.0) ->
         weights, gaps = draw(lo, min(lo + rows, trials))
         buf = np.empty_like(gaps)
         for i, scale in enumerate(scales):
-            np.multiply(gaps, scale, out=buf)
-            if detuning:
-                buf += detuning * scale
-            p = cos_squared(buf, out=buf)
+            p = cos_squared(np.multiply(gaps, scale, out=buf), out=buf)
             if weights is not None:  # cos^2 <= 1 holds exactly; only a weighted sum can round above it
                 p = np.minimum(np.sum(np.multiply(p, weights, out=p), axis=1), 1.0 + 1e-12)
             nb, mean_b, m2_b = _moments(p, lo)

@@ -531,12 +531,16 @@ def reduce_energy_decision(inst: SpectralDecisionInstance) -> tuple[GridHamilton
     """Build the grid operator and pass the threshold through unchanged.
 
     Central second differences with Dirichlet walls: H = -1/(2m) D2 + diag(V),
-    diagonal 1/(m dx^2) + V. Polynomial-time data transform.
+    diagonal 1/(m dx^2) + V. Polynomial-time data transform. Formed in float64
+    under errstate, an m dx^2 that underflows to 0 or a sum that overflows gives
+    a non-finite entry, which ``GridHamiltonian`` refuses with a ValueError.
     """
     n = inst.grid_points
     dx = inst.box_length / (n + 1)
-    kinetic = 1.0 / (inst.mass * dx * dx)
-    return GridHamiltonian(kinetic + inst.potential, np.full(n - 1, -0.5 * kinetic)), float(inst.threshold)
+    with np.errstate(all="ignore"):
+        kinetic = 1.0 / (np.float64(inst.mass) * dx * dx)
+        diag = kinetic + inst.potential
+    return GridHamiltonian(diag, np.full(n - 1, -0.5 * kinetic)), float(inst.threshold)
 
 
 # Half-width of the certified bracket on A = H / s in units of s (see ground_energy_bracket), and the clamp on A's

@@ -34,6 +34,7 @@ from .montecarlo import derive_seed
 from .reduction import (
     EVOLUTION_MAX_BITS,
     SWEEP_MAX_STEPS,
+    GridHamiltonian,
     SpectralDecisionInstance,
     below_threshold,
     bitstring_satisfies,
@@ -279,7 +280,9 @@ def validate_config(raw: dict) -> dict:
     """Normalize a raw config dict: keys, types and ranges of every field, and the Monte Carlo size limits.
 
     ``hbar`` is only validated. Each runner checks the numbers it forms from it before any work: the Monte
-    Carlo spans and draw width, the adiabatic instance, T_min / hbar and steps, and the spectral grid.
+    Carlo spans, the adiabatic instance, T_min / hbar and steps, and the spectral potential. The stochastic
+    draw width and the grid's diagonal are refused by the interaction and the operator, and the runner names
+    the field.
     """
     if not isinstance(raw, dict):
         raise ConfigError("$", f"config must be an object, got {type(raw).__name__}")
@@ -364,10 +367,10 @@ def _run_stochastic(config: dict) -> dict:
     taus = [tau / hbar for tau in p["tau"]]
     for tau, natural in zip(p["tau"], taus):
         _require_finite_span(a + b, tau, hbar, (natural, (a + b) * natural), "params.tau")
-    width = 2.0 * (max(a, b) if p["mode"] == "independent_uniform" else a + b)
-    if not math.isfinite(width):  # the widest interval the energy uncertainties are drawn on
-        raise ConfigError("params.A_tilde" if a >= b else "params.B_tilde", f"draw interval width {width:g} is not finite")
-    interaction = StochasticInteraction(a_tilde=a, b_tilde=b, mode=p["mode"])
+    try:  # the interaction refuses a draw interval wider than the float range
+        interaction = StochasticInteraction(a_tilde=a, b_tilde=b, mode=p["mode"])
+    except ValueError as exc:
+        raise ConfigError("params.A_tilde" if a >= b else "params.B_tilde", str(exc)) from exc
     estimates = mc_probability_sweep(interaction, taus, seed=config["seed"], n=p["n"])
     rows = []
     for tau, natural, est in zip(p["tau"], taus, estimates):
@@ -484,13 +487,13 @@ def _run_adiabatic(config: dict) -> dict:
     }
 
 
-def _spectral_instance(grid: dict, threshold: float, hbar: float) -> SpectralDecisionInstance:
-    """The grid at the natural-unit mass m = mass / hbar / hbar, checked as built; a harmonic V keeps the given mass.
+def _spectral_operator(grid: dict, threshold: float, hbar: float) -> tuple[GridHamiltonian, float]:
+    """The grid at the natural-unit mass m = mass / hbar / hbar, and its operator; a harmonic V keeps the given mass.
 
-    Formed in float64 under errstate, an overflow gives inf or NaN where floats would raise (``omega ** 2``).
-    One rule, on the grid as built: V is finite (only a harmonic V can fail, since values are validated
-    finite), and so is every diagonal entry 1 / (m dx^2) + V. The kinetic term has no range of its own: both
-    solves scale the operator by a power of two first, and an m that overflows leaves no kinetic term.
+    V is formed in float64 under errstate, where an overflow gives inf or NaN (floats would raise at
+    ``omega ** 2``), and must be finite; only a harmonic V can fail, since values are validated finite.
+    ``reduce_energy_decision`` forms the diagonal 1 / (m dx^2) + V, and its refusal of a non-finite entry
+    names ``params.grid.box_length``.
     """
     n, length, potential = grid["grid_points"], grid["box_length"], grid["potential"]
     dx = length / (n + 1)
@@ -501,15 +504,15 @@ def _spectral_instance(grid: dict, threshold: float, hbar: float) -> SpectralDec
             v = 0.5 * np.float64(grid["mass"]) * np.float64(potential["omega"]) ** 2 * (x - length / 2.0) ** 2
         else:
             v = np.asarray(potential.get("values", np.zeros(n)))  # a zero potential has no values
-        diag = 1.0 / (mass * dx * dx) + v
     inputs = f"for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}"
     if not np.isfinite(v).all():
         raise ConfigError("params.grid.potential.omega", f"V overflows for omega = {potential['omega']:g}, {inputs}")
-    if not np.isfinite(diag).all():
-        raise ConfigError("params.grid.box_length", f"the diagonal 1 / (m dx^2) + V is not finite {inputs}")
-    return SpectralDecisionInstance(
-        grid_points=n, box_length=length, mass=float(mass), potential=v, threshold=threshold
-    )
+    try:  # an m that underflows to 0 is refused by the instance, for the same infinite kinetic term
+        return reduce_energy_decision(
+            SpectralDecisionInstance(grid_points=n, box_length=length, mass=float(mass), potential=v, threshold=threshold)
+        )
+    except ValueError as exc:
+        raise ConfigError("params.grid.box_length", f"{exc} {inputs}") from exc
 
 
 def _run_spectral(config: dict) -> dict:
@@ -521,8 +524,7 @@ def _run_spectral(config: dict) -> dict:
     ``solver_relative_gap``, the bracket's width over max(1, |E0|), stays only for the benchmark's check.
     """
     p = config["params"]
-    inst = _spectral_instance(p["grid"], p["E_B"], config["hbar"])
-    h, threshold = reduce_energy_decision(inst)
+    h, threshold = _spectral_operator(p["grid"], p["E_B"], config["hbar"])
     energy = ground_energy(h)
     lower, upper = ground_energy_bracket(h, energy)
     lower = max(lower, -sys.float_info.max)

@@ -22,7 +22,7 @@ samples are evaluated in the cos^2 form, by ``qcore.cos_squared`` on the
 half angle, which cannot overflow where the phase span xi is finite; that
 kernel is the identity cos^2 = 1 / (1 + tan^2) on numpy's float64 tangent.
 A tau sweep is ``montecarlo.cos_squared_sweep``, the loop of the decoherence
-route, on the differences alpha - beta with D as its detuning.
+route, on the gaps alpha - beta + D, formed once per draw.
 
 Two sampling modes exist because the bounds constrain alpha and beta
 separately while the averaging rule treats the *difference* as uniform:
@@ -74,6 +74,9 @@ class StochasticInteraction:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.mode not in SAMPLING_MODES:
             raise ValueError(f"mode must be one of {SAMPLING_MODES}, got {self.mode!r}")
+        width = 2.0 * (max(self.a_tilde, self.b_tilde) if self.mode == "independent_uniform" else self.a_tilde + self.b_tilde)
+        if not math.isfinite(width):  # the widest interval an uncertainty is drawn on; it bounds |alpha - beta + D|
+            raise ValueError(f"draw interval width {width:g} is not finite")
 
 
 @dataclass(frozen=True)
@@ -128,15 +131,15 @@ def overlap_probability(s: StochasticInteraction, sample: EnergySample, tau: flo
     """Per-instance return probability |<initial|evolved>|^2 = cos^2((D + delta) tau / 2).
 
     Accepts scalar samples or arrays (vectorized over instances). The half
-    angle is summed from two terms, each at most (A_tilde + B_tilde) tau /
-    2, so it stays finite whenever the phase span does; the full angle
-    (D + delta) tau can overflow there. ``qcore.cos_squared`` turns the half
-    angles into the probabilities in place.
+    angle is (alpha - beta + D) * tau / 2, as the sweep forms it: |alpha -
+    beta + D| <= the draw width, finite in every accepted interaction, so the
+    half angle is finite wherever the phase span is; the full angle can
+    overflow there. ``qcore.cos_squared`` turns it into the probability in place.
     """
     scale = 0.5 * require_tau(tau)
     p = np.asarray(np.subtract(sample.alpha, sample.beta), dtype=np.float64)
+    p += s.a_tilde - s.b_tilde
     p *= scale
-    p += (s.a_tilde - s.b_tilde) * scale
     cos_squared(p, out=p)
     return p if np.ndim(p) else float(p)
 
@@ -188,11 +191,13 @@ def mc_probability_sweep(
     if n < 2:
         raise ValueError(f"mc_probability needs n >= 2, got {n}")
 
-    def draw(lo, hi):
+    def draw(lo, hi):  # gaps alpha - beta + D
         sample = sample_energies(s, seed, np.arange(lo, hi, dtype=np.uint64))
-        return None, np.subtract(sample.alpha, sample.beta, out=sample.alpha)
+        gaps = np.subtract(sample.alpha, sample.beta, out=sample.alpha)
+        gaps += s.a_tilde - s.b_tilde
+        return None, gaps
 
-    return cos_squared_sweep(draw, n, 1, taus, s.a_tilde - s.b_tilde)
+    return cos_squared_sweep(draw, n, 1, taus)
 
 
 def mc_probability(s: StochasticInteraction, tau: float, seed: int = 0, n: int = 100_000) -> MonteCarloEstimate:

@@ -283,10 +283,9 @@ class TestMcMean:
             MonteCarloEstimate(mean=math.nan, stderr=0.0, n=10)
 
 
-def law(weights, gaps, tau, detuning):
+def law(weights, gaps, tau):
     """Per-trial values of the sweep's law, evaluated on all trials at once."""
-    scale = 0.5 * tau
-    p = cos_squared(gaps * scale + detuning * scale)
+    p = cos_squared(gaps * (0.5 * tau))
     return p if weights is None else np.minimum(np.sum(p * weights, axis=1), 1.0 + 1e-12)
 
 
@@ -308,11 +307,16 @@ class TestCosSquaredSweep:
     @pytest.mark.parametrize("K, weighted", [(1, False), (1, True), (16, True)])
     def test_one_chunk_equals_mc_estimate_bit_for_bit(self, K, weighted):
         trials = SWEEP_CHUNK // K
-        draw = self.drawer(K, weighted)
+        base = self.drawer(K, weighted)
+
+        def draw(lo, hi):  # gaps off centre, as the stochastic route's are by its D
+            weights, gaps = base(lo, hi)
+            return weights, gaps + 0.25
+
         taus = [0.0, 0.3, 7.0]
-        sweep = cos_squared_sweep(draw, trials, K, taus, 0.25)
+        sweep = cos_squared_sweep(draw, trials, K, taus)
         weights, gaps = draw(0, trials)
-        assert sweep == [mc_estimate(law(weights, gaps, tau, 0.25)) for tau in taus]
+        assert sweep == [mc_estimate(law(weights, gaps, tau)) for tau in taus]
 
     @pytest.mark.parametrize("K, weighted", [(1, False), (16, True)])
     def test_chunks_merge_within_1e_15(self, K, weighted):
@@ -323,7 +327,7 @@ class TestCosSquaredSweep:
         weights, gaps = draw(0, trials)
         for tau, est in zip(taus, sweep):
             # The whole array in one chunk, reduced by mc_estimate.
-            whole = mc_estimate(law(weights, gaps, tau, 0.0))
+            whole = mc_estimate(law(weights, gaps, tau))
             assert est.n == trials
             assert abs(est.mean - whole.mean) <= 1e-15 and abs(est.stderr - whole.stderr) <= 1e-15
 

@@ -763,13 +763,19 @@ class TestDirectLapack:
         with pytest.raises(ValueError, match="finite"):
             ground_energy_bracket(self.random_grid(np.random.default_rng(0), 5), bad)
 
-    def test_overflowing_grid_rejected(self):
-        # A finite potential can still overflow the diagonal 2t + V when the library is called directly
-        # (the CLI rejects such a config before any work): the operator refuses it.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "grid_points,box_length,potential",
+        # A finite potential can still overflow the diagonal 2t + V, and an m dx^2 that underflows to 0 gives an
+        # infinite kinetic term: the operator refuses both, with no warning and no ZeroDivisionError.
+        [(4, 1e-153, np.full(4, 1.7e308)), (3, 1e-200, np.zeros(3))],
+        ids=["diagonal_overflow", "kinetic_division_by_zero"],
+    )
+    def test_overflowing_grid_rejected(self, grid_points, box_length, potential):
         inst = SpectralDecisionInstance(
-            grid_points=4, box_length=1e-153, mass=1.0, potential=np.full(4, 1.7e308), threshold=0.0
+            grid_points=grid_points, box_length=box_length, mass=1.0, potential=potential, threshold=0.0
         )
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             reduce_energy_decision(inst)
 
     @pytest.mark.parametrize("couplings", [0, 1, 3])

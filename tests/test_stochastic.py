@@ -1,5 +1,6 @@
 """Stochastic interaction model: sampling, phases, expansion, averages."""
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -24,6 +25,7 @@ from clab.stochastic import (
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+HALF_MAX = sys.float_info.max / 2.0
 
 
 def direct_overlap_probability(s, sample, tau):
@@ -42,6 +44,14 @@ class TestStochasticInteraction:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             StochasticInteraction(a_tilde=1.0, b_tilde=1.0, mode="gaussian")
+
+    @pytest.mark.parametrize(
+        "a_tilde,b_tilde,mode", [(1e308, 0.0, "uniform_argument"), (0.0, 1e308, "independent_uniform")]
+    )
+    def test_rejects_a_draw_interval_wider_than_the_float_range(self, a_tilde, b_tilde, mode):
+        # Widths 2 (A_tilde + B_tilde) and 2 max(A_tilde, B_tilde): both overflow here.
+        with pytest.raises(ValueError, match="draw interval width inf is not finite"):
+            StochasticInteraction(a_tilde=a_tilde, b_tilde=b_tilde, mode=mode)
 
 
 class TestSampleEnergies:
@@ -136,6 +146,28 @@ class TestOverlapProbability:
             expansion = 0.5 + 0.5 * np.cos(d) * np.cos(delta) - 0.5 * np.sin(d) * np.sin(delta)
             p = overlap_probability(s, sample, tau)
             assert np.abs(p - expansion).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a_tilde,b_tilde,mode,tau_max",
+        # The widest intervals accepted, each with the largest tau whose phase span (A_tilde + B_tilde) tau is finite.
+        [(HALF_MAX, 0.0, "uniform_argument", 2.0), (0.0, HALF_MAX, "uniform_argument", 2.0),
+         (HALF_MAX, HALF_MAX, "independent_uniform", 1.0), (HALF_MAX, 0.0, "independent_uniform", 2.0)],
+    )
+    def test_half_angle_finite_at_the_widest_intervals(self, a_tilde, b_tilde, mode, tau_max):
+        s = StochasticInteraction(a_tilde=a_tilde, b_tilde=b_tilde, mode=mode)
+        if mode == "independent_uniform":  # every pair of interval ends
+            sample = EnergySample(alpha=np.array([-a_tilde, -a_tilde, a_tilde, a_tilde]),
+                                  beta=np.array([-b_tilde, b_tilde, -b_tilde, b_tilde]))
+        else:
+            sample = EnergySample(alpha=np.array([-(a_tilde + b_tilde), a_tilde + b_tilde]), beta=0.0)
+        for tau in (1e-300, 1.0, tau_max):
+            p = overlap_probability(s, sample, tau)
+            assert np.all((p >= 0.0) & (p <= 1.0))
+        wider = math.nextafter(max(a_tilde, b_tilde), math.inf)
+        a_wider, b_wider = (wider, b_tilde) if a_tilde >= b_tilde else (a_tilde, wider)
+        with pytest.raises(ValueError, match="draw interval width"):  # one ulp more is refused
+            StochasticInteraction(a_tilde=a_wider, b_tilde=b_wider, mode=mode)
 
     @settings(max_examples=60, deadline=None)
     @given(
