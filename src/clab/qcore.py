@@ -232,20 +232,20 @@ def integrate_tdse(
     with the t_j + dt/6 factor applied first, and the global error is
     O(dt^4); for other H(t) the same nodes give O(dt^2). Each exponential
     is the Chebyshev series of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-    (1984), exp(-i x A) = J_0(x) + 2 sum_k (-i)^k J_k(x) T_k(A) with
-    A = H dt / (2x), and it costs about x plus O(log) matvecs.
+    (1984), exp(-i x A) = J_0(x) + 2 sum_k J_k(x) S_k with A = H dt / (2x)
+    and S_k = (-i)^k T_k(A) = 2(-iA) S_{k-1} + S_{k-2}, S_0 = 1, S_1 = -iA;
+    it costs about x plus O(log) matvecs.
 
     ``spectral_bound`` is a number, or a function r(t), that bounds the
-    spectral norm of the operator ``h_at`` applies at each node t, or the
-    series diverges. Each series is sized to its own node: the argument
-    |dt| r(t) / 2 is rounded up to the ladder x = 2^(m / RUNGS_PER_OCTAVE),
-    at most 9% above it, so the Bessel terms of a few rungs, each computed
-    once per process (``_bessel_terms``), serve every node; a run cuts each
-    rung's series once, to its tail (below). Each term is a write of -T_{k-2} on the row's float64 view (numpy 2.4
-    negates float64 with SIMD but complex128 in a scalar loop: 0.46 against
-    0.99 us for 256 entries on 2 shared Xeon vCPUs) and one matvec adding
-    2A T_{k-1}, into a preallocated block of one row per term, grown to the
-    longest series; one product with the coefficients sums it.
+    spectral norm of H(t) at each node t, or the series diverges. Each
+    series is sized to its own node: the argument |dt| r(t) / 2 is rounded
+    up to the ladder x = 2^(m / RUNGS_PER_OCTAVE), at most 9% above it, so
+    the Bessel terms of a few rungs, each computed once per process
+    (``_bessel_terms``), serve every node; a run cuts each rung's series
+    once, to its tail (below). Each term copies S_{k-2} into its row of a
+    preallocated block, grown to the longest series, and one matvec adds
+    2(-iA) S_{k-1}; no term subtracts, and one float64 product of the real
+    coefficients J_0, 2 J_1, 2 J_2, ... with the block's real view sums it.
 
     ``truncation`` is the budget, in the state's 2-norm, for the terms the
     series leave out. Each series drops a Bessel tail of at most
@@ -259,12 +259,12 @@ def integrate_tdse(
     which is exact to roundoff.
 
     ``h_at(t, scale)`` returns a matvec ``matvec(v, out)`` that adds
-    ``scale * H(t) v`` into ``out`` for vectors of the state's dimension,
+    ``-i scale H(t) v`` into ``out`` for vectors of the state's dimension,
     called positionally and with ``out`` never overlapping ``v``; ``h_at``
-    is called twice per step, with ``scale = |dt| / x`` for the node's
-    rung x (0 where the bound is 0: that series is the identity and the
-    matvec goes unused). The latest matvec is used before ``h_at`` is
-    called again, so ``h_at`` may refill one operator in place.
+    is called twice per step, with ``scale = dt / x`` for the node's rung
+    x, negative when ``t_final`` is (0 where the bound is 0: that series is
+    the identity and the matvec goes unused). The latest matvec is used
+    before the next ``h_at`` call, so ``h_at`` may refill one operator in place.
 
     Shifting each H(t) by a constant c(t) to centre its spectrum changes
     only the global phase, by the integral of c over the run when c is
@@ -279,11 +279,10 @@ def integrate_tdse(
     psi0.require_normalized()
     dt = t_final / steps
     radius = spectral_bound if callable(spectral_bound) else lambda t: spectral_bound
-    half, tail, unit = abs(dt) / 2.0, truncation / (4.0 * steps), -1j * np.sign(dt)
+    half, tail = abs(dt) / 2.0, truncation / (4.0 * steps)
     series = {}  # rung -> (scale, coefficients), for this run's tail
     block = np.empty((1, psi0.dim), dtype=np.complex128)
-    rows, pairs = [block[0]], []
-    negative = np.negative
+    rows, triples = [block[0]], []
     amps = psi0.amps
     for step in range(steps):
         for t in ((step + 1.0 / 6.0) * dt, (step + 5.0 / 6.0) * dt):
@@ -293,12 +292,11 @@ def integrate_tdse(
             rung = _ladder(x) if x else 0.0
             if rung not in series:
                 j = _bessel_series(rung, tail)
-                k = np.arange(j.size)
-                series[rung] = (abs(dt) / rung if rung else 0.0, np.where(k == 0, 1.0, 2.0) * unit**k * j)
+                series[rung] = (dt / rung if rung else 0.0, np.where(np.arange(j.size) == 0, 1.0, 2.0) * j)
                 if j.size > len(rows):
                     block = np.empty((j.size, psi0.dim), dtype=np.complex128)
-                    rows, reals = list(block), list(block.view(np.float64))
-                    pairs = list(zip(reals, rows[1:], rows[2:], reals[2:]))  # rows k-2 (float64), k-1, k, k (float64)
+                    rows = list(block)
+                    triples = list(zip(rows, rows[1:], rows[2:]))  # rows k-2, k-1, k
             scale, coeffs = series[rung]
             matvec = h_at(t, scale)
             np.copyto(rows[0], amps)
@@ -306,10 +304,10 @@ def integrate_tdse(
                 rows[1].fill(0.0)
                 matvec(amps, rows[1])
                 rows[1] *= 0.5
-                for older_real, prev, row, row_real in islice(pairs, coeffs.size - 2):
-                    negative(older_real, row_real)
+                for older, prev, row in islice(triples, coeffs.size - 2):
+                    np.copyto(row, older)
                     matvec(prev, row)
-            amps = coeffs @ block[: coeffs.size]
+            amps = (coeffs @ block[: coeffs.size].view(np.float64)).view(np.complex128)
     return StateVector(amps, normalize=True)
 
 

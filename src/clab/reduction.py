@@ -301,7 +301,7 @@ def build_begin_hamiltonian(inst: ExactCoverInstance) -> np.ndarray:
 
 
 def _centred_interpolation(d: np.ndarray, energies: np.ndarray):
-    """H(s) - c(s) for the linear schedule H(s) = (1 - s) H_begin + s H_cost, as one CSR matrix refilled in place.
+    """-i (H(s) - c(s)) for the linear schedule H(s) = (1 - s) H_begin + s H_cost, as one CSR matrix refilled in place.
 
     ``d`` is the begin operator's clause counts and ``energies`` the cost
     diagonal, of 2^d.size entries (a ValueError otherwise). With w_i = d_i/2
@@ -313,13 +313,14 @@ def _centred_interpolation(d: np.ndarray, energies: np.ndarray):
     Each endpoint is centred on its own spectrum: H_begin on [0, E_max]
     with E_max = 2W, H_cost on [0, max E]. So the operator is
     H(s) - c(s) with the affine centre c(s) = ((1 - s) E_max + s max E) / 2,
-    and its spectral norm is at most c(s). The returned ``at(s, scale=1.0)``
-    refills the one data array with scale (H(s) - c(s)), so a product from
-    an earlier call applies the latest fill, and returns scipy's compiled
+    and its spectral norm is at most c(s). Returns ``(at, centre)``, with
+    ``centre(s)`` = c(s). ``at(s, scale=1.0)`` refills the one data array
+    with the generator -i scale (H(s) - c(s)), so a product from an
+    earlier call applies the latest fill, and returns scipy's compiled
     ``csr_matvec`` bound to the matrix, called as ``product(v, out)``: it
-    adds scale (H(s) - c(s)) v into ``out`` at a cost of O(n 2^n). It reads
-    ``v`` and writes ``out`` unchecked, so both must be complex128 arrays of
-    2^n entries that do not overlap.
+    adds -i scale (H(s) - c(s)) v into ``out`` at a cost of O(n 2^n). It
+    reads ``v`` and writes ``out`` unchecked, so both must be complex128
+    arrays of 2^n entries that do not overlap.
     """
     n = d.size
     if energies.size != 1 << n:
@@ -328,13 +329,13 @@ def _centred_interpolation(d: np.ndarray, energies: np.ndarray):
     z = np.arange(1 << n)[:, None]
     indices = np.hstack([z, z ^ np.left_shift(1, n - 1 - sites)]).astype(np.int32).reshape(-1)
     indptr = np.arange(0, indices.size + 1, sites.size + 1, dtype=np.int32)
-    # Complex, the data type csr_matvec needs for a complex state; the imaginary parts stay 0, so
-    # each fill writes float64 views: all entries from H_begin - W, contiguous, then the diagonal.
+    # Every entry is imaginary; each fill writes float64 views: all entries from -i (H_begin - W), then the diagonal.
     data = np.zeros((energies.size, sites.size + 1), dtype=np.complex128)
     begin = data.copy()
-    begin[:, 1:] = -d[sites] / 2.0  # H_begin - W has a zero diagonal: W = sum_i w_i is the centre of [0, E_max]
-    begin, flat, diagonal = begin.view(np.float64).reshape(-1), data.view(np.float64).reshape(-1), data.real[:, 0]
-    cost = energies - float(energies.max()) / 2.0
+    begin.imag[:, 1:] = d[sites] / 2.0  # H_begin - W has a zero diagonal: W = sum_i w_i is the centre of [0, E_max]
+    begin, flat, diagonal = begin.view(np.float64).reshape(-1), data.view(np.float64).reshape(-1), data.imag[:, 0]
+    e_max, top = float(d.sum()), float(energies.max())
+    cost = top / 2.0 - energies
     size = energies.size
     product = functools.partial(_load_scipy().csr_matvec, size, size, indptr, indices, data.reshape(-1))
 
@@ -343,7 +344,7 @@ def _centred_interpolation(d: np.ndarray, energies: np.ndarray):
         np.multiply(cost, scale * s, out=diagonal)
         return product
 
-    return at
+    return at, lambda s: ((1.0 - s) * e_max + s * top) / 2.0
 
 
 def uniform_superposition(n: int) -> StateVector:
@@ -424,8 +425,8 @@ def success_sweep(
     if not total_times or not all(math.isfinite(t) and t > 0 for t in total_times):
         raise ValueError(f"need one or more finite, positive total times, got {total_times}")
     energies = build_cost_hamiltonian(inst)
-    e_max, top = _max_energy(inst), float(energies.max())
-    at = _centred_interpolation(build_begin_hamiltonian(inst), energies)  # psi0 has its 2^n entries
+    e_max = _max_energy(inst)
+    at, centre = _centred_interpolation(build_begin_hamiltonian(inst), energies)  # psi0 has its 2^n entries
     psi0 = uniform_superposition(inst.n)
     solutions = energies == 0
     rows = []
@@ -434,7 +435,7 @@ def success_sweep(
         def run(steps):
             return integrate_tdse(
                 lambda t, scale: at(t / total_time, scale), psi0, total_time, steps,
-                lambda t: ((1.0 - t / total_time) * e_max + t / total_time * top) / 2.0,
+                lambda t: centre(t / total_time),
                 truncation=STEP_ERROR_TOL / 1000.0,
             )
 

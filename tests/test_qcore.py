@@ -42,12 +42,12 @@ def gershgorin_bound(h):
 
 
 def scaled_matvec(matrix, scale):
-    """``matvec(v, out=None)`` adding scale * matrix @ v into ``out`` (into zeros when None), as ``h_at`` returns."""
+    """``matvec(v, out=None)`` adding -i scale * matrix @ v into ``out`` (into zeros when None), as ``h_at`` returns."""
 
     def matvec(v, out=None):
         if out is None:
-            return scale * (matrix @ v)
-        out += scale * (matrix @ v)
+            return -1j * scale * (matrix @ v)
+        out += -1j * scale * (matrix @ v)
         return out
 
     return matvec
@@ -187,6 +187,21 @@ class TestIntegrateTdse:
         assert overlap == pytest.approx(1.0, abs=1e-10)
         assert np.abs(direct.amps - stepped.amps).max() <= 1e-10
 
+    def test_negative_time_runs_backwards(self):
+        """A negative t_final reaches exp(+2i H), with every scale negative: the scale carries time's direction."""
+        h = random_hermitian(24, seed=31, scale=1.5)
+        psi0 = random_state(24, seed=32)
+        scales = []
+
+        def h_at(t, scale):
+            scales.append(scale)
+            return scaled_matvec(h.matrix, scale)
+
+        stepped = integrate_tdse(h_at, psi0, -2.0, steps=64, spectral_bound=gershgorin_bound(h))
+        direct = expm_propagator(h, -2.0).apply(psi0)
+        assert np.abs(direct.amps - stepped.amps).max() <= 1e-12
+        assert len(scales) == 128 and max(scales) < 0.0
+
     def test_zero_hamiltonian_is_identity(self):
         psi0 = random_state(8, seed=41)
         scales = []
@@ -244,7 +259,7 @@ class TestIntegrateTdse:
         def h_at(t, scale):
             def matvec(v, out=None):
                 calls.append(t)
-                out += scale * (h.matrix @ v)
+                out += -1j * scale * (h.matrix @ v)
                 return out
 
             return matvec
@@ -267,7 +282,7 @@ class TestIntegrateTdse:
         def h_at(t, scale):
             def matvec(v, out):
                 calls.append(t)
-                out += scale * (h.matrix @ v)
+                out += -1j * scale * (h.matrix @ v)
                 return out
 
             return matvec
@@ -362,7 +377,7 @@ class TestIntegrateTdse:
         def h_at(t, scale):
             def matvec(v, out):
                 calls[t] = calls.get(t, 0) + 1
-                out += scale * (h.matrix @ v)
+                out += -1j * scale * (h.matrix @ v)
                 return out
 
             return matvec
@@ -391,7 +406,7 @@ class TestIntegrateTdse:
             return (1.0 - t / total) * begin + (t / total) * end - c(t)
 
         def h_at(t, scale):
-            d = scale * diagonal(t)
+            d = -1j * scale * diagonal(t)
 
             def matvec(v, out):
                 out += d * v

@@ -85,15 +85,15 @@ def centre(inst, s):
 
 
 def centred_operator(inst):
-    """The sweep's CSR fill ``at(s, scale)`` of H(s) - c(s) for ``inst``."""
-    return reduction._centred_interpolation(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
+    """The sweep's CSR fill ``at(s, scale)`` of -i (H(s) - c(s)) for ``inst``."""
+    return reduction._centred_interpolation(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))[0]
 
 
 def apply(at, s, v, scale=1.0):
-    """scale (H(s) - c(s)) v: the fill's compiled product, adding into zeros."""
+    """scale (H(s) - c(s)) v: i times the fill's compiled product, adding into zeros (exact: i swaps the parts)."""
     out = np.zeros(v.size, dtype=np.complex128)
     at(s, scale)(np.ascontiguousarray(v, dtype=np.complex128), out)
-    return out
+    return 1j * out
 
 
 def operator_columns(at, s, dim):
@@ -261,7 +261,7 @@ class TestInterpolate:
     def test_endpoints_exact(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         hc = build_cost_hamiltonian(inst)
-        at = reduction._centred_interpolation(build_begin_hamiltonian(inst), hc)
+        at, _ = reduction._centred_interpolation(build_begin_hamiltonian(inst), hc)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert np.array_equal(apply(at, 1.0, v), (hc - hc.max() / 2.0) * v)
@@ -289,7 +289,7 @@ class TestInterpolate:
 
     @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
     def test_scaled_product_adds_into_out(self, s):
-        """The product adds scale (H(s) - c(s)) v into a prefilled ``out`` on each call and leaves ``v`` as it was."""
+        """The product adds -i scale (H(s) - c(s)) v into a prefilled ``out`` on each call and leaves ``v`` as it was."""
         inst = MATVEC_INSTANCES[-1]
         dim, scale = 1 << inst.n, 0.3
         reference = (1.0 - s) * kron_begin_matrix(inst) + s * np.diag(violated_clause_counts(inst))
@@ -300,9 +300,9 @@ class TestInterpolate:
         prior = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         kept, out = v.copy(), prior.copy()
         product(v, out)
-        np.testing.assert_allclose(out, prior + scale * (reference @ v), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(out, prior - 1j * scale * (reference @ v), rtol=0, atol=1e-13)
         product(v, out)
-        np.testing.assert_allclose(out, prior + 2.0 * scale * (reference @ v), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(out, prior - 2j * scale * (reference @ v), rtol=0, atol=1e-13)
         np.testing.assert_array_equal(v, kept)
 
     def test_sweep_feeds_the_product_full_vectors(self, monkeypatch):
@@ -329,11 +329,12 @@ class TestInterpolate:
 
     @pytest.mark.parametrize("inst", [*MATVEC_INSTANCES, *RANDOM_INSTANCES[:6]], ids=instance_id)
     def test_centre_bounds_the_norm(self, inst):
-        """||H(s) - c(s)|| <= c(s): the radius success_sweep sizes each series to."""
-        at = centred_operator(inst)
+        """||H(s) - c(s)|| <= c(s): the radius success_sweep sizes each series to, returned with the fill."""
+        at, radius = reduction._centred_interpolation(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))
         for s in (0.0, 0.2, 0.5, 0.9, 1.0):
             norm = np.abs(np.linalg.eigvalsh(operator_columns(at, s, 1 << inst.n))).max()
-            assert norm <= centre(inst, s) * (1.0 + 1e-12)
+            assert radius(s) == pytest.approx(centre(inst, s), rel=1e-15)
+            assert norm <= radius(s) * (1.0 + 1e-12)
 
     def test_each_call_refills_the_one_operator(self):
         """A product from an earlier ``at`` call applies the latest fill."""
@@ -341,7 +342,8 @@ class TestInterpolate:
         at = centred_operator(inst)
         v = np.random.default_rng(3).standard_normal(1 << inst.n) + 0j
         first = at(0.2)
-        expected = apply(at, 0.7, v, 2.0)
+        expected = np.zeros_like(v)
+        at(0.7, 2.0)(v, expected)
         out = np.zeros_like(v)
         first(v, out)
         np.testing.assert_array_equal(out, expected)
@@ -381,7 +383,7 @@ class TestAdiabaticRun:
         inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
         rows = success_sweep(inst, [2.0**k for k in range(8)], target=0.9).rows  # the criterion-6 sweep
         hc = build_cost_hamiltonian(inst)
-        at = reduction._centred_interpolation(build_begin_hamiltonian(inst), hc)
+        at, _ = reduction._centred_interpolation(build_begin_hamiltonian(inst), hc)
         ends = centre(inst, 0.0), centre(inst, 1.0)
         for row in rows:
             total = row["T"]

@@ -23,6 +23,7 @@ import clab.runner as runner
 import clab.svgplot as svgplot
 from clab.decoherence import decohered_probability
 from clab.montecarlo import derive_seed
+from clab.reduction import load_instance
 from clab.runner import (
     EXPERIMENTS,
     ConfigError,
@@ -1104,6 +1105,31 @@ class TestSpectralMagnitudes:
             else:
                 assert code == 2
                 assert f"error: {expected}:" in err.getvalue()
+
+
+class TestAdiabaticMagnitudes:
+    """An adiabatic run at any magnitudes exits 0 with no warning exactly when its times are finite and its steps fit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(MAGNITUDES, MAGNITUDES, st.integers(0, 2))
+    def test_runs_exactly_where_its_times_are_finite_and_fit(self, t_min, hbar, doublings):
+        limit, path = 2_000, REPO / "instances" / "ec_n3_single.json"
+        times = [t_min * 2.0**k / hbar for k in range(doublings + 1)]  # as the runner forms them
+        fits = all(0.0 < t < math.inf for t in times) and reduction.projected_steps(load_instance(path), times) <= limit
+        schedule = {"T_min": t_min, "doublings": doublings, "target": 1.0}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "SWEEP_MAX_STEPS", limit)
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps({"hbar": hbar, "params": {"instance_path": str(path), "schedule": schedule}}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["adiabatic", "--config", str(config), "--out", tmp])
+            if fits:
+                assert code == 0, err.getvalue()
+                assert json.loads((Path(tmp) / "adiabatic_result.json").read_text())["warnings"] == []
+            else:
+                assert code == 2
+                assert "error: params.schedule.T_min:" in err.getvalue()
 
 
 # 0 (|e| < 1) or +-10^(|e| - 301) for e drawn from [-609, 609]: zero, or log-uniform over [1e-300, 1e308], either sign.
