@@ -37,7 +37,7 @@ for name in ("ec_n3_single.json", "ec_n6_unique.json"):
     print(f"  zero set of the cost operator: {sweep.satisfying_count} assignment(s)")
     for row in sweep.rows:
         print(f"  T={row['T']:<5g} steps={row['steps']:<6} success={row['success_probability']:.4f} "
-              f"step_error={row['step_error']:.1e}")
+              f"probability_error={row['probability_error']:.1e} state_error={row['state_error']:.1e}")
     series.append(Series(label=f"n={inst.n}", xs=tuple(r["T"] for r in sweep.rows),
                          ys=tuple(r["success_probability"] for r in sweep.rows)))
 

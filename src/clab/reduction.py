@@ -69,13 +69,14 @@ __all__ = [
 BRUTE_FORCE_MAX_BITS = 24
 EVOLUTION_MAX_BITS = 12
 # The step-doubling loop of success_sweep. The first run's steps span a phase dt E_max
-# of at most START_PHASE rad: of 4, 6, 8, 12 and 16 rad, 6 took the fewest matvecs on the
-# criterion-6 sweeps with truncated series (102,780, against 125,188 at 4, 111,876 at 8, 125,022
-# at 12 and 130,794 at 16; untruncated, 137,342 at 6 was also the fewest).
-START_PHASE = 6.0
-MAX_DOUBLINGS = 5
+# of at most START_PHASE rad: of 6, 8, 12, 16 and 24 rad, 12 took the fewest matvecs on the
+# benchmark's three criterion-6 sweeps under the probability-error stop (58,560, against 82,067
+# at 6, 67,048 at 8, 83,309 at 16 and 70,490 at 24). After MAX_DOUBLINGS doublings a step spans
+# about 12 / 64 rad, the finest run the search can reach.
+START_PHASE = 12.0
+MAX_DOUBLINGS = 6
 STEP_ERROR_TOL = 1e-6
-# Limit on a sweep's projected integration steps; the n=8 criterion-6 sweep projects 88,389.
+# Limit on a sweep's projected integration steps; the n=8 criterion-6 sweep projects 89,154.
 SWEEP_MAX_STEPS = 10_000_000
 # Largest JSON file read_json takes; a spectral config with a 4096-value potential is about 110 KB.
 JSON_MAX_BYTES = 1 << 20
@@ -373,9 +374,11 @@ def projected_steps(inst: ExactCoverInstance, total_times) -> float:
     """Bound on the integration steps a sweep over ``total_times`` takes, known before any operator is built.
 
     At each T the step-doubling loop of ``success_sweep`` runs N, 2N, ...,
-    at most 2^MAX_DOUBLINGS N steps, with N the first run's steps, so it
-    takes at most (2^(MAX_DOUBLINGS + 1) - 1) N steps in all. The bound
-    sums that over T; it is inf or NaN when a term is not finite.
+    at most 2^MAX_DOUBLINGS N steps, with N = max(1, ceil(T E_max /
+    START_PHASE)) the first run's steps, so it takes at most
+    (2^(MAX_DOUBLINGS + 1) - 1) N = 127 N steps in all, whichever error
+    stops it. The bound sums that over T; it is inf or NaN when a term is
+    not finite.
     """
     e_max = _max_energy(inst)
     return sum((2 ** (MAX_DOUBLINGS + 1) - 1) * _first_steps(t, e_max) for t in total_times)
@@ -383,7 +386,13 @@ def projected_steps(inst: ExactCoverInstance, total_times) -> float:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One row per schedule time run, the last run's final state, and the solution count."""
+    """One row per schedule time run, the last run's final state, and the solution count.
+
+    Each row holds ``T``, ``steps`` (of the finer run of the accepted pair),
+    ``success_probability``, and two error estimates of it:
+    ``probability_error``, the estimate the step search stops on, and
+    ``state_error``, the conservative bar (see ``_sweep``).
+    """
 
     rows: list
     state: StateVector
@@ -395,61 +404,79 @@ def success_sweep(
     total_times,
     target: float | None = None,
 ) -> SweepResult:
-    """Integrate the interpolation from the uniform superposition at each total time.
+    """Integrate the instance's interpolation from the uniform superposition at each total time (see ``_sweep``)."""
+    if inst.n > EVOLUTION_MAX_BITS:
+        raise ValueError(f"evolution capped at n <= {EVOLUTION_MAX_BITS}, got {inst.n}")
+    return _sweep(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst), total_times, target)
 
-    The operators are built once for the whole sweep, and the sweep stops
-    early once ``target`` is hit. At each T, ``integrate_tdse`` runs with
-    N, 2N, 4N, ... steps, N = max(1, ceil(T E_max / START_PHASE)),
-    until the step-doubling (Richardson) estimate of the fourth-order
-    error of the finer run, step_error = ||psi_2N - psi_N|| / 15, is at
+
+def _sweep(d: np.ndarray, energies: np.ndarray, total_times, target: float | None) -> SweepResult:
+    """The sweep over a begin operator's per-bit counts ``d`` and a cost diagonal ``energies`` of 2^d.size entries.
+
+    E_max = sum_i d_i must bound max E (it does for Exact Cover, where
+    both count clauses). The operators are built once for the whole sweep,
+    and the sweep stops early once ``target`` is hit. At each T,
+    ``integrate_tdse`` runs with N, 2N, 4N, ... steps,
+    N = max(1, ceil(T E_max / START_PHASE)), until the step-doubling
+    (Richardson) estimate of the fourth-order error of the finer run's
+    success probability, probability_error = 2 |p_2N - p_N| / 15, is at
     most STEP_ERROR_TOL, or the step count has doubled MAX_DOUBLINGS
-    times. H(s) is passed centred, as H(s) - c(s) with the affine centre
+    times. The factor 2 guards pairs that are not yet in the asymptotic
+    regime, where |p_2N - p_N| / 15 under-reads (by up to 3.9x, measured
+    on the criterion-6 sweeps). Each row also keeps the estimate for the
+    whole state, state_error = ||psi_2N - psi_N|| / 15, as the
+    probability's conservative error bar: it has not under-read the true
+    error of the success probability on any row the tests check (at most
+    0.77 of it), and it is usually far above it.
+
+    H(s) is passed centred, as H(s) - c(s) with the affine centre
     c(s) = ((1 - s) E_max + s max E) / 2 (see ``_centred_interpolation``),
     and c(s) bounds its norm at each node: near s = 1 the series pay for
-    the cost diagonal's range, not for E_max, 3 per clause. The centre
-    changes only the global phase, by the same amount in every run (see
-    ``integrate_tdse``), so step_error measures discretisation alone.
-    Success is the finer run's final weight on the zero set of the cost
-    operator, i.e. on the satisfying assignments. Each row holds T,
-    the finer run's steps, its success probability, and its step_error.
+    the cost diagonal's range, not for E_max. The centre changes only the
+    global phase, by the same amount in every run (see ``integrate_tdse``),
+    so both estimates measure discretisation alone. Success is the finer
+    run's final weight on the zero set of the cost diagonal (the
+    satisfying assignments of an Exact Cover instance).
 
     Each run's Chebyshev series are truncated at a budget of
     STEP_ERROR_TOL / 1000, a fixed ratio (see ``integrate_tdse``): against
     untruncated series, each run's final state moves by at most about that
-    budget, so a row's success probability moves by at most twice it and
-    its step_error by at most a fifteenth of that.
+    budget, so a row's success probability moves by at most twice it, its
+    state_error by at most a fifteenth of that, and its probability_error
+    by at most 8/15 of that budget.
     """
-    if inst.n > EVOLUTION_MAX_BITS:
-        raise ValueError(f"evolution capped at n <= {EVOLUTION_MAX_BITS}, got {inst.n}")
     total_times = [float(t) for t in total_times]
     if not total_times or not all(math.isfinite(t) and t > 0 for t in total_times):
         raise ValueError(f"need one or more finite, positive total times, got {total_times}")
-    energies = build_cost_hamiltonian(inst)
-    e_max = _max_energy(inst)
-    at, centre = _centred_interpolation(build_begin_hamiltonian(inst), energies)  # psi0 has its 2^n entries
-    psi0 = uniform_superposition(inst.n)
+    e_max = float(d.sum())
+    at, centre = _centred_interpolation(d, energies)
+    psi0 = uniform_superposition(d.size)
     solutions = energies == 0
     rows = []
     for total_time in total_times:
 
         def run(steps):
-            return integrate_tdse(
+            state = integrate_tdse(
                 lambda t, scale: at(t / total_time, scale), psi0, total_time, steps,
                 lambda t: centre(t / total_time),
                 truncation=STEP_ERROR_TOL / 1000.0,
             )
+            return state, float(state.probabilities()[solutions].sum())
 
         steps = int(_first_steps(total_time, e_max))
-        coarse = run(steps)
+        coarse, coarse_success = run(steps)
         for _ in range(MAX_DOUBLINGS):
             steps *= 2
-            state = run(steps)
-            step_error = float(np.linalg.norm(state.amps - coarse.amps)) / 15.0
-            if step_error <= STEP_ERROR_TOL:
+            state, success = run(steps)
+            probability_error = 2.0 * abs(success - coarse_success) / 15.0
+            state_error = float(np.linalg.norm(state.amps - coarse.amps)) / 15.0
+            if probability_error <= STEP_ERROR_TOL:
                 break
-            coarse = state
-        success = float(state.probabilities()[solutions].sum())
-        rows.append({"T": total_time, "steps": steps, "success_probability": success, "step_error": step_error})
+            coarse, coarse_success = state, success
+        rows.append({
+            "T": total_time, "steps": steps, "success_probability": success,
+            "probability_error": probability_error, "state_error": state_error,
+        })
         if target is not None and success >= target:
             break
     return SweepResult(rows=rows, state=state, satisfying_count=int(solutions.sum()))

@@ -1,4 +1,5 @@
 """Exact Cover encodings, adiabatic sweeps, and the grid decision problem."""
+import itertools
 import json
 import math
 import sys
@@ -87,6 +88,70 @@ def centre(inst, s):
 def centred_operator(inst):
     """The sweep's CSR fill ``at(s, scale)`` of -i (H(s) - c(s)) for ``inst``."""
     return reduction._centred_interpolation(build_begin_hamiltonian(inst), build_cost_hamiltonian(inst))[0]
+
+
+def reference_success(inst, total_time, steps):
+    """Success probability of an untruncated CF4 run of ``steps`` steps at total time T (for 8x or 16x a row's steps)."""
+    energies = build_cost_hamiltonian(inst)
+    at = reduction._centred_interpolation(build_begin_hamiltonian(inst), energies)[0]
+    ends = centre(inst, 0.0), centre(inst, 1.0)
+    state = reduction.integrate_tdse(
+        lambda t, scale: at(t / total_time, scale), uniform_superposition(inst.n), total_time, steps,
+        lambda t: (1.0 - t / total_time) * ends[0] + (t / total_time) * ends[1],
+    )
+    return state.probabilities()[energies == 0].sum()
+
+
+def planted_instance(n, seed):
+    """An Exact Cover instance whose one solution is a random assignment, planted.
+
+    Draws the assignment, then adds clauses that it satisfies, in random
+    order, until no other assignment satisfies them all; an assignment no
+    clause set makes unique is redrawn.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        planted = rng.integers(0, 2, n)
+        pool = [c for c in itertools.combinations(range(1, n + 1), 3) if sum(planted[i - 1] for i in c) == 1]
+        clauses = []
+        for k in rng.permutation(len(pool)):
+            clauses.append(pool[k])
+            inst = ExactCoverInstance(n=n, clauses=tuple(sorted(clauses)))
+            if np.count_nonzero(build_cost_hamiltonian(inst) == 0) == 1:
+                return inst
+
+
+# (n, seed) of the planted instances the error gate runs; fixed before the gate was first run.
+PLANTED = [(6, 1), (6, 2), (6, 3), (8, 1), (8, 2)]
+CRITERION_6_TIMES = [2.0**k for k in range(8)]  # T_min 1, doublings 7
+
+
+def separable_oracle(d, w, total_time, steps):
+    """Exact success probability of the sweep with begin counts d and cost E_z = sum_i w_i z_i, all w_i >= 1.
+
+    H(s) is then a sum of one-qubit terms (1 - s) d_i (1 - X_i)/2 + s w_i (1 - Z_i)/2, so the
+    final state is a product of n 2x2 evolutions from |+>, and success is the product of their
+    weights on |0>. Each is integrated by Gauss-node CF4 with closed-form SU(2) exponentials
+    (the traceless part; the trace is a global phase) and multiplied out pairwise. It shares no
+    code with ``integrate_tdse``: at 2^13 steps it agrees with 2^14 to 1e-12 up to T = 64.
+    """
+    root3 = math.sqrt(3.0)
+    nodes = (np.arange(steps)[:, None] + [0.5 - root3 / 6.0, 0.5 + root3 / 6.0]) / steps  # s at the Gauss nodes
+    dt = total_time / steps
+    factors = []
+    for weights in ([(3.0 + 2.0 * root3) / 12.0, (3.0 - 2.0 * root3) / 12.0],
+                    [(3.0 - 2.0 * root3) / 12.0, (3.0 + 2.0 * root3) / 12.0]):  # the first factor, then the second
+        s = nodes @ weights  # the weighted sum of the two nodes' s; the weights sum to 1/2
+        bx, bz = -dt * (0.5 - s)[:, None] * d / 2.0, -dt * s[:, None] * w / 2.0  # exp(-i (bx X + bz Z))
+        angle = np.hypot(bx, bz)
+        sinc = np.sinc(angle / np.pi)
+        factors.append((np.cos(angle) - 1j * sinc * bz, -1j * sinc * bx))  # [[a, -conj(b)], [b, conj(a)]]
+    # Factors in the order they apply, then multiplied pairwise: later @ earlier, which stays in SU(2).
+    a = np.stack([factors[0][0], factors[1][0]], axis=1).reshape(2 * steps, -1)
+    b = np.stack([factors[0][1], factors[1][1]], axis=1).reshape(2 * steps, -1)
+    while len(a) > 1:
+        a, b = a[1::2] * a[0::2] - np.conj(b[1::2]) * b[0::2], b[1::2] * a[0::2] + np.conj(a[1::2]) * b[0::2]
+    return float(np.prod(np.abs(a[0] - np.conj(b[0])) ** 2 / 2.0))
 
 
 def apply(at, s, v, scale=1.0):
@@ -370,30 +435,49 @@ class TestAdiabaticRun:
     def test_step_error_within_tolerance(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
         row = success_sweep(inst, [4.0]).rows[0]
-        assert 0.0 < row["step_error"] <= reduction.STEP_ERROR_TOL
-        assert set(row) == {"T", "steps", "success_probability", "step_error"}
+        assert 0.0 < row["probability_error"] <= reduction.STEP_ERROR_TOL
+        assert 0.0 < row["state_error"]
+        assert set(row) == {"T", "steps", "success_probability", "probability_error", "state_error"}
 
     def test_zero_clause_instance_succeeds(self):
         row = success_sweep(ExactCoverInstance(n=3, clauses=()), [1.0, 2.0]).rows[-1]
         assert row["success_probability"] == pytest.approx(1.0, abs=1e-12)
-        assert row["step_error"] == 0.0
+        assert row["probability_error"] == row["state_error"] == 0.0
 
     @pytest.mark.parametrize("name", ["ec_n6_unique.json", "ec_n8_unique.json"])
     def test_step_error_bounds_gap_to_finer_run(self, name):
         inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
-        rows = success_sweep(inst, [2.0**k for k in range(8)], target=0.9).rows  # the criterion-6 sweep
-        hc = build_cost_hamiltonian(inst)
-        at, _ = reduction._centred_interpolation(build_begin_hamiltonian(inst), hc)
-        ends = centre(inst, 0.0), centre(inst, 1.0)
+        rows = success_sweep(inst, CRITERION_6_TIMES, target=0.9).rows
         for row in rows:
-            total = row["T"]
-            reference = reduction.integrate_tdse(
-                lambda t, scale: at(t / total, scale), uniform_superposition(inst.n), total, 8 * row["steps"],
-                lambda t: (1.0 - t / total) * ends[0] + (t / total) * ends[1],
-            )
-            p_ref = reference.probabilities()[hc == 0].sum()
-            assert row["step_error"] <= reduction.STEP_ERROR_TOL
-            assert abs(row["success_probability"] - p_ref) <= row["step_error"] + 1e-9, row
+            p_ref = reference_success(inst, row["T"], 8 * row["steps"])
+            assert row["probability_error"] <= reduction.STEP_ERROR_TOL
+            assert abs(row["success_probability"] - p_ref) <= row["state_error"] + 1e-9, row
+
+    @pytest.mark.parametrize(
+        "inst",
+        [*(load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
+           for name in ("ec_n3_single.json", "ec_n6_unique.json", "ec_n8_unique.json")),
+         *(planted_instance(n, seed) for n, seed in PLANTED)],
+        ids=["ec_n3", "ec_n6", "ec_n8", *(f"planted-n{n}-seed{seed}" for n, seed in PLANTED)],
+    )
+    def test_true_error_within_tolerance_and_state_error(self, inst):
+        """Every row of a criterion-6 sweep, against an untruncated run at 16x its steps (a true error to ~1e-5 of it)."""
+        for row in success_sweep(inst, CRITERION_6_TIMES, target=0.9).rows:
+            true_error = abs(row["success_probability"] - reference_success(inst, row["T"], 16 * row["steps"]))
+            assert true_error <= min(reduction.STEP_ERROR_TOL, row["state_error"]), row
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_separable_oracle_within_tolerance_and_state_error(self, seed):
+        """n = 8 with begin counts d_i in 1..3 and cost E_z = sum_i w_i z_i, 1 <= w_i <= d_i, against the exact product."""
+        rng = np.random.default_rng(seed)
+        d = rng.integers(1, 4, 8)
+        w = rng.integers(1, d + 1)
+        energies = (np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1) @ w  # bit 1 is the most significant
+        rows = reduction._sweep(d, energies, CRITERION_6_TIMES, 0.9).rows
+        assert rows[-1]["success_probability"] >= 0.9
+        for row in rows:
+            true_error = abs(row["success_probability"] - separable_oracle(d, w, row["T"], 1 << 13))
+            assert true_error <= min(reduction.STEP_ERROR_TOL, row["state_error"]), row
 
     def test_most_probable_bitstring_satisfies(self):
         inst = ExactCoverInstance(n=3, clauses=((1, 2, 3),))
@@ -418,14 +502,14 @@ class TestAdiabaticRun:
     @pytest.mark.parametrize(
         "name,pairs",
         [
-            ("ec_n3_single.json", [(1, 8), (2, 16), (4, 32), (8, 32)]),
-            ("ec_n6_unique.json", [(1, 20), (2, 40), (4, 80), (8, 160), (16, 160), (32, 320), (64, 640)]),
-            ("ec_n8_unique.json", [(1, 24), (2, 44), (4, 88), (8, 176), (16, 176), (32, 352), (64, 704)]),
+            ("ec_n3_single.json", [(1, 8), (2, 16), (4, 16), (8, 32)]),
+            ("ec_n6_unique.json", [(1, 24), (2, 40), (4, 40), (8, 80), (16, 160), (32, 160), (64, 320)]),
+            ("ec_n8_unique.json", [(1, 12), (2, 24), (4, 44), (8, 44), (16, 88), (32, 176), (64, 352)]),
         ],
     )
     def test_truncation_keeps_the_criterion_6_steps(self, monkeypatch, name, pairs):
         inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
-        times = [2.0**k for k in range(8)]  # the criterion-6 sweep
+        times = CRITERION_6_TIMES
         rows = success_sweep(inst, times, target=0.9).rows
         assert [(row["T"], row["steps"]) for row in rows] == pairs
         integrate_tdse = reduction.integrate_tdse
@@ -435,10 +519,11 @@ class TestAdiabaticRun:
         budget = reduction.STEP_ERROR_TOL / 1000.0
         for row, untruncated in zip(rows, exact):
             assert abs(row["success_probability"] - untruncated["success_probability"]) <= 2.0 * budget
-            assert abs(row["step_error"] - untruncated["step_error"]) <= 2.0 * budget / 15.0
+            assert abs(row["state_error"] - untruncated["state_error"]) <= 2.0 * budget / 15.0
+            assert abs(row["probability_error"] - untruncated["probability_error"]) <= 8.0 * budget / 15.0
 
     def test_criterion_6_sweep_takes_the_pinned_matvecs(self, monkeypatch):
-        """ec_n6's criterion-6 sweep: 42,142 matvecs with each series sized to its node (47,820 at E_max / 2 for all)."""
+        """ec_n6's criterion-6 sweep: 29,671 matvecs with each series sized to its node (34,246 at E_max / 2 for all)."""
         calls, integrate_tdse = [0], reduction.integrate_tdse
 
         def counting(h_at, *args, **kwargs):
@@ -455,9 +540,9 @@ class TestAdiabaticRun:
 
         monkeypatch.setattr(reduction, "integrate_tdse", counting)
         inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / "ec_n6_unique.json")
-        rows = success_sweep(inst, [2.0**k for k in range(8)], target=0.9).rows  # T_min 1, doublings 7
-        assert [row["steps"] for row in rows] == [20, 40, 80, 160, 160, 320, 640]
-        assert calls[0] == 42_142
+        rows = success_sweep(inst, CRITERION_6_TIMES, target=0.9).rows
+        assert [row["steps"] for row in rows] == [24, 40, 40, 80, 160, 160, 320]
+        assert calls[0] == 29_671
 
     @pytest.mark.parametrize("tol", [1e-6, 0.0], ids=["default", "never_met"])
     def test_projected_steps_bound_the_sweep(self, monkeypatch, tol):
