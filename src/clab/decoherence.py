@@ -62,15 +62,18 @@ class MeasurementResult:
             raise ValueError(f"probability out of range: {self.p_sx_plus!r}")
 
 
+@dataclass(frozen=True, eq=False)
 class DetectorModel:
     """Detector with K configurations: amplitudes a_k and branch energies A_k, B_k."""
 
-    __slots__ = ("a", "energies_0", "energies_1")
+    a: np.ndarray
+    energies_0: np.ndarray
+    energies_1: np.ndarray
 
-    def __init__(self, a, energies_0, energies_1):
-        a = np.array(a, dtype=np.complex128, copy=True).reshape(-1)
-        e0 = np.array(energies_0, dtype=np.float64, copy=True).reshape(-1)
-        e1 = np.array(energies_1, dtype=np.float64, copy=True).reshape(-1)
+    def __post_init__(self):
+        a = np.array(self.a, dtype=np.complex128, copy=True).reshape(-1)
+        e0 = np.array(self.energies_0, dtype=np.float64, copy=True).reshape(-1)
+        e1 = np.array(self.energies_1, dtype=np.float64, copy=True).reshape(-1)
         if a.size < 1:
             raise ValueError("detector needs K >= 1 configurations")
         if not (a.size == e0.size == e1.size):
@@ -82,21 +85,13 @@ class DetectorModel:
         total = float(np.sum(np.abs(a) ** 2))
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"configuration amplitudes must satisfy sum |a_k|^2 = 1, got {total!r}")
-        for arr in (a, e0, e1):
+        for name, arr in (("a", a), ("energies_0", e0), ("energies_1", e1)):
             arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "energies_0", e0)
-        object.__setattr__(self, "energies_1", e1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DetectorModel is immutable")
+            object.__setattr__(self, name, arr)
 
     @property
     def K(self) -> int:
         return self.a.size
-
-    def __repr__(self):
-        return f"DetectorModel(K={self.K})"
 
 
 def build_interaction(d: DetectorModel) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import InitVar, dataclass
 from itertools import islice
 
 import numpy as np
@@ -37,6 +38,7 @@ CHEBYSHEV_CUTOFF = 1e-17
 RUNGS_PER_OCTAVE = 8
 
 
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector over a finite basis.
 
@@ -45,10 +47,11 @@ class StateVector:
     flag.
     """
 
-    __slots__ = ("amps",)
+    amps: np.ndarray
+    normalize: InitVar[bool] = False
 
-    def __init__(self, amps, normalize: bool = False):
-        arr = np.array(amps, dtype=np.complex128, copy=True).reshape(-1)
+    def __post_init__(self, normalize):
+        arr = np.array(self.amps, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size < 1:
             raise ValueError("state vector needs at least one amplitude")
         if not np.all(np.isfinite(arr.view(np.float64))):
@@ -60,9 +63,6 @@ class StateVector:
             arr = arr / nrm
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
 
     @property
     def dim(self) -> int:
@@ -79,10 +79,8 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    def __repr__(self):
-        return f"StateVector(dim={self.dim})"
 
-
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Finite-dimensional Hermitian operator, stored as a dense read-only matrix.
 
@@ -91,10 +89,10 @@ class HermitianOperator:
     Real input stays real.
     """
 
-    __slots__ = ("matrix", "dim")
+    matrix: np.ndarray
 
-    def __init__(self, *, dense):
-        m = np.array(dense, copy=True)
+    def __post_init__(self):
+        m = np.array(self.matrix, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"dense operator must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
@@ -109,37 +107,35 @@ class HermitianOperator:
         m = m.astype(np.complex128) if np.iscomplexobj(m) else m.astype(np.float64)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianOperator is immutable")
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @classmethod
     def from_dense(cls, matrix) -> "HermitianOperator":
-        return cls(dense=matrix)
-
-    def __repr__(self):
-        return f"HermitianOperator(dim={self.dim})"
+        return cls(matrix)
 
 
+@dataclass(frozen=True, eq=False)
 class UnitaryPropagator:
     """Dense unitary map; construction verifies max |U^dagger U - I| <= UNITARITY_ATOL."""
 
-    __slots__ = ("matrix", "dim")
+    matrix: np.ndarray
 
-    def __init__(self, *, matrix):
-        u = np.array(matrix, dtype=np.complex128, copy=True)
+    def __post_init__(self):
+        u = np.array(self.matrix, dtype=np.complex128, copy=True)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"propagator must be square, got shape {u.shape}")
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
-        object.__setattr__(self, "dim", u.shape[0])
         gram_defect = self.unitarity_defect()
         if gram_defect > UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary: max |U^dagger U - I| = {gram_defect:.3e}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitaryPropagator is immutable")
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     def unitarity_defect(self) -> float:
         u = self.matrix
@@ -149,9 +145,6 @@ class UnitaryPropagator:
         if psi.dim != self.dim:
             raise ValueError(f"dimension mismatch: propagator dim {self.dim}, state dim {psi.dim}")
         return StateVector(self.matrix @ psi.amps)
-
-    def __repr__(self):
-        return f"UnitaryPropagator(dim={self.dim})"
 
 
 def expm_propagator(h: HermitianOperator, dt: float) -> UnitaryPropagator:

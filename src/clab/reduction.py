@@ -76,8 +76,6 @@ EVOLUTION_MAX_BITS = 12
 START_PHASE = 12.0
 MAX_DOUBLINGS = 6
 STEP_ERROR_TOL = 1e-6
-# Limit on a sweep's projected integration steps; the n=8 criterion-6 sweep projects 89,154.
-SWEEP_MAX_STEPS = 10_000_000
 # Largest JSON file read_json takes; a spectral config with a 4096-value potential is about 110 KB.
 JSON_MAX_BYTES = 1 << 20
 
@@ -356,31 +354,22 @@ def uniform_superposition(n: int) -> StateVector:
 # Adiabatic sweep
 # ---------------------------------------------------------------------------
 
-def _max_energy(inst: ExactCoverInstance) -> float:
-    """E_max = sum_i d_i = 3 * clauses, a bound on the spectral norm of every H(s).
-
-    It is the begin operator's top eigenvalue and also bounds the number of
-    violated clauses.
-    """
-    return 3.0 * len(inst.clauses)
-
-
 def _first_steps(total_time: float, e_max: float) -> float:
     """Steps of the first run at total time T: max(1, ceil(T E_max / START_PHASE)); inf and NaN pass through."""
     return max(float(np.ceil(total_time * e_max / START_PHASE)), 1.0)
 
 
 def projected_steps(inst: ExactCoverInstance, total_times) -> float:
-    """Bound on the integration steps a sweep over ``total_times`` takes, known before any operator is built.
+    """Bound on the integration steps a sweep over ``total_times`` takes, known before any run.
 
     At each T the step-doubling loop of ``success_sweep`` runs N, 2N, ...,
     at most 2^MAX_DOUBLINGS N steps, with N = max(1, ceil(T E_max /
-    START_PHASE)) the first run's steps, so it takes at most
-    (2^(MAX_DOUBLINGS + 1) - 1) N = 127 N steps in all, whichever error
-    stops it. The bound sums that over T; it is inf or NaN when a term is
-    not finite.
+    START_PHASE)) the first run's steps and E_max = sum_i d_i (see
+    ``_sweep``), so it takes at most (2^(MAX_DOUBLINGS + 1) - 1) N = 127 N
+    steps in all, whichever error stops it. The bound sums that over T; it
+    is inf or NaN when a term is not finite.
     """
-    e_max = _max_energy(inst)
+    e_max = float(build_begin_hamiltonian(inst).sum())
     return sum((2 ** (MAX_DOUBLINGS + 1) - 1) * _first_steps(t, e_max) for t in total_times)
 
 

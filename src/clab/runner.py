@@ -33,7 +33,6 @@ from .decoherence import decohered_probability_sweep
 from .montecarlo import derive_seed
 from .reduction import (
     EVOLUTION_MAX_BITS,
-    SWEEP_MAX_STEPS,
     GridHamiltonian,
     SpectralDecisionInstance,
     below_threshold,
@@ -72,9 +71,12 @@ EMIT_FORMATS = ("json", "csv", "svg")
 
 # Limits on one sweep's Monte Carlo draws (K * trials or n) and cos^2 evaluations (draws times taus),
 # checked before any work. At the draw limit a decohere run with K = 10^7, trials = 1 and one tau
-# peaks at 412 MiB maxrss and takes 1.1-1.5 s (CLI process, 2 shared vCPUs).
+# peaks at 412 MiB maxrss and takes 0.9-1.2 s (CLI process, 2 shared Xeon vCPUs).
 MAX_DRAWS = 10_000_000
 MAX_EVALUATIONS = 10**9
+# Limit on an adiabatic sweep's projected integration steps (``projected_steps``), checked on the loaded
+# instance and the natural-unit times before any work; the n=8 criterion-6 sweep projects 89,154.
+SWEEP_MAX_STEPS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -532,7 +534,7 @@ def _run_spectral(config: dict) -> dict:
     rows = [
         {
             "grid_points": p["grid"]["grid_points"],
-            "ground_energy_dense": energy,
+            "ground_energy": energy,
             "energy_lower": lower,
             "energy_upper": upper,
             "certified": below_threshold(lower, threshold) == below_threshold(upper, threshold),
@@ -623,10 +625,10 @@ def _write_svg(record: ResultRecord, path: Path) -> None:
     path.write_text(
         line_chart(
             series,
-            title=chart.get("title", ""),
-            xlabel=chart.get("xlabel", chart["x"]),
-            ylabel=chart.get("ylabel", ""),
-            logx=chart.get("logx", False),
+            title=chart["title"],
+            xlabel=chart["xlabel"],
+            ylabel=chart["ylabel"],
+            logx=chart["logx"],
         ),
         encoding="utf-8",
     )

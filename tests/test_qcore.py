@@ -1,4 +1,5 @@
 """Kernel tests: states, operators, propagators, the integrator, and the cos^2 kernel."""
+import dataclasses
 import math
 import warnings
 
@@ -85,12 +86,26 @@ class TestStateVector:
         with pytest.raises(ValueError, match="zero vector"):
             StateVector([0.0, 0.0], normalize=True)
 
-    def test_immutable(self):
-        psi = StateVector([1.0, 0.0])
-        with pytest.raises((AttributeError, ValueError)):
-            psi.amps = np.array([0.0, 1.0])
+
+VALUE_TYPES = {
+    "StateVector": lambda: StateVector([1.0, 0.0]),
+    "HermitianOperator": lambda: HermitianOperator([[1.0, 2.0], [2.0, 3.0]]),
+    "UnitaryPropagator": lambda: UnitaryPropagator(matrix=np.eye(2)),
+    "DetectorModel": lambda: DetectorModel([SQRT_HALF, SQRT_HALF], [0.0, 1.0], [2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_value_type_is_immutable(make):
+    """No field can be reassigned and no attribute added, and every stored array is read-only."""
+    value = make()
+    names = [f.name for f in dataclasses.fields(value)]
+    for name in [*names, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, np.zeros(2))
+    for name in names:
         with pytest.raises(ValueError):
-            psi.amps[0] = 5.0
+            getattr(value, name).flat[0] = 5.0
 
 
 class TestTensorProduct:
@@ -162,7 +177,7 @@ class TestUnitaryPropagator:
 
     @pytest.mark.parametrize("form", ["matrix", "dense"])
     def test_later_writes_to_the_input_leave_it_unchanged(self, form):
-        # matrix= builds a UnitaryPropagator, dense= a HermitianOperator; each keeps a read-only copy.
+        # "matrix" builds a UnitaryPropagator, "dense" a HermitianOperator; each keeps a read-only copy.
         if form == "matrix":
             expected = np.diag(np.exp(1j * np.array([0.1, 0.2])))
             source = expected.copy()
@@ -170,7 +185,7 @@ class TestUnitaryPropagator:
         else:
             expected = np.array([[1.0, 2.0], [2.0, 3.0]])
             source = expected.copy()
-            op = HermitianOperator(dense=source)
+            op = HermitianOperator(source)
         source[0, 0] = 5.0
         np.testing.assert_array_equal(op.matrix, expected)
         with pytest.raises(ValueError):

@@ -342,7 +342,7 @@ class TestRun:
         row = record.outputs["rows"][0]
         assert record.warnings == []
         assert row["certified"] is True
-        assert row["energy_lower"] < row["ground_energy_dense"] < row["energy_upper"]
+        assert row["energy_lower"] < row["ground_energy"] < row["energy_upper"]
         assert row["solver_relative_gap"] <= 1e-9
 
     def test_wrong_energy_falls_back_to_the_gershgorin_bound(self, monkeypatch):
@@ -352,9 +352,9 @@ class TestRun:
         before = run(config).outputs["rows"][0]
         monkeypatch.setattr(runner, "ground_energy", lambda h: reduction.ground_energy(h) + 1.0)
         after = run(config).outputs["rows"][0]
-        assert after["ground_energy_dense"] == before["ground_energy_dense"] + 1.0
+        assert after["ground_energy"] == before["ground_energy"] + 1.0
         assert after["energy_lower"] < before["energy_lower"] - 1.0
-        assert after["energy_lower"] < before["ground_energy_dense"] < after["energy_upper"]
+        assert after["energy_lower"] < before["ground_energy"] < after["energy_upper"]
         assert after["solver_relative_gap"] > 1.0
         assert after["certified"] is False and before["certified"] is True
 
@@ -372,8 +372,8 @@ class TestRun:
         record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
         row = record["outputs"]["rows"][0]
         assert record["warnings"] == []
-        assert row["energy_lower"] <= row["ground_energy_dense"] <= row["energy_upper"]
-        assert row["energy_upper"] - row["energy_lower"] <= 2e-12 * row["ground_energy_dense"]
+        assert row["energy_lower"] <= row["ground_energy"] <= row["energy_upper"]
+        assert row["energy_upper"] - row["energy_lower"] <= 2e-12 * row["ground_energy"]
         h, _ = reduction.reduce_energy_decision(
             reduction.SpectralDecisionInstance(64, 1.0, mass, np.array(values), 0.0)
         )
@@ -620,7 +620,7 @@ class TestCli:
         assert cli.main(["spectral", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
         row = record["outputs"]["rows"][0]
-        assert row["ground_energy_dense"] == record["outputs"]["summary"]["ground_energy"] == min(values)
+        assert row["ground_energy"] == record["outputs"]["summary"]["ground_energy"] == min(values)
         assert row["energy_lower"] <= min(values) <= row["energy_upper"]
         assert row["certified"] is True
         assert record["warnings"] == []
@@ -1101,7 +1101,7 @@ class TestSpectralMagnitudes:
                 record = json.loads((Path(tmp) / "spectral_result.json").read_text())
                 assert record["warnings"] == []
                 row = record["outputs"]["rows"][0]
-                assert row["energy_lower"] <= row["ground_energy_dense"] <= row["energy_upper"]
+                assert row["energy_lower"] <= row["ground_energy"] <= row["energy_upper"]
             else:
                 assert code == 2
                 assert f"error: {expected}:" in err.getvalue()
@@ -1164,11 +1164,11 @@ class TestSpectralAccuracy:
         h, _ = reduction.reduce_energy_decision(inst)
         # Relative to the largest entry: an eigensolver's error scales with the operator, not with E0.
         scale = max(np.abs(h.diag).max(), np.abs(h.offdiag).max())
-        assert abs(row["ground_energy_dense"] - np.linalg.eigvalsh(h.dense())[0]) <= 1e-12 * scale
+        assert abs(row["ground_energy"] - np.linalg.eigvalsh(h.dense())[0]) <= 1e-12 * scale
         # The exact inertia, not eigvalsh, is the bracket's oracle: eigvalsh can be off by more than its width.
         assert exactly_positive_definite(h.diag, h.offdiag, row["energy_lower"])
         assert not exactly_positive_definite(h.diag, h.offdiag, row["energy_upper"])
-        assert row["energy_lower"] <= row["ground_energy_dense"] <= row["energy_upper"]
+        assert row["energy_lower"] <= row["ground_energy"] <= row["energy_upper"]
 
 
 # Small configs at hbar = 1 for the units oracle; every time is a natural-unit time here.
@@ -1202,7 +1202,7 @@ ENERGY_DIMENSIONS = {
     "decohere": {"energy_scale": 1, "tau": -1},
     "stochastic": {"A_tilde": 1, "B_tilde": 1, "tau": -1},
     "compare": {"energy_scale": 1, "tau": -1},
-    "spectral": {"mass": -1, "omega": 1, "E_B": 1, "ground_energy": 1, "ground_energy_dense": 1,
+    "spectral": {"mass": -1, "omega": 1, "E_B": 1, "ground_energy": 1,
                  "energy_lower": 1, "energy_upper": 1, "threshold": 1},
 }
 
