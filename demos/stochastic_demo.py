@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
+from clab.decoherence import DetectorModel, prob_full_propagation, propagate_exact
 from clab.stochastic import (
     StochasticInteraction,
     analytic_mean_probability,
-    evolve_stochastic,
     mc_probability,
     mean_cos_uniform,
     overlap_probability,
@@ -28,12 +28,17 @@ OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
 # --- 1. One instance end to end ----------------------------------------------
+# An instance is one detector configuration of the decoherence route, with
+# branch energies A_tilde + alpha and B_tilde + beta: its exact evolution is
+# a pure phase per branch, and its return probability is the cos^2 law.
 s = StochasticInteraction(a_tilde=4.0, b_tilde=1.5, mode="independent_uniform")
 sample = sample_energies(s, seed=0, index=0)
-solution = evolve_stochastic(s, sample, tau=1.0)
+detector = DetectorModel([1.0], [s.a_tilde + sample.alpha], [s.b_tilde + sample.beta])
+phases = np.angle(propagate_exact(detector, tau=1.0).amps)
 print(f"one instance: alpha={sample.alpha:+.4f} beta={sample.beta:+.4f}")
-print(f"  branch phases: {solution.c0_phase:+.4f}, {solution.c1_phase:+.4f}")
-print(f"  return probability: {overlap_probability(s, sample, 1.0):.6f}")
+print(f"  branch phases (mod 2 pi): {phases[0]:+.4f}, {phases[1]:+.4f}")
+print(f"  return probability: {overlap_probability(s, sample, 1.0):.6f} (cos^2 law), "
+      f"{prob_full_propagation(detector, 1.0).p_sx_plus:.6f} (full propagation)")
 
 # --- 2. The envelope: MC average vs sin(xi)/xi ------------------------------
 # With equal best guesses the expected probability is

@@ -118,13 +118,23 @@ def _check_keys(mapping: dict, path: str, required, optional=()) -> None:
             raise ConfigError(f"{path}.{key}", "missing required key")
 
 
+def _int_text(value: int) -> str:
+    """``value`` with thousands separators, or its power of ten beyond 2^100, so that a message stays short.
+
+    Python refuses to print an int of more than 4,300 digits, and a product of two config integers can have twice that.
+    """
+    if value.bit_length() <= 100:
+        return f"{value:,}"
+    return f"about {'-' if value < 0 else ''}10^{round((value.bit_length() - 0.5) * math.log10(2))}"
+
+
 def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
+        raise ConfigError(path, f"must be >= {_int_text(minimum)}, got {_int_text(value)}")
     if maximum is not None and value > maximum:
-        raise ConfigError(path, f"must be <= {maximum}, got {value}")
+        raise ConfigError(path, f"must be <= {_int_text(maximum)}, got {_int_text(value)}")
     return value
 
 
@@ -164,7 +174,7 @@ def _as_float_list(value, path: str, minimum: float | None = None, strict_positi
 
 def _require_at_most(limit: int, count: int, path: str, what: str) -> None:
     if count > limit:
-        raise ConfigError(path, f"{count:,} {what}; at most {limit:,} are allowed")
+        raise ConfigError(path, f"{_int_text(count)} {what}; at most {_int_text(limit)} are allowed")
 
 
 def _validate_decohere(params: dict) -> dict:
@@ -294,7 +304,8 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("experiment", f"must be one of {list(EXPERIMENTS)}, got {experiment!r}")
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError("seed", f"must be an integer in [0, 2^64), got {seed!r}")
+        shown = _int_text(seed) if type(seed) is int else repr(seed)
+        raise ConfigError("seed", f"must be an integer in [0, 2^64), got {shown}")
     hbar = _as_float(raw.get("hbar", 1.0), "hbar", strict_positive=True)
     params = raw.get("params")
     if not isinstance(params, dict):

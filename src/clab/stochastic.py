@@ -3,15 +3,17 @@
 Instead of tracking detector microstates, the interaction energies carry
 bounded random uncertainties: per experiment instance the |0> branch sees
 A_tilde + alpha and the |1> branch sees B_tilde + beta, each drawn once
-and constant over the interaction window. The solution is a pure phase on
-each branch, and the per-instance return probability depends only on the
-relative phase of the two branches:
+and constant over the interaction window. Each instance is one detector
+configuration of the decoherence route: its exact solution, a pure phase
+on each branch, is ``decoherence.propagate_exact`` on
+``DetectorModel([1.0], [A_tilde + alpha], [B_tilde + beta])``. The
+per-instance return probability depends only on the relative phase of the
+two branches:
 
     cos^2((D + delta) tau / 2),
 
 with D = A_tilde - B_tilde, delta = alpha - beta and tau in natural units
-(hbar = 1); this is the law of one detector configuration in the
-decoherence route. It expands into
+(hbar = 1). It expands into
 
     1/2 + (1/2) cos(D tau) cos(delta tau) - (1/2) sin(D tau) sin(delta tau),
 
@@ -38,15 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import MonteCarloEstimate, UniformInterval, cos_squared_sweep, derive_seed, require_tau, sample_uniform
-from .qcore import StateVector, cos_squared
+from .qcore import cos_squared
 
 __all__ = [
     "SAMPLING_MODES",
     "StochasticInteraction",
     "EnergySample",
-    "StochasticSolution",
     "sample_energies",
-    "evolve_stochastic",
     "overlap_probability",
     "phase_span",
     "mean_cos_uniform",
@@ -54,8 +54,6 @@ __all__ = [
     "mc_probability",
     "mc_probability_sweep",
 ]
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 SAMPLING_MODES = ("uniform_argument", "independent_uniform")
 
@@ -92,17 +90,6 @@ class EnergySample:
     beta: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class StochasticSolution:
-    """Pure phases acquired by the two equal-weight branches."""
-
-    c0_phase: float
-    c1_phase: float
-
-    def state(self) -> StateVector:
-        return StateVector([_SQRT_HALF * np.exp(1j * self.c0_phase), _SQRT_HALF * np.exp(1j * self.c1_phase)])
-
-
 def sample_energies(s: StochasticInteraction, seed: int, index) -> EnergySample:
     """Draw the uncertainties for instance ``index`` (int or index array)."""
     if s.mode == "independent_uniform":
@@ -112,19 +99,6 @@ def sample_energies(s: StochasticInteraction, seed: int, index) -> EnergySample:
     span = s.a_tilde + s.b_tilde
     delta = sample_uniform(UniformInterval(-span, span), derive_seed(seed, "delta"), index)
     return EnergySample(alpha=delta, beta=0.0)
-
-
-def evolve_stochastic(s: StochasticInteraction, sample: EnergySample, tau: float) -> StochasticSolution:
-    """Exact evolution of (|0> + |1>)/sqrt(2) under one energy instance.
-
-    The generator is diagonal, so the exponential is an exact phase per
-    branch: -tau (A_tilde + alpha) on |0> and -tau (B_tilde + beta) on |1>.
-    """
-    require_tau(tau)
-    return StochasticSolution(
-        c0_phase=-tau * (s.a_tilde + float(sample.alpha)),
-        c1_phase=-tau * (s.b_tilde + float(sample.beta)),
-    )
 
 
 def overlap_probability(s: StochasticInteraction, sample: EnergySample, tau: float):

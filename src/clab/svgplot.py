@@ -36,20 +36,23 @@ class Series:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Ticks k * step in [lo, hi] for integers k, the step 1, 2, 2.5 or 5 times a power of ten.
+
+    A range at most 32 ulps wide gets the one tick ``lo``, like an empty one: its ticks would all
+    print alike, and near the smallest floats the step would underflow to 0.
+    """
     span = hi - lo
+    if not span > 32.0 * math.ulp(max(abs(lo), abs(hi))):
+        return [lo]
     step = 10.0 ** math.floor(math.log10(span / count))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if span / (step * mult) <= count:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    value = first
-    while value <= hi + 1e-9 * span:
+    for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9 * (span / step)) + 1):
+        value = k * step
         ticks.append(0.0 if abs(value) < 1e-12 * span else value)
-        value += step
     return ticks or [lo]
 
 

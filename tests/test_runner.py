@@ -38,6 +38,24 @@ from clab.svgplot import Series, line_chart
 REPO = Path(__file__).resolve().parents[1]
 
 
+def child_python(args, memory_limit=None):
+    """``python args`` with clab importable, in a child process with a 60 s timeout, so that a hang fails the test.
+
+    ``memory_limit`` caps the child's address space, so that a runaway allocation fails fast as well.
+    """
+    resource = pytest.importorskip("resource") if memory_limit else None
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory if memory_limit else None,
+    )
+
+
 def decohere_config(**overrides):
     config = {
         "experiment": "decohere",
@@ -447,6 +465,35 @@ class TestSvgPlot:
         monkeypatch.setattr(svgplot, "_escape", escape)  # byte-identical to the standard library's escape
         assert line_chart(series, **kwargs) == svg
 
+    def test_ticks_end_on_extreme_ranges(self):
+        # A tick loop that stalls (value += step on a range one ulp wide) or never meets its end (hi + 1e-9 span
+        # overflowing on the widest) appends forever, so the calls run in a child with capped memory.
+        ranges = [(1.0, 1.0000000000000002), (0.9999999999999998, 0.9999999999999999), (0.0, sys.float_info.max)]
+        code = f"import json; from clab.svgplot import _ticks; print(json.dumps([_ticks(*r) for r in {ranges!r}]))"
+        done = child_python(["-c", code], memory_limit=512 << 20)
+        assert done.returncode == 0, done.stderr
+        for (lo, hi), ticks in zip(ranges, json.loads(done.stdout), strict=True):
+            assert 1 <= len(ticks) <= 5 + 2
+            assert all(lo <= tick <= hi for tick in ticks)
+
+    @pytest.mark.parametrize(
+        "experiment,params,formats",
+        [
+            ("stochastic", {"A_tilde": 1.0, "B_tilde": 0.0, "tau": [1e-8, 1.5e-8], "n": 2}, "json,csv,svg"),
+            ("decohere", {"K": 1, "energy_scale": 1e-300, "tau": [0.0, sys.float_info.max], "trials": 1}, "svg"),
+        ],
+        ids=["ulp_wide_probabilities", "float_max_times"],
+    )
+    def test_charts_of_extreme_ranges_are_written(self, tmp_path, experiment, params, formats):
+        # The first run's y values, 1.0 and 0.9999999999999999, are one ulp apart; the second's x range is the float range.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "params": params}))
+        argv = ["-m", "clab.cli", experiment, "--config", config, "--out", tmp_path / "out", "--format", formats]
+        done = child_python(argv, memory_limit=512 << 20)
+        assert done.returncode == 0, done.stderr
+        svg = tmp_path / "out" / f"{experiment}_result.svg"
+        assert len(ET.parse(svg).getroot().findall("{http://www.w3.org/2000/svg}polyline")) >= 1
+
 
 class TestCli:
     def _write_config(self, tmp_path, payload):
@@ -762,22 +809,12 @@ class TestCli:
     @pytest.mark.parametrize("reader", ["config", "instance"])
     def test_endless_file_exit_two(self, tmp_path, reader):
         # An unbounded read of /dev/zero would never return; the address-space limit makes it fail fast instead.
-        resource = pytest.importorskip("resource")
         if not os.path.exists("/dev/zero"):
             pytest.skip("no /dev/zero")
         config = self._write_config(tmp_path, {"params": {"instance_path": "/dev/zero", "schedule": {"T_min": 1.0}}})
         config, field = (config, "params.instance_path") if reader == "instance" else ("/dev/zero", "--config")
-        limit = 512 << 20
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
-        env["OPENBLAS_NUM_THREADS"] = "1"
-        done = subprocess.run(
-            [sys.executable, "-m", "clab.cli", "adiabatic", "--config", str(config), "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
-        )
+        argv = ["-m", "clab.cli", "adiabatic", "--config", config, "--out", tmp_path / "out"]
+        done = child_python(argv, memory_limit=512 << 20)
         assert done.returncode == 2, done.stderr
         assert field in done.stderr and "larger than" in done.stderr
 
@@ -790,11 +827,7 @@ class TestCli:
         os.mkfifo(fifo)
         config = self._write_config(tmp_path, {"params": {"instance_path": str(fifo), "schedule": {"T_min": 1.0}}})
         config, field = (config, "params.instance_path") if reader == "instance" else (fifo, "--config")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-m", "clab.cli", "adiabatic", "--config", str(config), "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = child_python(["-m", "clab.cli", "adiabatic", "--config", config, "--out", tmp_path / "out"])
         assert done.returncode == 2, done.stderr
         assert field in done.stderr and "Expecting value" in done.stderr  # read as empty, which is not JSON
 
@@ -842,6 +875,14 @@ class TestCli:
         config = self._write_config(tmp_path, {"params": FUZZ_BASES[experiment][-1]})
         assert cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / f"{experiment}_result.json").exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_summary_line_shows_every_key(self, tmp_path, capsys, experiment):
+        config = self._write_config(tmp_path, {"params": FUZZ_BASES[experiment][-1]})
+        assert cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith(f"{experiment}: ")
+        assert [key for key in cli._SUMMARY_KEYS[experiment] if f"{key}=" not in line] == []
 
     @pytest.mark.parametrize("order", ["options_first", "name_between"])
     def test_options_before_and_after_the_name(self, tmp_path, order):
@@ -899,7 +940,7 @@ FUZZ_BASES = {
                   "potential": {"kind": "values", "values": [0.0, 1.0, 2.0]}}, "E_B": 1.0},
     ],
 }
-EDGE_VALUES = [0, -1, 1e-300, 1e300, 10**30, float("nan"), None, True, "x", [1.0, 2.0]]
+EDGE_VALUES = [0, -1, 1e-300, 1e300, 10**30, 10**400, -(10**400), float("nan"), None, True, "x", [1.0, 2.0]]
 FUZZ_VALUES = [*EDGE_VALUES, 1, 2, 4, 0.5, 4.0, "zero", "harmonic", "values", "uniform_argument"]
 DELETE = object()
 
@@ -999,6 +1040,59 @@ class TestRunContract:
     @given(mutated_instances())
     def test_mutated_instance_objects(self, instance):
         assert run_adiabatic_instance(json.dumps(instance).encode()) in (0, 2, 3)
+
+
+def numeric_fields(node, prefix=()):
+    """Key path of every number in a config, list items included, and of every list as a whole."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        path = prefix + (key,)
+        if isinstance(value, list):
+            yield path
+        if isinstance(value, (dict, list)):
+            yield from numeric_fields(value, path)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+def field_name(path) -> str:
+    """The config path as an error names it: ``params.tau[1]``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+class TestHugeIntegers:
+    """A JSON integer far beyond the float range exits 2, naming its field, with a message of bounded length."""
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_every_numeric_field(self, capsys, value):
+        cases = 0
+        for experiment, bases in FUZZ_BASES.items():
+            for base in bases:
+                for path in numeric_fields({"seed": 1, "hbar": 1.0, "params": base}):
+                    config = {"seed": 1, "hbar": 1.0, "params": json.loads(json.dumps(base))}
+                    node = config
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = value
+                    # K * trials is checked against the draw limit, named at params.K, before trials alone is used.
+                    expected = "params.K" if path[-1] == "trials" and value > 0 else field_name(path)
+                    code = run_cli(experiment, json.dumps(config).encode())
+                    err = capsys.readouterr().err
+                    assert (code, f"error: {expected}:" in err, len(err) < 300) == (2, True, True), (experiment, path, err)
+                    cases += 1
+        assert cases == 47
+
+    @pytest.mark.parametrize("experiment", ["decohere", "compare"])
+    def test_product_too_long_to_print(self, tmp_path, capsys, experiment):
+        # K * trials has 8,001 digits: Python refuses to print an int of more than 4,300.
+        params = {"K": 10**4000, "energy_scale": 1.0, "tau": 1.0, "trials": 10**4000}
+        if experiment == "compare":
+            params["n"] = 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"params": params}))
+        assert config.stat().st_size < reduction.JSON_MAX_BYTES
+        assert cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: params.K: about 10^8000 Monte Carlo draws" in err and len(err) < 300
 
 
 # Log-uniform over [1e-300, 1.7e308]: every decade of a config's energies, times and hbar is drawn alike.

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clab.decoherence import DetectorModel, prob_full_propagation, propagate_exact
 from clab.montecarlo import mc_estimate, mc_mean
 from clab.qcore import HermitianOperator, StateVector, expm_propagator
+from clab.runner import run
 from clab.stochastic import (
     EnergySample,
     StochasticInteraction,
     analytic_mean_probability,
-    evolve_stochastic,
     mc_probability,
     mc_probability_sweep,
     mean_cos_uniform,
@@ -87,34 +88,49 @@ class TestSampleEnergies:
         assert (a.alpha, a.beta) == (b.alpha, b.beta)
 
 
-class TestEvolveStochastic:
+def one_configuration(s, sample):
+    """Route one's detector at one configuration: the instance's branch energies, weight 1."""
+    return DetectorModel([1.0], [s.a_tilde + sample.alpha], [s.b_tilde + sample.beta])
+
+
+class TestOneConfigurationEvolution:
+    """An instance's exact evolution is ``propagate_exact`` on its one-configuration detector."""
+
     def test_zero_time_is_initial_state(self):
         s = StochasticInteraction(a_tilde=4.0, b_tilde=2.0)
-        sol = evolve_stochastic(s, EnergySample(alpha=0.3, beta=0.0), 0.0)
-        assert sol.c0_phase == 0.0 and sol.c1_phase == 0.0
-        np.testing.assert_allclose(sol.state().amps, [SQRT_HALF, SQRT_HALF], atol=1e-15)
+        psi = propagate_exact(one_configuration(s, EnergySample(alpha=0.3, beta=0.0)), 0.0)
+        np.testing.assert_array_equal(psi.amps, [SQRT_HALF, SQRT_HALF])
 
     def test_phases_match_branch_energies(self):
         s = StochasticInteraction(a_tilde=4.0, b_tilde=2.0, mode="independent_uniform")
-        sample = EnergySample(alpha=0.5, beta=-0.25)
         tau = 0.65
-        sol = evolve_stochastic(s, sample, tau)
-        assert sol.c0_phase == pytest.approx(-tau * 4.5, abs=1e-15)
-        assert sol.c1_phase == pytest.approx(-tau * 1.75, abs=1e-15)
+        psi = propagate_exact(one_configuration(s, EnergySample(alpha=0.5, beta=-0.25)), tau)
+        np.testing.assert_allclose(np.angle(psi.amps), [-tau * 4.5, -tau * 1.75], atol=1e-15)
+        np.testing.assert_allclose(np.abs(psi.amps), [SQRT_HALF, SQRT_HALF], atol=1e-15)
 
     def test_matches_kernel_exponential(self):
         s = StochasticInteraction(a_tilde=1.5, b_tilde=0.7)
         sample = sample_energies(s, seed=6, index=11)
         tau = 0.9
-        sol = evolve_stochastic(s, sample, tau)
+        psi = propagate_exact(one_configuration(s, sample), tau)
         h = HermitianOperator.from_dense(np.diag([s.a_tilde + sample.alpha, s.b_tilde + sample.beta]))
         expected = expm_propagator(h, tau).apply(StateVector([SQRT_HALF, SQRT_HALF]))
-        np.testing.assert_allclose(sol.state().amps, expected.amps, atol=1e-12)
+        np.testing.assert_allclose(psi.amps, expected.amps, atol=1e-12)
 
     def test_norm_is_one(self):
         s = StochasticInteraction(a_tilde=9.0, b_tilde=4.0)
-        sol = evolve_stochastic(s, sample_energies(s, seed=7, index=0), 12.0)
-        assert sol.state().norm() == pytest.approx(1.0, abs=1e-12)
+        psi = propagate_exact(one_configuration(s, sample_energies(s, seed=7, index=0)), 12.0)
+        assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
+    def test_overlap_probability_is_the_full_propagation(self, mode):
+        # The cross-route identity: route two's per-instance law is route one's at one configuration.
+        s = StochasticInteraction(a_tilde=2.5, b_tilde=1.25, mode=mode)
+        for index in range(20):
+            sample = sample_energies(s, seed=5, index=index)
+            for tau in (0.0, 1e-3, 0.4, 1.7, 25.0):
+                p = prob_full_propagation(one_configuration(s, sample), tau).p_sx_plus
+                assert abs(overlap_probability(s, sample, tau) - p) <= 1e-12
 
 
 class TestOverlapProbability:
@@ -349,7 +365,6 @@ class TestNonFiniteTau:
             lambda: mc_probability_sweep(s, [1.0, tau], n=10),
             lambda: mc_probability(s, tau, n=10),
             lambda: overlap_probability(s, sample, tau),
-            lambda: evolve_stochastic(s, EnergySample(alpha=0.1, beta=0.2), tau),
             lambda: phase_span(s, tau),
             lambda: analytic_mean_probability(s, tau),
         ]
@@ -365,3 +380,49 @@ class TestNonFiniteTau:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="xi must be >= 0 and finite"):
                 mean_cos_uniform(xi)
+
+
+# Coverage runs, fixed before the test was first run: seed s uses COVERAGE_PARAMS[s % 4]. Each run has one tau,
+# because the rows of one run share their draws; the two modes draw under different salts, so all runs are
+# independent. Every (A_tilde, B_tilde, tau) has phase span xi = (A_tilde + B_tilde) tau in [1.6, 2.7], where
+# the per-instance probability is spread over (0, 1).
+COVERAGE_SEEDS = range(1, 1201)
+COVERAGE_PARAMS = [(1.0, 0.5, 1.3), (2.0, 2.0, 0.4), (0.7, 0.2, 3.0), (3.0, 1.0, 0.5)]
+COVERAGE_N = 2000
+COVERAGE_RATE = math.erf(math.sqrt(2.0))  # P(|Z| <= 2) = 0.9545 for a normal Z
+
+
+def binomial_acceptance(trials: int, p: float, alpha: float) -> tuple[int, int]:
+    """Acceptance region [lo, hi] of the two-sided level-alpha test of X ~ Binomial(trials, p).
+
+    Each tail outside it, P(X < lo) and P(X > hi), holds at most alpha / 2.
+    """
+    pmf = [
+        math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                 + k * math.log(p) + (trials - k) * math.log1p(-p))
+        for k in range(trials + 1)
+    ]
+    lo, tail = 0, 0.0
+    while tail + pmf[lo] <= alpha / 2:
+        tail += pmf[lo]
+        lo += 1
+    hi, tail = trials, 0.0
+    while tail + pmf[hi] <= alpha / 2:
+        tail += pmf[hi]
+        hi -= 1
+    return lo, hi
+
+
+class TestCoverage:
+    @pytest.mark.parametrize("mode", ["uniform_argument", "independent_uniform"])
+    def test_error_bars_cover_the_truth_at_their_stated_rate(self, mode):
+        # A two-sided binomial test of the count of rows with |p_mean - p_analytic| <= 2 p_stderr against the
+        # nominal 95.45%: with correct error bars it fails with probability at most 1e-4.
+        covered = 0
+        for seed in COVERAGE_SEEDS:
+            a_tilde, b_tilde, tau = COVERAGE_PARAMS[seed % len(COVERAGE_PARAMS)]
+            params = {"A_tilde": a_tilde, "B_tilde": b_tilde, "mode": mode, "tau": tau, "n": COVERAGE_N}
+            (row,) = run({"experiment": "stochastic", "seed": seed, "params": params}).outputs["rows"]
+            covered += abs(row["p_mean"] - row["p_analytic"]) <= 2.0 * row["p_stderr"]
+        lo, hi = binomial_acceptance(len(COVERAGE_SEEDS), COVERAGE_RATE, 1e-4)
+        assert lo <= covered <= hi, (covered, lo, hi)
