@@ -16,16 +16,8 @@ import argparse
 import functools
 import sys
 
-from .reduction import read_json
-from .runner import EMIT_FORMATS, EXPERIMENTS, ConfigError, NumericalFailure, emit, run
-
-_SUMMARY_KEYS = {
-    "decohere": ("final_p_mean",),
-    "stochastic": ("final_p_mean",),
-    "compare": ("final_p_decohered", "final_p_stochastic", "final_abs_difference"),
-    "adiabatic": ("target_reached", "most_probable_bitstring", "most_probable_satisfies"),
-    "spectral": ("ground_energy", "threshold", "decision"),
-}
+from .reduction import read_json, shown
+from .runner import EMIT_FORMATS, EXPERIMENTS, FAMILIES, ConfigError, NumericalFailure, emit, run
 
 
 @functools.cache
@@ -66,7 +58,7 @@ def main(argv=None) -> int:
     file_experiment = config.get("experiment")
     if file_experiment is not None and file_experiment != args.experiment:
         return _fail(
-            f"config names experiment {file_experiment!r} but the command line asked for {args.experiment!r}",
+            f"config names experiment {shown(file_experiment)} but the command line asked for {args.experiment!r}",
             2,
         )
     config["experiment"] = args.experiment
@@ -86,8 +78,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 3)
 
     summary = record.outputs.get("summary", {})
-    shown = ", ".join(f"{key}={summary[key]}" for key in _SUMMARY_KEYS[args.experiment] if key in summary)
-    print(f"{args.experiment}: {shown} ({record.wall_clock_s:.2f}s)")
+    pairs = ", ".join(f"{key}={summary[key]}" for key in FAMILIES[args.experiment][2] if key in summary)
+    print(f"{args.experiment}: {pairs} ({record.wall_clock_s:.2f}s)")
     for warning in record.warnings:
         print(f"  warning: {warning}")
     for path in paths:

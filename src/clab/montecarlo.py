@@ -31,7 +31,6 @@ __all__ = [
     "sample_uniform",
     "standard_exponential",
     "mc_mean",
-    "mc_estimate",
     "cos_squared_sweep",
 ]
 
@@ -168,7 +167,10 @@ def mc_mean(f, n: int, seed: int) -> MonteCarloEstimate:
     return one finite value per index (anything per-index and stateless
     qualifies). Values are always accumulated in index order with numpy's
     pairwise summation, so the estimate is independent of how callers
-    would have scheduled the evaluations.
+    would have scheduled the evaluations. The mean is ``np.mean(values)``
+    and the standard error takes the steps of ``np.std(values, ddof=1) /
+    sqrt(n)`` in its order (sum, mean, deviations, their squares, sum /
+    (n - 1), sqrt): both equal numpy's bit for bit.
     """
     if n < 2:
         raise ValueError(f"mc_mean needs n >= 2, got {n}")
@@ -176,19 +178,6 @@ def mc_mean(f, n: int, seed: int) -> MonteCarloEstimate:
     vals = np.asarray(f(idx, seed), dtype=np.float64).reshape(-1)
     if vals.size != n:
         raise ValueError(f"f returned {vals.size} values for {n} indices")
-    return mc_estimate(vals)
-
-
-def mc_estimate(values) -> MonteCarloEstimate:
-    """Mean and standard error of per-trial values, in trial order.
-
-    A single value has stderr 0. The standard error takes the steps of
-    ``np.std(values, ddof=1) / sqrt(n)`` in its order (sum, mean, deviations,
-    their squares, sum / (n - 1), sqrt) and equals it bit for bit.
-    """
-    vals = np.asarray(values, dtype=np.float64).reshape(-1)
-    if vals.size < 1:
-        raise ValueError("mc_estimate needs at least one value")
     return _estimate(_moments(vals))
 
 
@@ -225,7 +214,8 @@ def cos_squared_sweep(draw, trials: int, K: int, taus) -> list[MonteCarloEstimat
     trial's value is cos^2(gap tau / 2), or its weighted row sum clipped at
     1 + 1e-12. Trials are drawn once for all taus, in chunks of
     max(1, SWEEP_CHUNK // K) whose moments merge by Chan's update, so a
-    sweep of one chunk equals ``mc_estimate`` bit for bit.
+    sweep of one chunk equals ``mc_mean`` of the same values bit for bit. A
+    single trial has stderr 0.
     """
     scales = [0.5 * require_tau(tau) for tau in taus]  # every tau is checked before any draw
     moments = [(0, 0.0, 0.0)] * len(scales)

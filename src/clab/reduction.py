@@ -36,6 +36,7 @@ import importlib.util
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -48,6 +49,7 @@ __all__ = [
     "SpectralDecisionInstance",
     "GridHamiltonian",
     "read_json",
+    "shown",
     "load_instance",
     "bitstring_satisfies",
     "brute_force_exact_cover",
@@ -78,6 +80,10 @@ MAX_DOUBLINGS = 6
 STEP_ERROR_TOL = 1e-6
 # Largest JSON file read_json takes; a spectral config with a 4096-value potential is about 110 KB.
 JSON_MAX_BYTES = 1 << 20
+# reprlib's cuts (a string or an int to 30 characters, a list to 6 items, a dict to 4) at one level of nesting,
+# where a list of lists shows as [[...], ...]. So ``shown`` of any value is at most about 270 characters.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxlong = 1, 30
 
 
 @functools.cache
@@ -191,17 +197,17 @@ class ExactCoverInstance:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"need n >= 1 bits, got {self.n}")
+            raise ValueError(f"need n >= 1 bits, got {shown(self.n)}")
         seen = set()
         norm = []
         for clause in self.clauses:
             if len(clause) != 3:
-                raise ValueError(f"clause {clause} must have exactly 3 indices")
+                raise ValueError(f"clause {shown(clause)} must have exactly 3 indices")
             i, j, k = (int(x) for x in clause)
             if not (1 <= i < j < k <= self.n):
-                raise ValueError(f"clause {clause} must satisfy 1 <= i < j < k <= {self.n}")
+                raise ValueError(f"clause {shown(clause)} must satisfy 1 <= i < j < k <= {shown(self.n)}")
             if (i, j, k) in seen:
-                raise ValueError(f"duplicate clause {clause}")
+                raise ValueError(f"duplicate clause {shown(clause)}")
             seen.add((i, j, k))
             norm.append((i, j, k))
         object.__setattr__(self, "clauses", tuple(norm))
@@ -213,20 +219,25 @@ class ExactCoverInstance:
             raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
         extra = set(data) - {"n", "clauses"}
         if extra:
-            raise ValueError(f"unknown instance keys: {sorted(extra)}")
+            raise ValueError(f"unknown instance keys: {shown(sorted(extra))}")
         n, clauses = data.get("n"), data.get("clauses")
         if not _is_json_int(n):
-            raise ValueError(f"n must be an integer, got {n!r}")
+            raise ValueError(f"n must be an integer, got {shown(n)}")
         if not isinstance(clauses, list):
-            raise ValueError(f"clauses must be a list of [i, j, k] lists, got {clauses!r}")
+            raise ValueError(f"clauses must be a list of [i, j, k] lists, got {shown(clauses)}")
         for clause in clauses:
             if not (isinstance(clause, list) and len(clause) == 3 and all(map(_is_json_int, clause))):
-                raise ValueError(f"clause {clause!r} must be a list of 3 integers")
+                raise ValueError(f"clause {shown(clause)} must be a list of 3 integers")
         return cls(n=n, clauses=tuple(tuple(c) for c in clauses))
 
 
 def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a short value, cut by ``_SHOWN`` for a long one: how an error message echoes input."""
+    return _SHOWN.repr(value)
 
 
 def read_json(path):

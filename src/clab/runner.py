@@ -43,6 +43,7 @@ from .reduction import (
     most_probable_bitstring,
     projected_steps,
     reduce_energy_decision,
+    shown,
     success_sweep,
 )
 from .stochastic import (
@@ -56,6 +57,7 @@ from .svgplot import Series, line_chart
 
 __all__ = [
     "EXPERIMENTS",
+    "FAMILIES",
     "ConfigError",
     "NumericalFailure",
     "ResultRecord",
@@ -64,8 +66,6 @@ __all__ = [
     "emit",
     "record_to_json",
 ]
-
-EXPERIMENTS = ("decohere", "stochastic", "compare", "adiabatic", "spectral")
 
 EMIT_FORMATS = ("json", "csv", "svg")
 
@@ -111,8 +111,8 @@ def _check_keys(mapping: dict, path: str, required, optional=()) -> None:
     """Reject the first unknown key, then the first absent one of ``required``."""
     allowed = {*required, *optional}
     extra = sorted(set(mapping) - allowed)
-    if extra:
-        raise ConfigError(f"{path}.{extra[0]}", f"unknown key (allowed: {sorted(allowed)})")
+    if extra:  # the key as ``shown`` cuts it, without its quotes
+        raise ConfigError(f"{path}.{shown(extra[0])[1:-1]}", f"unknown key (allowed: {sorted(allowed)})")
     for key in required:
         if key not in mapping:
             raise ConfigError(f"{path}.{key}", "missing required key")
@@ -130,7 +130,7 @@ def _int_text(value: int) -> str:
 
 def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
+        raise ConfigError(path, f"expected an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {_int_text(minimum)}, got {_int_text(value)}")
     if maximum is not None and value > maximum:
@@ -140,7 +140,7 @@ def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = 
 
 def _as_float(value, path: str, minimum: float | None = None, strict_positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+        raise ConfigError(path, f"expected a number, got {shown(value)}")
     try:
         out = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -195,7 +195,7 @@ def _validate_stochastic(params: dict) -> dict:
     _check_keys(params, "params", ("A_tilde", "B_tilde", "tau", "n"), ("mode",))
     mode = params.get("mode", "uniform_argument")
     if mode not in SAMPLING_MODES:
-        raise ConfigError("params.mode", f"must be one of {list(SAMPLING_MODES)}, got {mode!r}")
+        raise ConfigError("params.mode", f"must be one of {list(SAMPLING_MODES)}, got {shown(mode)}")
     normalized = {
         "A_tilde": _as_float(params["A_tilde"], "params.A_tilde", minimum=0.0),
         "B_tilde": _as_float(params["B_tilde"], "params.B_tilde", minimum=0.0),
@@ -228,7 +228,7 @@ def _validate_compare(params: dict) -> dict:
 def _validate_adiabatic(params: dict) -> dict:
     _check_keys(params, "params", ("instance_path", "schedule"))
     if not isinstance(params["instance_path"], str):
-        raise ConfigError("params.instance_path", f"expected a path string, got {params['instance_path']!r}")
+        raise ConfigError("params.instance_path", f"expected a path string, got {shown(params['instance_path'])}")
     schedule = params["schedule"]
     if not isinstance(schedule, dict):
         raise ConfigError("params.schedule", "expected an object with T_min/doublings/target")
@@ -267,7 +267,7 @@ def _validate_spectral(params: dict) -> dict:
             raise ConfigError("params.grid.potential.values", f"need a list of {n} samples for grid_points={n}")
         pot = {"kind": "values", "values": _as_float_items(values, "params.grid.potential.values")}
     else:
-        raise ConfigError("params.grid.potential.kind", f"must be 'zero', 'harmonic', or 'values', got {kind!r}")
+        raise ConfigError("params.grid.potential.kind", f"must be 'zero', 'harmonic', or 'values', got {shown(kind)}")
     return {
         "grid": {
             "grid_points": n,
@@ -277,15 +277,6 @@ def _validate_spectral(params: dict) -> dict:
         },
         "E_B": _as_float(params["E_B"], "params.E_B"),
     }
-
-
-_VALIDATORS = {
-    "decohere": _validate_decohere,
-    "stochastic": _validate_stochastic,
-    "compare": _validate_compare,
-    "adiabatic": _validate_adiabatic,
-    "spectral": _validate_spectral,
-}
 
 
 def validate_config(raw: dict) -> dict:
@@ -301,16 +292,16 @@ def validate_config(raw: dict) -> dict:
     _check_keys(raw, "$", (), ("experiment", "seed", "hbar", "params"))
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {list(EXPERIMENTS)}, got {experiment!r}")
+        raise ConfigError("experiment", f"must be one of {list(EXPERIMENTS)}, got {shown(experiment)}")
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        shown = _int_text(seed) if type(seed) is int else repr(seed)
-        raise ConfigError("seed", f"must be an integer in [0, 2^64), got {shown}")
+        got = _int_text(seed) if type(seed) is int else shown(seed)
+        raise ConfigError("seed", f"must be an integer in [0, 2^64), got {got}")
     hbar = _as_float(raw.get("hbar", 1.0), "hbar", strict_positive=True)
     params = raw.get("params")
     if not isinstance(params, dict):
         raise ConfigError("params", "missing or not an object")
-    return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": _VALIDATORS[experiment](params)}
+    return {"experiment": experiment, "seed": seed, "hbar": hbar, "params": FAMILIES[experiment][0](params)}
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +451,14 @@ def _run_adiabatic(config: dict) -> dict:
     try:
         inst = load_instance(p["instance_path"])
     except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        raise ConfigError("params.instance_path", f"cannot load instance: {exc}") from exc
+        reason = exc
+        if isinstance(exc, OSError) and exc.filename is not None:  # as str(exc) reads, with the path shown cut
+            reason = f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
+        raise ConfigError("params.instance_path", f"cannot load instance: {reason}") from exc
     if inst.n > EVOLUTION_MAX_BITS:
         raise ConfigError(
-            "params.instance_path", f"instance has n={inst.n} bits; evolution is capped at n <= {EVOLUTION_MAX_BITS}"
+            "params.instance_path",
+            f"instance has n={_int_text(inst.n)} bits; evolution is capped at n <= {EVOLUTION_MAX_BITS}",
         )
     schedule_cfg = p["schedule"]
     total_times = [schedule_cfg["T_min"] * 2.0**k for k in range(schedule_cfg["doublings"] + 1)]
@@ -503,18 +498,24 @@ def _run_adiabatic(config: dict) -> dict:
 def _spectral_operator(grid: dict, threshold: float, hbar: float) -> tuple[GridHamiltonian, float]:
     """The grid at the natural-unit mass m = mass / hbar / hbar, and its operator; a harmonic V keeps the given mass.
 
-    V is formed in float64 under errstate, where an overflow gives inf or NaN (floats would raise at
-    ``omega ** 2``), and must be finite; only a harmonic V can fail, since values are validated finite.
-    ``reduce_energy_decision`` forms the diagonal 1 / (m dx^2) + V, and its refusal of a non-finite entry
-    names ``params.grid.box_length``.
+    A harmonic V is k (x - L/2)^2, with the stiffness k = mass omega^2 / 2 formed as ``_natural_span``
+    forms a span: from the significands, with the exponents applied last. So k has no intermediate
+    overflow or underflow, and units that scale mass by 4^j and omega by 2^-j change none of its bits.
+    V is formed in float64 under errstate, where an overflow gives inf or NaN, and must be finite; only a
+    harmonic V can fail, since values are validated finite. ``reduce_energy_decision`` forms the diagonal
+    1 / (m dx^2) + V, and its refusal of a non-finite entry names ``params.grid.box_length``.
     """
     n, length, potential = grid["grid_points"], grid["box_length"], grid["potential"]
     dx = length / (n + 1)
     with np.errstate(all="ignore"):
         mass = np.float64(grid["mass"]) / hbar / hbar
         if potential["kind"] == "harmonic":
-            x = dx * np.arange(1, n + 1)
-            v = 0.5 * np.float64(grid["mass"]) * np.float64(potential["omega"]) ** 2 * (x - length / 2.0) ** 2
+            (m_mass, e_mass), (m_omega, e_omega) = math.frexp(grid["mass"]), math.frexp(potential["omega"])
+            try:
+                stiffness = math.ldexp(0.5 * m_mass * (m_omega * m_omega), e_mass + 2 * e_omega)
+            except OverflowError:
+                stiffness = math.inf
+            v = stiffness * (dx * np.arange(1, n + 1) - length / 2.0) ** 2
         else:
             v = np.asarray(potential.get("values", np.zeros(n)))  # a zero potential has no values
     inputs = f"for dx = {dx:g}, mass = {grid['mass']:g}, hbar = {hbar:g}"
@@ -566,13 +567,15 @@ def _run_spectral(config: dict) -> dict:
     }
 
 
-_RUNNERS = {
-    "decohere": _run_decohere,
-    "stochastic": _run_stochastic,
-    "compare": _run_compare,
-    "adiabatic": _run_adiabatic,
-    "spectral": _run_spectral,
+# Each experiment family: its validator, its runner, and the summary keys the CLI prints.
+FAMILIES = {
+    "decohere": (_validate_decohere, _run_decohere, ("final_p_mean",)),
+    "stochastic": (_validate_stochastic, _run_stochastic, ("final_p_mean",)),
+    "compare": (_validate_compare, _run_compare, ("final_p_decohered", "final_p_stochastic", "final_abs_difference")),
+    "adiabatic": (_validate_adiabatic, _run_adiabatic, ("target_reached", "most_probable_bitstring", "most_probable_satisfies")),
+    "spectral": (_validate_spectral, _run_spectral, ("ground_energy", "threshold", "decision")),
 }
+EXPERIMENTS = tuple(FAMILIES)
 
 
 def _check_finite(obj, where: str) -> None:
@@ -593,7 +596,7 @@ def run(config: dict) -> ResultRecord:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            outputs = _RUNNERS[normalized["experiment"]](normalized)
+            outputs = FAMILIES[normalized["experiment"]][1](normalized)
         except ConfigError:
             raise
         except (ValueError, ArithmeticError) as exc:  # np.linalg.LinAlgError is a ValueError

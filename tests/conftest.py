@@ -1,5 +1,10 @@
 """Oracles shared by several test modules."""
+import math
+
+import numpy as np
 import pytest
+
+from clab.montecarlo import MonteCarloEstimate
 
 
 def _exactly_positive_definite(diag, offdiag, shift) -> bool:
@@ -29,3 +34,14 @@ def _exactly_positive_definite(diag, offdiag, shift) -> bool:
 @pytest.fixture(scope="session")
 def exactly_positive_definite():
     return _exactly_positive_definite
+
+
+@pytest.fixture(scope="session")
+def numpy_estimate():
+    """The reference Monte Carlo estimate of per-trial values: ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``."""
+
+    def estimate(values) -> MonteCarloEstimate:
+        v = np.asarray(values, dtype=np.float64)
+        return MonteCarloEstimate(mean=float(np.mean(v)), stderr=float(np.std(v, ddof=1) / math.sqrt(v.size)), n=v.size)
+
+    return estimate

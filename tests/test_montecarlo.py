@@ -11,7 +11,6 @@ from clab.montecarlo import (
     _key,
     cos_squared_sweep,
     derive_seed,
-    mc_estimate,
     mc_mean,
     sample_uniform,
     standard_exponential,
@@ -217,13 +216,15 @@ class TestMcMean:
             assert 0.6 <= big.stderr / small.stderr <= 0.85
 
     def test_rejects_non_finite_with_index(self):
-        def f(idx, seed):
-            vals = np.ones(idx.size)
-            vals[3] = np.nan
-            return vals
+        for bad in (np.nan, np.inf, -np.inf):
 
-        with pytest.raises(ValueError, match="index 3"):
-            mc_mean(f, 10, seed=0)
+            def f(idx, seed, bad=bad):
+                vals = np.ones(idx.size)
+                vals[3] = bad
+                return vals
+
+            with pytest.raises(ValueError, match=f"non-finite value at trial index 3: {bad}"):
+                mc_mean(f, 10, seed=0)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n >= 2"):
@@ -250,31 +251,11 @@ class TestMcMean:
             vals[chunk] = f(chunk.astype(np.uint64), 5)
         assert float(np.sum(vals) / 4096) == est.mean
 
-    def test_estimate_of_drawn_values_matches_mc_mean(self):
-        def f(idx, seed):
-            return np.cos(uniform01(seed, idx))
-
-        est = mc_mean(f, 3001, seed=9)
-        again = mc_estimate(f(np.arange(3001, dtype=np.uint64), 9))
-        assert (again.mean, again.stderr, again.n) == (est.mean, est.stderr, est.n)
-
     @pytest.mark.parametrize("n", [2, 3, 1000, 8193, 100_001])
-    def test_estimate_equals_numpy_std_bit_for_bit_and_may_overwrite(self, n):
+    def test_mc_mean_equals_numpy_bit_for_bit(self, n, numpy_estimate):
         rng = np.random.default_rng(n)
         for vals in (rng.uniform(0.0, 1.0, n), rng.standard_normal(n) * 1e-7 + 3e5, np.cos(rng.uniform(0.0, 1e4, n)) ** 2):
-            expected = (float(np.sum(vals)) / n, float(np.std(vals, ddof=1) / math.sqrt(n)), n)
-            est = mc_estimate(vals)
-            assert (est.mean, est.stderr, est.n) == expected
-
-    def test_estimate_of_one_value_has_zero_stderr(self):
-        est = mc_estimate([0.25])
-        assert (est.mean, est.stderr, est.n) == (0.25, 0.0, 1)
-
-    def test_estimate_rejects_empty_and_non_finite(self):
-        with pytest.raises(ValueError, match="at least one"):
-            mc_estimate([])
-        with pytest.raises(ValueError, match="index 1"):
-            mc_estimate([0.5, math.inf])
+            assert mc_mean(lambda idx, seed: vals.copy(), n, seed=0) == numpy_estimate(vals)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -305,7 +286,7 @@ class TestCosSquaredSweep:
         return draw
 
     @pytest.mark.parametrize("K, weighted", [(1, False), (1, True), (16, True)])
-    def test_one_chunk_equals_mc_estimate_bit_for_bit(self, K, weighted):
+    def test_one_chunk_equals_numpy_bit_for_bit(self, K, weighted, numpy_estimate):
         trials = SWEEP_CHUNK // K
         base = self.drawer(K, weighted)
 
@@ -316,18 +297,18 @@ class TestCosSquaredSweep:
         taus = [0.0, 0.3, 7.0]
         sweep = cos_squared_sweep(draw, trials, K, taus)
         weights, gaps = draw(0, trials)
-        assert sweep == [mc_estimate(law(weights, gaps, tau)) for tau in taus]
+        assert sweep == [numpy_estimate(law(weights, gaps, tau)) for tau in taus]
 
     @pytest.mark.parametrize("K, weighted", [(1, False), (16, True)])
-    def test_chunks_merge_within_1e_15(self, K, weighted):
+    def test_chunks_merge_within_1e_15(self, K, weighted, numpy_estimate):
         trials = 3 * (SWEEP_CHUNK // K) + 5
         draw = self.drawer(K, weighted)
         taus = [0.0, 0.3, 7.0]
         sweep = cos_squared_sweep(draw, trials, K, taus)
         weights, gaps = draw(0, trials)
         for tau, est in zip(taus, sweep):
-            # The whole array in one chunk, reduced by mc_estimate.
-            whole = mc_estimate(law(weights, gaps, tau))
+            # The whole array in one chunk, reduced by numpy.
+            whole = numpy_estimate(law(weights, gaps, tau))
             assert est.n == trials
             assert abs(est.mean - whole.mean) <= 1e-15 and abs(est.stderr - whole.stderr) <= 1e-15
 
@@ -340,6 +321,10 @@ class TestCosSquaredSweep:
 
         with pytest.raises(ValueError, match=f"trial index {SWEEP_CHUNK + 3}"):
             cos_squared_sweep(draw, 2 * SWEEP_CHUNK, 1, [1.0])
+
+    def test_one_trial_has_zero_stderr(self):
+        sweep = cos_squared_sweep(lambda lo, hi: (None, np.full(hi - lo, 2.0)), 1, 1, [0.5])
+        assert sweep == [MonteCarloEstimate(mean=float(cos_squared(np.array([0.5]))[0]), stderr=0.0, n=1)]
 
     @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
     def test_bad_tau_refused_before_any_draw(self, tau):

@@ -654,6 +654,15 @@ class TestCli:
         record = json.loads((tmp_path / "out" / "spectral_result.json").read_text())
         assert record["warnings"] == []
 
+    @pytest.mark.parametrize("mass, omega", [(1e-10, 1e155), (1e307, 1e-190)], ids=["overflow", "underflow"])
+    def test_harmonic_stiffness_formed_without_intermediate_overflow(self, mass, omega):
+        """omega^2 alone leaves the float range, but the stiffness mass omega^2 / 2, which V is formed from, does not."""
+        grid = {"grid_points": 3, "box_length": 1.0, "mass": mass, "potential": {"kind": "harmonic", "omega": omega}}
+        h, _ = runner._spectral_operator(grid, 1.0, 1.0)
+        v = float(Fraction(mass) * Fraction(omega) ** 2 / 2) * (np.array([0.25, 0.5, 0.75]) - 0.5) ** 2
+        expected, _ = reduction.reduce_energy_decision(reduction.SpectralDecisionInstance(3, 1.0, mass, v, 1.0))
+        assert 0.0 < v[0] < math.inf and np.array_equal(h.diag, expected.diag)
+
     @pytest.mark.parametrize(
         "values",
         [[1e308] * 3, [-1e308] * 3, [0.8e308, -0.8e308, 0.0], [1e308, -1e308, 1e308],
@@ -704,7 +713,10 @@ class TestCli:
 
     def test_non_finite_output_names_its_path(self, monkeypatch):
         rows = [{"tau": 1.0, "p_mean": 0.5}, {"tau": 2.0, "p_mean": float("nan")}]
-        monkeypatch.setitem(runner._RUNNERS, "decohere", lambda config: {"rows": rows, "summary": {}, "chart": None})
+        validator, _, keys = runner.FAMILIES["decohere"]
+        monkeypatch.setitem(
+            runner.FAMILIES, "decohere", (validator, lambda config: {"rows": rows, "summary": {}, "chart": None}, keys)
+        )
         with pytest.raises(NumericalFailure, match=r"^non-finite value at outputs\.rows\[1\]\.p_mean: nan$"):
             run(decohere_config())
 
@@ -882,7 +894,7 @@ class TestCli:
         assert cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith(f"{experiment}: ")
-        assert [key for key in cli._SUMMARY_KEYS[experiment] if f"{key}=" not in line] == []
+        assert [key for key in runner.FAMILIES[experiment][2] if f"{key}=" not in line] == []
 
     @pytest.mark.parametrize("order", ["options_first", "name_between"])
     def test_options_before_and_after_the_name(self, tmp_path, order):
@@ -1054,13 +1066,32 @@ def numeric_fields(node, prefix=()):
             yield path
 
 
+def every_field(node, prefix=()):
+    """Key path of every value in a config: objects, lists and list items included."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from every_field(value, prefix + (key,))
+
+
 def field_name(path) -> str:
     """The config path as an error names it: ``params.tau[1]``."""
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
 
 
+def with_value(base: dict, path, value) -> dict:
+    """A config of ``base`` at seed 1 and hbar 1 with the field at ``path`` set to ``value``."""
+    config = {"seed": 1, "hbar": 1.0, "params": json.loads(json.dumps(base))}
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
 class TestHugeIntegers:
-    """A JSON integer far beyond the float range exits 2, naming its field, with a message of bounded length."""
+    """A JSON integer far beyond the float range, or a long string or list, exits 2 naming its field, and the
+    message stays short."""
 
     @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["plus", "minus"])
     def test_every_numeric_field(self, capsys, value):
@@ -1068,11 +1099,7 @@ class TestHugeIntegers:
         for experiment, bases in FUZZ_BASES.items():
             for base in bases:
                 for path in numeric_fields({"seed": 1, "hbar": 1.0, "params": base}):
-                    config = {"seed": 1, "hbar": 1.0, "params": json.loads(json.dumps(base))}
-                    node = config
-                    for key in path[:-1]:
-                        node = node[key]
-                    node[path[-1]] = value
+                    config = with_value(base, path, value)
                     # K * trials is checked against the draw limit, named at params.K, before trials alone is used.
                     expected = "params.K" if path[-1] == "trials" and value > 0 else field_name(path)
                     code = run_cli(experiment, json.dumps(config).encode())
@@ -1080,6 +1107,46 @@ class TestHugeIntegers:
                     assert (code, f"error: {expected}:" in err, len(err) < 300) == (2, True, True), (experiment, path, err)
                     cases += 1
         assert cases == 47
+
+    @pytest.mark.parametrize(
+        "value", ["x" * 6000, ["x"] * 3000, [[["x" * 40] * 7] * 7] * 7], ids=["string", "list_of_strings", "nested_lists"]
+    )
+    def test_every_field_long_value(self, capsys, value):
+        cases = 0
+        for experiment, bases in FUZZ_BASES.items():
+            for base in bases:
+                for path in every_field({"seed": 1, "hbar": 1.0, "params": base}):
+                    code = run_cli(experiment, json.dumps(with_value(base, path, value)).encode())
+                    err = capsys.readouterr().err
+                    # A field that takes a list checks its items, and names the first.
+                    named = any(f"error: {field_name(path)}{item}:" in err for item in ("", "[0]"))
+                    assert (code, named, len(err) < 300) == (2, True, True), (experiment, path, err)
+                    cases += 1
+        assert cases == 62
+
+    @pytest.mark.parametrize(
+        "top,params,instance,expected",
+        [
+            ({}, {"u" * 6000: 1}, None, "error: params.uuuuuuuuuuuu...uuuuuuuuuuuuu: unknown key"),
+            ({"experiment": "e" * 6000}, {}, None, "error: config names experiment 'eeeeeeeeeeee...eeeeeeeeeeeee'"),
+            ({}, {}, {"n": 3, "clauses": "c" * 500_000}, "error: params.instance_path: cannot load instance: clauses"),
+            ({}, {}, {"n": 3, "clauses": [], "k" * 500_000: 1}, "error: params.instance_path: cannot load instance: unknown"),
+            ({}, {}, {"n": 3, "clauses": [[1, 2, 10**4000]]}, "error: params.instance_path: cannot load instance: clause"),
+            ({}, {}, {"n": 10**4000, "clauses": []}, "error: params.instance_path: instance has n=about 10^4000 bits"),
+            ({}, {"instance_path": "p/" * 3000}, None, "error: params.instance_path: cannot load instance: [Errno"),
+        ],
+        ids=["unknown_key", "file_experiment", "instance_clauses", "instance_key", "instance_index", "instance_n",
+             "long_path"],
+    )
+    def test_long_value_outside_a_field(self, tmp_path, capsys, top, params, instance, expected):
+        """An adiabatic config with ``top`` at the top of the file, ``params`` in its params, and an instance file."""
+        config = {**top, "params": {**FUZZ_BASES["adiabatic"][0], **params}}
+        if instance is not None:
+            config["params"]["instance_path"] = str(tmp_path / "instance.json")
+            (tmp_path / "instance.json").write_text(json.dumps(instance))
+        assert run_cli("adiabatic", json.dumps(config).encode()) == 2
+        err = capsys.readouterr().err
+        assert expected in err and len(err) < 300, err
 
     @pytest.mark.parametrize("experiment", ["decohere", "compare"])
     def test_product_too_long_to_print(self, tmp_path, capsys, experiment):
@@ -1155,13 +1222,17 @@ def spectral_rule(grid_points, box_length, mass, hbar, potential) -> str | None:
     """The field a spectral run must name at exit 2, or None when the grid it builds has a finite diagonal.
 
     The grid is built in float64 at the natural-unit mass m = mass / hbar / hbar, with dx = box_length /
-    (grid_points + 1); a harmonic V keeps the given mass. V must be finite, and so must 1 / (m dx^2) + V.
+    (grid_points + 1); a harmonic V keeps the given mass, with its stiffness mass omega^2 / 2 rounded from
+    the exact product. V must be finite, and so must 1 / (m dx^2) + V.
     """
     dx = box_length / (grid_points + 1)
     with np.errstate(all="ignore"):
         if potential["kind"] == "harmonic":
-            x = dx * np.arange(1, grid_points + 1)
-            v = 0.5 * np.float64(mass) * np.float64(potential["omega"]) ** 2 * (x - box_length / 2.0) ** 2
+            try:
+                stiffness = float(Fraction(mass) * Fraction(potential["omega"]) ** 2 / 2)
+            except OverflowError:
+                stiffness = math.inf
+            v = stiffness * (dx * np.arange(1, grid_points + 1) - box_length / 2.0) ** 2
         else:
             v = np.array(potential.get("values", [0.0] * grid_points))
         diag = 1.0 / (np.float64(mass) / hbar / hbar * dx * dx) + v
@@ -1276,18 +1347,13 @@ UNITS_BASES = {
 }
 
 
-def in_units(experiment: str, k: int) -> dict:
-    """The base config at hbar = 2^k: times scaled by 2^k; for spectral, mass by 2^(2k) and omega by 2^(-k)."""
-    params = json.loads(json.dumps(UNITS_BASES[experiment]))
-    if experiment == "spectral":
-        params["grid"]["mass"] = math.ldexp(params["grid"]["mass"], 2 * k)
-        params["grid"]["potential"]["omega"] = math.ldexp(params["grid"]["potential"]["omega"], -k)
-    elif experiment == "adiabatic":
-        params["schedule"]["T_min"] = math.ldexp(params["schedule"]["T_min"], k)
-    elif experiment == "compare":
-        params["tau"] = math.ldexp(params["tau"], k)
-    else:
-        params["tau"] = [math.ldexp(tau, k) for tau in params["tau"]]
+# The power of 2^k each field takes in units where hbar = 2^k: a time 1; for spectral, a mass 2 and omega -1.
+HBAR_DIMENSIONS = {"tau": 1, "T_min": 1, "mass": 2, "omega": -1}
+
+
+def in_units(experiment: str, k: int, params: dict | None = None) -> dict:
+    """``params`` (by default the experiment's ``UNITS_BASES`` config) at hbar = 1, restated at hbar = 2^k."""
+    params = scaled(UNITS_BASES[experiment] if params is None else params, HBAR_DIMENSIONS, k)
     return {"experiment": experiment, "seed": 3, "hbar": math.ldexp(1.0, k), "params": params}
 
 
@@ -1301,15 +1367,61 @@ ENERGY_DIMENSIONS = {
 }
 
 
-def energy_scaled(node, dimensions: dict, j: int, key=None):
+def scaled(node, dimensions: dict, j: int, key=None):
     """``node`` with every number under a key of ``dimensions`` multiplied by 2^(dimension * j)."""
     if isinstance(node, dict):
-        return {k: energy_scaled(value, dimensions, j, k) for k, value in node.items()}
+        return {k: scaled(value, dimensions, j, k) for k, value in node.items()}
     if isinstance(node, list):
-        return [energy_scaled(value, dimensions, j, key) for value in node]
+        return [scaled(value, dimensions, j, key) for value in node]
     if key in dimensions and isinstance(node, float):
         return math.ldexp(node, dimensions[key] * j)
     return node
+
+
+def units_outcome(config: dict):
+    """The field a run names at exit 2, or its outputs, with the echoed times scaled back to hbar = 1, and warnings."""
+    try:
+        record = run(config)
+    except ConfigError as exc:
+        return exc.path
+    k = math.frexp(config["hbar"])[1] - 1
+    return scaled(record.outputs, {"tau": 1, "T": 1}, -k), record.warnings
+
+
+def magnitudes_at_hbar_one(experiment: str, data) -> tuple[dict, list]:
+    """The experiment's ``UNITS_BASES`` config with its times, energies, mass and omega drawn from ``MAGNITUDES``,
+    and each number that ``in_units`` scales or the payload echoes in configured units, with its power of 2^k."""
+    params = json.loads(json.dumps(UNITS_BASES[experiment]))
+    taus = st.lists(MAGNITUDES, min_size=1, max_size=3)
+    if experiment == "decohere":
+        params.update(energy_scale=data.draw(MAGNITUDES), tau=data.draw(taus))
+    elif experiment == "stochastic":
+        params.update(A_tilde=data.draw(MAGNITUDES), B_tilde=data.draw(MAGNITUDES), tau=data.draw(taus),
+                      mode=data.draw(st.sampled_from(SAMPLING_MODES)))
+    elif experiment == "compare":
+        params.update(energy_scale=data.draw(st.lists(MAGNITUDES, min_size=1, max_size=3)), tau=data.draw(MAGNITUDES))
+    elif experiment == "adiabatic":
+        schedule = params["schedule"]
+        schedule["T_min"] = data.draw(MAGNITUDES)
+        # The rows echo every T = T_min 2^j of the sweep, up to its longest.
+        return params, [(schedule["T_min"], 1), (schedule["T_min"] * 2.0 ** schedule["doublings"], 1)]
+    else:
+        grid = params["grid"]
+        grid["mass"], grid["potential"]["omega"] = data.draw(MAGNITUDES), data.draw(MAGNITUDES)
+        params["E_B"] = data.draw(MAGNITUDES)
+        return params, [(grid["mass"], 2), (grid["potential"]["omega"], -1)]
+    return params, [(tau, 1) for tau in np.atleast_1d(params["tau"]).tolist()]
+
+
+def normal_powers(scaled_values: list) -> tuple[int, int]:
+    """The least and greatest k for which hbar = 2^k and each value v of power d, as v 2^(d k), stay normal floats."""
+    low, high = -1022, 1023
+    for value, d in scaled_values:
+        # value = m 2^e with 1/2 <= m < 1 is normal for -1021 <= e <= 1024, and so is value 2^(d k) for e + d k there.
+        exponent = math.frexp(value)[1]
+        ends = sorted(((-1021 - exponent) / d, (1024 - exponent) / d))
+        low, high = max(low, math.ceil(ends[0])), min(high, math.floor(ends[1]))
+    return low, high
 
 
 class TestUnitsOracle:
@@ -1317,28 +1429,31 @@ class TestUnitsOracle:
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_power_of_two_units_give_bit_identical_outputs(self, experiment):
-        base = run(in_units(experiment, 0))
+        base = json.dumps(units_outcome(in_units(experiment, 0)), sort_keys=True)
         for k in (-300, -45, 1, 17, 300):
-            record = run(in_units(experiment, k))
-            outputs = record.outputs
-            # The echoed times are the configured ones; scaled back by 2^-k they are the base run's.
-            for row in outputs["rows"]:
-                for key in ("tau", "T"):
-                    if key in row:
-                        row[key] = math.ldexp(row[key], -k)
-            if experiment == "compare":
-                outputs["summary"]["tau"] = math.ldexp(outputs["summary"]["tau"], -k)
-            assert json.dumps(outputs, sort_keys=True) == json.dumps(base.outputs, sort_keys=True), k
-            assert record.warnings == base.warnings == []
+            assert json.dumps(units_outcome(in_units(experiment, k)), sort_keys=True) == base, k
+        assert json.loads(base)[1] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(EXPERIMENTS), st.data())
+    def test_power_of_two_units_at_any_magnitudes(self, experiment, data):
+        """Either both runs give the same outputs, or both exit 2 naming the same field."""
+        params, scaled_values = magnitudes_at_hbar_one(experiment, data)
+        k = data.draw(st.integers(*normal_powers(scaled_values)), label="k")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "SWEEP_MAX_STEPS", 2_000)  # an adiabatic run stays short
+            base, restated = units_outcome(in_units(experiment, 0, params)), units_outcome(in_units(experiment, k, params))
+        assert json.dumps(restated, sort_keys=True) == json.dumps(base, sort_keys=True)
+        assert isinstance(base, str) or base[1] == []
 
     @pytest.mark.parametrize("experiment", sorted(ENERGY_DIMENSIONS))
     def test_power_of_two_energy_scales_give_bit_identical_outputs(self, experiment):
         dimensions = ENERGY_DIMENSIONS[experiment]
         base = run({"experiment": experiment, "seed": 3, "params": UNITS_BASES[experiment]})
         for j in (-300, -45, 1, 17, 300):
-            params = energy_scaled(UNITS_BASES[experiment], dimensions, j)
+            params = scaled(UNITS_BASES[experiment], dimensions, j)
             record = run({"experiment": experiment, "seed": 3, "params": params})
-            outputs, expected = energy_scaled(record.outputs, dimensions, -j), json.loads(json.dumps(base.outputs))
+            outputs, expected = scaled(record.outputs, dimensions, -j), json.loads(json.dumps(base.outputs))
             if experiment == "spectral" and j < 0:
                 # Its max(1, |E|) floor is not scale-free: below an energy of 1 the gap is absolute. The
                 # bracket itself is formed on A = H / s, so energy_lower and energy_upper scale exactly.
